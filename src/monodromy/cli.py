@@ -19,7 +19,7 @@ from .complexes import build_complex, h1, load_complex_file, parse_complex_spec
 from .fibre import betti_one, build_fibre_graph, rank_formula, to_dot
 from .groups import GroupSpecParseError, parse_group_spec
 from .intmatrix import _random_kernel_word, abelianize, representation_report
-from .verify import run_all
+from .verify import run_all, run_criteria
 from .words import parse_word, reduce_word
 
 SCHEMA = 1
@@ -183,7 +183,13 @@ def cmd_homology(args):
 
 
 def cmd_verify(args):
-    ok = run_all(seed=args.seed, stream=sys.stdout)
+    if args.format == "json":
+        criteria = [{"name": name, "ok": ok, "detail": detail}
+                    for name, ok, detail in run_criteria(seed=args.seed)]
+        ok = all(c["ok"] for c in criteria)
+        _emit(args, {"criteria": criteria, "ok": ok}, "")
+    else:
+        ok = run_all(seed=args.seed, stream=sys.stdout)
     return 0 if ok else 1
 
 
@@ -244,7 +250,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, GroupSpecParseError) as exc:
+    except (ValueError, GroupSpecParseError, OSError) as exc:
+        # an unreadable input file is a usage error; OSError's text names the path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

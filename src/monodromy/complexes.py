@@ -17,7 +17,7 @@ from math import prod
 from typing import Sequence
 
 from .groups import FiniteGroup, SizeLimitError
-from .intmatrix import IntMatrix, smith_normal_form
+from .intmatrix import IntMatrix, sparse_rank_torsion
 
 DEFAULT_CELL_CAP = 10**6
 
@@ -116,34 +116,38 @@ class CubicalComplex:
     def counts(self) -> tuple[int, int, int]:
         return tuple(len(c) for c in self.cells)
 
-    def boundary_one(self) -> IntMatrix:
-        verts, edges, _ = self.cells
-        vi = {c: k for k, c in enumerate(verts)}
-        mat = [[0] * len(edges) for _ in verts]
-        for j, cell in enumerate(edges):
-            (i,) = [k for k, (kind, _) in enumerate(cell) if kind == "i"]
-            k = cell[i][1]
-            lo = cell[:i] + (("p", k),) + cell[i + 1:]
-            hi = cell[:i] + (("p", k + 1),) + cell[i + 1:]
-            mat[vi[hi]][j] += 1
-            mat[vi[lo]][j] -= 1
+    def boundary_columns(self, dim: int) -> list[dict[int, int]]:
+        """Sparse boundary map from dimension `dim` cells to `dim - 1` cells.
+
+        Column j maps the index of each face of cell j to its sign:
+        d(A x B) = dA x B + (-1)^{dim A} A x dB, coordinates ascending.
+        """
+        faces = {c: k for k, c in enumerate(self.cells[dim - 1])}
+        columns = []
+        for cell in self.cells[dim]:
+            col = {}
+            ivs = [k for k, (kind, _) in enumerate(cell) if kind == "i"]
+            for pos, i in enumerate(ivs):
+                sgn = -1 if pos % 2 else 1
+                k = cell[i][1]
+                col[faces[cell[:i] + (("p", k + 1),) + cell[i + 1:]]] = sgn
+                col[faces[cell[:i] + (("p", k),) + cell[i + 1:]]] = -sgn
+            columns.append(col)
+        return columns
+
+    def _boundary_matrix(self, dim: int) -> IntMatrix:
+        columns = self.boundary_columns(dim)
+        mat = [[0] * max(len(columns), 1) for _ in self.cells[dim - 1]]
+        for j, col in enumerate(columns):
+            for i, v in col.items():
+                mat[i][j] = v
         return IntMatrix(mat)
 
+    def boundary_one(self) -> IntMatrix:
+        return self._boundary_matrix(1)
+
     def boundary_two(self) -> IntMatrix:
-        verts, edges, squares = self.cells
-        ei = {c: k for k, c in enumerate(edges)}
-        mat = [[0] * max(len(squares), 1) for _ in edges]
-        for j, cell in enumerate(squares):
-            ivs = [k for k, (kind, _) in enumerate(cell) if kind == "i"]
-            # d(A x B) = dA x B + (-1)^{dim A} A x dB, coordinates ascending
-            for pos, i in enumerate(ivs):
-                sgn = 1 if pos == 0 else -1
-                k = cell[i][1]
-                hi = cell[:i] + (("p", k + 1),) + cell[i + 1:]
-                lo = cell[:i] + (("p", k),) + cell[i + 1:]
-                mat[ei[hi]][j] += sgn
-                mat[ei[lo]][j] -= sgn
-        return IntMatrix(mat)
+        return self._boundary_matrix(2)
 
 
 def build_complex(groups: Sequence[FiniteGroup], K: SimplicialComplex,
@@ -154,35 +158,24 @@ def build_complex(groups: Sequence[FiniteGroup], K: SimplicialComplex,
     orders = [G.order for G in groups]
     if cap is None:
         cap = int(os.environ.get("MONODROMY_CELL_CAP", DEFAULT_CELL_CAP))
-    if prod(orders) > cap:
-        raise SizeLimitError("cell count exceeds cap")
-
     n = len(groups)
-    verts = [tuple(("p", k) for k in v)
-             for v in itertools.product(*(range(m) for m in orders))]
-
-    def cells_with_support(support: tuple[int, ...]):
-        choices = []
-        for i in range(n):
-            if i in support:
-                choices.append([("i", k) for k in range(orders[i] - 1)])
-            else:
-                choices.append([("p", k) for k in range(orders[i])])
-        return [tuple(c) for c in itertools.product(*choices)]
-
-    edges: list[Cell] = []
-    for i in range(n):
-        edges.extend(cells_with_support((i,)))
-
-    squares: list[Cell] = []
-    for i, j in itertools.combinations(range(n), 2):
-        if K.has_face({i + 1, j + 1}):
-            squares.extend(cells_with_support((i, j)))
-
-    total = len(verts) + len(edges) + len(squares)
+    supports = ([()], [(i,) for i in range(n)],
+                [(i, j) for i, j in itertools.combinations(range(n), 2)
+                 if K.has_face({i + 1, j + 1})])
+    # cells with support S: (m_i - 1) interval choices on S, m_i points elsewhere
+    total = sum(prod(m - 1 if i in s else m for i, m in enumerate(orders))
+                for dim in supports for s in dim)
     if total > cap:
         raise SizeLimitError(f"cell count {total} exceeds cap")
-    return CubicalComplex(groups, K, (tuple(verts), tuple(edges), tuple(squares)))
+
+    def cells_with_support(support: tuple[int, ...]):
+        choices = [[("i", k) for k in range(m - 1)] if i in support
+                   else [("p", k) for k in range(m)] for i, m in enumerate(orders)]
+        return itertools.product(*choices)
+
+    cells = tuple(tuple(itertools.chain.from_iterable(map(cells_with_support, dim)))
+                  for dim in supports)
+    return CubicalComplex(groups, K, cells)
 
 
 def h1(cx: CubicalComplex) -> tuple[int, list[int]]:
@@ -190,15 +183,18 @@ def h1(cx: CubicalComplex) -> tuple[int, list[int]]:
     nverts, nedges, nsquares = cx.counts
     if nedges == 0:
         return 0, []
-    d1 = cx.boundary_one()
-    rank_d1 = d1.rank()
+    d1 = cx.boundary_columns(1)
+    rank_d1, _ = sparse_rank_torsion(d1)
     if nsquares == 0:
         return nedges - rank_d1, []
-    d2 = cx.boundary_two()
+    d2 = cx.boundary_columns(2)
     # sanity: the composite boundary vanishes
-    if not all(v == 0 for row in (d1 * d2).entries for v in row):
-        raise AssertionError("boundary composition is nonzero")
-    factors, rank_d2 = smith_normal_form(d2)
-    betti = (nedges - rank_d1) - rank_d2
-    torsion = [d for d in factors if d > 1]
-    return betti, torsion
+    for col in d2:
+        image: dict[int, int] = {}
+        for e, a in col.items():
+            for v, b in d1[e].items():
+                image[v] = image.get(v, 0) + a * b
+        if any(image.values()):
+            raise AssertionError("boundary composition is nonzero")
+    rank_d2, torsion = sparse_rank_torsion(d2)
+    return (nedges - rank_d1) - rank_d2, torsion

@@ -55,10 +55,12 @@ class FibreGraph:
     cotree: tuple[Edge, ...]
     # parent[v] = (edge, sign) taking parent -> v; basepoint maps to None
     parents: dict = field(hash=False, compare=False, default_factory=dict)
+    # position of each cotree edge in `cotree`, built once with the graph
+    cotree_positions: dict = field(hash=False, compare=False, default_factory=dict)
 
     @property
     def cotree_index(self) -> dict:
-        return {e: k for k, e in enumerate(self.cotree)}
+        return self.cotree_positions
 
 
 def _edge_sort_key(edge: Edge):
@@ -119,7 +121,8 @@ def build_fibre_graph(groups: Sequence[FiniteGroup], cap: int | None = None) -> 
 
     cotree = tuple(sorted((e for e in edge_set - tree), key=_edge_sort_key))
     return FibreGraph(groups, tuple(vertices), tuple(sorted(edges, key=_edge_sort_key)),
-                      basepoint, frozenset(tree), cotree, parents)
+                      basepoint, frozenset(tree), cotree, parents,
+                      {e: k for k, e in enumerate(cotree)})
 
 
 def betti_one(g: FibreGraph) -> int:

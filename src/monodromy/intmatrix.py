@@ -44,9 +44,18 @@ class IntMatrix:
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        bt = list(zip(*other.entries))
-        return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in bt]
-                          for row in self.entries])
+        # the factors are mostly zero: visit only the nonzero entries of each
+        # left row, and of the right factor's row that each one selects
+        right = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
+        out = []
+        for row in self.entries:
+            acc = [0] * other.cols
+            for a, nonzeros in zip(row, right):
+                if a:
+                    for j, b in nonzeros:
+                        acc[j] += a * b
+            out.append(acc)
+        return IntMatrix(out)
 
     def __neg__(self):
         return IntMatrix([[-v for v in row] for row in self.entries])
@@ -188,6 +197,82 @@ def smith_normal_form(M: IntMatrix) -> tuple[list[int], int]:
         t += 1
     factors = [a[i][i] for i in range(t)]
     return factors, len(factors)
+
+
+def sparse_rank_torsion(columns: Sequence[dict[int, int]]) -> tuple[int, list[int]]:
+    """(rank, invariant factors > 1) of a matrix given as sparse columns.
+
+    Each column maps row index -> entry.  Unit entries are pivoted on one at
+    a time, cheapest Markowitz cost (column nonzeros - 1) * (row nonzeros - 1)
+    first.  Each pivot is a unimodular Schur-complement step that splits off
+    an invariant factor 1.  Only a leftover block without a unit entry goes
+    to the dense `smith_normal_form`.
+    """
+    from heapq import heappop, heappush  # local: keeps heapq out of package import
+
+    cols: dict[int, dict[int, int]] = {}
+    rows: dict[int, set[int]] = {}
+    for j, column in enumerate(columns):
+        col = {i: v for i, v in column.items() if v}
+        if col:
+            cols[j] = col
+            for i in col:
+                rows.setdefault(i, set()).add(j)
+
+    heap: list[tuple[int, int, int]] = []
+
+    def push(i, j):
+        if cols[j][i] in (1, -1):
+            heappush(heap, ((len(cols[j]) - 1) * (len(rows[i]) - 1), i, j))
+
+    for j, col in cols.items():
+        for i in col:
+            push(i, j)
+
+    rank = 0
+    while heap:
+        cost, i, j = heappop(heap)
+        pivot = cols.get(j)
+        if pivot is None or pivot.get(i) not in (1, -1) \
+                or cost != (len(pivot) - 1) * (len(rows[i]) - 1):
+            continue  # stale: the entry changed after it was queued
+        del cols[j]
+        for r in pivot:
+            rows[r].discard(j)
+        p = pivot.pop(i)
+        touched = rows.pop(i)
+        for k in touched:
+            # col_k -= (a_ik / p) col_j clears row i; 1/p == p for a unit
+            col = cols[k]
+            f = col.pop(i) * p
+            for r, v in pivot.items():
+                new = col.get(r, 0) - f * v
+                if new:
+                    col[r] = new
+                    rows[r].add(k)
+                else:
+                    del col[r]
+                    rows[r].discard(k)
+            if not col:
+                del cols[k]
+        rank += 1
+        # requeue the entries whose row or column count changed
+        for k in touched:
+            for r in cols.get(k, ()):
+                push(r, k)
+        for r in pivot:
+            for k in rows[r]:
+                push(r, k)
+
+    if not cols:
+        return rank, []
+    live = {r: n for n, r in enumerate(sorted({r for col in cols.values() for r in col}))}
+    block = [[0] * len(cols) for _ in live]
+    for c, col in enumerate(cols.values()):
+        for r, v in col.items():
+            block[live[r]][c] = v
+    factors, block_rank = smith_normal_form(IntMatrix(block))
+    return rank + block_rank, [d for d in factors if d > 1]
 
 
 def abelianize(f: Automorphism) -> IntMatrix:

@@ -134,3 +134,30 @@ def test_seed_determinism(capsys):
     _, out2, _ = run(capsys, "report", "--groups", "C3,C4",
                      "--seed", "7", "--format", "json")
     assert out1 == out2
+
+
+def test_missing_input_files_exit_2(capsys, tmp_path):
+    missing = tmp_path / "nonexistent.json"
+    code, out, err = run(capsys, "rank", "--groups", f"table:{missing}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(missing) in err
+    assert "Traceback" not in err
+
+    missing = tmp_path / "nonexistent"
+    code, out, err = run(capsys, "homology", "--groups", "C2,C2",
+                         "--complex", f"@{missing}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(missing) in err
+    assert "Traceback" not in err
+
+
+def test_verify_json(capsys):
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["schema"] == 1 and payload["ok"] is False
+    names = [c["name"] for c in payload["criteria"]]
+    assert len(names) == 10 and names[3] == "4-cyclic-pairs"
+    failing = [c for c in payload["criteria"] if not c["ok"]]
+    assert failing == [{"name": "4-cyclic-pairs", "ok": False,
+                        "detail": "faithfulness fails at (2,2) i=1 j=1"}]

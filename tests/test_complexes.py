@@ -1,5 +1,7 @@
 import itertools
+import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -9,6 +11,7 @@ from monodromy.complexes import (CubicalComplex, SimplicialComplex,
                                  zero_complex)
 from monodromy.fibre import betti_one, build_fibre_graph, rank_formula
 from monodromy.groups import SizeLimitError, make_cyclic, make_symmetric
+from monodromy.intmatrix import smith_normal_form
 
 
 def cyclic(*orders):
@@ -158,3 +161,71 @@ def test_cell_cap_env_override(monkeypatch):
         build_complex(cyclic(4, 4), full_simplex(2))
     monkeypatch.setenv("MONODROMY_CELL_CAP", "1000000")
     build_complex(cyclic(4, 4), full_simplex(2))
+
+
+def bbcg_b1(orders, K):
+    """b1 = sum over |J| >= 2 of (c(K_J) - 1) * prod_{j in J} (m_j - 1).
+
+    Bahri-Bendersky-Cohen-Gitler's stable splitting of the polyhedral
+    product; c counts the components of the full subcomplex on J.
+    """
+    edges = K.edges()
+    total = 0
+    for size in range(2, K.n + 1):
+        for J in itertools.combinations(range(1, K.n + 1), size):
+            comp = {v: v for v in J}
+
+            def find(v):
+                while comp[v] != v:
+                    v = comp[v]
+                return v
+
+            for e in edges:
+                if e <= set(J):
+                    a, b = sorted(e)
+                    comp[find(a)] = find(b)
+            components = len({find(v) for v in J})
+            total += (components - 1) * prod(orders[j - 1] - 1 for j in J)
+    return total
+
+
+def dense_h1(cx):
+    """H1 from the dense Bareiss rank of d1 and the dense SNF of d2."""
+    nverts, nedges, nsquares = cx.counts
+    if nedges == 0:
+        return 0, []
+    rank_d1 = cx.boundary_one().rank()
+    if nsquares == 0:
+        return nedges - rank_d1, []
+    factors, rank_d2 = smith_normal_form(cx.boundary_two())
+    return nedges - rank_d1 - rank_d2, [d for d in factors if d > 1]
+
+
+def random_complex(rng, n):
+    pairs = [frozenset(p) for p in itertools.combinations(range(1, n + 1), 2)]
+    facets = [frozenset({v}) for v in range(1, n + 1)]
+    facets += [p for p in pairs if rng.random() < 0.5]
+    if n >= 3 and rng.random() < 0.3:
+        facets.append(frozenset(rng.sample(range(1, n + 1), 3)))
+    return SimplicialComplex(n, tuple(facets))
+
+
+def test_h1_matches_bbcg_formula_and_dense_oracle():
+    rng = random.Random(37)
+    for _ in range(100):
+        n = rng.randrange(1, 5)
+        orders = [rng.randrange(1, 4) for _ in range(n)]
+        K = random_complex(rng, n)
+        cx = build_complex(cyclic(*orders), K)
+        got = h1(cx)
+        assert got == (bbcg_b1(orders, K), [])
+        assert got == dense_h1(cx)
+
+
+def test_cell_cap_is_checked_before_building():
+    groups, K = cyclic(3, 4, 2), parse_complex_spec("K={1,2;3}")
+    # 3*4*2 vertices, 2*4*2 + 3*3*2 + 3*4*1 edges, 2*3*2 squares on {1,2}
+    count = 24 + (16 + 18 + 12) + 12
+    with pytest.raises(SizeLimitError, match=f"cell count {count} exceeds cap"):
+        build_complex(groups, K, cap=count - 1)
+    assert sum(build_complex(groups, K, cap=count).counts) == count

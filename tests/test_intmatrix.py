@@ -9,7 +9,7 @@ from monodromy.groups import (S3_CLASSIC_ORDER, SizeLimitError, make_cyclic,
                               make_symmetric)
 from monodromy.intmatrix import (IntMatrix, abelianize, cyclic_closed_form,
                                  matrix_of_letter, representation_report,
-                                 smith_normal_form)
+                                 smith_normal_form, sparse_rank_torsion)
 from monodromy.words import Letter, multiply, reduce_word, single
 
 
@@ -102,6 +102,68 @@ def test_snf_divisibility_and_rank_random():
             for f in factors:
                 prod *= f
             assert prod == abs(m.det())
+
+
+def naive_product(a, b):
+    """Reference triple loop over every entry, zeros included."""
+    return [[sum(a.entries[i][k] * b.entries[k][j] for k in range(a.cols))
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+def sparse_random(rng, rows, cols, density, bound):
+    return IntMatrix([[rng.randint(-bound, bound) if rng.random() < density else 0
+                       for _ in range(cols)] for _ in range(rows)])
+
+
+def test_product_matches_naive_reference():
+    rng = random.Random(35)
+    for trial in range(300):
+        r, k, c = (rng.randrange(1, 7) for _ in range(3))
+        density = rng.choice((0.0, 0.05, 0.2, 0.5, 1.0))
+        bound = rng.choice((1, 9, 2 ** 70))  # 2**70: products exceed 64 bits
+        a = sparse_random(rng, r, k, density, bound)
+        b = sparse_random(rng, k, c, density, bound)
+        if trial % 5 == 0:  # force an all-zero row of a and column of b
+            a.entries[rng.randrange(r)] = [0] * k
+            j = rng.randrange(c)
+            for row in b.entries:
+                row[j] = 0
+        assert (a * b).to_lists() == naive_product(a, b)
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2]]) * IntMatrix([[1, 2]])
+
+
+def dense_rank_torsion(m):
+    factors, _ = smith_normal_form(m)
+    return m.rank(), [d for d in factors if d > 1]
+
+
+def as_columns(m):
+    return [{i: m.entries[i][j] for i in range(m.rows) if m.entries[i][j]}
+            for j in range(m.cols)]
+
+
+def test_sparse_rank_torsion_matches_dense():
+    rng = random.Random(36)
+    for _ in range(300):
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+        density = rng.choice((0.0, 0.3, 0.6, 1.0))
+        m = sparse_random(rng, rows, cols, density, rng.choice((1, 2, 6)))
+        assert sparse_rank_torsion(as_columns(m)) == dense_rank_torsion(m)
+
+
+def test_sparse_rank_torsion_non_unit_blocks():
+    # no unit entry anywhere: the whole matrix takes the dense fallback
+    for entries, expected in [([[2, 0], [0, 3]], (2, [6])),
+                              ([[2, 4], [4, 8]], (1, [2])),
+                              ([[2, 0, 0], [0, 2, 0], [0, 0, 3]], (3, [2, 6]))]:
+        m = IntMatrix(entries)
+        assert sparse_rank_torsion(as_columns(m)) == expected == dense_rank_torsion(m)
+    # Z/2 torsion behind a unit: pivoting on the 1 leaves the block [[2]]
+    m = IntMatrix([[1, 1, 0], [1, -1, 0], [0, 0, 1]])
+    assert sparse_rank_torsion(as_columns(m)) == (3, [2]) == dense_rank_torsion(m)
+    assert sparse_rank_torsion([{0: 2}, {0: 2}]) == (1, [2])
+    assert sparse_rank_torsion([{}, {3: 0}]) == (0, [])
 
 
 def test_abelianize_functorial():
