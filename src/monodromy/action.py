@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .fibre import FibreGraph, cycle_witness, decompose_word
 from .groups import FiniteGroup
-from .words import (Letter, Word, commutator, conjugate, empty_word, invert,
+from .words import (Letter, Word, commutator, empty_word, invert,
                     is_in_kernel, multiply, single)
 
 # A signed symbol word: ((symbol_index, +1|-1), ...)
@@ -200,8 +200,9 @@ def act_geometric(g: Word, basis: Basis) -> Automorphism:
         raise ValueError("act_geometric needs a tree basis with its graph")
     if g.groups != basis.groups:
         raise ValueError("word is over a different group list")
-    graph = basis.graph
-    images = tuple(decompose_word(graph, conjugate(g, wit)) for wit in basis.witnesses)
+    graph, g_inv = basis.graph, invert(g)
+    images = tuple(decompose_word(graph, multiply(multiply(g, wit), g_inv))
+                   for wit in basis.witnesses)
     return Automorphism(basis, images)
 
 
@@ -212,9 +213,17 @@ def act_letter(t: Letter, basis: Basis) -> Automorphism:
 
 
 def act_word(w: Word, basis: Basis) -> Automorphism:
-    """Fold the per-letter action: act_word(uv) = act(u) o act(v)."""
+    """The action of w by conjugation: act_word(uv) = act(u) o act(v).
+
+    In the tree basis each witness is conjugated by the whole word once and
+    decomposed once; since a free-group automorphism has one reduced image
+    per generator, this equals the per-letter fold.  The commutator basis
+    folds its closed-form per-letter actions left to right.
+    """
     if w.groups != basis.groups:
         raise ValueError("word is over a different group list")
+    if basis.kind == "tree":
+        return act_geometric(w, basis)
     phi = identity_automorphism(basis)
     for lt in w.letters:
         phi = compose(phi, act_letter(lt, basis))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 MAX_AXIOM_CHECK_ORDER = 256
 MAX_SYMMETRIC_DEGREE = 8
@@ -40,6 +40,8 @@ class FiniteGroup:
     order: int
     table: tuple[tuple[int, ...], ...]
     names: tuple[str, ...]
+    # inverses[a] is the inverse of a, found once by __post_init__
+    inverses: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     identity = 0
 
@@ -58,10 +60,13 @@ class FiniteGroup:
         for a in range(m):
             if self.table[0][a] != a or self.table[a][0] != a:
                 raise GroupValidationError("identity: index 0 is not a two-sided unit")
+        inverses = []
         for a in range(m):
             invs = [b for b in range(m) if self.table[a][b] == 0 and self.table[b][a] == 0]
             if len(invs) != 1:
                 raise GroupValidationError(f"inverse: element {a} lacks a unique two-sided inverse")
+            inverses.append(invs[0])
+        object.__setattr__(self, "inverses", tuple(inverses))
         if m <= MAX_AXIOM_CHECK_ORDER:
             t = self.table
             for a in range(m):
@@ -80,10 +85,7 @@ class FiniteGroup:
     def inverse(self, a: int) -> int:
         if not 0 <= a < self.order:
             raise ValueError(f"element index out of range: {a}")
-        for b in range(self.order):
-            if self.table[a][b] == 0:
-                return b
-        raise AssertionError("unreachable: validated group has inverses")
+        return self.inverses[a]
 
     def element_order(self, a: int) -> int:
         if not 0 <= a < self.order:
@@ -95,11 +97,9 @@ class FiniteGroup:
         return d
 
     def power(self, a: int, k: int) -> int:
-        """a**k, with negative k via the inverse."""
-        if k < 0:
-            a, k = self.inverse(a), -k
+        """a**k for any integer k, reduced modulo the order of a first."""
         x = 0
-        for _ in range(k):
+        for _ in range(k % self.element_order(a)):
             x = self.table[x][a]
         return x
 

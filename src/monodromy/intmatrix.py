@@ -80,27 +80,36 @@ class IntMatrix:
         return self.rows == self.cols and self == IntMatrix.identity(self.rows)
 
     def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
+        """Exact determinant: unit pivots first, Bareiss on what is left.
+
+        The unit eliminations are column operations, which keep the
+        determinant, and leave the pivot rows and columns block-triangular
+        against the rest once both are put in pivot order.  So det =
+        sgn(sigma) * prod(pivots) * det(leftover block), where sigma sends
+        each pivot row to its pivot column and the leftover rows to the
+        leftover columns in sorted order.  A column that empties gives 0.
+        """
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
         n = self.rows
-        a = [row[:] for row in self.entries]
-        sign, prev = 1, 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for r in range(k + 1, n):
-                    if a[r][k] != 0:
-                        a[k], a[r] = a[r], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        columns = [{i: row[j] for i, row in enumerate(self.entries) if row[j]}
+                   for j in range(n)]
+        pivots, cols = _eliminate_units(columns)
+        if len(pivots) + len(cols) < n:
+            return 0
+        sigma = [-1] * n
+        value = 1
+        for i, j, p in pivots:
+            sigma[i] = j
+            value *= p
+        left_rows = [i for i in range(n) if sigma[i] < 0]
+        left_cols = sorted(cols)
+        for i, j in zip(left_rows, left_cols):
+            sigma[i] = j
+        if left_cols:
+            value *= bareiss_det([[cols[j].get(i, 0) for j in left_cols]
+                                  for i in left_rows])
+        return _permutation_sign(sigma) * value
 
     def rank(self) -> int:
         """Rank over the rationals, by fraction-free elimination."""
@@ -137,6 +146,41 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({self.entries!r})"
+
+
+def bareiss_det(entries: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square list of rows by fraction-free (Bareiss) elimination."""
+    n = len(entries)
+    a = [list(row) for row in entries]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def _permutation_sign(perm: Sequence[int]) -> int:
+    """+1 or -1: a cycle of length L contributes (-1)^(L-1)."""
+    sign, seen = 1, [False] * len(perm)
+    for start in range(len(perm)):
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = perm[k]
+            if k != start:
+                sign = -sign
+    return sign
 
 
 def smith_normal_form(M: IntMatrix) -> tuple[list[int], int]:
@@ -199,14 +243,15 @@ def smith_normal_form(M: IntMatrix) -> tuple[list[int], int]:
     return factors, len(factors)
 
 
-def sparse_rank_torsion(columns: Sequence[dict[int, int]]) -> tuple[int, list[int]]:
-    """(rank, invariant factors > 1) of a matrix given as sparse columns.
+def _eliminate_units(columns: Sequence[dict[int, int]]):
+    """Pivot on unit entries of sparse columns, cheapest Markowitz cost first.
 
-    Each column maps row index -> entry.  Unit entries are pivoted on one at
-    a time, cheapest Markowitz cost (column nonzeros - 1) * (row nonzeros - 1)
-    first.  Each pivot is a unimodular Schur-complement step that splits off
-    an invariant factor 1.  Only a leftover block without a unit entry goes
-    to the dense `smith_normal_form`.
+    Each column maps row index -> entry.  The cost of a +-1 entry is
+    (column nonzeros - 1) * (row nonzeros - 1).  Each pivot (i, j, p) is a
+    unimodular Schur-complement step: column operations clear row i outside
+    column j, then row i and column j leave the matrix.  Returns the pivots
+    in order and the leftover nonzero columns {j: {row: entry}}, none of
+    which has a unit entry.
     """
     from heapq import heappop, heappush  # local: keeps heapq out of package import
 
@@ -229,7 +274,7 @@ def sparse_rank_torsion(columns: Sequence[dict[int, int]]) -> tuple[int, list[in
         for i in col:
             push(i, j)
 
-    rank = 0
+    pivots: list[tuple[int, int, int]] = []
     while heap:
         cost, i, j = heappop(heap)
         pivot = cols.get(j)
@@ -255,7 +300,7 @@ def sparse_rank_torsion(columns: Sequence[dict[int, int]]) -> tuple[int, list[in
                     rows[r].discard(k)
             if not col:
                 del cols[k]
-        rank += 1
+        pivots.append((i, j, p))
         # requeue the entries whose row or column count changed
         for k in touched:
             for r in cols.get(k, ()):
@@ -263,7 +308,18 @@ def sparse_rank_torsion(columns: Sequence[dict[int, int]]) -> tuple[int, list[in
         for r in pivot:
             for k in rows[r]:
                 push(r, k)
+    return pivots, cols
 
+
+def sparse_rank_torsion(columns: Sequence[dict[int, int]]) -> tuple[int, list[int]]:
+    """(rank, invariant factors > 1) of a matrix given as sparse columns.
+
+    Each unit pivot of `_eliminate_units` splits off an invariant factor 1.
+    Only a leftover block without a unit entry goes to the dense
+    `smith_normal_form`.
+    """
+    pivots, cols = _eliminate_units(columns)
+    rank = len(pivots)
     if not cols:
         return rank, []
     live = {r: n for n, r in enumerate(sorted({r for col in cols.values() for r in col}))}

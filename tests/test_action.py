@@ -102,15 +102,42 @@ def test_identity_letter_acts_trivially():
 
 
 def test_act_word_is_antihomomorphism_free():
-    # act_word folds left to right, so act_word(uv) = act_word(u) o act_word(v)
+    # act_word(uv) = act_word(u) o act_word(v): by the left-to-right fold in
+    # the commutator basis, by conjugating with uv at once in the tree basis
     groups = (make_cyclic(3), make_cyclic(4))
-    basis = algebraic_basis(groups)
     rng = random.Random(22)
-    for _ in range(100):
-        u = rand_kernel_word(rng, groups, 6)
-        v = rand_kernel_word(rng, groups, 6)
-        assert act_word(multiply(u, v), basis) == compose(
-            act_word(u, basis), act_word(v, basis))
+    for basis in (algebraic_basis(groups), tree_basis(build_fibre_graph(groups))):
+        for _ in range(100):
+            u = rand_kernel_word(rng, groups, 6)
+            v = rand_kernel_word(rng, groups, 6)
+            assert act_word(multiply(u, v), basis) == compose(
+                act_word(u, basis), act_word(v, basis))
+
+
+def letter_fold(w, basis):
+    """compose(act_letter(l1), compose(act_letter(l2), ...)); identity if empty."""
+    phi = identity_automorphism(basis)
+    for lt in reversed(w.letters):
+        phi = compose(act_letter(lt, basis), phi)
+    return phi
+
+
+def test_tree_act_word_matches_letter_fold():
+    # the one-pass tree action equals the per-letter fold it replaced
+    rng = random.Random(25)
+    for groups in [(make_cyclic(3),) * 3,
+                   (make_cyclic(2), make_cyclic(3), make_cyclic(4)),
+                   (make_symmetric(3), make_cyclic(4), make_cyclic(3))]:
+        basis = tree_basis(build_fibre_graph(groups))
+        words = [reduce_word([], groups)]
+        for _ in range(4):
+            raw = [(f, rng.randrange(1, groups[f].order))
+                   for f in (rng.randrange(3) for _ in range(rng.randrange(1, 7)))]
+            words.append(reduce_word(raw, groups))
+            words.append(rand_kernel_word(rng, groups, 6))
+        for w in words:
+            assert act_word(w, basis) == letter_fold(w, basis)
+        assert act_word(words[0], basis) == identity_automorphism(basis)
 
 
 def test_order_of_generator_action_divides_group_exponent():

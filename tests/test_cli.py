@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -57,6 +58,16 @@ def test_act_images(capsys):
     assert set(payload["images"]) == {"w[1,1]", "w[1,2]"}
     for img in payload["images"].values():
         assert "w[" in img
+
+
+def test_act_huge_exponent_is_reduced(capsys):
+    # the exponent is reduced modulo the element order, not looped over
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "act", "--groups", "C8,C3",
+                       "--element", "x1^1000000000001")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert (code, out) == run(capsys, "act", "--groups", "C8,C3", "--element", "x1^1")[:2]
 
 
 def test_matrix_negative_identity(capsys):

@@ -56,6 +56,33 @@ def test_element_order_and_lagrange():
             assert g.order % g.element_order(a) == 0
 
 
+def test_inverse_table_matches_cayley_table():
+    for g in [make_cyclic(6), make_symmetric(3), make_dihedral(4), make_symmetric(4)]:
+        for a in range(g.order):
+            assert g.op(a, g.inverse(a)) == 0 == g.op(g.inverse(a), a)
+    # the table is derived state: not a constructor argument, not compared
+    s3 = make_symmetric(3)
+    assert s3 == make_symmetric(3) and hash(s3) == hash(make_symmetric(3))
+    assert "inverses" not in repr(s3)
+    with pytest.raises(TypeError):
+        FiniteGroup(1, ((0,),), ("1",), (0,))
+
+
+def test_power_reduces_exponent_modulo_element_order():
+    for g in [make_cyclic(8), make_symmetric(3), make_dihedral(5)]:
+        for a in range(g.order):
+            x = 0
+            for k in range(2 * g.order + 1):
+                assert g.power(a, k) == x
+                assert g.power(a, -k) == g.inverse(x)
+                x = g.op(x, a)
+    c8 = make_cyclic(8)
+    assert c8.power(1, 10**100 + 3) == 3
+    assert c8.power(3, -(10**100) - 1) == c8.inverse(3)
+    with pytest.raises(ValueError):
+        c8.power(8, 2)
+
+
 def test_index_bounds():
     g = make_cyclic(3)
     with pytest.raises(ValueError):

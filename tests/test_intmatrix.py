@@ -6,10 +6,11 @@ from monodromy.action import (act_geometric, act_word, algebraic_basis, compose,
                               tree_basis)
 from monodromy.fibre import build_fibre_graph, rank_formula
 from monodromy.groups import (S3_CLASSIC_ORDER, SizeLimitError, make_cyclic,
-                              make_symmetric)
-from monodromy.intmatrix import (IntMatrix, abelianize, cyclic_closed_form,
-                                 matrix_of_letter, representation_report,
-                                 smith_normal_form, sparse_rank_torsion)
+                              make_symmetric, parse_group_spec)
+from monodromy.intmatrix import (IntMatrix, abelianize, bareiss_det,
+                                 cyclic_closed_form, matrix_of_letter,
+                                 representation_report, smith_normal_form,
+                                 sparse_rank_torsion)
 from monodromy.words import Letter, multiply, reduce_word, single
 
 
@@ -59,6 +60,54 @@ def test_det_multiplicative_random():
         n = rng.randrange(1, 5)
         a, b = rand_matrix(rng, n, n), rand_matrix(rng, n, n)
         assert (a * b).det() == a.det() * b.det()
+
+
+def test_det_matches_bareiss_oracle():
+    rng = random.Random(37)
+    for trial in range(500):
+        n = rng.randrange(1, 9)
+        density = rng.choice((0.0, 0.1, 0.3, 0.6, 1.0))
+        bound = rng.choice((1, 1, 3, 2 ** 70))  # bound 1: mostly unit entries
+        m = sparse_random(rng, n, n, density, bound)
+        if trial % 5 == 1:  # a zero row and a zero column
+            m.entries[rng.randrange(n)] = [0] * n
+            j = rng.randrange(n)
+            for row in m.entries:
+                row[j] = 0
+        elif trial % 5 == 2 and n > 1:  # a column that is a combination of two others
+            a, b, c = (rng.randrange(n) for _ in range(3))
+            x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+            for row in m.entries:
+                row[c] = x * row[a] + y * row[b] if c not in (a, b) else 0
+        assert m.det() == bareiss_det(m.entries), m
+
+
+def test_det_of_signed_permutation_matrices():
+    rng = random.Random(38)
+    for _ in range(100):
+        n = rng.randrange(1, 9)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        entries = [[0] * n for _ in range(n)]
+        for i in range(n):
+            entries[i][perm[i]] = signs[i]
+        want = (-1) ** inversions
+        for s in signs:
+            want *= s
+        assert IntMatrix(entries).det() == want == bareiss_det(entries)
+
+
+def test_det_of_report_generators_matches_bareiss_oracle():
+    # every generator matrix of the report pairs the benchmark runs
+    for spec in ("S4,C3", "S3,D5", "D4,S3", "C6,C7"):
+        groups = tuple(parse_group_spec(spec))
+        basis = algebraic_basis(groups)
+        for factor, G in enumerate(groups):
+            for e in range(1, G.order):
+                m = matrix_of_letter(Letter(factor, e), basis)
+                assert m.det() == bareiss_det(m.entries) in (1, -1)
 
 
 def test_rank_examples():
