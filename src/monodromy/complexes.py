@@ -10,13 +10,12 @@ product orientation, with intervals oriented towards increasing position.
 from __future__ import annotations
 
 import itertools
-import os
 import re
 from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
-from .groups import FiniteGroup, SizeLimitError
+from .groups import FiniteGroup, SizeLimitError, cell_cap
 from .intmatrix import IntMatrix, sparse_rank_torsion
 
 DEFAULT_CELL_CAP = 10**6
@@ -157,7 +156,7 @@ def build_complex(groups: Sequence[FiniteGroup], K: SimplicialComplex,
         raise ValueError("complex vertex count must match the group list")
     orders = [G.order for G in groups]
     if cap is None:
-        cap = int(os.environ.get("MONODROMY_CELL_CAP", DEFAULT_CELL_CAP))
+        cap = cell_cap(DEFAULT_CELL_CAP)
     n = len(groups)
     supports = ([()], [(i,) for i in range(n)],
                 [(i, j) for i, j in itertools.combinations(range(n), 2)

@@ -2,21 +2,24 @@
 
 Vertices are tuples of element indices, one per coordinate.  For each
 coordinate i the graph carries chains of unit edges joining consecutive
-positions, for every assignment of the remaining coordinates.  A BFS
-spanning tree from the all-zero basepoint gives a fundamental cycle basis
-indexed by the cotree edges; closed paths decompose over that basis by
-recording their cotree traversals (the usual spanning-tree rewriting).
+positions, for every assignment of the remaining coordinates.  The
+spanning tree is the staircase from the all-zero basepoint: edge (v, i) is
+a tree edge exactly when every coordinate of v after i is 0, so the tree
+path to a vertex raises its coordinates in ascending order.  Its cotree
+edges index a fundamental cycle basis; closed paths decompose over that
+basis by recording their cotree traversals (the usual spanning-tree
+rewriting).  The graph is written down in closed form; tests/test_fibre.py
+checks it against a breadth-first search and sort.
 """
 
 from __future__ import annotations
 
-import os
-from collections import deque
+import itertools
 from dataclasses import dataclass, field
 from math import prod
 from typing import Sequence
 
-from .groups import FiniteGroup, SizeLimitError
+from .groups import FiniteGroup, SizeLimitError, cell_cap
 from .words import Letter, Word, is_in_kernel, reduce_word
 
 DEFAULT_VERTEX_CAP = 10**6
@@ -41,10 +44,6 @@ def rank_formula(orders: Sequence[int]) -> int:
     return (n - 1) * total - sum(total // m for m in orders) + 1
 
 
-def _vertex_cap() -> int:
-    return int(os.environ.get("MONODROMY_CELL_CAP", DEFAULT_VERTEX_CAP))
-
-
 @dataclass(frozen=True)
 class FibreGraph:
     groups: tuple[FiniteGroup, ...]
@@ -63,65 +62,37 @@ class FibreGraph:
         return self.cotree_positions
 
 
-def _edge_sort_key(edge: Edge):
-    v, i = edge
-    fixed = tuple(v[j] for j in range(len(v)) if j != i)
-    return (i, fixed, v[i])
-
-
 def build_fibre_graph(groups: Sequence[FiniteGroup], cap: int | None = None) -> FibreGraph:
     groups = tuple(groups)
     if not groups:
         raise ValueError("need at least one group")
     orders = [G.order for G in groups]
-    n = len(groups)
     nverts = prod(orders)
-    if nverts > (cap if cap is not None else _vertex_cap()):
+    if nverts > (cap if cap is not None else cell_cap(DEFAULT_VERTEX_CAP)):
         raise SizeLimitError(f"vertex count {nverts} exceeds cap")
 
-    vertices: list[tuple[int, ...]] = []
-
-    def gen(prefix):
-        if len(prefix) == n:
-            vertices.append(tuple(prefix))
-            return
-        for k in range(orders[len(prefix)]):
-            gen(prefix + [k])
-
-    gen([])
-
-    edges: list[Edge] = []
-    for v in vertices:
-        for i in range(n):
-            if v[i] + 1 < orders[i]:
-                edges.append((v, i))
-    edge_set = set(edges)
-
-    basepoint = tuple([0] * n)
-    # BFS: coordinates ascending, lower position before higher
+    basepoint = (0,) * len(orders)
     parents: dict = {basepoint: None}
-    tree: set[Edge] = set()
-    queue = deque([basepoint])
-    while queue:
-        v = queue.popleft()
-        for i in range(n):
-            for p in (v[i] - 1, v[i] + 1):
-                if not 0 <= p < orders[i]:
-                    continue
-                w = v[:i] + (p,) + v[i + 1:]
-                if w in parents:
-                    continue
-                edge = (v, i) if p > v[i] else (w, i)
-                sign = 1 if p > v[i] else -1
-                parents[w] = (edge, sign)
-                tree.add(edge)
-                queue.append(w)
-    if len(parents) != nverts:
-        raise AssertionError("fibre graph is not connected")
+    edges: list[Edge] = []
+    tree: list[Edge] = []
+    cotree: list[Edge] = []
+    # edges ordered by coordinate, then the other coordinates, then position
+    for i, m in enumerate(orders):
+        if m < 2:
+            continue
+        for rest in itertools.product(*map(range, orders[:i] + orders[i + 1:])):
+            head, tail = rest[:i], rest[i:]
+            chain = [(head + (p,) + tail, i) for p in range(m - 1)]
+            edges += chain
+            if any(tail):
+                cotree += chain
+            else:
+                tree += chain
+                for p, edge in enumerate(chain, 1):
+                    parents[head + (p,) + tail] = (edge, 1)
 
-    cotree = tuple(sorted((e for e in edge_set - tree), key=_edge_sort_key))
-    return FibreGraph(groups, tuple(vertices), tuple(sorted(edges, key=_edge_sort_key)),
-                      basepoint, frozenset(tree), cotree, parents,
+    return FibreGraph(groups, tuple(itertools.product(*map(range, orders))),
+                      tuple(edges), basepoint, frozenset(tree), tuple(cotree), parents,
                       {e: k for k, e in enumerate(cotree)})
 
 

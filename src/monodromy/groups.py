@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -31,6 +32,20 @@ class GroupSpecParseError(ValueError):
 
 class SizeLimitError(ValueError):
     """Requested object exceeds the configured size cap."""
+
+
+def cell_cap(default: int) -> int:
+    """The size cap set by MONODROMY_CELL_CAP, or `default` when unset."""
+    raw = os.environ.get("MONODROMY_CELL_CAP")
+    if raw is None:
+        return default
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"MONODROMY_CELL_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True)

@@ -28,12 +28,21 @@ class IntMatrix:
             raise ValueError("ragged or empty matrix")
 
     @classmethod
+    def _of_rows(cls, rows: list[list[int]]) -> "IntMatrix":
+        """Wrap int rows built inside the class, without copying or checking them."""
+        if not rows or not rows[0]:
+            raise ValueError("matrix dimensions must be positive")
+        m = cls.__new__(cls)
+        m.entries, m.rows, m.cols = rows, len(rows), len(rows[0])
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, r: int, c: int) -> "IntMatrix":
-        return cls([[0] * c for _ in range(r)])
+        return cls._of_rows([[0] * c for _ in range(r)])
 
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.entries == other.entries
@@ -55,10 +64,10 @@ class IntMatrix:
                     for j, b in nonzeros:
                         acc[j] += a * b
             out.append(acc)
-        return IntMatrix(out)
+        return IntMatrix._of_rows(out)
 
     def __neg__(self):
-        return IntMatrix([[-v for v in row] for row in self.entries])
+        return IntMatrix._of_rows([[-v for v in row] for row in self.entries])
 
     def __pow__(self, k: int) -> "IntMatrix":
         if self.rows != self.cols:
@@ -74,10 +83,12 @@ class IntMatrix:
         return acc
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.entries)))
+        return IntMatrix._of_rows(list(map(list, zip(*self.entries))))
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and self == IntMatrix.identity(self.rows)
+        return self.rows == self.cols and all(
+            row[i] == 1 and not any(row[:i]) and not any(row[i + 1:])
+            for i, row in enumerate(self.entries))
 
     def det(self) -> int:
         """Exact determinant: unit pivots first, Bareiss on what is left.
@@ -340,7 +351,7 @@ def abelianize(f: Automorphism) -> IntMatrix:
         for sym, sign in img:
             col[sym] += sign
         cols.append(col)
-    return IntMatrix(list(zip(*cols)))
+    return IntMatrix._of_rows(cols).transpose()
 
 
 def matrix_of_letter(t: Letter, basis: Basis) -> IntMatrix:

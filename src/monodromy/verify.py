@@ -63,9 +63,10 @@ def criterion_1_rank_formula(seed: int = 0):
     if rank_formula([2, 6]) != 5:
         return _fail("rank_formula(2,6) != 5")
     checked = 0
+    cyclic = {m: make_cyclic(m) for m in range(1, 6)}
     for n in range(1, 5):
-        for orders in itertools.product(range(1, 6), repeat=n):
-            g = build_fibre_graph([make_cyclic(m) for m in orders])
+        for orders in itertools.product(cyclic, repeat=n):
+            g = build_fibre_graph([cyclic[m] for m in orders])
             if betti_one(g) != rank_formula(orders):
                 return _fail(f"betti mismatch at orders {orders}")
             checked += 1

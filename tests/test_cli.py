@@ -172,3 +172,17 @@ def test_verify_json(capsys):
     failing = [c for c in payload["criteria"] if not c["ok"]]
     assert failing == [{"name": "4-cyclic-pairs", "ok": False,
                         "detail": "faithfulness fails at (2,2) i=1 j=1"}]
+
+
+def test_bad_cell_cap_names_the_variable(capsys, monkeypatch):
+    for raw in ("abc", "0", "-5", "1.5"):
+        monkeypatch.setenv("MONODROMY_CELL_CAP", raw)
+        for argv in (("basis", "--groups", "C2,C3,C2", "--basis", "tree"),
+                     ("homology", "--groups", "C2,C3", "--complex", "K={1,2}")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: MONODROMY_CELL_CAP must be a positive integer, got {raw!r}\n"
+    monkeypatch.setenv("MONODROMY_CELL_CAP", "5")
+    code, _, err = run(capsys, "graph", "--groups", "C2,C3")
+    assert code == 2 and err == "error: vertex count 6 exceeds cap\n"
+

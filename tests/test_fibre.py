@@ -1,12 +1,17 @@
+import hashlib
 import itertools
 import random
+from collections import deque
 
 import pytest
 
-from monodromy.fibre import (betti_one, build_fibre_graph, cycle_witness,
-                             decompose_word, fundamental_cycle, loop_to_basis,
-                             path_to_word, rank_formula, to_dot, word_to_path)
-from monodromy.groups import SizeLimitError, make_cyclic, make_symmetric
+from monodromy.cli import main
+from monodromy.fibre import (FibreGraph, betti_one, build_fibre_graph,
+                             cycle_witness, decompose_word, fundamental_cycle,
+                             loop_to_basis, path_to_word, rank_formula, to_dot,
+                             tree_path_to, word_to_path)
+from monodromy.groups import (SizeLimitError, make_cyclic, make_dihedral,
+                              make_symmetric)
 from monodromy.words import (commutator, invert, is_in_kernel, multiply,
                              reduce_word, single)
 
@@ -183,3 +188,131 @@ def test_dot_output():
     assert dot.startswith("graph fibre {")
     assert dot.count("--") == 4
     assert "style=dashed" in dot and "style=solid" in dot
+
+
+def bfs_fibre_graph(groups):
+    """Oracle: the graph found by search, a BFS tree and a keyed sort.
+
+    This is the builder `build_fibre_graph` replaced with its closed form;
+    it derives the tree and the edge order instead of writing them down.
+    """
+    groups = tuple(groups)
+    orders = [G.order for G in groups]
+    n = len(groups)
+    vertices = []
+
+    def gen(prefix):
+        if len(prefix) == n:
+            vertices.append(tuple(prefix))
+            return
+        for k in range(orders[len(prefix)]):
+            gen(prefix + [k])
+
+    gen([])
+    edges = [(v, i) for v in vertices for i in range(n) if v[i] + 1 < orders[i]]
+
+    basepoint = tuple([0] * n)
+    # BFS: coordinates ascending, lower position before higher
+    parents = {basepoint: None}
+    tree = set()
+    queue = deque([basepoint])
+    while queue:
+        v = queue.popleft()
+        for i in range(n):
+            for p in (v[i] - 1, v[i] + 1):
+                if not 0 <= p < orders[i]:
+                    continue
+                w = v[:i] + (p,) + v[i + 1:]
+                if w in parents:
+                    continue
+                edge = (v, i) if p > v[i] else (w, i)
+                parents[w] = (edge, 1 if p > v[i] else -1)
+                tree.add(edge)
+                queue.append(w)
+    assert len(parents) == len(vertices)
+
+    def edge_sort_key(edge):
+        v, i = edge
+        return (i, tuple(v[j] for j in range(n) if j != i), v[i])
+
+    cotree = tuple(sorted(set(edges) - tree, key=edge_sort_key))
+    return FibreGraph(groups, tuple(vertices), tuple(sorted(edges, key=edge_sort_key)),
+                      basepoint, frozenset(tree), cotree, parents,
+                      {e: k for k, e in enumerate(cotree)})
+
+
+def differential_group_lists():
+    c = {m: make_cyclic(m) for m in range(1, 9)}
+    lists = [[c[m] for m in orders] for n in range(1, 5)
+             for orders in itertools.product(range(1, 6), repeat=n)]
+    lists += [[c[m] for m in orders] for orders in itertools.product(range(1, 4), repeat=5)]
+    lists += [[make_symmetric(3), c[4], c[3]],
+              [make_dihedral(4), c[2], make_symmetric(3)],
+              [c[8]] * 3, [c[2]] * 8, [c[7], c[1], c[5]]]
+    return lists
+
+
+def test_closed_form_graph_matches_bfs_oracle():
+    # every criterion-1 list, every list of 5 factors of order 1-3, and a
+    # few mixed and larger lists; FibreGraph equality leaves out parents and
+    # cotree_positions, so they are compared on their own
+    for groups in differential_group_lists():
+        got, want = build_fibre_graph(groups), bfs_fibre_graph(groups)
+        orders = [G.order for G in groups]
+        assert got == want, orders
+        assert got.parents == want.parents, orders
+        assert got.cotree_positions == want.cotree_positions, orders
+
+
+def test_tree_path_is_a_staircase():
+    # the tree path to v raises coordinate 0 to v[0], then coordinate 1 to
+    # v[1], and so on: ascending coordinates, each position only upward
+    for orders in [(3, 4), (2, 3, 4), (3, 1, 2, 3), (4, 4, 4)]:
+        g = build_fibre_graph(cyclic_groups(*orders))
+        for v in g.vertices:
+            path = tree_path_to(g, v)
+            assert all(sign == 1 for _, sign in path)
+            assert [edge[1] for edge, _ in path] == sorted(edge[1] for edge, _ in path)
+            assert [(i, u[i]) for (u, i), _ in path] == [
+                (i, p) for i in range(len(v)) for p in range(v[i])]
+            for (u, i), _ in path:
+                assert (u, i) in g.tree and not any(u[i + 1:])
+
+
+C2_C3_DOT = """graph fibre {
+  "0,0" [label="1,1"];
+  "0,1" [label="1,x"];
+  "0,2" [label="1,x^2"];
+  "1,0" [label="x,1"];
+  "1,1" [label="x,x"];
+  "1,2" [label="x,x^2"];
+  "0,0" -- "1,0" [style=solid];
+  "0,1" -- "1,1" [style=dashed];
+  "0,2" -- "1,2" [style=dashed];
+  "0,0" -- "0,1" [style=solid];
+  "0,1" -- "0,2" [style=solid];
+  "1,0" -- "1,1" [style=solid];
+  "1,1" -- "1,2" [style=solid];
+}
+"""
+
+# sha256 of `basis --groups S3,C4,C3 --basis tree --format json` as printed
+# by the breadth-first builder that the closed form replaced
+S3_C4_C3_TREE_BASIS_SHA256 = "a68d382a5e561876d829898dd7bd6d2e768fdc2a1fd3125d56e4bdcb562a8d97"
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_closed_form_graph_keeps_cli_output(capsys, monkeypatch):
+    dot = ("graph", "--groups", "C2,C3", "--emit", "dot")
+    basis = ("basis", "--groups", "S3,C4,C3", "--basis", "tree", "--format", "json")
+    closed = [run_cli(capsys, *argv) for argv in (dot, basis)]
+    monkeypatch.setattr("monodromy.cli.build_fibre_graph", bfs_fibre_graph)
+    assert closed == [run_cli(capsys, *argv) for argv in (dot, basis)]
+    assert closed[0] == (0, C2_C3_DOT, "")
+    assert closed[1][0] == 0
+    assert hashlib.sha256(closed[1][1].encode()).hexdigest() == S3_C4_C3_TREE_BASIS_SHA256

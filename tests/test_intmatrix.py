@@ -36,6 +36,30 @@ def test_identity_and_multiplication():
     assert (m * -m).det() == (-1) ** 3 * m.det() ** 2
 
 
+def test_is_identity_checks_every_entry():
+    assert IntMatrix([[1]]).is_identity()
+    for entries in ([[1, 0], [0, 2]], [[1, 0], [3, 1]], [[1, 0, 0], [0, 1, -1], [0, 0, 1]],
+                    [[-1]], [[1, 0]], [[1], [0]]):
+        assert not IntMatrix(entries).is_identity(), entries
+
+
+def test_derived_matrices_equal_constructed_ones():
+    # public construction coerces to lists of ints; results built inside
+    # the class skip that and must still compare and hash like them
+    m = IntMatrix(((True, 2, 0), (0, -1, 5)))
+    assert m.entries == [[1, 2, 0], [0, -1, 5]]
+    t = IntMatrix([[1, 0], [2, -1], [0, 5]])
+    assert m.transpose() == t and hash(m.transpose()) == hash(t)
+    assert -m == IntMatrix([[-1, -2, 0], [0, 1, -5]])
+    assert m * t == IntMatrix([[5, -2], [-2, 26]])
+    assert IntMatrix.zeros(2, 3) == IntMatrix([[0, 0, 0], [0, 0, 0]])
+    assert IntMatrix.identity(2) == IntMatrix([[1, 0], [0, 1]])
+    for bad in (lambda: IntMatrix.identity(0), lambda: IntMatrix.zeros(0, 2),
+                lambda: IntMatrix.zeros(2, 0)):
+        with pytest.raises(ValueError):
+            bad()
+
+
 def test_power():
     m = IntMatrix([[1, 1], [0, 1]])
     assert (m ** 5).to_lists() == [[1, 5], [0, 1]]
