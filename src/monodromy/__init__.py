@@ -8,8 +8,7 @@ from .commutators import (delta_identity_check, iterated_commutator,
 from .complexes import (CubicalComplex, SimplicialComplex, build_complex,
                         full_simplex, h1, is_flag, parse_complex_spec,
                         zero_complex)
-from .fibre import (FibreGraph, betti_one, build_fibre_graph, loop_to_basis,
-                    rank_formula, word_to_path)
+from .fibre import FibreGraph, betti_one, build_fibre_graph, rank_formula
 from .groups import (FiniteGroup, make_cyclic, make_dihedral, make_symmetric,
                      parse_group_spec)
 from .intmatrix import (IntMatrix, abelianize, cyclic_closed_form,

@@ -14,21 +14,11 @@ from typing import Sequence
 
 from .fibre import FibreGraph, cycle_witness, decompose_word
 from .groups import FiniteGroup
-from .words import (Letter, Word, commutator, empty_word, invert,
+from .words import (Letter, Word, commutator, empty_word, free_reduce, invert,
                     is_in_kernel, multiply, single)
 
 # A signed symbol word: ((symbol_index, +1|-1), ...)
 SymbolWord = tuple[tuple[int, int], ...]
-
-
-def free_reduce_signed(seq) -> SymbolWord:
-    out: list[tuple[int, int]] = []
-    for sym, sign in seq:
-        if out and out[-1] == (sym, -sign):
-            out.pop()
-        else:
-            out.append((sym, sign))
-    return tuple(out)
 
 
 def invert_signed(seq: SymbolWord) -> SymbolWord:
@@ -97,15 +87,9 @@ class Automorphism:
             raise ValueError("one image per basis symbol required")
 
     def apply(self, word: SymbolWord) -> SymbolWord:
-        out: list[tuple[int, int]] = []
-        for sym, sign in word:
-            img = self.images[sym] if sign == 1 else invert_signed(self.images[sym])
-            for s in img:
-                if out and out[-1] == (s[0], -s[1]):
-                    out.pop()
-                else:
-                    out.append(s)
-        return tuple(out)
+        return free_reduce(s for sym, sign in word
+                           for s in (self.images[sym] if sign == 1
+                                     else invert_signed(self.images[sym])))
 
 
 def identity_automorphism(basis: Basis) -> Automorphism:
@@ -133,24 +117,16 @@ def telescope_decompose(w: Word) -> tuple[tuple[int, int, int], ...]:
         raise ValueError("word is not in the kernel of the projection")
     G, H = w.groups
     p = q = 0  # running prefix products in G and H
-    out: list[tuple[int, int, int]] = []
-
-    def emit(i, j, sign):
-        if i == 0 or j == 0:
-            return
-        if out and out[-1] == (i, j, -sign):
-            out.pop()
-        else:
-            out.append((i, j, sign))
-
+    raw: list[tuple[tuple[int, int], int]] = []
     for lt in w.letters:
         if lt.factor == 0:
             p = G.op(p, lt.elem)
-            emit(p, q, -1)  # [q, p_new] = [g,h]^-1 with g = p_new
+            raw.append(((p, q), -1))  # [q, p_new] = [g,h]^-1 with g = p_new
         else:
             q = H.op(q, lt.elem)
-            emit(p, q, 1)   # [p, q_new]
-    return tuple(out)
+            raw.append(((p, q), 1))   # [p, q_new]
+    kept = (((i, j), sign) for (i, j), sign in raw if i and j)
+    return tuple((i, j, sign) for (i, j), sign in free_reduce(kept))
 
 
 def telescope_recompose(basis: Basis, decomposition) -> Word:
@@ -190,7 +166,7 @@ def act_two_groups(t: Letter, basis: Basis) -> Automorphism:
                 hj = H.op(k, j)
                 if hj != 0:
                     seq.append((algebraic_symbol_index(G, H, i, hj), 1))
-            images.append(free_reduce_signed(seq))
+            images.append(free_reduce(seq))
     return Automorphism(basis, tuple(images))
 
 

@@ -11,16 +11,14 @@ import json
 import random
 import sys
 
-from .action import (act_two_groups, act_word, algebraic_basis, tree_basis)
-from .commutators import (delta_identity_check, fl_commutator, free_reduce,
-                          iterated_commutator, letters, magnus_weight,
-                          product_expansion_check)
+from .action import act_word, algebraic_basis, tree_basis
+from .commutators import lemma_suite
 from .complexes import build_complex, h1, load_complex_file, parse_complex_spec
 from .fibre import betti_one, build_fibre_graph, rank_formula, to_dot
 from .groups import GroupSpecParseError, parse_group_spec
-from .intmatrix import _random_kernel_word, abelianize, representation_report
+from .intmatrix import abelianize, representation_report
 from .verify import run_all, run_criteria
-from .words import parse_word, reduce_word
+from .words import parse_word
 
 SCHEMA = 1
 
@@ -126,46 +124,16 @@ def cmd_report(args):
 
 
 def cmd_lemma_check(args):
-    groups = _groups(args)
-    rng = random.Random(args.seed)
-    trials = args.trials
-    ok = True
-
-    passed = 0
-    for _ in range(trials):
-        g = _random_word(rng, groups)
-        f = _random_word(rng, groups)
-        passed += delta_identity_check(g, f)
-    print(f"delta-identity: {passed}/{trials}")
-    ok &= passed == trials
-
-    alphabet = "abcde"
-    passed = 0
-    for _ in range(trials):
-        ws = [free_reduce(tuple((rng.choice(alphabet), rng.choice((1, -1)))
-                                for _ in range(rng.randrange(1, 5))))
-              for _ in range(3)]
-        passed += product_expansion_check(*ws)
-    print(f"product-expansion: {passed}/{trials}")
-    ok &= passed == trials
-
-    depth = min(args.depth, 5)
-    passed = 0
-    for k in range(1, depth + 1):
-        f = iterated_commutator(letters(*alphabet[:k]))
-        good = magnus_weight(f, 6) == k
-        good &= magnus_weight(fl_commutator(letters("z")[0], f), 7) == k + 1
-        passed += good
-    print(f"magnus-weights (k<= {depth}): {passed}/{depth}")
-    ok &= passed == depth
-    return 0 if ok else 1
-
-
-def _random_word(rng, groups, max_letters=8):
-    raw = [(f, rng.randrange(1, groups[f].order))
-           for f in (rng.randrange(len(groups)) for _ in range(rng.randrange(1, max_letters)))
-           if groups[f].order > 1]
-    return reduce_word(raw, tuple(groups))
+    for flag, value in (("--trials", args.trials), ("--depth", args.depth)):
+        if value < 0:
+            raise ValueError(f"{flag} must be non-negative, got {value}")
+    trials, depth = args.trials, min(args.depth, 5)
+    delta, expansion, magnus = lemma_suite(_groups(args), random.Random(args.seed),
+                                           trials, depth)
+    print(f"delta-identity: {delta}/{trials}")
+    print(f"product-expansion: {expansion}/{trials}")
+    print(f"magnus-weights (k<= {depth}): {magnus}/{depth}")
+    return 0 if (delta, expansion, magnus) == (trials, trials, depth) else 1
 
 
 def cmd_homology(args):

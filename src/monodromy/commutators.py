@@ -9,24 +9,17 @@ descending central series, which maps into the free product's.
 
 from __future__ import annotations
 
+import random
 from typing import Sequence
 
-from .words import Word, commutator as group_commutator, conjugate, multiply, reduce_word
+from .groups import FiniteGroup
+from .words import (Word, commutator as group_commutator, conjugate, free_reduce,
+                    multiply, random_word)
 
 # A free-letter word: ((symbol, +1|-1), ...), freely reduced.
 FreeLetterWord = tuple[tuple[str, int], ...]
 
 MAX_MAGNUS_DEGREE = 8
-
-
-def free_reduce(seq) -> FreeLetterWord:
-    out: list[tuple[str, int]] = []
-    for sym, sign in seq:
-        if out and out[-1] == (sym, -sign):
-            out.pop()
-        else:
-            out.append((sym, sign))
-    return tuple(out)
 
 
 def letters(*symbols: str) -> list[FreeLetterWord]:
@@ -69,6 +62,35 @@ def product_expansion_check(a: FreeLetterWord, b: FreeLetterWord,
     bc = fl_commutator(b, c)
     rhs = fl_mul(fl_commutator(a, bc), bc, fl_commutator(a, c))
     return lhs == rhs
+
+
+def lemma_suite(groups: Sequence[FiniteGroup], rng: random.Random,
+                trials: int, depth: int) -> tuple[int, int, int]:
+    """Pass counts of the three commutator-calculus checks.
+
+    The delta identity on `trials` pairs of random words over `groups`, the
+    product expansion on `trials` triples of random free-letter words, and
+    the Magnus weights of the depth-k iterated commutator and of its bracket
+    with a fresh letter, for k = 1..depth (at most 5).
+    """
+    delta = 0
+    for _ in range(trials):
+        g = random_word(rng, groups)
+        f = random_word(rng, groups)
+        delta += delta_identity_check(g, f)
+    alphabet = "abcde"
+    expansion = 0
+    for _ in range(trials):
+        ws = [free_reduce((rng.choice(alphabet), rng.choice((1, -1)))
+                          for _ in range(rng.randrange(1, 5)))
+              for _ in range(3)]
+        expansion += product_expansion_check(*ws)
+    magnus = 0
+    for k in range(1, depth + 1):
+        f = iterated_commutator(letters(*alphabet[:k]))
+        magnus += (magnus_weight(f, 6) == k
+                   and magnus_weight(fl_commutator(letters("z")[0], f), 7) == k + 1)
+    return delta, expansion, magnus
 
 
 def _series_letter(sym: str, sign: int, degree: int) -> dict:

@@ -1,4 +1,4 @@
-"""The grid-graph model of the fibre and its cycle calculus.
+"""The grid-graph model of the fibre and its cycle calculus, in closed form.
 
 Vertices are tuples of element indices, one per coordinate.  For each
 coordinate i the graph carries chains of unit edges joining consecutive
@@ -6,21 +6,33 @@ positions, for every assignment of the remaining coordinates.  The
 spanning tree is the staircase from the all-zero basepoint: edge (v, i) is
 a tree edge exactly when every coordinate of v after i is 0, so the tree
 path to a vertex raises its coordinates in ascending order.  Its cotree
-edges index a fundamental cycle basis; closed paths decompose over that
-basis by recording their cotree traversals (the usual spanning-tree
-rewriting).  The graph is written down in closed form; tests/test_fibre.py
-checks it against a breadth-first search and sort.
+edges index a fundamental cycle basis, and the staircase gives both halves
+of the calculus in closed form:
+
+- The witness of cotree edge (v, i), with w = v raised at i, is the reduced
+  word  prod_k s_k:g_{v_k} . s_i:(g_{v_i}^-1 g_{v_i+1}) . prod_{k desc} s_k:g_{w_k}^-1,
+  because the tree path to a vertex telescopes.
+- A kernel word decomposes letter by letter: a letter of coordinate i
+  crosses one cotree chain, a run of consecutive indices
+  off_i + (h (T_i - 1) + t - 1)(m_i - 1) + p, unless the state's
+  coordinates after i are all 0.  Here h and t are the mixed-radix indices
+  of the coordinates before and after i, T_i = prod_{k>i} m_k, and off_i
+  counts the cotree edges of the coordinates before i.
+
+The graph is written down in closed form too.  tests/test_fibre.py keeps
+the brute-force path as the oracle: a breadth-first search and sort for
+the graph, and an edge-path walker for the witnesses and decompositions.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
 from .groups import FiniteGroup, SizeLimitError, cell_cap
-from .words import Letter, Word, is_in_kernel, reduce_word
+from .words import Word, free_reduce, is_in_kernel, reduce_word
 
 DEFAULT_VERTEX_CAP = 10**6
 
@@ -52,14 +64,11 @@ class FibreGraph:
     basepoint: tuple[int, ...]
     tree: frozenset[Edge]
     cotree: tuple[Edge, ...]
-    # parent[v] = (edge, sign) taking parent -> v; basepoint maps to None
-    parents: dict = field(hash=False, compare=False, default_factory=dict)
-    # position of each cotree edge in `cotree`, built once with the graph
-    cotree_positions: dict = field(hash=False, compare=False, default_factory=dict)
 
     @property
     def cotree_index(self) -> dict:
-        return self.cotree_positions
+        """Position of each cotree edge in `cotree`, built on each access."""
+        return {e: k for k, e in enumerate(self.cotree)}
 
 
 def build_fibre_graph(groups: Sequence[FiniteGroup], cap: int | None = None) -> FibreGraph:
@@ -71,8 +80,6 @@ def build_fibre_graph(groups: Sequence[FiniteGroup], cap: int | None = None) -> 
     if nverts > (cap if cap is not None else cell_cap(DEFAULT_VERTEX_CAP)):
         raise SizeLimitError(f"vertex count {nverts} exceeds cap")
 
-    basepoint = (0,) * len(orders)
-    parents: dict = {basepoint: None}
     edges: list[Edge] = []
     tree: list[Edge] = []
     cotree: list[Edge] = []
@@ -88,12 +95,9 @@ def build_fibre_graph(groups: Sequence[FiniteGroup], cap: int | None = None) -> 
                 cotree += chain
             else:
                 tree += chain
-                for p, edge in enumerate(chain, 1):
-                    parents[head + (p,) + tail] = (edge, 1)
 
     return FibreGraph(groups, tuple(itertools.product(*map(range, orders))),
-                      tuple(edges), basepoint, frozenset(tree), tuple(cotree), parents,
-                      {e: k for k, e in enumerate(cotree)})
+                      tuple(edges), (0,) * len(orders), frozenset(tree), tuple(cotree))
 
 
 def betti_one(g: FibreGraph) -> int:
@@ -102,114 +106,64 @@ def betti_one(g: FibreGraph) -> int:
     return len(g.edges) - len(g.vertices) + 1
 
 
-def word_to_path(g: FibreGraph, w: Word) -> list[tuple[Edge, int]]:
-    """Edge path tracked by a word, starting at the basepoint.
-
-    Each letter (i, h) moves coordinate i from its current element e to
-    e*h, traversing the chain of unit edges monotonically.
-    """
-    if w.groups != g.groups:
-        raise ValueError("word is over a different group list")
-    path: list[tuple[Edge, int]] = []
-    state = list(g.basepoint)
-    for lt in w.letters:
-        i = lt.factor
-        a = state[i]
-        b = g.groups[i].op(a, lt.elem)
-        step = 1 if b > a else -1
-        for p in range(a, b, step):
-            v = list(state)
-            v[i] = p if step == 1 else p - 1
-            path.append(((tuple(v), i), step))
-        state[i] = b
-    return path
-
-
-def path_endpoints(g: FibreGraph, path: list[tuple[Edge, int]]):
-    """(start, end) of a path, validating that consecutive edges connect."""
-    if not path:
-        return g.basepoint, g.basepoint
-    (v0, i0), s0 = path[0]
-    cur = v0 if s0 == 1 else _upper(v0, i0)
-    start = cur
-    for (v, i), s in path:
-        lo, hi = v, _upper(v, i)
-        src, dst = (lo, hi) if s == 1 else (hi, lo)
-        if src != cur:
-            raise ValueError("path edges do not connect")
-        cur = dst
-    return start, cur
-
-
 def _upper(v: tuple[int, ...], i: int) -> tuple[int, ...]:
     return v[:i] + (v[i] + 1,) + v[i + 1:]
 
 
-def loop_to_basis(g: FibreGraph, path: list[tuple[Edge, int]]) -> tuple[tuple[int, int], ...]:
-    """Decompose a basepoint loop over the cotree fundamental cycles.
-
-    Returns a freely reduced signed sequence of cotree indices.
-    """
-    start, end = path_endpoints(g, path)
-    if start != g.basepoint or end != g.basepoint:
-        raise ValueError("path is not a loop at the basepoint")
-    idx = g.cotree_index
-    out: list[tuple[int, int]] = []
-    for edge, sign in path:
-        k = idx.get(edge)
-        if k is None:
-            continue
-        if out and out[-1] == (k, -sign):
-            out.pop()
-        else:
-            out.append((k, sign))
-    return tuple(out)
-
-
-def tree_path_to(g: FibreGraph, v: tuple[int, ...]) -> list[tuple[Edge, int]]:
-    """The tree path from the basepoint to v."""
-    back = []
-    cur = v
-    while g.parents[cur] is not None:
-        edge, sign = g.parents[cur]
-        back.append((edge, sign))
-        (u, i) = edge
-        cur = u if sign == 1 else _upper(u, i)
-    back.reverse()
-    return back
-
-
-def fundamental_cycle(g: FibreGraph, edge: Edge) -> list[tuple[Edge, int]]:
-    """Basepoint loop: tree path to the tail, the cotree edge, tree path back."""
-    u, i = edge
-    w = _upper(u, i)
-    to_u = tree_path_to(g, u)
-    to_w = tree_path_to(g, w)
-    return to_u + [(edge, 1)] + [(e, -s) for e, s in reversed(to_w)]
-
-
-def path_to_word(g: FibreGraph, path: list[tuple[Edge, int]]) -> Word:
-    """The free-product word spelled by an edge path from the basepoint."""
-    raw = []
-    for (v, i), sign in path:
-        G = g.groups[i]
-        a, b = v[i], v[i] + 1
-        if sign == -1:
-            a, b = b, a
-        raw.append((i, G.op(G.inverse(a), b)))
-    return reduce_word(raw, g.groups)
+def _cotree_layout(orders: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """T_i = prod_{k>i} m_k, and off_i = the cotree edges of coordinates < i."""
+    n = len(orders)
+    tails = tuple(prod(orders[i + 1:]) for i in range(n))
+    offsets = tuple(itertools.accumulate(
+        (prod(orders[:k]) * (tails[k] - 1) * (orders[k] - 1) for k in range(n)), initial=0))
+    return tails, offsets
 
 
 def cycle_witness(g: FibreGraph, edge: Edge) -> Word:
-    """Kernel word representing the fundamental cycle of a cotree edge."""
-    return path_to_word(g, fundamental_cycle(g, edge))
+    """Kernel word of the fundamental cycle of a cotree edge (v, i).
+
+    The tree path to a vertex u spells g_{u_1} ... g_{u_n}, so the cycle is
+    that word for v, the edge's letter g_{v_i}^-1 g_{v_i+1}, then the word
+    for the raised vertex w inverted.
+    """
+    v, i = edge
+    w = _upper(v, i)
+    G = g.groups[i]
+    raw = list(enumerate(v)) + [(i, G.op(G.inverse(v[i]), w[i]))]
+    raw += [(k, g.groups[k].inverse(w[k])) for k in reversed(range(len(w)))]
+    return reduce_word(raw, g.groups)
 
 
 def decompose_word(g: FibreGraph, w: Word) -> tuple[tuple[int, int], ...]:
-    """Tree-basis decomposition of a kernel word."""
+    """Tree-basis decomposition of a kernel word, read off letter by letter.
+
+    A letter (i, h) moves coordinate i of the state from a to b = a*h.  If
+    the state's coordinates after i are all 0 it crosses tree edges only;
+    otherwise it crosses one cotree chain, whose edges have the consecutive
+    indices base + p: upward over p = a..b-1, downward over p = a-1..b.
+    """
     if not is_in_kernel(w):
         raise ValueError("word is not in the kernel of the projection")
-    return loop_to_basis(g, word_to_path(g, w))
+    if w.groups != g.groups:
+        raise ValueError("word is over a different group list")
+    orders = tuple(G.order for G in g.groups)
+    tails, offsets = _cotree_layout(orders)
+    index = 0  # the state's mixed-radix index, coordinate 0 most significant
+    raw: list[tuple[int, int]] = []
+    for lt in w.letters:
+        i = lt.factor
+        a = (index // tails[i]) % orders[i]
+        b = g.groups[i].op(a, lt.elem)
+        index += (b - a) * tails[i]
+        t = index % tails[i]  # the coordinates after i
+        if t:
+            h = index // (tails[i] * orders[i])  # the coordinates before i
+            base = offsets[i] + (h * (tails[i] - 1) + t - 1) * (orders[i] - 1)
+            if b > a:
+                raw += [(base + p, 1) for p in range(a, b)]
+            else:
+                raw += [(base + p, -1) for p in range(a - 1, b - 1, -1)]
+    return free_reduce(raw)
 
 
 def to_dot(g: FibreGraph, highlight: list[tuple[Edge, int]] | None = None) -> str:

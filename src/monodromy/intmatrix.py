@@ -8,13 +8,11 @@ compose covariantly: M(f o g) = M(f) * M(g).
 from __future__ import annotations
 
 import random
-from math import gcd
 from typing import Sequence
 
-from .action import (Automorphism, Basis, act_two_groups, act_word,
-                     algebraic_basis, compose, identity_automorphism)
+from .action import Automorphism, Basis, act_two_groups, act_word, algebraic_basis
 from .groups import FiniteGroup, SizeLimitError, make_cyclic
-from .words import Letter, Word, empty_word, multiply, single
+from .words import Letter, random_kernel_word
 
 
 class IntMatrix:
@@ -368,19 +366,6 @@ def cyclic_closed_form(r: int, m: int) -> tuple[IntMatrix, IntMatrix]:
     return m1, m2
 
 
-def _random_kernel_word(rng: random.Random, groups, max_letters: int) -> Word:
-    from .words import is_in_kernel, project, reduce_word
-    raw = []
-    for _ in range(rng.randrange(max_letters)):
-        f = rng.randrange(len(groups))
-        raw.append((f, rng.randrange(1, groups[f].order)))
-    w = reduce_word(raw, groups)
-    # append per-coordinate corrections so the projection dies
-    proj = project(w)
-    fix = [(i, groups[i].inverse(p)) for i, p in enumerate(proj) if p != 0]
-    return reduce_word([(lt.factor, lt.elem) for lt in w.letters] + fix, tuple(groups))
-
-
 def representation_report(G: FiniteGroup, H: FiniteGroup,
                           seed: int = 0, kernel_trials: int = 50) -> dict:
     """Matrix-level certificate suite for a pair of finite groups."""
@@ -411,7 +396,7 @@ def representation_report(G: FiniteGroup, H: FiniteGroup,
     rng = random.Random(seed)
     kernel_identity = True
     for _ in range(kernel_trials):
-        w = _random_kernel_word(rng, groups, max_letters=10)
+        w = random_kernel_word(rng, groups, max_letters=10)
         if not abelianize(act_word(w, basis)).is_identity():
             kernel_identity = False
             break

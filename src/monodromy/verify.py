@@ -9,19 +9,15 @@ from __future__ import annotations
 
 import itertools
 import random
-from math import prod
 
-from .action import (Automorphism, Letter, act_two_groups, act_word,
-                     algebraic_basis, algebraic_symbol_index, image_as_word,
-                     telescope_decompose, telescope_recompose, tree_basis)
-from .commutators import (delta_identity_check, fl_commutator, free_reduce,
-                          iterated_commutator, letters, magnus_weight,
-                          product_expansion_check)
+from .action import (Letter, act_two_groups, act_word, algebraic_basis,
+                     image_as_word, telescope_decompose, telescope_recompose)
+from .commutators import lemma_suite
 from .complexes import build_complex, full_simplex, h1, parse_complex_spec, zero_complex
 from .fibre import betti_one, build_fibre_graph, decompose_word, rank_formula
 from .groups import S3_CLASSIC_ORDER, make_cyclic, make_symmetric
-from .intmatrix import IntMatrix, abelianize, cyclic_closed_form, _random_kernel_word
-from .words import Word, conjugate, is_in_kernel, multiply, reduce_word, single
+from .intmatrix import IntMatrix, abelianize, cyclic_closed_form
+from .words import conjugate, random_kernel_word, single
 
 S3_MATRICES = {
     # classic basis order {1,(12),(13),(23),(123),(132)}; columns are images
@@ -154,7 +150,7 @@ def criterion_5_telescope_roundtrip(seed: int = 0, trials: int = 1000):
         rng = random.Random(seed)
         basis = algebraic_basis(groups)
         for t in range(trials):
-            w = _random_kernel_word(rng, groups, max_letters=12)
+            w = random_kernel_word(rng, groups, max_letters=12)
             dec = telescope_decompose(w)
             if telescope_recompose(basis, dec) != w:
                 return _fail(f"round-trip failed in {label} at trial {t}: {w}")
@@ -185,42 +181,21 @@ def criterion_7_inner_triviality(seed: int = 0, trials: int = 200):
         rng = random.Random(seed)
         basis = algebraic_basis(groups)
         for t in range(trials):
-            w = _random_kernel_word(rng, groups, max_letters=10)
+            w = random_kernel_word(rng, groups, max_letters=10)
             if not abelianize(act_word(w, basis)).is_identity():
                 return _fail(f"kernel word acts nontrivially on H1 in {label}: {w}")
     return True, f"{trials} random kernel words per pair abelianize to the identity"
 
 
-def _random_word(rng, groups, max_letters):
-    raw = [(f, rng.randrange(1, groups[f].order))
-           for f in (rng.randrange(len(groups)) for _ in range(rng.randrange(1, max_letters)))]
-    return reduce_word(raw, tuple(groups))
-
-
 def criterion_8_lemma_suite(seed: int = 0, trials: int = 500):
     groups = (make_cyclic(3), make_cyclic(4), make_cyclic(2))
-    rng = random.Random(seed)
-    for t in range(trials):
-        g = _random_word(rng, groups, 8)
-        f = _random_word(rng, groups, 8)
-        if not delta_identity_check(g, f):
-            return _fail(f"delta identity fails at trial {t}")
-    alphabet = "abcde"
-    for t in range(trials):
-        ws = []
-        for _ in range(3):
-            w = tuple((rng.choice(alphabet), rng.choice((1, -1)))
-                      for _ in range(rng.randrange(1, 5)))
-            ws.append(free_reduce(w))
-        if not product_expansion_check(*ws):
-            return _fail(f"product expansion fails at trial {t}")
-    for k in range(1, 6):
-        f = iterated_commutator(letters(*alphabet[:k]))
-        if magnus_weight(f, 6) != k:
-            return _fail(f"iterated commutator of {k} letters has wrong weight")
-        delta = fl_commutator(letters("z")[0], f)
-        if magnus_weight(delta, 7) != k + 1:
-            return _fail(f"[g,f] weight != {k + 1} for depth {k}")
+    delta, expansion, magnus = lemma_suite(groups, random.Random(seed), trials, depth=5)
+    if delta != trials:
+        return _fail(f"delta identity fails on {trials - delta} of {trials} trials")
+    if expansion != trials:
+        return _fail(f"product expansion fails on {trials - expansion} of {trials} trials")
+    if magnus != 5:
+        return _fail(f"Magnus weights wrong at {5 - magnus} of the depths k<=5")
     return True, f"delta identity and product expansion on {trials} trials; Magnus weights exact for k<=5"
 
 

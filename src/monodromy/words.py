@@ -3,11 +3,14 @@
 A word is an alternating sequence of letters (factor index, non-identity
 element index).  Reduction merges adjacent same-factor letters through the
 Cayley table and drops identity letters, yielding the unique normal form.
-Words are immutable values; all operations are pure.
+Words are immutable values; all operations are pure.  The module also
+holds the free reduction of signed symbol words, which every free-group
+layer shares, and the seeded random words the checks draw from.
 """
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -89,6 +92,17 @@ def reduce_word(raw: Iterable[tuple[int, int]], groups: Sequence[FiniteGroup]) -
     return Word(groups, tuple(Letter(f, e) for f, e in stack))
 
 
+def free_reduce(seq: Iterable[tuple[object, int]]) -> tuple:
+    """Free reduction of signed symbols (symbol, +1|-1): cancel each x x^-1."""
+    out: list = []
+    for sym, sign in seq:
+        if out and out[-1] == (sym, -sign):
+            out.pop()
+        else:
+            out.append((sym, sign))
+    return tuple(out)
+
+
 def multiply(w1: Word, w2: Word) -> Word:
     _check_same_groups(w1, w2)
     raw = [(lt.factor, lt.elem) for lt in w1.letters + w2.letters]
@@ -122,6 +136,36 @@ def project(w: Word) -> tuple[int, ...]:
 
 def is_in_kernel(w: Word) -> bool:
     return all(v == 0 for v in project(w))
+
+
+def _random_letters(rng: random.Random, groups: Sequence[FiniteGroup],
+                    count: int) -> list[tuple[int, int]]:
+    # each draw picks a factor, then a non-identity element of it; a trivial
+    # factor has none, so its draws add no letter
+    raw = []
+    for _ in range(count):
+        f = rng.randrange(len(groups))
+        if groups[f].order > 1:
+            raw.append((f, rng.randrange(1, groups[f].order)))
+    return raw
+
+
+def random_word(rng: random.Random, groups: Sequence[FiniteGroup],
+                max_letters: int = 8) -> Word:
+    """Reduced product of 1 to max_letters - 1 random letter draws."""
+    return reduce_word(_random_letters(rng, groups, rng.randrange(1, max_letters)), groups)
+
+
+def random_kernel_word(rng: random.Random, groups: Sequence[FiniteGroup],
+                       max_letters: int = 10) -> Word:
+    """Fewer than max_letters random letter draws, closed up into the kernel.
+
+    One letter per coordinate is appended to cancel the projection.
+    """
+    raw = _random_letters(rng, groups, rng.randrange(max_letters))
+    fix = [(i, groups[i].inverse(p))
+           for i, p in enumerate(project(reduce_word(raw, groups))) if p]
+    return reduce_word(raw + fix, groups)
 
 
 _X_TOKEN = re.compile(r"x([0-9]+)\^?(-?[0-9]+)?$")

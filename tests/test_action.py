@@ -5,29 +5,20 @@ import pytest
 from monodromy.action import (Automorphism, act_geometric, act_letter,
                               act_two_groups, act_word, algebraic_basis,
                               algebraic_symbol_index, compose,
-                              free_reduce_signed, identity_automorphism,
-                              image_as_word, invert_signed,
-                              telescope_decompose, telescope_recompose,
-                              tree_basis)
+                              identity_automorphism, image_as_word,
+                              invert_signed, telescope_decompose,
+                              telescope_recompose, tree_basis)
 from monodromy.fibre import build_fibre_graph, decompose_word
-from monodromy.groups import make_cyclic, make_symmetric
-from monodromy.words import (Letter, commutator, conjugate, invert,
-                             is_in_kernel, multiply, reduce_word, single)
-
-
-def rand_kernel_word(rng, groups, max_len=10):
-    from monodromy.words import project
-    raw = [(f, rng.randrange(1, groups[f].order))
-           for f in (rng.randrange(len(groups)) for _ in range(rng.randrange(max_len)))]
-    w = reduce_word(raw, groups)
-    fix = [(i, groups[i].inverse(p)) for i, p in enumerate(project(w)) if p]
-    return reduce_word([(lt.factor, lt.elem) for lt in w.letters] + fix, groups)
+from monodromy.groups import make_cyclic, make_dihedral, make_symmetric
+from monodromy.words import (Letter, commutator, conjugate, free_reduce, invert,
+                             is_in_kernel, multiply, random_kernel_word,
+                             reduce_word, single)
 
 
 def test_free_reduce_signed():
-    assert free_reduce_signed([(0, 1), (0, -1)]) == ()
-    assert free_reduce_signed([(0, 1), (1, 1), (1, -1), (0, -1)]) == ()
-    assert free_reduce_signed([(0, 1), (0, 1)]) == ((0, 1), (0, 1))
+    assert free_reduce([(0, 1), (0, -1)]) == ()
+    assert free_reduce([(0, 1), (1, 1), (1, -1), (0, -1)]) == ()
+    assert free_reduce([(0, 1), (0, 1)]) == ((0, 1), (0, 1))
     seq = ((2, -1), (0, 1))
     assert invert_signed(invert_signed(seq)) == seq
 
@@ -65,7 +56,7 @@ def test_telescope_roundtrip_random():
         groups = (make_cyclic(orders[0]), make_cyclic(orders[1]))
         basis = algebraic_basis(groups)
         for _ in range(300):
-            w = rand_kernel_word(rng, groups)
+            w = random_kernel_word(rng, groups)
             assert telescope_recompose(basis, telescope_decompose(w)) == w
 
 
@@ -96,6 +87,31 @@ def test_closed_form_matches_conjugation():
                     assert image_as_word(phi, k) == conjugate(tw, wit)
 
 
+def test_kernel_words_act_by_inner_automorphisms():
+    # Out(F_n)-level certificate: a kernel word k with decomposition d over
+    # the basis sends each basis symbol s to the free reduction of d s d^-1,
+    # so its class in Out(F_n) is trivial; checked before abelianizing
+    def inner(d, rank):
+        return tuple(free_reduce(d + ((s, 1),) + invert_signed(d)) for s in range(rank))
+
+    rng = random.Random(26)
+    for groups in [(make_cyclic(3), make_cyclic(2), make_cyclic(2)),
+                   (make_symmetric(3), make_cyclic(4), make_cyclic(3))]:
+        graph = build_fibre_graph(groups)
+        basis = tree_basis(graph)
+        for _ in range(40):
+            k = random_kernel_word(rng, groups, 10)
+            assert act_word(k, basis).images == inner(decompose_word(graph, k), basis.rank)
+    for G, H in [(make_cyclic(4), make_cyclic(3)), (make_cyclic(2), make_symmetric(3)),
+                 (make_dihedral(4), make_symmetric(3))]:
+        basis = algebraic_basis((G, H))
+        for _ in range(40):
+            k = random_kernel_word(rng, (G, H), 10)
+            d = tuple((algebraic_symbol_index(G, H, i, j), sign)
+                      for i, j, sign in telescope_decompose(k))
+            assert act_word(k, basis).images == inner(d, basis.rank)
+
+
 def test_identity_letter_acts_trivially():
     basis = algebraic_basis((make_cyclic(3), make_cyclic(3)))
     assert act_two_groups(Letter(0, 0), basis) == identity_automorphism(basis)
@@ -108,8 +124,8 @@ def test_act_word_is_antihomomorphism_free():
     rng = random.Random(22)
     for basis in (algebraic_basis(groups), tree_basis(build_fibre_graph(groups))):
         for _ in range(100):
-            u = rand_kernel_word(rng, groups, 6)
-            v = rand_kernel_word(rng, groups, 6)
+            u = random_kernel_word(rng, groups, 6)
+            v = random_kernel_word(rng, groups, 6)
             assert act_word(multiply(u, v), basis) == compose(
                 act_word(u, basis), act_word(v, basis))
 
@@ -134,7 +150,7 @@ def test_tree_act_word_matches_letter_fold():
             raw = [(f, rng.randrange(1, groups[f].order))
                    for f in (rng.randrange(3) for _ in range(rng.randrange(1, 7)))]
             words.append(reduce_word(raw, groups))
-            words.append(rand_kernel_word(rng, groups, 6))
+            words.append(random_kernel_word(rng, groups, 6))
         for w in words:
             assert act_word(w, basis) == letter_fold(w, basis)
         assert act_word(words[0], basis) == identity_automorphism(basis)
@@ -183,7 +199,7 @@ def test_geometric_matches_algebraic_through_words():
         phi_a = act_word(t, alg)
         phi_g = act_word(t, geo)
         for _ in range(5):
-            w = rand_kernel_word(rng, groups, 8)
+            w = random_kernel_word(rng, groups, 8)
             via_a = telescope_recompose(
                 alg, [(i, j, s) for (i, j, s) in _expand(phi_a, telescope_decompose(w), groups)])
             via_g_sym = phi_g.apply(decompose_word(graph, w))

@@ -114,6 +114,14 @@ def test_lemma_check(capsys):
     assert "product-expansion: 50/50" in out
 
 
+def test_lemma_check_rejects_negative_counts(capsys):
+    # a usage error (exit 2) naming the flag, not a failed check (exit 1)
+    for flag, value in (("--trials", "-5"), ("--depth", "-2")):
+        code, out, err = run(capsys, "lemma-check", "--groups", "C3,C4", flag, value)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be non-negative, got {value}\n"
+
+
 def test_homology_inline_and_file(capsys, tmp_path):
     code, out, _ = run(capsys, "homology", "--groups", "C2,C2,C2",
                        "--complex", "K={1,2;3}", "--format", "json")

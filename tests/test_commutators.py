@@ -4,11 +4,11 @@ import random
 import pytest
 
 from monodromy.commutators import (MAX_MAGNUS_DEGREE, delta_identity_check,
-                                   fl_commutator, fl_inv, fl_mul, free_reduce,
+                                   fl_commutator, fl_inv, fl_mul,
                                    iterated_commutator, letters, magnus_series,
                                    magnus_weight, product_expansion_check)
 from monodromy.groups import make_cyclic, make_symmetric
-from monodromy.words import reduce_word
+from monodromy.words import free_reduce, reduce_word
 
 
 def rand_free_word(rng, syms="abc", max_len=8):

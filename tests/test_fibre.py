@@ -7,13 +7,11 @@ import pytest
 
 from monodromy.cli import main
 from monodromy.fibre import (FibreGraph, betti_one, build_fibre_graph,
-                             cycle_witness, decompose_word, fundamental_cycle,
-                             loop_to_basis, path_to_word, rank_formula, to_dot,
-                             tree_path_to, word_to_path)
+                             cycle_witness, decompose_word, rank_formula, to_dot)
 from monodromy.groups import (SizeLimitError, make_cyclic, make_dihedral,
                               make_symmetric)
-from monodromy.words import (commutator, invert, is_in_kernel, multiply,
-                             reduce_word, single)
+from monodromy.words import (commutator, free_reduce, invert, is_in_kernel,
+                             multiply, random_kernel_word, reduce_word, single)
 
 
 def cyclic_groups(*orders):
@@ -63,6 +61,7 @@ def test_betti_matches_rank_formula_scan():
 def test_empty_word_empty_path():
     g = build_fibre_graph(cyclic_groups(2, 3))
     assert word_to_path(g, single(g.groups, 0, 0)) == []
+    assert decompose_word(g, single(g.groups, 0, 0)) == ()
 
 
 def test_commutator_path_is_rectangle():
@@ -77,6 +76,8 @@ def test_commutator_path_is_rectangle():
         (((0, 1), 0), -1),
         (((0, 0), 1), -1),
     ]
+    # only ((0, 1), 0), cotree edge 0, is off the tree, crossed downward
+    assert decompose_word(g, w) == loop_to_basis(g, path) == ((0, -1),)
 
 
 def test_closed_iff_kernel_exhaustive():
@@ -95,17 +96,21 @@ def test_closed_iff_kernel_exhaustive():
                 closed = tuple(state) == g.basepoint
                 assert closed == is_in_kernel(w)
                 if closed:
-                    loop_to_basis(g, path)  # must not raise
+                    assert decompose_word(g, w) == loop_to_basis(g, path)
                 else:
+                    with pytest.raises(ValueError):
+                        decompose_word(g, w)
                     with pytest.raises(ValueError):
                         loop_to_basis(g, path)
 
 
 def test_fundamental_cycle_decomposes_to_itself():
-    g = build_fibre_graph(cyclic_groups(3, 3))
+    g, parents = bfs_search(cyclic_groups(3, 3))
     for k, edge in enumerate(g.cotree):
-        assert loop_to_basis(g, fundamental_cycle(g, edge)) == ((k, 1),)
+        cycle = fundamental_cycle(parents, edge)
+        assert loop_to_basis(g, cycle) == ((k, 1),)
         w = cycle_witness(g, edge)
+        assert w == path_to_word(g, cycle)
         assert is_in_kernel(w)
         assert decompose_word(g, w) == ((k, 1),)
 
@@ -115,35 +120,17 @@ def test_backtracking_loop_trivial():
     w = multiply(single(g.groups, 1, 1), invert(single(g.groups, 1, 1)))
     assert w.is_identity
     assert loop_to_basis(g, word_to_path(g, w)) == ()
-
-
-def rand_kernel_word(rng, groups, max_len=10):
-    from monodromy.words import project
-    raw = [(f, rng.randrange(1, groups[f].order))
-           for f in (rng.randrange(len(groups)) for _ in range(rng.randrange(max_len)))]
-    w = reduce_word(raw, groups)
-    fix = [(i, groups[i].inverse(p)) for i, p in enumerate(project(w)) if p]
-    return reduce_word([(lt.factor, lt.elem) for lt in w.letters] + fix, groups)
+    assert decompose_word(g, w) == ()
 
 
 def test_decomposition_is_homomorphism():
     groups = cyclic_groups(3, 4)
     g = build_fibre_graph(groups)
     rng = random.Random(11)
-
-    def reduce_signed(seq):
-        out = []
-        for s in seq:
-            if out and out[-1] == (s[0], -s[1]):
-                out.pop()
-            else:
-                out.append(s)
-        return tuple(out)
-
     for _ in range(1000):
-        u, v = rand_kernel_word(rng, groups), rand_kernel_word(rng, groups)
+        u, v = random_kernel_word(rng, groups), random_kernel_word(rng, groups)
         du, dv = decompose_word(g, u), decompose_word(g, v)
-        assert decompose_word(g, multiply(u, v)) == reduce_signed(du + dv)
+        assert decompose_word(g, multiply(u, v)) == free_reduce(du + dv)
 
 
 def test_decomposition_well_defined_on_elements():
@@ -151,7 +138,7 @@ def test_decomposition_well_defined_on_elements():
     g = build_fibre_graph(groups)
     rng = random.Random(12)
     for _ in range(100):
-        u = rand_kernel_word(rng, groups)
+        u = random_kernel_word(rng, groups)
         # spell the same element differently: insert a cancelling pair
         raw = [(lt.factor, lt.elem) for lt in u.letters]
         f = rng.randrange(2)
@@ -178,7 +165,7 @@ def test_path_word_roundtrip():
     g = build_fibre_graph(groups)
     rng = random.Random(13)
     for _ in range(100):
-        w = rand_kernel_word(rng, groups)
+        w = random_kernel_word(rng, groups)
         assert path_to_word(g, word_to_path(g, w)) == w
 
 
@@ -190,11 +177,13 @@ def test_dot_output():
     assert "style=dashed" in dot and "style=solid" in dot
 
 
-def bfs_fibre_graph(groups):
+def bfs_search(groups):
     """Oracle: the graph found by search, a BFS tree and a keyed sort.
 
     This is the builder `build_fibre_graph` replaced with its closed form;
     it derives the tree and the edge order instead of writing them down.
+    Returns the graph and the tree as parents: parents[v] = (edge, sign)
+    taking the parent to v, None at the basepoint.
     """
     groups = tuple(groups)
     orders = [G.order for G in groups]
@@ -236,9 +225,89 @@ def bfs_fibre_graph(groups):
         return (i, tuple(v[j] for j in range(n) if j != i), v[i])
 
     cotree = tuple(sorted(set(edges) - tree, key=edge_sort_key))
-    return FibreGraph(groups, tuple(vertices), tuple(sorted(edges, key=edge_sort_key)),
-                      basepoint, frozenset(tree), cotree, parents,
-                      {e: k for k, e in enumerate(cotree)})
+    graph = FibreGraph(groups, tuple(vertices), tuple(sorted(edges, key=edge_sort_key)),
+                       basepoint, frozenset(tree), cotree)
+    return graph, parents
+
+
+def bfs_fibre_graph(groups):
+    return bfs_search(groups)[0]
+
+
+# The edge-path walker: the oracle for the closed-form witnesses and
+# decompositions.  It spells every path edge by edge over the BFS tree.
+
+def upper(v, i):
+    return v[:i] + (v[i] + 1,) + v[i + 1:]
+
+
+def word_to_path(g, w):
+    """Edge path tracked by a word from the basepoint, one unit edge at a time."""
+    if w.groups != g.groups:
+        raise ValueError("word is over a different group list")
+    path = []
+    state = list(g.basepoint)
+    for lt in w.letters:
+        i = lt.factor
+        a = state[i]
+        b = g.groups[i].op(a, lt.elem)
+        step = 1 if b > a else -1
+        for p in range(a, b, step):
+            v = list(state)
+            v[i] = p if step == 1 else p - 1
+            path.append(((tuple(v), i), step))
+        state[i] = b
+    return path
+
+
+def path_endpoints(g, path):
+    """(start, end) of a path, validating that consecutive edges connect."""
+    if not path:
+        return g.basepoint, g.basepoint
+    (v0, i0), s0 = path[0]
+    cur = v0 if s0 == 1 else upper(v0, i0)
+    start = cur
+    for (v, i), s in path:
+        src, dst = (v, upper(v, i)) if s == 1 else (upper(v, i), v)
+        if src != cur:
+            raise ValueError("path edges do not connect")
+        cur = dst
+    return start, cur
+
+
+def loop_to_basis(g, path):
+    """The freely reduced cotree traversals of a basepoint loop."""
+    if path_endpoints(g, path) != (g.basepoint, g.basepoint):
+        raise ValueError("path is not a loop at the basepoint")
+    index = {e: k for k, e in enumerate(g.cotree)}
+    return free_reduce((index[edge], sign) for edge, sign in path if edge in index)
+
+
+def tree_path_to(parents, v):
+    """The tree path from the basepoint to v."""
+    back = []
+    while parents[v] is not None:
+        (u, i), sign = parents[v]
+        back.append(((u, i), sign))
+        v = u if sign == 1 else upper(u, i)
+    return back[::-1]
+
+
+def fundamental_cycle(parents, edge):
+    """Basepoint loop: tree path to the tail, the cotree edge, tree path back."""
+    u, i = edge
+    back = tree_path_to(parents, upper(u, i))
+    return tree_path_to(parents, u) + [(edge, 1)] + [(e, -s) for e, s in reversed(back)]
+
+
+def path_to_word(g, path):
+    """The free-product word spelled by an edge path from the basepoint."""
+    raw = []
+    for (v, i), sign in path:
+        G = g.groups[i]
+        a, b = (v[i], v[i] + 1) if sign == 1 else (v[i] + 1, v[i])
+        raw.append((i, G.op(G.inverse(a), b)))
+    return reduce_word(raw, g.groups)
 
 
 def differential_group_lists():
@@ -254,29 +323,68 @@ def differential_group_lists():
 
 def test_closed_form_graph_matches_bfs_oracle():
     # every criterion-1 list, every list of 5 factors of order 1-3, and a
-    # few mixed and larger lists; FibreGraph equality leaves out parents and
-    # cotree_positions, so they are compared on their own
+    # few mixed and larger lists
     for groups in differential_group_lists():
-        got, want = build_fibre_graph(groups), bfs_fibre_graph(groups)
         orders = [G.order for G in groups]
-        assert got == want, orders
-        assert got.parents == want.parents, orders
-        assert got.cotree_positions == want.cotree_positions, orders
+        assert build_fibre_graph(groups) == bfs_fibre_graph(groups), orders
+
+
+def test_closed_form_witnesses_match_walking_oracle():
+    # on every cotree edge: the closed-form witness spells the walked
+    # fundamental cycle, and the closed-form decomposition reads it back as
+    # the edge's position k in the oracle's cotree
+    for groups in differential_group_lists():
+        g, parents = bfs_search(groups)
+        closed = build_fibre_graph(groups)
+        for k, edge in enumerate(g.cotree):
+            w = cycle_witness(closed, edge)
+            assert w == path_to_word(g, fundamental_cycle(parents, edge)), edge
+            assert decompose_word(closed, w) == ((k, 1),), edge
+
+
+def test_decompose_word_matches_walking_oracle():
+    c = {m: make_cyclic(m) for m in range(1, 9)}
+    lists = [[make_symmetric(3), c[4], c[3]], [make_dihedral(4), c[2], make_symmetric(3)],
+             [c[7], c[1], c[5]], [c[8]] * 3, [c[2]] * 6]
+    lists += [[c[m] for m in orders] for orders in itertools.product(range(1, 4), repeat=4)]
+    rng = random.Random(14)
+    for groups in lists:
+        g = build_fibre_graph(groups)
+        for _ in range(100):
+            w = random_kernel_word(rng, groups, 14)
+            assert decompose_word(g, w) == loop_to_basis(g, word_to_path(g, w)), w
+
+
+def test_witnesses_recompose_decomposition():
+    # multiplying the witnesses along decompose_word(w) gives back w
+    rng = random.Random(15)
+    for groups in [cyclic_groups(3, 4), cyclic_groups(3, 2, 2),
+                   (make_symmetric(3), make_cyclic(4), make_cyclic(3))]:
+        g = build_fibre_graph(groups)
+        witnesses = [cycle_witness(g, edge) for edge in g.cotree]
+        for _ in range(100):
+            w = random_kernel_word(rng, groups, 14)
+            acc = reduce_word([], groups)
+            for k, sign in decompose_word(g, w):
+                acc = multiply(acc, witnesses[k] if sign == 1 else invert(witnesses[k]))
+            assert acc == w
 
 
 def test_tree_path_is_a_staircase():
     # the tree path to v raises coordinate 0 to v[0], then coordinate 1 to
-    # v[1], and so on: ascending coordinates, each position only upward
+    # v[1], and so on: ascending coordinates, each position only upward,
+    # along edges of the closed-form tree
     for orders in [(3, 4), (2, 3, 4), (3, 1, 2, 3), (4, 4, 4)]:
-        g = build_fibre_graph(cyclic_groups(*orders))
+        g, parents = bfs_search(cyclic_groups(*orders))
+        tree = build_fibre_graph(g.groups).tree
         for v in g.vertices:
-            path = tree_path_to(g, v)
+            path = tree_path_to(parents, v)
             assert all(sign == 1 for _, sign in path)
             assert [edge[1] for edge, _ in path] == sorted(edge[1] for edge, _ in path)
             assert [(i, u[i]) for (u, i), _ in path] == [
                 (i, p) for i in range(len(v)) for p in range(v[i])]
             for (u, i), _ in path:
-                assert (u, i) in g.tree and not any(u[i + 1:])
+                assert (u, i) in tree and not any(u[i + 1:])
 
 
 C2_C3_DOT = """graph fibre {

@@ -5,7 +5,8 @@ import pytest
 from monodromy.groups import S3_CLASSIC_ORDER, make_cyclic, make_symmetric
 from monodromy.words import (Letter, Word, commutator, empty_word, invert,
                              is_in_kernel, multiply, parse_word, project,
-                             reduce_word, single)
+                             random_kernel_word, random_word, reduce_word,
+                             single)
 
 C2C3 = (make_cyclic(2), make_cyclic(3))
 
@@ -135,3 +136,16 @@ def test_format_parse_roundtrip():
     for _ in range(100):
         w = rand_word(rng, groups)
         assert parse_word(str(w), groups) == w
+
+
+def test_random_words_skip_trivial_factors():
+    # C1 has no non-identity element, so a draw of that factor adds no letter
+    # (drawing one used to raise "empty range for randrange()")
+    groups = (make_cyclic(7), make_cyclic(1), make_cyclic(5))
+    for seed in range(5):
+        rng = random.Random(seed)
+        k = random_kernel_word(rng, groups, 14)
+        w = random_word(rng, groups)
+        assert is_in_kernel(k)
+        assert all(lt.factor != 1 for lt in k.letters + w.letters)
+    assert random_kernel_word(random.Random(0), (make_cyclic(1),) * 3, 14).is_identity
