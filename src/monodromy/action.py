@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .fibre import FibreGraph, cycle_witness, decompose_word
+from .fibre import FibreGraph, cotree_walker, cycle_witness
 from .groups import FiniteGroup
 from .words import (Letter, Word, commutator, empty_word, free_reduce, invert,
                     is_in_kernel, multiply, single)
@@ -171,15 +171,29 @@ def act_two_groups(t: Letter, basis: Basis) -> Automorphism:
 
 
 def act_geometric(g: Word, basis: Basis) -> Automorphism:
-    """Action by conjugation, expressed in the tree cycle basis."""
+    """Action by conjugation, expressed in the tree cycle basis.
+
+    On the fibre graph, conjugation by g is a deck translation by its image
+    pi(g): the loop g w g^-1 runs along g's path P to pi(g), around the
+    cycle of w translated to start there, and back along P.  So g is
+    walked once, and each witness is walked from pi(g) between P and P^-1.
+    """
     if basis.kind != "tree" or basis.graph is None:
         raise ValueError("act_geometric needs a tree basis with its graph")
     if g.groups != basis.groups:
         raise ValueError("word is over a different group list")
-    graph, g_inv = basis.graph, invert(g)
-    images = tuple(decompose_word(graph, multiply(multiply(g, wit), g_inv))
-                   for wit in basis.witnesses)
-    return Automorphism(basis, images)
+    walk = cotree_walker(basis.graph)
+    prefix: list[tuple[int, int]] = []
+    start = walk(g.letters, 0, prefix)
+    prefix = list(free_reduce(prefix))
+    suffix = invert_signed(prefix)
+    images = []
+    for wit in basis.witnesses:
+        run = prefix[:]
+        walk(wit.letters, start, run)
+        run += suffix
+        images.append(free_reduce(run))
+    return Automorphism(basis, tuple(images))
 
 
 def act_letter(t: Letter, basis: Basis) -> Automorphism:

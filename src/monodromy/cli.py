@@ -12,7 +12,7 @@ import random
 import sys
 
 from .action import act_word, algebraic_basis, tree_basis
-from .commutators import lemma_suite
+from .commutators import MAX_LEMMA_TRIALS, lemma_suite
 from .complexes import build_complex, h1, load_complex_file, parse_complex_spec
 from .fibre import betti_one, build_fibre_graph, rank_formula, to_dot
 from .groups import GroupSpecParseError, parse_group_spec
@@ -83,12 +83,9 @@ def cmd_act(args):
     basis = _basis_for(groups, args.basis)
     w = parse_word(args.element, groups)
     phi = act_word(w, basis)
-    lines = [f"{sym} -> {basis.format_image(img)}"
-             for sym, img in zip(basis.symbols, phi.images)]
-    payload = {"basis": list(basis.symbols), "element": str(w),
-               "images": {sym: basis.format_image(img)
-                          for sym, img in zip(basis.symbols, phi.images)}}
-    _emit(args, payload, "\n".join(lines))
+    images = {sym: basis.format_image(img) for sym, img in zip(basis.symbols, phi.images)}
+    payload = {"basis": list(basis.symbols), "element": str(w), "images": images}
+    _emit(args, payload, "\n".join(f"{sym} -> {text}" for sym, text in images.items()))
     return 0
 
 
@@ -127,6 +124,8 @@ def cmd_lemma_check(args):
     for flag, value in (("--trials", args.trials), ("--depth", args.depth)):
         if value < 0:
             raise ValueError(f"{flag} must be non-negative, got {value}")
+    if args.trials > MAX_LEMMA_TRIALS:
+        raise ValueError(f"--trials must be at most {MAX_LEMMA_TRIALS}, got {args.trials}")
     trials, depth = args.trials, min(args.depth, 5)
     delta, expansion, magnus = lemma_suite(_groups(args), random.Random(args.seed),
                                            trials, depth)

@@ -20,6 +20,8 @@ from .words import (Word, commutator as group_commutator, conjugate, free_reduce
 FreeLetterWord = tuple[tuple[str, int], ...]
 
 MAX_MAGNUS_DEGREE = 8
+# lemma-check's work grows linearly with its trial count
+MAX_LEMMA_TRIALS = 10**4
 
 
 def letters(*symbols: str) -> list[FreeLetterWord]:
@@ -93,40 +95,27 @@ def lemma_suite(groups: Sequence[FiniteGroup], rng: random.Random,
     return delta, expansion, magnus
 
 
-def _series_letter(sym: str, sign: int, degree: int) -> dict:
-    # x -> 1 + X ; x^-1 -> 1 - X + X^2 - ... (truncated)
-    series = {(): 1}
-    if sign == 1:
-        series[(sym,)] = 1
-    else:
-        coeff = -1
-        for d in range(1, degree + 1):
-            series[(sym,) * d] = coeff
-            coeff = -coeff
-    return series
-
-
-def _series_mul(a: dict, b: dict, degree: int) -> dict:
-    out: dict = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            if len(ma) + len(mb) > degree:
-                continue
-            key = ma + mb
-            v = out.get(key, 0) + ca * cb
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    return out
-
-
 def magnus_series(w: FreeLetterWord, degree: int) -> dict:
-    """Truncated non-commutative Magnus expansion of a free-letter word."""
-    series = {(): 1}
+    """Truncated non-commutative Magnus expansion of a free-letter word.
+
+    The series is kept as one dict per monomial length.  Multiplying by
+    x -> 1 + X adds each coefficient to the monomial one symbol longer,
+    T[mu x] = S[mu x] + S[mu]; dividing by it solves T (1 + X) = S, so
+    T[mu x] = S[mu x] - T[mu] in increasing length.
+    """
+    levels: list[dict] = [{(): 1}] + [{} for _ in range(degree)]
     for sym, sign in w:
-        series = _series_mul(series, _series_letter(sym, sign, degree), degree)
-    return series
+        lengths = range(degree, 0, -1) if sign == 1 else range(1, degree + 1)
+        for n in lengths:
+            level = levels[n]
+            for mon, c in levels[n - 1].items():
+                key = mon + (sym,)
+                v = level.get(key, 0) + sign * c
+                if v:
+                    level[key] = v
+                else:
+                    level.pop(key, None)
+    return {mon: c for level in levels for mon, c in level.items()}
 
 
 def magnus_weight(w: FreeLetterWord, degree: int) -> int | None:

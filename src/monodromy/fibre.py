@@ -17,7 +17,9 @@ of the calculus in closed form:
   off_i + (h (T_i - 1) + t - 1)(m_i - 1) + p, unless the state's
   coordinates after i are all 0.  Here h and t are the mixed-radix indices
   of the coordinates before and after i, T_i = prod_{k>i} m_k, and off_i
-  counts the cotree edges of the coordinates before i.
+  counts the cotree edges of the coordinates before i.  The same walk
+  runs from any vertex, which is how `action.act_geometric` reads a
+  conjugate g w g^-1 as a translate of the cycle w by the image of g.
 
 The graph is written down in closed form too.  tests/test_fibre.py keeps
 the brute-force path as the oracle: a breadth-first search and sort for
@@ -29,10 +31,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .groups import FiniteGroup, SizeLimitError, cell_cap
-from .words import Word, free_reduce, is_in_kernel, reduce_word
+from .words import Letter, Word, free_reduce, reduce_word
 
 DEFAULT_VERTEX_CAP = 10**6
 
@@ -110,15 +112,6 @@ def _upper(v: tuple[int, ...], i: int) -> tuple[int, ...]:
     return v[:i] + (v[i] + 1,) + v[i + 1:]
 
 
-def _cotree_layout(orders: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """T_i = prod_{k>i} m_k, and off_i = the cotree edges of coordinates < i."""
-    n = len(orders)
-    tails = tuple(prod(orders[i + 1:]) for i in range(n))
-    offsets = tuple(itertools.accumulate(
-        (prod(orders[:k]) * (tails[k] - 1) * (orders[k] - 1) for k in range(n)), initial=0))
-    return tails, offsets
-
-
 def cycle_witness(g: FibreGraph, edge: Edge) -> Word:
     """Kernel word of the fundamental cycle of a cotree edge (v, i).
 
@@ -134,42 +127,60 @@ def cycle_witness(g: FibreGraph, edge: Edge) -> Word:
     return reduce_word(raw, g.groups)
 
 
-def decompose_word(g: FibreGraph, w: Word) -> tuple[tuple[int, int], ...]:
-    """Tree-basis decomposition of a kernel word, read off letter by letter.
+def cotree_walker(g: FibreGraph) -> Callable[[Sequence[Letter], int, list], int]:
+    """The letter-by-letter walk behind `decompose_word`, from any state.
 
-    A letter (i, h) moves coordinate i of the state from a to b = a*h.  If
-    the state's coordinates after i are all 0 it crosses tree edges only;
+    `walk(letters, index, out)` starts at the vertex whose mixed-radix index
+    (coordinate 0 most significant) is `index`, appends to `out` the signed
+    cotree edges the letters cross, and returns the index it ends at.  A
+    letter (i, h) moves coordinate i of the state from a to b = a*h.  If the
+    state's coordinates after i are all 0 it crosses tree edges only;
     otherwise it crosses one cotree chain, whose edges have the consecutive
     indices base + p: upward over p = a..b-1, downward over p = a-1..b.
     """
-    if not is_in_kernel(w):
-        raise ValueError("word is not in the kernel of the projection")
+    groups = g.groups
+    orders = [G.order for G in groups]
+    # T_i = prod_{k>i} m_k, and off_i = the cotree edges of coordinates < i
+    n = len(orders)
+    tails = [prod(orders[i + 1:]) for i in range(n)]
+    offsets = list(itertools.accumulate(
+        (prod(orders[:k]) * (tails[k] - 1) * (orders[k] - 1) for k in range(n)), initial=0))
+
+    def walk(letters: Sequence[Letter], index: int, out: list) -> int:
+        for lt in letters:
+            i = lt.factor
+            tail, m = tails[i], orders[i]
+            a = (index // tail) % m
+            b = groups[i].op(a, lt.elem)
+            index += (b - a) * tail
+            t = index % tail  # the coordinates after i
+            if t:
+                h = index // (tail * m)  # the coordinates before i
+                base = offsets[i] + (h * (tail - 1) + t - 1) * (m - 1)
+                if b > a:
+                    out += [(base + p, 1) for p in range(a, b)]
+                else:
+                    out += [(base + p, -1) for p in range(a - 1, b - 1, -1)]
+        return index
+
+    return walk
+
+
+def decompose_word(g: FibreGraph, w: Word) -> tuple[tuple[int, int], ...]:
+    """Tree-basis decomposition of a kernel word: walk it from the basepoint.
+
+    The word is in the kernel exactly when the walk ends where it started.
+    """
     if w.groups != g.groups:
         raise ValueError("word is over a different group list")
-    orders = tuple(G.order for G in g.groups)
-    tails, offsets = _cotree_layout(orders)
-    index = 0  # the state's mixed-radix index, coordinate 0 most significant
     raw: list[tuple[int, int]] = []
-    for lt in w.letters:
-        i = lt.factor
-        a = (index // tails[i]) % orders[i]
-        b = g.groups[i].op(a, lt.elem)
-        index += (b - a) * tails[i]
-        t = index % tails[i]  # the coordinates after i
-        if t:
-            h = index // (tails[i] * orders[i])  # the coordinates before i
-            base = offsets[i] + (h * (tails[i] - 1) + t - 1) * (orders[i] - 1)
-            if b > a:
-                raw += [(base + p, 1) for p in range(a, b)]
-            else:
-                raw += [(base + p, -1) for p in range(a - 1, b - 1, -1)]
+    if cotree_walker(g)(w.letters, 0, raw):
+        raise ValueError("word is not in the kernel of the projection")
     return free_reduce(raw)
 
 
-def to_dot(g: FibreGraph, highlight: list[tuple[Edge, int]] | None = None) -> str:
+def to_dot(g: FibreGraph) -> str:
     """DOT rendering: tree edges solid, cotree edges dashed."""
-    marked = {edge for edge, _ in (highlight or [])}
-
     def vid(v):
         return '"' + ",".join(str(k) for k in v) + '"'
 
@@ -181,7 +192,6 @@ def to_dot(g: FibreGraph, highlight: list[tuple[Edge, int]] | None = None) -> st
         v, i = edge
         w = _upper(v, i)
         style = "solid" if edge in g.tree else "dashed"
-        color = ', color=red' if edge in marked else ""
-        lines.append(f'  {vid(v)} -- {vid(w)} [style={style}{color}];')
+        lines.append(f'  {vid(v)} -- {vid(w)} [style={style}];')
     lines.append("}")
     return "\n".join(lines)

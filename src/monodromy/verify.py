@@ -111,20 +111,27 @@ def criterion_3_z2s3_matrices(seed: int = 0):
     return True, "all six 5x5 matrices verbatim; determinants and (non-)commutation verified"
 
 
+def _powers(m: IntMatrix, top: int) -> list[IntMatrix]:
+    """[m^0, m^1, ..., m^top], each the running product of the one before."""
+    out = [IntMatrix.identity(m.rows)]
+    for _ in range(top):
+        out.append(out[-1] * m)
+    return out
+
+
 def criterion_4_cyclic_pairs(seed: int = 0):
     failures = []
     for r in range(2, 7):
         for m in range(2, 7):
             m1, m2 = cyclic_closed_form(r, m)
-            k = (r - 1) * (m - 1)
-            ident = IntMatrix.identity(k)
-            if m1 ** r != ident or m2 ** m != ident:
+            pow1, pow2 = _powers(m1, r), _powers(m2, m)
+            if not (pow1[r].is_identity() and pow2[m].is_identity()):
                 failures.append(f"generator matrix order wrong for ({r},{m})")
             if m1 * m2 != m2 * m1:
                 failures.append(f"matrices do not commute for ({r},{m})")
             for i in range(r):
                 for j in range(m):
-                    if ((m1 ** i) * (m2 ** j)).is_identity() != (i == 0 and j == 0):
+                    if (pow1[i] * pow2[j]).is_identity() != (i == 0 and j == 0):
                         failures.append(f"faithfulness fails at ({r},{m}) i={i} j={j}")
             if m1.det() != (-1) ** ((r - 1) * (m - 1)):
                 failures.append(f"det M1 wrong for ({r},{m})")

@@ -12,7 +12,7 @@ from monodromy.fibre import build_fibre_graph, decompose_word
 from monodromy.groups import make_cyclic, make_dihedral, make_symmetric
 from monodromy.words import (Letter, commutator, conjugate, free_reduce, invert,
                              is_in_kernel, multiply, random_kernel_word,
-                             reduce_word, single)
+                             random_word, reduce_word, single)
 
 
 def test_free_reduce_signed():
@@ -250,3 +250,21 @@ def test_act_letter_dispatch():
     t = Letter(1, 2)
     assert act_letter(t, alg).basis.kind == "algebraic-n2"
     assert act_letter(t, geo).basis.kind == "tree"
+
+
+def test_act_geometric_matches_conjugate_then_decompose_oracle():
+    # the deck-translation action equals decomposing each conjugate g w g^-1
+    rng = random.Random(26)
+    for groups in [(make_cyclic(3),) * 3,
+                   (make_symmetric(3), make_cyclic(4), make_cyclic(3)),
+                   (make_cyclic(2), make_cyclic(3), make_cyclic(4)),
+                   (make_cyclic(5), make_cyclic(1), make_cyclic(4))]:
+        graph = build_fibre_graph(groups)
+        basis = tree_basis(graph)
+        words = [reduce_word([], groups)]
+        for _ in range(6):
+            words.append(random_word(rng, groups, 9))
+            words.append(random_kernel_word(rng, groups, 9))
+        for g in words:
+            oracle = tuple(decompose_word(graph, conjugate(g, wit)) for wit in basis.witnesses)
+            assert act_geometric(g, basis).images == oracle, g

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from monodromy.cli import main
+from monodromy.commutators import MAX_LEMMA_TRIALS
 
 
 def run(capsys, *argv):
@@ -120,6 +121,15 @@ def test_lemma_check_rejects_negative_counts(capsys):
         code, out, err = run(capsys, "lemma-check", "--groups", "C3,C4", flag, value)
         assert (code, out) == (2, "")
         assert err == f"error: {flag} must be non-negative, got {value}\n"
+
+
+def test_lemma_check_caps_trials(capsys):
+    # the work is bounded by the cap, not by the number typed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lemma-check", "--groups", "C3,C4", "--trials", "100000000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: --trials must be at most {MAX_LEMMA_TRIALS}, got 100000000\n"
 
 
 def test_homology_inline_and_file(capsys, tmp_path):

@@ -118,3 +118,39 @@ def test_magnus_lowest_term_of_commutator_is_lie_bracket():
     s = magnus_series(fl_commutator(a, b), 2)
     assert s[("a", "b")] == 1 and s[("b", "a")] == -1
     assert ("a",) not in s and ("b",) not in s
+
+
+def series_letter(sym, sign, degree):
+    """x -> 1 + X ; x^-1 -> 1 - X + X^2 - ... (truncated)."""
+    if sign == 1:
+        return {(): 1, (sym,): 1}
+    return {(sym,) * d: (-1) ** d for d in range(degree + 1)}
+
+
+def series_mul(a, b, degree):
+    """Truncated product of two series, term by term."""
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            if len(ma) + len(mb) <= degree:
+                out[ma + mb] = out.get(ma + mb, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def pairwise_magnus_series(w, degree):
+    series = {(): 1}
+    for sym, sign in w:
+        series = series_mul(series, series_letter(sym, sign, degree), degree)
+    return series
+
+
+def test_magnus_series_matches_pairwise_product_oracle():
+    # the shifting expansion equals the product of the truncated letter
+    # series, on free and unreduced words alike
+    rng = random.Random(45)
+    for degree in range(1, MAX_MAGNUS_DEGREE + 1):
+        for _ in range(40):
+            w = rand_free_word(rng, "abc", 9)
+            assert magnus_series(w, degree) == pairwise_magnus_series(w, degree), (w, degree)
+            raw = tuple((rng.choice("ab"), rng.choice((1, -1))) for _ in range(rng.randrange(7)))
+            assert magnus_series(raw, degree) == pairwise_magnus_series(raw, degree), (raw, degree)

@@ -424,3 +424,13 @@ def test_closed_form_graph_keeps_cli_output(capsys, monkeypatch):
     assert closed[0] == (0, C2_C3_DOT, "")
     assert closed[1][0] == 0
     assert hashlib.sha256(closed[1][1].encode()).hexdigest() == S3_C4_C3_TREE_BASIS_SHA256
+
+
+def test_decompose_word_names_the_fault():
+    groups = cyclic_groups(3, 4)
+    g = build_fibre_graph(groups)
+    with pytest.raises(ValueError, match="not in the kernel"):
+        decompose_word(g, single(groups, 0, 1))
+    other = build_fibre_graph(cyclic_groups(3, 5))
+    with pytest.raises(ValueError, match="different group list"):
+        decompose_word(other, commutator(single(groups, 0, 1), single(groups, 1, 1)))

@@ -11,7 +11,7 @@ from monodromy.intmatrix import (IntMatrix, abelianize, bareiss_det,
                                  cyclic_closed_form, matrix_of_letter,
                                  representation_report, smith_normal_form,
                                  sparse_rank_torsion)
-from monodromy.words import Letter, multiply, reduce_word, single
+from monodromy.words import Letter, multiply, random_kernel_word, reduce_word, single
 
 
 def rand_matrix(rng, rows, cols, bound=9):
@@ -320,3 +320,44 @@ def test_degenerate_pair_generators_both_act_as_negation():
 def test_representation_report_rejects_trivial_factor():
     with pytest.raises(ValueError):
         representation_report(make_cyclic(1), make_cyclic(3))
+
+
+def dense_representation_report(G, H, seed=0, kernel_trials=50):
+    """The report from the explicit rank x rank generator matrices and their products."""
+    groups = (G, H)
+    basis = algebraic_basis(groups)
+    n = basis.rank
+    mats_g = [matrix_of_letter(Letter(0, a), basis) if a else IntMatrix.identity(n)
+              for a in range(G.order)]
+    mats_h = [matrix_of_letter(Letter(1, b), basis) if b else IntMatrix.identity(n)
+              for b in range(H.order)]
+    faithful = all((mg * mh).is_identity() == (a == 0 and b == 0)
+                   for a, mg in enumerate(mats_g) for b, mh in enumerate(mats_h))
+    dets_g = [bareiss_det(mat.entries) for mat in mats_g]
+    dets_h = [bareiss_det(mat.entries) for mat in mats_h]
+    rng = random.Random(seed)
+    kernel_identity = all(abelianize(act_word(random_kernel_word(rng, groups, max_letters=10),
+                                              basis)).is_identity()
+                          for _ in range(kernel_trials))
+    return {
+        "orders": [G.order, H.order],
+        "rank": n,
+        "cross_factor_commute": all(mg * mh == mh * mg for mg in mats_g for mh in mats_h),
+        "faithful": faithful,
+        "determinants": {"factor1": dets_g, "factor2": dets_h},
+        "all_in_sl": all(d == 1 for d in dets_g + dets_h),
+        "non_ia_certificate": not any(m.is_identity() for m in mats_g[1:] + mats_h[1:]),
+        "kernel_words_act_trivially": kernel_identity,
+        "kernel_trials": kernel_trials,
+        "seed": seed,
+    }
+
+
+def test_representation_report_matches_dense_oracle():
+    # the Kronecker-factor report equals the one read off the full matrices
+    firsts = "C2,C3,C4,C5,C6,S3,D3,D4,D5"
+    seconds = "C2,C3,C4,C7,S3,D4,D5"
+    for G in parse_group_spec(firsts):
+        for H in parse_group_spec(seconds):
+            got = representation_report(G, H, seed=G.order + H.order, kernel_trials=3)
+            assert got == dense_representation_report(G, H, G.order + H.order, 3), (G, H)
