@@ -1,10 +1,16 @@
 """Cubical model of the fibre over an arbitrary simplicial complex.
 
 Only cells of dimension <= 2 are built; first homology is determined by
-the 2-skeleton.  A cell assigns each coordinate either a point position or
-a unit interval; its support (the interval coordinates) must be a face of
-the simplicial complex.  Boundary maps carry the ascending-coordinate
-product orientation, with intervals oriented towards increasing position.
+the 2-skeleton.  A cell is named on the fibre graph's integer grid by its
+lowest vertex x (the mixed-radix index, coordinate i of place value
+T_i = prod_{k>i} m_k) and its interval coordinates, which form a face of
+the simplicial complex; so the 1-skeleton is the fibre graph.  With the
+ascending-coordinate product orientation, d(x, i) = (x + T_i) - x and
+d(x, i, j) = (x, i) + (x + T_i, j) - (x + T_j, i) - (x, j).  `h1` never
+eliminates d1: ker d1 is free on the cotree edges of the staircase tree,
+so H1 is the cokernel of d2 on the cotree rows.  tests/test_complexes.py
+keeps the tuple-cell chain complex and the Bahri-Bendersky-Cohen-Gitler
+closed form as the oracles.
 """
 
 from __future__ import annotations
@@ -15,13 +21,9 @@ from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
+from .fibre import is_tree_edge, place_values
 from .groups import FiniteGroup, SizeLimitError, cell_cap
 from .intmatrix import IntMatrix, sparse_rank_torsion
-
-DEFAULT_CELL_CAP = 10**6
-
-# Cell: per coordinate ('p', position) or ('i', interval index).
-Cell = tuple[tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -42,20 +44,12 @@ class SimplicialComplex:
             missing = sorted(set(range(1, self.n + 1)) - covered)
             raise ValueError(f"all singletons must be present; missing {missing}")
 
-    def faces(self) -> set[frozenset[int]]:
-        out: set[frozenset[int]] = {frozenset()}
-        for f in self.facets:
-            items = sorted(f)
-            for k in range(1, len(items) + 1):
-                out.update(frozenset(c) for c in itertools.combinations(items, k))
-        return out
-
     def has_face(self, s) -> bool:
         s = frozenset(s)
         return any(s <= f for f in self.facets) or not s
 
     def edges(self) -> set[frozenset[int]]:
-        return {f for f in self.faces() if len(f) == 2}
+        return {frozenset(p) for f in self.facets for p in itertools.combinations(f, 2)}
 
 
 def zero_complex(n: int) -> SimplicialComplex:
@@ -105,42 +99,61 @@ def load_complex_file(path: str, n: int | None = None) -> SimplicialComplex:
     return parse_complex_spec("{" + ";".join(facets) + "}", n)
 
 
+def _count(orders: Sequence[int], support: tuple[int, ...]) -> int:
+    # (m_i - 1) interval choices on the support, m_i positions elsewhere
+    return prod(m - 1 if i in support else m for i, m in enumerate(orders))
+
+
+def _lowest_vertices(orders: Sequence[int], support: tuple[int, ...]) -> list[int]:
+    """Lowest vertices of the cells with interval coordinates `support`, ascending."""
+    xs = [0]
+    for i, (m, t) in enumerate(zip(orders, place_values(orders))):
+        xs = [x + s for x in xs for s in range(0, (m - 1 if i in support else m) * t, t)]
+    return xs
+
+
 @dataclass(frozen=True)
 class CubicalComplex:
     groups: tuple[FiniteGroup, ...]
     complex: SimplicialComplex
-    cells: tuple[tuple[Cell, ...], tuple[Cell, ...], tuple[Cell, ...]]
+    # supports (i, j), i < j, of the squares: the edges of the complex
+    squares: tuple[tuple[int, int], ...]
+
+    @property
+    def orders(self) -> list[int]:
+        return [G.order for G in self.groups]
 
     @property
     def counts(self) -> tuple[int, int, int]:
-        return tuple(len(c) for c in self.cells)
+        orders = self.orders
+        return tuple(sum(_count(orders, s) for s in dim)
+                     for dim in ([()], [(i,) for i in range(len(orders))], self.squares))
+
+    def _square_boundaries(self):
+        """Each square's boundary, as (lowest vertex, coordinate, sign) of its edges."""
+        tails = place_values(self.orders)
+        for i, j in self.squares:
+            for x in _lowest_vertices(self.orders, (i, j)):
+                yield (x, i, 1), (x + tails[i], j, 1), (x + tails[j], i, -1), (x, j, -1)
 
     def boundary_columns(self, dim: int) -> list[dict[int, int]]:
         """Sparse boundary map from dimension `dim` cells to `dim - 1` cells.
 
-        Column j maps the index of each face of cell j to its sign:
-        d(A x B) = dA x B + (-1)^{dim A} A x dB, coordinates ascending.
+        Column j maps the index of each face of cell j to its sign.  A
+        vertex's index is x; edges and squares are indexed by support, then
+        by lowest vertex.
         """
-        faces = {c: k for k, c in enumerate(self.cells[dim - 1])}
-        columns = []
-        for cell in self.cells[dim]:
-            col = {}
-            ivs = [k for k, (kind, _) in enumerate(cell) if kind == "i"]
-            for pos, i in enumerate(ivs):
-                sgn = -1 if pos % 2 else 1
-                k = cell[i][1]
-                col[faces[cell[:i] + (("p", k + 1),) + cell[i + 1:]]] = sgn
-                col[faces[cell[:i] + (("p", k),) + cell[i + 1:]]] = -sgn
-            columns.append(col)
-        return columns
+        orders, tails = self.orders, place_values(self.orders)
+        edges = [(x, i) for i in range(len(orders)) for x in _lowest_vertices(orders, (i,))]
+        if dim == 1:
+            return [{x + tails[i]: 1, x: -1} for x, i in edges]
+        index = {e: k for k, e in enumerate(edges)}
+        return [{index[x, i]: s for x, i, s in faces} for faces in self._square_boundaries()]
 
     def _boundary_matrix(self, dim: int) -> IntMatrix:
         columns = self.boundary_columns(dim)
-        mat = [[0] * max(len(columns), 1) for _ in self.cells[dim - 1]]
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                mat[i][j] = v
-        return IntMatrix(mat)
+        return IntMatrix([[col.get(i, 0) for col in columns] or [0]
+                          for i in range(self.counts[dim - 1])])
 
     def boundary_one(self) -> IntMatrix:
         return self._boundary_matrix(1)
@@ -154,46 +167,33 @@ def build_complex(groups: Sequence[FiniteGroup], K: SimplicialComplex,
     groups = tuple(groups)
     if K.n != len(groups):
         raise ValueError("complex vertex count must match the group list")
-    orders = [G.order for G in groups]
-    if cap is None:
-        cap = cell_cap(DEFAULT_CELL_CAP)
-    n = len(groups)
-    supports = ([()], [(i,) for i in range(n)],
-                [(i, j) for i, j in itertools.combinations(range(n), 2)
-                 if K.has_face({i + 1, j + 1})])
-    # cells with support S: (m_i - 1) interval choices on S, m_i points elsewhere
-    total = sum(prod(m - 1 if i in s else m for i, m in enumerate(orders))
-                for dim in supports for s in dim)
-    if total > cap:
+    squares = tuple((i, j) for i, j in itertools.combinations(range(len(groups)), 2)
+                    if K.has_face({i + 1, j + 1}))
+    cx = CubicalComplex(groups, K, squares)
+    total = sum(cx.counts)
+    if total > cell_cap(cap):
         raise SizeLimitError(f"cell count {total} exceeds cap")
-
-    def cells_with_support(support: tuple[int, ...]):
-        choices = [[("i", k) for k in range(m - 1)] if i in support
-                   else [("p", k) for k in range(m)] for i, m in enumerate(orders)]
-        return itertools.product(*choices)
-
-    cells = tuple(tuple(itertools.chain.from_iterable(map(cells_with_support, dim)))
-                  for dim in supports)
-    return CubicalComplex(groups, K, cells)
+    return cx
 
 
 def h1(cx: CubicalComplex) -> tuple[int, list[int]]:
-    """(first Betti number, invariant factors > 1)."""
-    nverts, nedges, nsquares = cx.counts
-    if nedges == 0:
-        return 0, []
-    d1 = cx.boundary_columns(1)
-    rank_d1, _ = sparse_rank_torsion(d1)
-    if nsquares == 0:
-        return nedges - rank_d1, []
-    d2 = cx.boundary_columns(2)
-    # sanity: the composite boundary vanishes
-    for col in d2:
+    """(first Betti number, invariant factors > 1).
+
+    A cycle's coordinates on the fundamental cycles of the E - V + 1 cotree
+    edges are its cotree entries, so H1 = Z^cotree / (d2 on the cotree rows).
+    """
+    nverts, nedges, _ = cx.counts
+    n, tails = len(cx.groups), place_values(cx.orders)
+    columns = []
+    for faces in cx._square_boundaries():
+        # sanity: the composite boundary vanishes
         image: dict[int, int] = {}
-        for e, a in col.items():
-            for v, b in d1[e].items():
-                image[v] = image.get(v, 0) + a * b
+        for x, i, s in faces:
+            image[x + tails[i]] = image.get(x + tails[i], 0) + s
+            image[x] = image.get(x, 0) - s
         if any(image.values()):
             raise AssertionError("boundary composition is nonzero")
-    rank_d2, torsion = sparse_rank_torsion(d2)
-    return (nedges - rank_d1) - rank_d2, torsion
+        # row x * n + i is edge (x, i); the tree rows are dropped
+        columns.append({x * n + i: s for x, i, s in faces if not is_tree_edge(x, tails[i])})
+    rank, torsion = sparse_rank_torsion(columns)
+    return nedges - nverts + 1 - rank, torsion

@@ -36,8 +36,6 @@ from typing import Callable, Sequence
 from .groups import FiniteGroup, SizeLimitError, cell_cap
 from .words import Letter, Word, free_reduce, reduce_word
 
-DEFAULT_VERTEX_CAP = 10**6
-
 # An edge is (vertex, coordinate): the unit segment from `vertex` to the
 # vertex whose position at `coordinate` is one higher.
 Edge = tuple[tuple[int, ...], int]
@@ -79,7 +77,7 @@ def build_fibre_graph(groups: Sequence[FiniteGroup], cap: int | None = None) -> 
         raise ValueError("need at least one group")
     orders = [G.order for G in groups]
     nverts = prod(orders)
-    if nverts > (cap if cap is not None else cell_cap(DEFAULT_VERTEX_CAP)):
+    if nverts > cell_cap(cap):
         raise SizeLimitError(f"vertex count {nverts} exceeds cap")
 
     edges: list[Edge] = []
@@ -127,6 +125,16 @@ def cycle_witness(g: FibreGraph, edge: Edge) -> Word:
     return reduce_word(raw, g.groups)
 
 
+def place_values(orders: Sequence[int]) -> list[int]:
+    """T_i = prod_{k>i} m_k, the step of coordinate i in the vertex index."""
+    return [prod(orders[i + 1:]) for i in range(len(orders))]
+
+
+def is_tree_edge(x: int, tail: int) -> bool:
+    """Whether edge (x, i), with tail = T_i, is in the staircase tree."""
+    return x % tail == 0
+
+
 def cotree_walker(g: FibreGraph) -> Callable[[Sequence[Letter], int, list], int]:
     """The letter-by-letter walk behind `decompose_word`, from any state.
 
@@ -142,7 +150,7 @@ def cotree_walker(g: FibreGraph) -> Callable[[Sequence[Letter], int, list], int]
     orders = [G.order for G in groups]
     # T_i = prod_{k>i} m_k, and off_i = the cotree edges of coordinates < i
     n = len(orders)
-    tails = [prod(orders[i + 1:]) for i in range(n)]
+    tails = place_values(orders)
     offsets = list(itertools.accumulate(
         (prod(orders[:k]) * (tails[k] - 1) * (orders[k] - 1) for k in range(n)), initial=0))
 
@@ -153,7 +161,7 @@ def cotree_walker(g: FibreGraph) -> Callable[[Sequence[Letter], int, list], int]
             a = (index // tail) % m
             b = groups[i].op(a, lt.elem)
             index += (b - a) * tail
-            t = index % tail  # the coordinates after i
+            t = index % tail  # the coordinates after i; is_tree_edge, inlined
             if t:
                 h = index // (tail * m)  # the coordinates before i
                 base = offsets[i] + (h * (tail - 1) + t - 1) * (m - 1)

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 
 MAX_AXIOM_CHECK_ORDER = 256
-MAX_SYMMETRIC_DEGREE = 8
+DEFAULT_CELL_CAP = 10**6
 
 
 class GroupValidationError(ValueError):
@@ -34,11 +34,13 @@ class SizeLimitError(ValueError):
     """Requested object exceeds the configured size cap."""
 
 
-def cell_cap(default: int) -> int:
-    """The size cap set by MONODROMY_CELL_CAP, or `default` when unset."""
+def cell_cap(cap: int | None = None) -> int:
+    """`cap` if given, else the size cap set by MONODROMY_CELL_CAP, else 10^6."""
+    if cap is not None:
+        return cap
     raw = os.environ.get("MONODROMY_CELL_CAP")
     if raw is None:
-        return default
+        return DEFAULT_CELL_CAP
     try:
         cap = int(raw)
     except ValueError:
@@ -46,6 +48,14 @@ def cell_cap(default: int) -> int:
     if cap < 1:
         raise ValueError(f"MONODROMY_CELL_CAP must be a positive integer, got {raw!r}")
     return cap
+
+
+def _check_table_size(name: str, order: int, shown: str | None = None) -> None:
+    """Refuse, before building it, a Cayley table of order^2 entries above the cap."""
+    cap = cell_cap()
+    if order * order > cap:
+        raise SizeLimitError(f"{name} has order {shown or order}: its table of "
+                             f"order^2 entries exceeds cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -129,6 +139,7 @@ def make_cyclic(n: int) -> FiniteGroup:
     """Cyclic group C_n with element k standing for x^k."""
     if n < 1:
         raise GroupValidationError("invalid order: n must be >= 1")
+    _check_table_size(f"C{n}", n)
     table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
     names = tuple("1" if k == 0 else ("x" if k == 1 else f"x^{k}") for k in range(n))
     return FiniteGroup(n, table, names)
@@ -162,8 +173,10 @@ def make_symmetric(k: int, names_order: list[str] | None = None) -> FiniteGroup:
     """
     if k < 1:
         raise GroupValidationError("invalid order: k must be >= 1")
-    if k > MAX_SYMMETRIC_DEGREE:
-        raise SizeLimitError(f"symmetric degree capped at {MAX_SYMMETRIC_DEGREE}")
+    order = 1
+    for d in range(2, k + 1):  # d! <= k!, so this stops at the first d! over the cap
+        order *= d
+        _check_table_size(f"S{k}", order, f"{k}!")
     perms = sorted(itertools.permutations(range(1, k + 1)))
     names = [_cycle_notation(p) for p in perms]
     if names_order is not None:
@@ -189,6 +202,7 @@ def make_dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n; element i + n*f stands for r^i s^f."""
     if n < 1:
         raise GroupValidationError("invalid order: n must be >= 1")
+    _check_table_size(f"D{n}", 2 * n)
 
     def mul(a, b):
         i1, f1 = a % n, a // n
@@ -210,14 +224,25 @@ def load_cayley_table(path: str) -> FiniteGroup:
     """Load a group from a JSON file with fields order, names, table."""
     with open(path) as fh:
         data = json.load(fh)
-    for key in ("order", "names", "table"):
+
+    def is_int(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    def is_list(v, item):
+        return isinstance(v, list) and all(map(item, v))
+
+    if not isinstance(data, dict):
+        raise GroupValidationError(f"cayley table file {path}: expected a JSON object")
+    for key, ok, what in (("order", is_int, "an integer"),
+                          ("names", lambda v: is_list(v, lambda s: isinstance(s, str)),
+                           "a list of strings"),
+                          ("table", lambda v: is_list(v, lambda row: is_list(row, is_int)),
+                           "a list of integer lists")):
         if key not in data:
-            raise GroupValidationError(f"cayley table file missing field {key!r}")
-    return FiniteGroup(
-        int(data["order"]),
-        tuple(tuple(int(v) for v in row) for row in data["table"]),
-        tuple(str(s) for s in data["names"]),
-    )
+            raise GroupValidationError(f"cayley table file {path}: missing field {key!r}")
+        if not ok(data[key]):
+            raise GroupValidationError(f"cayley table file {path}: field {key!r} must be {what}")
+    return FiniteGroup(data["order"], tuple(map(tuple, data["table"])), tuple(data["names"]))
 
 
 _ITEM_RE = re.compile(r"([CSD])([0-9]+)$|table:(.+)$")

@@ -125,13 +125,8 @@ class IntMatrix:
         a = [row[:] for row in self.entries]
         rank, prev = 0, 1
         rows, cols = self.rows, self.cols
-        col = 0
         for col in range(cols):
-            pivot = None
-            for r in range(rank, rows):
-                if a[r][col] != 0:
-                    pivot = r
-                    break
+            pivot = next((r for r in range(rank, rows) if a[r][col]), None)
             if pivot is None:
                 continue
             a[rank], a[pivot] = a[pivot], a[rank]
@@ -164,13 +159,10 @@ def bareiss_det(entries: Sequence[Sequence[int]]) -> int:
     sign, prev = 1, 1
     for k in range(n - 1):
         if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
+            r = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if r is None:
                 return 0
+            a[k], a[r], sign = a[r], a[k], -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
@@ -199,17 +191,12 @@ def smith_normal_form(M: IntMatrix) -> tuple[list[int], int]:
     n = min(rows, cols)
     t = 0
     while t < n:
-        # locate a pivot of minimal absolute value in the trailing block
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
+        # a pivot of minimal absolute value in the trailing block, first in row order
+        pivot = min(((abs(a[i][j]), i, j) for i in range(t, rows) for j in range(t, cols)
+                     if a[i][j]), default=None)
         if pivot is None:
             break
-        pi, pj = pivot
+        _, pi, pj = pivot
         a[t], a[pi] = a[pi], a[t]
         for row in a:
             row[t], row[pj] = row[pj], row[t]
@@ -232,14 +219,8 @@ def smith_normal_form(M: IntMatrix) -> tuple[list[int], int]:
         if dirty:
             continue
         # pivot must divide the rest of the block
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next((i for i in range(t + 1, rows) for j in range(t + 1, cols)
+                         if a[i][j] % a[t][t]), None)
         if offender is not None:
             for j in range(t, cols):
                 a[t][j] += a[offender][j]
@@ -393,7 +374,7 @@ def _of_columns(cols: list[dict[int, int]]) -> IntMatrix:
 
 
 def _factors(phi: Automorphism, kron: list[dict[int, int]]) -> bool:
-    """Whether each abelianized image of phi is the matching Kronecker column."""
+    """Whether each abelianized image of phi is the matching sparse column."""
     for img, col in zip(phi.images, kron):
         counts: dict[int, int] = {}
         for sym, sign in img:
@@ -447,10 +428,11 @@ def representation_report(G: FiniteGroup, H: FiniteGroup,
     non_ia = 1 not in scalars_g[1:] + scalars_h[1:]
 
     rng = random.Random(seed)
+    identity = [{k: 1} for k in range(basis.rank)]
     kernel_identity = True
     for _ in range(kernel_trials):
         w = random_kernel_word(rng, groups, max_letters=10)
-        if not abelianize(act_word(w, basis)).is_identity():
+        if not _factors(act_word(w, basis), identity):
             kernel_identity = False
             break
 

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 
 import pytest
@@ -201,6 +202,78 @@ def test_bad_cell_cap_names_the_variable(capsys, monkeypatch):
             assert (code, out) == (2, "")
             assert err == f"error: MONODROMY_CELL_CAP must be a positive integer, got {raw!r}\n"
     monkeypatch.setenv("MONODROMY_CELL_CAP", "5")
+    # C3's table of 9 entries is refused before the graph's 6 vertices
     code, _, err = run(capsys, "graph", "--groups", "C2,C3")
-    assert code == 2 and err == "error: vertex count 6 exceeds cap\n"
+    assert code == 2
+    assert err == "error: C3 has order 3: its table of order^2 entries exceeds cap 5\n"
+    code, _, err = run(capsys, "graph", "--groups", "C2,C2,C2")
+    assert code == 2 and err == "error: vertex count 8 exceeds cap\n"
 
+
+
+def test_table_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("MONODROMY_CELL_CAP", "100")
+    code, out, err = run(capsys, "rank", "--groups", "C50")
+    assert (code, out) == (2, "")
+    assert err == "error: C50 has order 50: its table of order^2 entries exceeds cap 100\n"
+
+
+TABLE_BODIES = ("5", '"x"', "[]", "not json", '{"order": 2}',
+                '{"order": 1, "names": ["1"], "table": 5}',
+                '{"order": [1], "names": ["1"], "table": [[0]]}',
+                '{"order": 1, "names": 7, "table": [[0]]}',
+                '{"order": 1, "names": ["1"], "table": [[0.5]]}',
+                '{"order": 1, "names": ["1"], "table": [[0], 3]}',
+                '{"order": 9, "names": ["1"], "table": [[0]]}',
+                '{"order": 2, "names": ["1", "a"], "table": [[0, 1], [1, 1]]}',
+                '{"order": 2, "names": ["1", "a"], "table": [[0, 1], [1, 0]]}')
+
+
+def test_seeded_parser_fuzz(capsys, monkeypatch, tmp_path):
+    """Random group specs, words and complex specs: exit 0, 1 or 2, no traceback."""
+    monkeypatch.setenv("MONODROMY_CELL_CAP", "400")
+    tables = []
+    for k, body in enumerate(TABLE_BODIES):
+        path = tmp_path / f"t{k}.json"
+        path.write_text(body)
+        tables.append(f"table:{path}")
+    good = ["C1", "C2", "C3", "C4", "S3", "D2", "D3", " C2 ", "C20", "D10"]
+    bad = ["C0", "S0", "D0", "Q8", "C", "C-1", "C2.5", "", "C21", "S4", "D11",
+           "C" + "9" * 40, "S" + "9" * 12, "D99999999",
+           f"table:{tmp_path / 'missing.json'}"] + tables
+    good_tokens = ["x1", "x2^3", "x1^-1", "x2^-7", "x1^99999999999999", "s1:1", "s2:x",
+                   "s1:(12)", "s1:r", "e"]
+    bad_tokens = ["x0", "x9", "s9:1", "s2:q", "", "x1^", "y2", "x1^x", "s1:", "x1^^2"]
+    bad_facets = ["0", "9", "1,,2", "a", "", "-1", "9" * 20]
+    commands = ["rank", "graph", "basis", "act", "matrix", "report", "homology", "lemma-check"]
+    rng = random.Random(8)
+
+    def pick(k, ok, wrong):
+        out = rng.choices(ok, k=k)
+        if rng.random() < 0.3:
+            out[rng.randrange(k)] = rng.choice(wrong)
+        return out
+
+    for _ in range(200):
+        cmd = rng.choice(commands)
+        n = 2 if cmd == "report" and rng.random() < 0.8 else rng.randint(1, 3)
+        argv = [cmd, "--groups", ",".join(pick(n, good, bad))]
+        if cmd in ("basis", "act", "matrix"):
+            argv += ["--basis", rng.choice(["tree", "algebraic", "auto"])]
+        if cmd in ("act", "matrix"):
+            argv += ["--element", "*".join(pick(rng.randint(1, 4), good_tokens, bad_tokens))]
+        if cmd == "homology":
+            faces = [",".join(map(str, rng.sample(range(1, n + 1), rng.randint(1, n))))
+                     for _ in range(3)]
+            spec = "K={" + ";".join(map(str, range(1, n + 1))) + ";" \
+                + ";".join(pick(3, faces, bad_facets)) + "}"
+            argv += ["--complex", rng.choice([spec] * 5 + [spec[3:], spec[:-1], "@" + spec])]
+        if cmd == "lemma-check":
+            argv += ["--trials", rng.choice(["-1", "0", "3", "999999999", "x"]), "--depth", "2"]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in out + err, argv

@@ -11,7 +11,7 @@ from monodromy.complexes import (CubicalComplex, SimplicialComplex,
                                  zero_complex)
 from monodromy.fibre import betti_one, build_fibre_graph, rank_formula
 from monodromy.groups import SizeLimitError, make_cyclic, make_symmetric
-from monodromy.intmatrix import smith_normal_form
+from monodromy.intmatrix import IntMatrix, smith_normal_form
 
 
 def cyclic(*orders):
@@ -156,11 +156,12 @@ def test_vertex_count_mismatch_and_cap():
 
 
 def test_cell_cap_env_override(monkeypatch):
+    groups = cyclic(4, 4)  # built first: the cap also bounds group tables
     monkeypatch.setenv("MONODROMY_CELL_CAP", "10")
-    with pytest.raises(SizeLimitError):
-        build_complex(cyclic(4, 4), full_simplex(2))
+    with pytest.raises(SizeLimitError, match="cell count 49 exceeds cap"):
+        build_complex(groups, full_simplex(2))
     monkeypatch.setenv("MONODROMY_CELL_CAP", "1000000")
-    build_complex(cyclic(4, 4), full_simplex(2))
+    build_complex(groups, full_simplex(2))
 
 
 def bbcg_b1(orders, K):
@@ -189,15 +190,54 @@ def bbcg_b1(orders, K):
     return total
 
 
-def dense_h1(cx):
-    """H1 from the dense Bareiss rank of d1 and the dense SNF of d2."""
-    nverts, nedges, nsquares = cx.counts
+# The tuple-cell model, kept as the oracle for the integer grid: a cell
+# assigns each coordinate ('p', position) or ('i', interval index), and the
+# cells of one dimension are listed by support, then lexicographically.
+def tuple_cells(orders, K):
+    n = len(orders)
+    supports = ([()], [(i,) for i in range(n)],
+                [(i, j) for i, j in itertools.combinations(range(n), 2)
+                 if K.has_face({i + 1, j + 1})])
+
+    def cells_with_support(support):
+        choices = [[("i", k) for k in range(m - 1)] if i in support
+                   else [("p", k) for k in range(m)] for i, m in enumerate(orders)]
+        return itertools.product(*choices)
+
+    return tuple(tuple(itertools.chain.from_iterable(map(cells_with_support, dim)))
+                 for dim in supports)
+
+
+def tuple_boundary_columns(cells, dim):
+    """d(A x B) = dA x B + (-1)^{dim A} A x dB, coordinates ascending."""
+    faces = {c: k for k, c in enumerate(cells[dim - 1])}
+    columns = []
+    for cell in cells[dim]:
+        col = {}
+        ivs = [k for k, (kind, _) in enumerate(cell) if kind == "i"]
+        for pos, i in enumerate(ivs):
+            sgn = -1 if pos % 2 else 1
+            k = cell[i][1]
+            col[faces[cell[:i] + (("p", k + 1),) + cell[i + 1:]]] = sgn
+            col[faces[cell[:i] + (("p", k),) + cell[i + 1:]]] = -sgn
+        columns.append(col)
+    return columns
+
+
+def dense(columns, nrows):
+    return IntMatrix([[col.get(i, 0) for col in columns] or [0] for i in range(nrows)])
+
+
+def dense_h1(orders, K):
+    """H1 from the dense Bareiss rank of the tuple-cell d1 and the dense SNF of d2."""
+    cells = tuple_cells(orders, K)
+    nverts, nedges, nsquares = map(len, cells)
     if nedges == 0:
         return 0, []
-    rank_d1 = cx.boundary_one().rank()
+    rank_d1 = dense(tuple_boundary_columns(cells, 1), nverts).rank()
     if nsquares == 0:
         return nedges - rank_d1, []
-    factors, rank_d2 = smith_normal_form(cx.boundary_two())
+    factors, rank_d2 = smith_normal_form(dense(tuple_boundary_columns(cells, 2), nedges))
     return nedges - rank_d1 - rank_d2, [d for d in factors if d > 1]
 
 
@@ -219,7 +259,28 @@ def test_h1_matches_bbcg_formula_and_dense_oracle():
         cx = build_complex(cyclic(*orders), K)
         got = h1(cx)
         assert got == (bbcg_b1(orders, K), [])
-        assert got == dense_h1(cx)
+        assert got == dense_h1(orders, K)
+
+
+def test_grid_boundaries_match_tuple_cells():
+    rng = random.Random(41)
+    for _ in range(40):
+        n = rng.randrange(1, 5)
+        orders = [rng.randrange(1, 5) for _ in range(n)]
+        K = random_complex(rng, n)
+        cx = build_complex(cyclic(*orders), K)
+        cells = tuple_cells(orders, K)
+        assert cx.counts == tuple(map(len, cells))
+        for dim in (1, 2):
+            assert cx.boundary_columns(dim) == tuple_boundary_columns(cells, dim)
+
+
+def test_h1_on_a_hundred_thousand_cells():
+    # C4^7 over K0: 16,384 vertices, 86,016 edges and no squares
+    orders, K = [4] * 7, zero_complex(7)
+    cx = build_complex(cyclic(*orders), K)
+    assert cx.counts == (16384, 86016, 0)
+    assert h1(cx) == (bbcg_b1(orders, K), []) == (69633, [])
 
 
 def test_cell_cap_is_checked_before_building():

@@ -132,6 +132,43 @@ def test_cayley_table_validation_names_axiom(tmp_path):
         load_cayley_table(str(path))
 
 
+MALFORMED_TABLE_FILES = {
+    "5": "expected a JSON object",
+    '{"order": 1, "names": ["1"], "table": 5}': "field 'table' must be a list of integer lists",
+    '{"order": 1, "names": ["1"], "table": [[0.0]]}': "field 'table'",
+    '{"order": 1, "names": 7, "table": [[0]]}': "field 'names' must be a list of strings",
+    '{"order": 1, "names": [1], "table": [[0]]}': "field 'names'",
+    '{"order": [1], "names": ["1"], "table": [[0]]}': "field 'order' must be an integer",
+    '{"order": true, "names": ["1"], "table": [[0]]}': "field 'order'",
+    '{"order": 1, "names": ["1"]}': "missing field 'table'",
+}
+
+
+def test_malformed_cayley_table_file_names_path_and_field(tmp_path):
+    path = tmp_path / "bad.json"
+    for body, message in MALFORMED_TABLE_FILES.items():
+        path.write_text(body)
+        with pytest.raises(GroupValidationError, match=message) as info:
+            load_cayley_table(str(path))
+        assert str(path) in str(info.value)
+
+
+def test_group_tables_capped_by_cell_cap(monkeypatch):
+    # order^2 table entries against cell_cap(10**6): orders up to 1000
+    for build, arg, name in ((make_cyclic, 1001, "C1001 has order 1001"),
+                             (make_dihedral, 501, "D501 has order 1002"),
+                             (make_symmetric, 7, "S7 has order 7!"),
+                             (make_cyclic, 10**5, "C100000 has order 100000"),
+                             (make_symmetric, 10**8, "S100000000 has order 100000000!")):
+        with pytest.raises(SizeLimitError, match=name):
+            build(arg)
+    monkeypatch.setenv("MONODROMY_CELL_CAP", "36")
+    assert [make_cyclic(6).order, make_dihedral(3).order, make_symmetric(3).order] == [6] * 3
+    for build, arg in ((make_cyclic, 7), (make_dihedral, 4), (make_symmetric, 4)):
+        with pytest.raises(SizeLimitError, match="exceeds cap 36"):
+            build(arg)
+
+
 def test_non_associative_table_rejected():
     # C5 table with two entries swapped away from row/column 0
     table = [[(a + b) % 5 for b in range(5)] for a in range(5)]
