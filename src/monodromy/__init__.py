@@ -1,8 +1,7 @@
 """Exact monodromy computations over products of finite discrete groups."""
 
-from .action import (Automorphism, Basis, act_geometric, act_two_groups,
-                     act_word, algebraic_basis, compose, telescope_decompose,
-                     tree_basis)
+from .action import (Automorphism, Basis, act_letter, act_word, algebraic_basis,
+                     decompose, recompose, tree_basis)
 from .commutators import (delta_identity_check, iterated_commutator,
                           magnus_weight, product_expansion_check)
 from .complexes import (CubicalComplex, SimplicialComplex, build_complex,

@@ -5,6 +5,16 @@ each a freely reduced signed word over basis symbols.  Two bases are
 supported: the commutator basis w[i,j] = [g_i, h_j] for exactly two
 factors, and the spanning-tree cycle basis of a fibre graph for any
 number of factors.
+
+Both act by deck translation through a letter walk, `Basis.walker`.  Its
+state is the image of the prefix read so far, a mixed-radix index c
+(coordinate 0 most significant) standing for a fixed word: the staircase
+tree path in the tree basis (`fibre.cotree_walker`), g_p h_q for
+c = p |H| + q in the commutator basis (`commutator_walker`).  Each letter
+emits the signed symbols s with  c . letter = s . c', so walks concatenate;
+a kernel word walks from 0 back to 0 and spells its decomposition, and
+conjugation by g sends a witness w to P . walk(w from pi(g)) . P^-1, where
+P is the walk of g.
 """
 
 from __future__ import annotations
@@ -12,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .fibre import FibreGraph, cotree_walker, cycle_witness
+from .fibre import FibreGraph, Walker, cotree_walker, cycle_witness
 from .groups import FiniteGroup
 from .words import (Letter, Word, commutator, empty_word, free_reduce, invert,
                     is_in_kernel, multiply, single)
@@ -42,13 +52,15 @@ class Basis:
     def rank(self) -> int:
         return len(self.symbols)
 
+    def walker(self) -> Walker:
+        """The letter walk of this basis, from any state."""
+        if self.kind == "tree":
+            return cotree_walker(self.graph)
+        return commutator_walker(*self.groups)
+
     def format_image(self, image: SymbolWord) -> str:
-        if not image:
-            return "e"
-        parts = []
-        for sym, sign in image:
-            parts.append(self.symbols[sym] + ("" if sign == 1 else "^-1"))
-        return "*".join(parts)
+        return "*".join(self.symbols[sym] + ("" if sign == 1 else "^-1")
+                        for sym, sign in image) or "e"
 
 
 def algebraic_basis(groups: Sequence[FiniteGroup]) -> Basis:
@@ -67,8 +79,32 @@ def algebraic_basis(groups: Sequence[FiniteGroup]) -> Basis:
     return Basis("algebraic-n2", groups, tuple(symbols), tuple(witnesses))
 
 
-def algebraic_symbol_index(G: FiniteGroup, H: FiniteGroup, i: int, j: int) -> int:
-    return (i - 1) * (H.order - 1) + (j - 1)
+def commutator_walker(G: FiniteGroup, H: FiniteGroup) -> Walker:
+    """The letter walk of the commutator basis, from any state.
+
+    The state p |H| + q stands for g_p h_q.  A letter of H moves q and emits
+    nothing.  A letter a of G moves p to p' = p a and, if q != 0, emits
+    [g_p, h_q] unless p = 0, then [g_p', h_q]^-1 unless p' = 0; the symbol
+    w[i,j] has index (i - 1)(|H| - 1) + j - 1.
+    """
+    n = H.order
+
+    def walk(letters: Sequence[Letter], index: int, out: list) -> int:
+        p, q = divmod(index, n)
+        for lt in letters:
+            if lt.factor:
+                q = H.op(q, lt.elem)
+                continue
+            r = G.op(p, lt.elem)
+            if q:
+                if p:
+                    out.append(((p - 1) * (n - 1) + q - 1, 1))
+                if r:
+                    out.append(((r - 1) * (n - 1) + q - 1, -1))
+            p = r
+        return p * n + q
+
+    return walk
 
 
 def tree_basis(graph: FibreGraph) -> Basis:
@@ -86,105 +122,39 @@ class Automorphism:
         if len(self.images) != self.basis.rank:
             raise ValueError("one image per basis symbol required")
 
-    def apply(self, word: SymbolWord) -> SymbolWord:
-        return free_reduce(s for sym, sign in word
-                           for s in (self.images[sym] if sign == 1
-                                     else invert_signed(self.images[sym])))
 
-
-def identity_automorphism(basis: Basis) -> Automorphism:
-    return Automorphism(basis, tuple(((k, 1),) for k in range(basis.rank)))
-
-
-def compose(f: Automorphism, g: Automorphism) -> Automorphism:
-    """(f o g): substitute f's images into g's."""
-    if f.basis != g.basis:
-        raise ValueError("automorphisms over different bases")
-    return Automorphism(f.basis, tuple(f.apply(img) for img in g.images))
-
-
-def telescope_decompose(w: Word) -> tuple[tuple[int, int, int], ...]:
-    """Write a two-factor kernel word as a product of commutators [g_i, h_j].
-
-    Returns signed (i, j, sign) triples; multiplying witnesses
-    [g_i, h_j]^sign in order recovers w.  Prefix products telescope: each
-    new letter contributes the commutator of the two running prefix
-    products, and factors touching the identity are dropped.
-    """
-    if len(w.groups) != 2:
-        raise ValueError("telescoping decomposition needs exactly two factors")
-    if not is_in_kernel(w):
+def decompose(basis: Basis, w: Word) -> SymbolWord:
+    """A kernel word over the basis: its walk from 0, which returns to 0 on the kernel only."""
+    if w.groups != basis.groups:
+        raise ValueError("word is over a different group list")
+    raw: list[tuple[int, int]] = []
+    if basis.walker()(w.letters, 0, raw):
         raise ValueError("word is not in the kernel of the projection")
-    G, H = w.groups
-    p = q = 0  # running prefix products in G and H
-    raw: list[tuple[tuple[int, int], int]] = []
-    for lt in w.letters:
-        if lt.factor == 0:
-            p = G.op(p, lt.elem)
-            raw.append(((p, q), -1))  # [q, p_new] = [g,h]^-1 with g = p_new
-        else:
-            q = H.op(q, lt.elem)
-            raw.append(((p, q), 1))   # [p, q_new]
-    kept = (((i, j), sign) for (i, j), sign in raw if i and j)
-    return tuple((i, j, sign) for (i, j), sign in free_reduce(kept))
+    return free_reduce(raw)
 
 
-def telescope_recompose(basis: Basis, decomposition) -> Word:
-    """Multiply the commutator witnesses back together (round-trip check)."""
-    G, H = basis.groups
+def recompose(basis: Basis, image: SymbolWord) -> Word:
+    """The kernel word a signed symbol word spells: its witnesses multiplied."""
     acc = empty_word(basis.groups)
-    for i, j, sign in decomposition:
-        wit = basis.witnesses[algebraic_symbol_index(G, H, i, j)]
+    for sym, sign in image:
+        wit = basis.witnesses[sym]
         acc = multiply(acc, wit if sign == 1 else invert(wit))
     return acc
 
 
-def act_two_groups(t: Letter, basis: Basis) -> Automorphism:
-    """Closed-form action of a single letter on the commutator basis.
+def act_word(w: Word, basis: Basis) -> Automorphism:
+    """The action of w by conjugation, as a deck translation.
 
-    g_k . [g_i, h_j] = [g_k g_i, h_j] [h_j, g_k]
-    h_k . [g_i, h_j] = [h_k, g_i] [g_i, h_k h_j]
-    with commutators hitting the identity dropped.
+    w is walked once and its walk reduced to the prefix P; each witness is
+    then walked from the image of w, between P and P^-1.  A free basis
+    gives each image one reduced word, so this equals the per-letter fold
+    act(uv) = act(u) o act(v).
     """
-    if basis.kind != "algebraic-n2":
-        raise ValueError("act_two_groups needs the commutator basis")
-    G, H = basis.groups
-    if t.elem == 0:
-        return identity_automorphism(basis)
-    k = t.elem
-    images = []
-    for i in range(1, G.order):
-        for j in range(1, H.order):
-            seq: list[tuple[int, int]] = []
-            if t.factor == 0:
-                gi = G.op(k, i)
-                if gi != 0:
-                    seq.append((algebraic_symbol_index(G, H, gi, j), 1))
-                seq.append((algebraic_symbol_index(G, H, k, j), -1))
-            else:
-                seq.append((algebraic_symbol_index(G, H, i, k), -1))
-                hj = H.op(k, j)
-                if hj != 0:
-                    seq.append((algebraic_symbol_index(G, H, i, hj), 1))
-            images.append(free_reduce(seq))
-    return Automorphism(basis, tuple(images))
-
-
-def act_geometric(g: Word, basis: Basis) -> Automorphism:
-    """Action by conjugation, expressed in the tree cycle basis.
-
-    On the fibre graph, conjugation by g is a deck translation by its image
-    pi(g): the loop g w g^-1 runs along g's path P to pi(g), around the
-    cycle of w translated to start there, and back along P.  So g is
-    walked once, and each witness is walked from pi(g) between P and P^-1.
-    """
-    if basis.kind != "tree" or basis.graph is None:
-        raise ValueError("act_geometric needs a tree basis with its graph")
-    if g.groups != basis.groups:
+    if w.groups != basis.groups:
         raise ValueError("word is over a different group list")
-    walk = cotree_walker(basis.graph)
+    walk = basis.walker()
     prefix: list[tuple[int, int]] = []
-    start = walk(g.letters, 0, prefix)
+    start = walk(w.letters, 0, prefix)
     prefix = list(free_reduce(prefix))
     suffix = invert_signed(prefix)
     images = []
@@ -197,33 +167,4 @@ def act_geometric(g: Word, basis: Basis) -> Automorphism:
 
 
 def act_letter(t: Letter, basis: Basis) -> Automorphism:
-    if basis.kind == "algebraic-n2":
-        return act_two_groups(t, basis)
-    return act_geometric(single(basis.groups, t.factor, t.elem), basis)
-
-
-def act_word(w: Word, basis: Basis) -> Automorphism:
-    """The action of w by conjugation: act_word(uv) = act(u) o act(v).
-
-    In the tree basis each witness is conjugated by the whole word once and
-    decomposed once; since a free-group automorphism has one reduced image
-    per generator, this equals the per-letter fold.  The commutator basis
-    folds its closed-form per-letter actions left to right.
-    """
-    if w.groups != basis.groups:
-        raise ValueError("word is over a different group list")
-    if basis.kind == "tree":
-        return act_geometric(w, basis)
-    phi = identity_automorphism(basis)
-    for lt in w.letters:
-        phi = compose(phi, act_letter(lt, basis))
-    return phi
-
-
-def image_as_word(phi: Automorphism, sym: int) -> Word:
-    """The kernel word witnessing the image of one basis generator."""
-    acc = empty_word(phi.basis.groups)
-    for s, sign in phi.images[sym]:
-        wit = phi.basis.witnesses[s]
-        acc = multiply(acc, wit if sign == 1 else invert(wit))
-    return acc
+    return act_word(single(basis.groups, t.factor, t.elem), basis)

@@ -12,14 +12,15 @@ of the calculus in closed form:
 - The witness of cotree edge (v, i), with w = v raised at i, is the reduced
   word  prod_k s_k:g_{v_k} . s_i:(g_{v_i}^-1 g_{v_i+1}) . prod_{k desc} s_k:g_{w_k}^-1,
   because the tree path to a vertex telescopes.
-- A kernel word decomposes letter by letter: a letter of coordinate i
-  crosses one cotree chain, a run of consecutive indices
+- A word is walked letter by letter (`cotree_walker`): a letter of
+  coordinate i crosses one cotree chain, a run of consecutive indices
   off_i + (h (T_i - 1) + t - 1)(m_i - 1) + p, unless the state's
   coordinates after i are all 0.  Here h and t are the mixed-radix indices
   of the coordinates before and after i, T_i = prod_{k>i} m_k, and off_i
-  counts the cotree edges of the coordinates before i.  The same walk
-  runs from any vertex, which is how `action.act_geometric` reads a
-  conjugate g w g^-1 as a translate of the cycle w by the image of g.
+  counts the cotree edges of the coordinates before i.  From the basepoint
+  the walk of a kernel word is its decomposition; from any other vertex it
+  is a translate, which is how `action.act_word` reads a conjugate
+  g w g^-1 as the cycle w translated by the image of g.
 
 The graph is written down in closed form too.  tests/test_fibre.py keeps
 the brute-force path as the oracle: a breadth-first search and sort for
@@ -34,11 +35,12 @@ from math import prod
 from typing import Callable, Sequence
 
 from .groups import FiniteGroup, SizeLimitError, cell_cap
-from .words import Letter, Word, free_reduce, reduce_word
+from .words import Letter, Word, reduce_word
 
 # An edge is (vertex, coordinate): the unit segment from `vertex` to the
 # vertex whose position at `coordinate` is one higher.
 Edge = tuple[tuple[int, ...], int]
+Walker = Callable[[Sequence[Letter], int, list], int]  # walk(letters, index, out) -> index
 
 
 def rank_formula(orders: Sequence[int]) -> int:
@@ -135,8 +137,8 @@ def is_tree_edge(x: int, tail: int) -> bool:
     return x % tail == 0
 
 
-def cotree_walker(g: FibreGraph) -> Callable[[Sequence[Letter], int, list], int]:
-    """The letter-by-letter walk behind `decompose_word`, from any state.
+def cotree_walker(g: FibreGraph) -> Walker:
+    """The letter walk of the tree basis, from any state.
 
     `walk(letters, index, out)` starts at the vertex whose mixed-radix index
     (coordinate 0 most significant) is `index`, appends to `out` the signed
@@ -172,19 +174,6 @@ def cotree_walker(g: FibreGraph) -> Callable[[Sequence[Letter], int, list], int]
         return index
 
     return walk
-
-
-def decompose_word(g: FibreGraph, w: Word) -> tuple[tuple[int, int], ...]:
-    """Tree-basis decomposition of a kernel word: walk it from the basepoint.
-
-    The word is in the kernel exactly when the walk ends where it started.
-    """
-    if w.groups != g.groups:
-        raise ValueError("word is over a different group list")
-    raw: list[tuple[int, int]] = []
-    if cotree_walker(g)(w.letters, 0, raw):
-        raise ValueError("word is not in the kernel of the projection")
-    return free_reduce(raw)
 
 
 def to_dot(g: FibreGraph) -> str:

@@ -10,9 +10,11 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .action import Automorphism, Basis, act_two_groups, act_word, algebraic_basis
+from .action import Automorphism, Basis, act_letter, act_word, algebraic_basis
 from .groups import FiniteGroup, SizeLimitError, make_cyclic
 from .words import Letter, random_kernel_word
+
+MAX_REPORT_PAIR = 10**4  # the largest |G| |H| representation_report accepts
 
 
 class IntMatrix:
@@ -334,7 +336,7 @@ def abelianize(f: Automorphism) -> IntMatrix:
 
 
 def matrix_of_letter(t: Letter, basis: Basis) -> IntMatrix:
-    return abelianize(act_two_groups(t, basis))
+    return abelianize(act_letter(t, basis))
 
 
 def cyclic_closed_form(r: int, m: int) -> tuple[IntMatrix, IntMatrix]:
@@ -369,10 +371,6 @@ def _scalar(cols: list[dict[int, int]]) -> int:
     return 0
 
 
-def _of_columns(cols: list[dict[int, int]]) -> IntMatrix:
-    return IntMatrix._of_rows([[col.get(i, 0) for col in cols] for i in range(len(cols))])
-
-
 def _factors(phi: Automorphism, kron: list[dict[int, int]]) -> bool:
     """Whether each abelianized image of phi is the matching sparse column."""
     for img, col in zip(phi.images, kron):
@@ -390,17 +388,18 @@ def representation_report(G: FiniteGroup, H: FiniteGroup,
 
     H1 of the kernel is I_G (x) I_H, with w[i,j] = [g_i, h_j] at i-major
     position; g acts as A_G(g) (x) I and h as I (x) A_H(h), where A is left
-    multiplication on the augmentation ideal.  Each generator's closed-form
-    image is checked against its Kronecker column, and the certificates are
-    read off the factor matrices:
+    multiplication on the augmentation ideal.  Each generator's image is
+    checked against its Kronecker column, and the certificates are read off
+    the factor matrices:
     - the two factors commute, by the mixed-product property, exactly when
       every generator factors;
     - A_G(g) (x) A_H(h) = I iff A_G(g) = A_H(h) = +-I with the same sign;
     - det(A_G(g) (x) I) = det(A_G(g))^(|H|-1), and symmetrically;
     - A_G(g) (x) I = I iff A_G(g) = I.
     """
-    if G.order * H.order > 10**4:
-        raise SizeLimitError("group pair too large for the matrix report")
+    if G.order * H.order > MAX_REPORT_PAIR:
+        raise SizeLimitError(f"group pair of orders {G.order} and {H.order} too large for the "
+                             f"matrix report: {G.order * H.order} exceeds {MAX_REPORT_PAIR}")
     if G.order < 2 or H.order < 2:
         raise ValueError("both factors must be nontrivial")
     groups = (G, H)
@@ -416,14 +415,15 @@ def representation_report(G: FiniteGroup, H: FiniteGroup,
          for cols in cols_g],
         [[{i * n + r: v for r, v in col.items()} for i in range(m) for col in cols]
          for cols in cols_h])
-    cross_commute = all(_factors(act_two_groups(Letter(f, e), basis), kronecker[f][e])
+    cross_commute = all(_factors(act_letter(Letter(f, e), basis), kronecker[f][e])
                         for f in (0, 1) for e in range(1, groups[f].order))
     scalars_g = [_scalar(cols) for cols in cols_g]
     scalars_h = [_scalar(cols) for cols in cols_h]
     faithful = not any((a or b) and sg and sg == sh
                        for a, sg in enumerate(scalars_g) for b, sh in enumerate(scalars_h))
-    dets_g = [_of_columns(cols).det() ** n for cols in cols_g]
-    dets_h = [_of_columns(cols).det() ** m for cols in cols_h]
+    # det A_G(a) is the sign of x -> a x on G: |G|/o(a) cycles of length o(a)
+    dets_g = [(-1) ** ((k - 1) * (G.order // k) * n) for k in map(G.element_order, range(G.order))]
+    dets_h = [(-1) ** ((k - 1) * (H.order // k) * m) for k in map(H.element_order, range(H.order))]
     all_sl = all(d == 1 for d in dets_g + dets_h)
     non_ia = 1 not in scalars_g[1:] + scalars_h[1:]
 

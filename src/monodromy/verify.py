@@ -10,11 +10,11 @@ from __future__ import annotations
 import itertools
 import random
 
-from .action import (Letter, act_two_groups, act_word, algebraic_basis,
-                     image_as_word, telescope_decompose, telescope_recompose)
+from .action import (Letter, act_letter, act_word, algebraic_basis, decompose,
+                     recompose, tree_basis)
 from .commutators import lemma_suite
 from .complexes import build_complex, full_simplex, h1, parse_complex_spec, zero_complex
-from .fibre import betti_one, build_fibre_graph, decompose_word, rank_formula
+from .fibre import betti_one, build_fibre_graph, rank_formula
 from .groups import S3_CLASSIC_ORDER, make_cyclic, make_symmetric
 from .intmatrix import IntMatrix, abelianize, cyclic_closed_form
 from .words import conjugate, random_kernel_word, single
@@ -85,10 +85,10 @@ def criterion_2_z2z3_matrices(seed: int = 0):
 def _s3_setup():
     groups = (make_cyclic(2), make_symmetric(3, names_order=S3_CLASSIC_ORDER))
     basis = algebraic_basis(groups)
-    mats = {"x": abelianize(act_two_groups(Letter(0, 1), basis))}
+    mats = {"x": abelianize(act_letter(Letter(0, 1), basis))}
     for k, name in enumerate(S3_CLASSIC_ORDER):
         if k:
-            mats[name] = abelianize(act_two_groups(Letter(1, k), basis))
+            mats[name] = abelianize(act_letter(Letter(1, k), basis))
     return mats
 
 
@@ -158,8 +158,7 @@ def criterion_5_telescope_roundtrip(seed: int = 0, trials: int = 1000):
         basis = algebraic_basis(groups)
         for t in range(trials):
             w = random_kernel_word(rng, groups, max_letters=12)
-            dec = telescope_decompose(w)
-            if telescope_recompose(basis, dec) != w:
+            if recompose(basis, decompose(basis, w)) != w:
                 return _fail(f"round-trip failed in {label} at trial {t}: {w}")
     return True, f"{trials} random kernel words per pair decompose and recompose exactly"
 
@@ -167,17 +166,16 @@ def criterion_5_telescope_roundtrip(seed: int = 0, trials: int = 1000):
 def criterion_6_geometric_algebraic(seed: int = 0):
     groups = (make_cyclic(3), make_cyclic(4))
     basis = algebraic_basis(groups)
-    graph = build_fibre_graph(groups)
+    tree = tree_basis(build_fibre_graph(groups))
     checked = 0
     for factor, G in enumerate(groups):
         for k in range(1, G.order):
-            t = Letter(factor, k)
-            phi = act_two_groups(t, basis)
-            t_word = single(groups, factor, k)
+            t = single(groups, factor, k)
+            phi = act_word(t, basis)
             for sym in range(basis.rank):
-                lhs = conjugate(t_word, basis.witnesses[sym])
-                rhs = image_as_word(phi, sym)
-                if decompose_word(graph, lhs) != decompose_word(graph, rhs):
+                lhs = conjugate(t, basis.witnesses[sym])
+                rhs = recompose(basis, phi.images[sym])
+                if decompose(tree, lhs) != decompose(tree, rhs):
                     return _fail(f"tree decompositions differ for t={t} symbol {sym}")
                 checked += 1
     return True, f"closed-form and conjugation images agree in the tree basis ({checked} cases)"

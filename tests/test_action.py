@@ -1,18 +1,121 @@
 import random
+from math import prod
 
 import pytest
 
-from monodromy.action import (Automorphism, act_geometric, act_letter,
-                              act_two_groups, act_word, algebraic_basis,
-                              algebraic_symbol_index, compose,
-                              identity_automorphism, image_as_word,
-                              invert_signed, telescope_decompose,
-                              telescope_recompose, tree_basis)
-from monodromy.fibre import build_fibre_graph, decompose_word
-from monodromy.groups import make_cyclic, make_dihedral, make_symmetric
-from monodromy.words import (Letter, commutator, conjugate, free_reduce, invert,
-                             is_in_kernel, multiply, random_kernel_word,
-                             random_word, reduce_word, single)
+from monodromy.action import (Automorphism, act_letter, act_word,
+                              algebraic_basis, commutator_walker, decompose,
+                              invert_signed, recompose, tree_basis)
+from monodromy.fibre import build_fibre_graph, cotree_walker
+from monodromy.groups import (make_cyclic, make_dihedral, make_symmetric,
+                              parse_group_spec)
+from monodromy.words import (Letter, commutator, conjugate, empty_word,
+                             free_reduce, invert, is_in_kernel, multiply,
+                             random_kernel_word, random_word, reduce_word,
+                             single)
+
+# -- oracles --------------------------------------------------------------
+# Independent checks of the letter walk in the commutator basis: the
+# closed-form action of one letter, the per-letter `compose` fold, and the
+# telescope over the running prefix products.
+
+
+def algebraic_symbol_index(G, H, i, j):
+    return (i - 1) * (H.order - 1) + (j - 1)
+
+
+def identity_automorphism(basis):
+    return Automorphism(basis, tuple(((k, 1),) for k in range(basis.rank)))
+
+
+def apply(f, word):
+    """f applied to a signed symbol word: substitute each image, then reduce."""
+    return free_reduce(s for sym, sign in word
+                       for s in (f.images[sym] if sign == 1 else invert_signed(f.images[sym])))
+
+
+def compose(f, g):
+    """(f o g): substitute f's images into g's."""
+    if f.basis != g.basis:
+        raise ValueError("automorphisms over different bases")
+    return Automorphism(f.basis, tuple(apply(f, img) for img in g.images))
+
+
+def act_two_groups(t, basis):
+    """Closed-form action of a single letter on the commutator basis.
+
+    g_k . [g_i, h_j] = [g_k g_i, h_j] [h_j, g_k]
+    h_k . [g_i, h_j] = [h_k, g_i] [g_i, h_k h_j]
+    with commutators hitting the identity dropped.
+    """
+    G, H = basis.groups
+    if t.elem == 0:
+        return identity_automorphism(basis)
+    k = t.elem
+    images = []
+    for i in range(1, G.order):
+        for j in range(1, H.order):
+            seq = []
+            if t.factor == 0:
+                gi = G.op(k, i)
+                if gi != 0:
+                    seq.append((algebraic_symbol_index(G, H, gi, j), 1))
+                seq.append((algebraic_symbol_index(G, H, k, j), -1))
+            else:
+                seq.append((algebraic_symbol_index(G, H, i, k), -1))
+                hj = H.op(k, j)
+                if hj != 0:
+                    seq.append((algebraic_symbol_index(G, H, i, hj), 1))
+            images.append(free_reduce(seq))
+    return Automorphism(basis, tuple(images))
+
+
+def closed_form_fold(w, basis):
+    """The closed-form letter actions folded left to right."""
+    phi = identity_automorphism(basis)
+    for lt in w.letters:
+        phi = compose(phi, act_two_groups(lt, basis))
+    return phi
+
+
+def telescope_decompose(w):
+    """A two-factor kernel word, alternating, as signed (i, j, sign) commutators.
+
+    Each new letter contributes the commutator of the two running prefix
+    products; factors touching the identity are dropped.  Right only on
+    alternating words.
+    """
+    if not is_in_kernel(w):
+        raise ValueError("word is not in the kernel of the projection")
+    G, H = w.groups
+    p = q = 0  # running prefix products in G and H
+    raw = []
+    for lt in w.letters:
+        if lt.factor == 0:
+            p = G.op(p, lt.elem)
+            raw.append(((p, q), -1))  # [q, p_new] = [g,h]^-1 with g = p_new
+        else:
+            q = H.op(q, lt.elem)
+            raw.append(((p, q), 1))   # [p, q_new]
+    kept = (((i, j), sign) for (i, j), sign in raw if i and j)
+    return tuple((i, j, sign) for (i, j), sign in free_reduce(kept))
+
+
+def telescope_recompose(basis, decomposition):
+    """Multiply the commutator witnesses back together."""
+    G, H = basis.groups
+    acc = empty_word(basis.groups)
+    for i, j, sign in decomposition:
+        wit = basis.witnesses[algebraic_symbol_index(G, H, i, j)]
+        acc = multiply(acc, wit if sign == 1 else invert(wit))
+    return acc
+
+
+def telescope_symbols(G, H, decomposition):
+    return tuple((algebraic_symbol_index(G, H, i, j), sign) for i, j, sign in decomposition)
+
+
+# -- tests ------------------------------------------------------------------
 
 
 def test_free_reduce_signed():
@@ -58,18 +161,23 @@ def test_telescope_roundtrip_random():
         for _ in range(300):
             w = random_kernel_word(rng, groups)
             assert telescope_recompose(basis, telescope_decompose(w)) == w
+            assert recompose(basis, decompose(basis, w)) == w
+            assert decompose(basis, w) == telescope_symbols(*groups, telescope_decompose(w))
 
 
 def test_telescope_on_commutator_is_single_symbol():
     groups = (make_cyclic(3), make_cyclic(4))
     w = commutator(single(groups, 0, 2), single(groups, 1, 3))
     assert telescope_decompose(w) == ((2, 3, 1),)
+    assert decompose(algebraic_basis(groups), w) == ((algebraic_symbol_index(*groups, 2, 3), 1),)
 
 
 def test_telescope_rejects_non_kernel():
     groups = (make_cyclic(2), make_cyclic(3))
     with pytest.raises(ValueError):
         telescope_decompose(single(groups, 0, 1))
+    with pytest.raises(ValueError):
+        decompose(algebraic_basis(groups), single(groups, 0, 1))
 
 
 def test_closed_form_matches_conjugation():
@@ -82,9 +190,10 @@ def test_closed_form_matches_conjugation():
             for e in range(1, groups[factor].order):
                 t = Letter(factor, e)
                 phi = act_two_groups(t, basis)
+                assert act_letter(t, basis) == phi
                 tw = single(groups, factor, e)
                 for k, wit in enumerate(basis.witnesses):
-                    assert image_as_word(phi, k) == conjugate(tw, wit)
+                    assert recompose(basis, phi.images[k]) == conjugate(tw, wit)
 
 
 def test_kernel_words_act_by_inner_automorphisms():
@@ -101,25 +210,26 @@ def test_kernel_words_act_by_inner_automorphisms():
         basis = tree_basis(graph)
         for _ in range(40):
             k = random_kernel_word(rng, groups, 10)
-            assert act_word(k, basis).images == inner(decompose_word(graph, k), basis.rank)
+            assert act_word(k, basis).images == inner(decompose(basis, k), basis.rank)
     for G, H in [(make_cyclic(4), make_cyclic(3)), (make_cyclic(2), make_symmetric(3)),
                  (make_dihedral(4), make_symmetric(3))]:
         basis = algebraic_basis((G, H))
         for _ in range(40):
             k = random_kernel_word(rng, (G, H), 10)
-            d = tuple((algebraic_symbol_index(G, H, i, j), sign)
-                      for i, j, sign in telescope_decompose(k))
+            d = telescope_symbols(G, H, telescope_decompose(k))
+            assert decompose(basis, k) == d
             assert act_word(k, basis).images == inner(d, basis.rank)
 
 
 def test_identity_letter_acts_trivially():
     basis = algebraic_basis((make_cyclic(3), make_cyclic(3)))
     assert act_two_groups(Letter(0, 0), basis) == identity_automorphism(basis)
+    assert act_letter(Letter(0, 0), basis) == identity_automorphism(basis)
 
 
 def test_act_word_is_antihomomorphism_free():
-    # act_word(uv) = act_word(u) o act_word(v): by the left-to-right fold in
-    # the commutator basis, by conjugating with uv at once in the tree basis
+    # act_word(uv) = act_word(u) o act_word(v): one deck translation by uv
+    # equals the composite of the two, in either basis
     groups = (make_cyclic(3), make_cyclic(4))
     rng = random.Random(22)
     for basis in (algebraic_basis(groups), tree_basis(build_fibre_graph(groups))):
@@ -159,9 +269,9 @@ def test_tree_act_word_matches_letter_fold():
 def test_order_of_generator_action_divides_group_exponent():
     groups = (make_cyclic(2), make_cyclic(3))
     basis = algebraic_basis(groups)
-    phi = act_two_groups(Letter(0, 1), basis)
+    phi = act_letter(Letter(0, 1), basis)
     assert compose(phi, phi) == identity_automorphism(basis)
-    psi = act_two_groups(Letter(1, 1), basis)
+    psi = act_letter(Letter(1, 1), basis)
     assert compose(psi, compose(psi, psi)) == identity_automorphism(basis)
 
 
@@ -170,8 +280,8 @@ def test_inverse_letter_inverts_action():
     basis = algebraic_basis(groups)
     for factor in range(2):
         for e in range(1, groups[factor].order):
-            phi = act_two_groups(Letter(factor, e), basis)
-            inv = act_two_groups(
+            phi = act_letter(Letter(factor, e), basis)
+            inv = act_letter(
                 Letter(factor, groups[factor].inverse(e)), basis)
             assert compose(phi, inv) == identity_automorphism(basis)
 
@@ -181,9 +291,9 @@ def test_tree_basis_and_geometric_action():
     graph = build_fibre_graph(groups)
     basis = tree_basis(graph)
     assert basis.rank == 6
-    phi = act_geometric(single(groups, 0, 1), basis)
+    phi = act_word(single(groups, 0, 1), basis)
     for k, wit in enumerate(basis.witnesses):
-        assert image_as_word(phi, k) == conjugate(single(groups, 0, 1), wit)
+        assert recompose(basis, phi.images[k]) == conjugate(single(groups, 0, 1), wit)
 
 
 def test_geometric_matches_algebraic_through_words():
@@ -202,9 +312,7 @@ def test_geometric_matches_algebraic_through_words():
             w = random_kernel_word(rng, groups, 8)
             via_a = telescope_recompose(
                 alg, [(i, j, s) for (i, j, s) in _expand(phi_a, telescope_decompose(w), groups)])
-            via_g_sym = phi_g.apply(decompose_word(graph, w))
-            acc = None
-            from monodromy.words import empty_word
+            via_g_sym = apply(phi_g, decompose(geo, w))
             acc = empty_word(groups)
             for sym, sign in via_g_sym:
                 wit = geo.witnesses[sym]
@@ -215,7 +323,7 @@ def test_geometric_matches_algebraic_through_words():
 def _expand(phi, decomposition, groups):
     G, H = groups
     sym = [(algebraic_symbol_index(G, H, i, j), s) for i, j, s in decomposition]
-    out = phi.apply(tuple(sym))
+    out = apply(phi, tuple(sym))
     triples = []
     for k, s in out:
         i, j = divmod(k, H.order - 1)
@@ -234,7 +342,7 @@ def test_three_factor_geometric_action():
         t = single(groups, f, 1)
         phi = act_word(t, basis)
         for k, wit in enumerate(basis.witnesses):
-            assert image_as_word(phi, k) == conjugate(t, wit)
+            assert recompose(basis, phi.images[k]) == conjugate(t, wit)
 
 
 def test_automorphism_image_count_enforced():
@@ -253,18 +361,97 @@ def test_act_letter_dispatch():
 
 
 def test_act_geometric_matches_conjugate_then_decompose_oracle():
-    # the deck-translation action equals decomposing each conjugate g w g^-1
+    # the deck-translation action equals decomposing each conjugate g w g^-1,
+    # in the tree basis and in the commutator basis
     rng = random.Random(26)
-    for groups in [(make_cyclic(3),) * 3,
-                   (make_symmetric(3), make_cyclic(4), make_cyclic(3)),
-                   (make_cyclic(2), make_cyclic(3), make_cyclic(4)),
-                   (make_cyclic(5), make_cyclic(1), make_cyclic(4))]:
-        graph = build_fibre_graph(groups)
-        basis = tree_basis(graph)
+    bases = [tree_basis(build_fibre_graph(groups)) for groups in
+             [(make_cyclic(3),) * 3,
+              (make_symmetric(3), make_cyclic(4), make_cyclic(3)),
+              (make_cyclic(2), make_cyclic(3), make_cyclic(4)),
+              (make_cyclic(5), make_cyclic(1), make_cyclic(4))]]
+    bases += [algebraic_basis(groups) for groups in
+              [(make_cyclic(2), make_cyclic(3)), (make_dihedral(4), make_symmetric(3))]]
+    for basis in bases:
+        groups = basis.groups
         words = [reduce_word([], groups)]
         for _ in range(6):
             words.append(random_word(rng, groups, 9))
             words.append(random_kernel_word(rng, groups, 9))
         for g in words:
-            oracle = tuple(decompose_word(graph, conjugate(g, wit)) for wit in basis.witnesses)
-            assert act_geometric(g, basis).images == oracle, g
+            oracle = tuple(decompose(basis, conjugate(g, wit)) for wit in basis.witnesses)
+            assert act_word(g, basis).images == oracle, g
+
+
+# the group pairs of tests/test_intmatrix.py's dense-report differential test
+INTMATRIX_PAIRS = [(G, H) for G in parse_group_spec("C2,C3,C4,C5,C6,S3,D3,D4,D5")
+                   for H in parse_group_spec("C2,C3,C4,C7,S3,D4,D5")]
+
+
+def test_commutator_walker_matches_closed_form():
+    # every generator of every pair acts as the closed form says
+    for G, H in INTMATRIX_PAIRS:
+        basis = algebraic_basis((G, H))
+        for f in (0, 1):
+            for e in range(basis.groups[f].order):
+                t = Letter(f, e)
+                assert act_letter(t, basis) == act_two_groups(t, basis), (G, H, t)
+
+
+def test_commutator_act_word_matches_letter_fold():
+    # one deck translation per word equals the closed-form per-letter fold
+    rng = random.Random(27)
+    for groups in [(make_cyclic(2), make_cyclic(3)), (make_cyclic(4), make_cyclic(4)),
+                   (make_symmetric(3), make_dihedral(4)), (make_dihedral(5), make_cyclic(7))]:
+        basis = algebraic_basis(groups)
+        words = [reduce_word([], groups)]
+        for _ in range(15):
+            words.append(random_word(rng, groups, 12))
+            words.append(random_kernel_word(rng, groups, 12))
+        for w in words:
+            assert act_word(w, basis) == closed_form_fold(w, basis), w
+
+
+def random_letters(rng, groups, count):
+    """Unreduced letters: identity elements and same-factor neighbours allowed."""
+    out = []
+    for _ in range(count):
+        f = rng.randrange(len(groups))
+        out.append(Letter(f, rng.randrange(groups[f].order)))
+    return out
+
+
+def test_walk_of_concatenation_is_concatenation_of_walks():
+    # each letter is an identity on its own, so walk(u + v) = walk(u) + walk(v)
+    # from any state, reduced or not (the telescope oracle is right only on
+    # alternating words); the reversed inverse letters walk back and emit the
+    # inverse symbols
+    rng = random.Random(28)
+    walkers = [(groups, commutator_walker(*groups)) for groups in
+               [(make_cyclic(2), make_cyclic(3)), (make_symmetric(3), make_dihedral(4))]]
+    walkers += [(groups, cotree_walker(build_fibre_graph(groups))) for groups in
+                [(make_cyclic(3), make_cyclic(4)),
+                 (make_symmetric(3), make_cyclic(4), make_cyclic(3))]]
+    for groups, walk in walkers:
+        states = prod(G.order for G in groups)
+        for _ in range(60):
+            u = random_letters(rng, groups, rng.randrange(8))
+            v = random_letters(rng, groups, rng.randrange(8))
+            start = rng.randrange(states)
+            whole, first, second = [], [], []
+            end = walk(u + v, start, whole)
+            assert walk(v, walk(u, start, first), second) == end
+            assert whole == first + second
+            back = []
+            inverse = [Letter(lt.factor, groups[lt.factor].inverse(lt.elem)) for lt in reversed(u)]
+            assert walk(inverse, walk(u, start, []), back) == start
+            assert tuple(back) == invert_signed(tuple(first))
+
+
+def test_decompose_names_the_fault_in_the_commutator_basis():
+    groups = (make_cyclic(3), make_cyclic(4))
+    basis = algebraic_basis(groups)
+    with pytest.raises(ValueError, match="not in the kernel"):
+        decompose(basis, single(groups, 0, 1))
+    other = algebraic_basis((make_cyclic(3), make_cyclic(5)))
+    with pytest.raises(ValueError, match="different group list"):
+        decompose(other, commutator(single(groups, 0, 1), single(groups, 1, 1)))

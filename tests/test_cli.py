@@ -108,6 +108,15 @@ def test_report_wrong_arity(capsys):
     assert "two groups" in err
 
 
+def test_report_size_guard_names_the_pair(capsys):
+    # 101 * 100 = 10100 is over the 10^4 limit on |G| |H|
+    code, out, err = run(capsys, "report", "--groups", "C101,C100")
+    assert code == 2 and out == ""
+    line = err.strip()
+    assert line.startswith("error:") and "10100" in line
+    assert "101" in line and "100" in line and "10000" in line
+
+
 def test_lemma_check(capsys):
     code, out, _ = run(capsys, "lemma-check", "--groups", "C3,C4",
                        "--trials", "50", "--seed", "9")
@@ -254,6 +263,7 @@ def test_seeded_parser_fuzz(capsys, monkeypatch, tmp_path):
             out[rng.randrange(k)] = rng.choice(wrong)
         return out
 
+    began = time.perf_counter()
     for _ in range(200):
         cmd = rng.choice(commands)
         n = 2 if cmd == "report" and rng.random() < 0.8 else rng.randint(1, 3)
@@ -277,3 +287,4 @@ def test_seeded_parser_fuzz(capsys, monkeypatch, tmp_path):
         out, err = capsys.readouterr()
         assert code in (0, 1, 2), argv
         assert "Traceback" not in out + err, argv
+    assert time.perf_counter() - began < 20

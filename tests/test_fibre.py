@@ -5,9 +5,10 @@ from collections import deque
 
 import pytest
 
+from monodromy.action import decompose, tree_basis
 from monodromy.cli import main
 from monodromy.fibre import (FibreGraph, betti_one, build_fibre_graph,
-                             cycle_witness, decompose_word, rank_formula, to_dot)
+                             cycle_witness, rank_formula, to_dot)
 from monodromy.groups import (SizeLimitError, make_cyclic, make_dihedral,
                               make_symmetric)
 from monodromy.words import (commutator, free_reduce, invert, is_in_kernel,
@@ -61,7 +62,7 @@ def test_betti_matches_rank_formula_scan():
 def test_empty_word_empty_path():
     g = build_fibre_graph(cyclic_groups(2, 3))
     assert word_to_path(g, single(g.groups, 0, 0)) == []
-    assert decompose_word(g, single(g.groups, 0, 0)) == ()
+    assert decompose(tree_basis(g), single(g.groups, 0, 0)) == ()
 
 
 def test_commutator_path_is_rectangle():
@@ -77,7 +78,7 @@ def test_commutator_path_is_rectangle():
         (((0, 0), 1), -1),
     ]
     # only ((0, 1), 0), cotree edge 0, is off the tree, crossed downward
-    assert decompose_word(g, w) == loop_to_basis(g, path) == ((0, -1),)
+    assert decompose(tree_basis(g), w) == loop_to_basis(g, path) == ((0, -1),)
 
 
 def test_closed_iff_kernel_exhaustive():
@@ -85,6 +86,7 @@ def test_closed_iff_kernel_exhaustive():
     for orders in [(2, 3), (3, 4), (4, 4)]:
         groups = cyclic_groups(*orders)
         g = build_fibre_graph(groups)
+        basis = tree_basis(g)
         alphabet = [(f, e) for f in range(2) for e in range(1, orders[f])]
         for length in range(5):
             for combo in itertools.product(alphabet, repeat=length):
@@ -96,23 +98,24 @@ def test_closed_iff_kernel_exhaustive():
                 closed = tuple(state) == g.basepoint
                 assert closed == is_in_kernel(w)
                 if closed:
-                    assert decompose_word(g, w) == loop_to_basis(g, path)
+                    assert decompose(basis, w) == loop_to_basis(g, path)
                 else:
                     with pytest.raises(ValueError):
-                        decompose_word(g, w)
+                        decompose(basis, w)
                     with pytest.raises(ValueError):
                         loop_to_basis(g, path)
 
 
 def test_fundamental_cycle_decomposes_to_itself():
     g, parents = bfs_search(cyclic_groups(3, 3))
+    basis = tree_basis(g)
     for k, edge in enumerate(g.cotree):
         cycle = fundamental_cycle(parents, edge)
         assert loop_to_basis(g, cycle) == ((k, 1),)
         w = cycle_witness(g, edge)
         assert w == path_to_word(g, cycle)
         assert is_in_kernel(w)
-        assert decompose_word(g, w) == ((k, 1),)
+        assert decompose(basis, w) == ((k, 1),)
 
 
 def test_backtracking_loop_trivial():
@@ -120,22 +123,22 @@ def test_backtracking_loop_trivial():
     w = multiply(single(g.groups, 1, 1), invert(single(g.groups, 1, 1)))
     assert w.is_identity
     assert loop_to_basis(g, word_to_path(g, w)) == ()
-    assert decompose_word(g, w) == ()
+    assert decompose(tree_basis(g), w) == ()
 
 
 def test_decomposition_is_homomorphism():
     groups = cyclic_groups(3, 4)
-    g = build_fibre_graph(groups)
+    basis = tree_basis(build_fibre_graph(groups))
     rng = random.Random(11)
     for _ in range(1000):
         u, v = random_kernel_word(rng, groups), random_kernel_word(rng, groups)
-        du, dv = decompose_word(g, u), decompose_word(g, v)
-        assert decompose_word(g, multiply(u, v)) == free_reduce(du + dv)
+        du, dv = decompose(basis, u), decompose(basis, v)
+        assert decompose(basis, multiply(u, v)) == free_reduce(du + dv)
 
 
 def test_decomposition_well_defined_on_elements():
     groups = cyclic_groups(3, 4)
-    g = build_fibre_graph(groups)
+    basis = tree_basis(build_fibre_graph(groups))
     rng = random.Random(12)
     for _ in range(100):
         u = random_kernel_word(rng, groups)
@@ -146,17 +149,17 @@ def test_decomposition_well_defined_on_elements():
         raw = raw[:1] + [(f, e), (f, groups[f].inverse(e))] + raw[1:]
         v = reduce_word(raw, groups)
         assert v == u
-        assert decompose_word(g, v) == decompose_word(g, u)
+        assert decompose(basis, v) == decompose(basis, u)
 
 
 def test_composition_decomposition_example():
     # [x1, x2^2] * [x1, x2]^-1 decomposes as the reduced concatenation
     groups = cyclic_groups(2, 3)
-    g = build_fibre_graph(groups)
+    basis = tree_basis(build_fibre_graph(groups))
     a = commutator(single(groups, 0, 1), single(groups, 1, 2))
     b = invert(commutator(single(groups, 0, 1), single(groups, 1, 1)))
-    da, db = decompose_word(g, a), decompose_word(g, b)
-    combined = decompose_word(g, multiply(a, b))
+    da, db = decompose(basis, a), decompose(basis, b)
+    combined = decompose(basis, multiply(a, b))
     assert combined == tuple(list(da) + list(db)) or len(combined) <= len(da) + len(db)
 
 
@@ -335,11 +338,11 @@ def test_closed_form_witnesses_match_walking_oracle():
     # the edge's position k in the oracle's cotree
     for groups in differential_group_lists():
         g, parents = bfs_search(groups)
-        closed = build_fibre_graph(groups)
+        closed = tree_basis(build_fibre_graph(groups))  # cycle_witness of each cotree edge
         for k, edge in enumerate(g.cotree):
-            w = cycle_witness(closed, edge)
+            w = closed.witnesses[k]
             assert w == path_to_word(g, fundamental_cycle(parents, edge)), edge
-            assert decompose_word(closed, w) == ((k, 1),), edge
+            assert decompose(closed, w) == ((k, 1),), edge
 
 
 def test_decompose_word_matches_walking_oracle():
@@ -350,22 +353,24 @@ def test_decompose_word_matches_walking_oracle():
     rng = random.Random(14)
     for groups in lists:
         g = build_fibre_graph(groups)
+        basis = tree_basis(g)
         for _ in range(100):
             w = random_kernel_word(rng, groups, 14)
-            assert decompose_word(g, w) == loop_to_basis(g, word_to_path(g, w)), w
+            assert decompose(basis, w) == loop_to_basis(g, word_to_path(g, w)), w
 
 
 def test_witnesses_recompose_decomposition():
-    # multiplying the witnesses along decompose_word(w) gives back w
+    # multiplying the witnesses along decompose(w) gives back w
     rng = random.Random(15)
     for groups in [cyclic_groups(3, 4), cyclic_groups(3, 2, 2),
                    (make_symmetric(3), make_cyclic(4), make_cyclic(3))]:
         g = build_fibre_graph(groups)
+        basis = tree_basis(g)
         witnesses = [cycle_witness(g, edge) for edge in g.cotree]
         for _ in range(100):
             w = random_kernel_word(rng, groups, 14)
             acc = reduce_word([], groups)
-            for k, sign in decompose_word(g, w):
+            for k, sign in decompose(basis, w):
                 acc = multiply(acc, witnesses[k] if sign == 1 else invert(witnesses[k]))
             assert acc == w
 
@@ -428,9 +433,9 @@ def test_closed_form_graph_keeps_cli_output(capsys, monkeypatch):
 
 def test_decompose_word_names_the_fault():
     groups = cyclic_groups(3, 4)
-    g = build_fibre_graph(groups)
+    basis = tree_basis(build_fibre_graph(groups))
     with pytest.raises(ValueError, match="not in the kernel"):
-        decompose_word(g, single(groups, 0, 1))
-    other = build_fibre_graph(cyclic_groups(3, 5))
+        decompose(basis, single(groups, 0, 1))
+    other = tree_basis(build_fibre_graph(cyclic_groups(3, 5)))
     with pytest.raises(ValueError, match="different group list"):
-        decompose_word(other, commutator(single(groups, 0, 1), single(groups, 1, 1)))
+        decompose(other, commutator(single(groups, 0, 1), single(groups, 1, 1)))

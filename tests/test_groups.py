@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -175,3 +176,58 @@ def test_non_associative_table_rejected():
     table[1][1], table[1][3] = table[1][3], table[1][1]
     with pytest.raises(GroupValidationError, match="associativity"):
         FiniteGroup(5, tuple(tuple(r) for r in table), tuple("eabcd"))
+
+
+def test_non_associative_table_above_order_256_rejected():
+    # C257 with two entries of row 1 swapped: associativity is checked at
+    # every order, here over the one greedy generator 1
+    m = 257
+    table = [[(a + b) % m for b in range(m)] for a in range(m)]
+    table[1][1], table[1][3] = table[1][3], table[1][1]
+    with pytest.raises(GroupValidationError, match="associativity"):
+        FiniteGroup(m, tuple(tuple(r) for r in table), tuple(map(str, range(m))))
+
+
+def test_table_needing_too_many_generators_rejected():
+    # 1 and 2 are their own inverses but (1 2) 2 = 0 != 1 = 1 (2 2); greedy
+    # generation from 0 reaches {0, 1} with 1, then needs 2 as well, while in
+    # a group of order 3 each generator at least doubles what is reached
+    table = ((0, 1, 2), (1, 0, 2), (2, 2, 0))
+    with pytest.raises(GroupValidationError, match="associativity fails: order 3 needs 2"):
+        FiniteGroup(3, table, ("e", "a", "b"))
+
+
+def cubic_associative(table):
+    """The exhaustive oracle: every triple."""
+    m = len(table)
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in range(m) for b in range(m) for c in range(m))
+
+
+def test_light_test_matches_cubic_check():
+    # relabelled groups stay associative; two swapped entries of one row
+    # mostly break it; the verdicts agree wherever the table reaches the check
+    rng = random.Random(31)
+    bases = [make_cyclic(n) for n in range(2, 13)] + [make_dihedral(n) for n in range(2, 7)]
+    bases.append(make_symmetric(3))
+    reached = 0
+    for _ in range(300):
+        G = rng.choice(bases)
+        m = G.order
+        perm = [0] + rng.sample(range(1, m), m - 1)
+        back = {p: i for i, p in enumerate(perm)}
+        table = [[back[G.table[perm[a]][perm[b]]] for b in range(m)] for a in range(m)]
+        if m > 2 and rng.random() < 0.8:
+            r = rng.randrange(1, m)
+            c1, c2 = rng.sample(range(1, m), 2)
+            table[r][c1], table[r][c2] = table[r][c2], table[r][c1]
+        try:
+            FiniteGroup(m, tuple(map(tuple, table)), tuple(map(str, range(m))))
+        except GroupValidationError as exc:
+            if "associativity" in str(exc):
+                reached += 1
+                assert not cubic_associative(table)
+            continue
+        reached += 1
+        assert cubic_associative(table)
+    assert reached > 200

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from monodromy.action import (act_geometric, act_word, algebraic_basis, compose,
-                              tree_basis)
+from monodromy.action import (Automorphism, act_word, algebraic_basis,
+                              invert_signed, tree_basis)
 from monodromy.fibre import build_fibre_graph, rank_formula
 from monodromy.groups import (S3_CLASSIC_ORDER, SizeLimitError, make_cyclic,
                               make_symmetric, parse_group_spec)
@@ -11,7 +11,8 @@ from monodromy.intmatrix import (IntMatrix, abelianize, bareiss_det,
                                  cyclic_closed_form, matrix_of_letter,
                                  representation_report, smith_normal_form,
                                  sparse_rank_torsion)
-from monodromy.words import Letter, multiply, random_kernel_word, reduce_word, single
+from monodromy.words import (Letter, free_reduce, multiply, random_kernel_word,
+                             reduce_word, single)
 
 
 def rand_matrix(rng, rows, cols, bound=9):
@@ -239,6 +240,14 @@ def test_sparse_rank_torsion_non_unit_blocks():
     assert sparse_rank_torsion([{}, {3: 0}]) == (0, [])
 
 
+def compose(f, g):
+    """(f o g): substitute f's images into g's (the oracle of tests/test_action.py)."""
+    def apply(img):
+        return free_reduce(s for sym, sign in img
+                           for s in (f.images[sym] if sign == 1 else invert_signed(f.images[sym])))
+    return Automorphism(f.basis, tuple(apply(img) for img in g.images))
+
+
 def test_abelianize_functorial():
     groups = (make_cyclic(3), make_cyclic(4))
     basis = algebraic_basis(groups)
@@ -312,9 +321,9 @@ def test_degenerate_pair_generators_both_act_as_negation():
     groups = (make_cyclic(2), make_cyclic(2))
     basis = tree_basis(build_fibre_graph(groups))
     x1, x2 = single(groups, 0, 1), single(groups, 1, 1)
-    assert abelianize(act_geometric(x1, basis)) == minus_one
-    assert abelianize(act_geometric(x2, basis)) == minus_one
-    assert abelianize(act_geometric(multiply(x1, x2), basis)) == one
+    assert abelianize(act_word(x1, basis)) == minus_one
+    assert abelianize(act_word(x2, basis)) == minus_one
+    assert abelianize(act_word(multiply(x1, x2), basis)) == one
 
 
 def test_representation_report_rejects_trivial_factor():
