@@ -25,14 +25,10 @@ from typing import Sequence
 from .fibre import FibreGraph, Walker, cotree_walker, cycle_witness
 from .groups import FiniteGroup
 from .words import (Letter, Word, commutator, empty_word, free_reduce, invert,
-                    is_in_kernel, multiply, single)
+                    invert_signed, is_in_kernel, multiply, single)
 
 # A signed symbol word: ((symbol_index, +1|-1), ...)
 SymbolWord = tuple[tuple[int, int], ...]
-
-
-def invert_signed(seq: SymbolWord) -> SymbolWord:
-    return tuple((sym, -sign) for sym, sign in reversed(seq))
 
 
 @dataclass(frozen=True)
@@ -87,15 +83,16 @@ def commutator_walker(G: FiniteGroup, H: FiniteGroup) -> Walker:
     [g_p, h_q] unless p = 0, then [g_p', h_q]^-1 unless p' = 0; the symbol
     w[i,j] has index (i - 1)(|H| - 1) + j - 1.
     """
-    n = H.order
+    # a Word's letters are valid elements, so the walk reads the tables unchecked
+    n, g_table, h_table = H.order, G.table, H.table
 
     def walk(letters: Sequence[Letter], index: int, out: list) -> int:
         p, q = divmod(index, n)
         for lt in letters:
             if lt.factor:
-                q = H.op(q, lt.elem)
+                q = h_table[q][lt.elem]
                 continue
-            r = G.op(p, lt.elem)
+            r = g_table[p][lt.elem]
             if q:
                 if p:
                     out.append(((p - 1) * (n - 1) + q - 1, 1))

@@ -109,12 +109,7 @@ def cmd_report(args):
         print("report needs exactly two groups", file=sys.stderr)
         return 2
     rep = representation_report(groups[0], groups[1], seed=args.seed)
-    if args.format == "json":
-        rep["schema"] = SCHEMA
-        print(json.dumps(rep, indent=2, sort_keys=True))
-    else:
-        for key, value in rep.items():
-            print(f"{key}: {value}")
+    _emit(args, rep, "\n".join(f"{key}: {value}" for key, value in rep.items()))
     checks = ("cross_factor_commute", "faithful", "non_ia_certificate",
               "kernel_words_act_trivially")
     return 0 if all(rep[k] for k in checks) else 1
@@ -129,9 +124,12 @@ def cmd_lemma_check(args):
     trials, depth = args.trials, min(args.depth, 5)
     delta, expansion, magnus = lemma_suite(_groups(args), random.Random(args.seed),
                                            trials, depth)
-    print(f"delta-identity: {delta}/{trials}")
-    print(f"product-expansion: {expansion}/{trials}")
-    print(f"magnus-weights (k<= {depth}): {magnus}/{depth}")
+    payload = {"delta_identity": {"passed": delta, "total": trials},
+               "product_expansion": {"passed": expansion, "total": trials},
+               "magnus_weights": {"passed": magnus, "total": depth}}
+    _emit(args, payload, f"delta-identity: {delta}/{trials}\n"
+                         f"product-expansion: {expansion}/{trials}\n"
+                         f"magnus-weights (k<= {depth}): {magnus}/{depth}")
     return 0 if (delta, expansion, magnus) == (trials, trials, depth) else 1
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .groups import FiniteGroup
 from .words import (Word, commutator as group_commutator, conjugate, free_reduce,
-                    multiply, random_word)
+                    invert_signed, multiply, random_word)
 
 # A free-letter word: ((symbol, +1|-1), ...), freely reduced.
 FreeLetterWord = tuple[tuple[str, int], ...]
@@ -32,12 +32,8 @@ def fl_mul(*ws: FreeLetterWord) -> FreeLetterWord:
     return free_reduce([p for w in ws for p in w])
 
 
-def fl_inv(w: FreeLetterWord) -> FreeLetterWord:
-    return tuple((s, -sg) for s, sg in reversed(w))
-
-
 def fl_commutator(a: FreeLetterWord, b: FreeLetterWord) -> FreeLetterWord:
-    return fl_mul(a, b, fl_inv(a), fl_inv(b))
+    return fl_mul(a, b, invert_signed(a), invert_signed(b))
 
 
 def iterated_commutator(ws: Sequence[FreeLetterWord]) -> FreeLetterWord:

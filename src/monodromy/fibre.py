@@ -148,8 +148,9 @@ def cotree_walker(g: FibreGraph) -> Walker:
     otherwise it crosses one cotree chain, whose edges have the consecutive
     indices base + p: upward over p = a..b-1, downward over p = a-1..b.
     """
-    groups = g.groups
-    orders = [G.order for G in groups]
+    # a Word's letters are valid elements, so the walk reads the tables unchecked
+    tables = [G.table for G in g.groups]
+    orders = [G.order for G in g.groups]
     # T_i = prod_{k>i} m_k, and off_i = the cotree edges of coordinates < i
     n = len(orders)
     tails = place_values(orders)
@@ -161,7 +162,7 @@ def cotree_walker(g: FibreGraph) -> Walker:
             i = lt.factor
             tail, m = tails[i], orders[i]
             a = (index // tail) % m
-            b = groups[i].op(a, lt.elem)
+            b = tables[i][a][lt.elem]
             index += (b - a) * tail
             t = index % tail  # the coordinates after i; is_tree_edge, inlined
             if t:

@@ -85,11 +85,12 @@ class FiniteGroup:
             if self.table[0][a] != a or self.table[a][0] != a:
                 raise GroupValidationError("identity: index 0 is not a two-sided unit")
         inverses = []
-        for a in range(m):
-            invs = [b for b in range(m) if self.table[a][b] == 0 and self.table[b][a] == 0]
-            if len(invs) != 1:
+        for a, row in enumerate(self.table):
+            # the one right inverse, which must be a left inverse too
+            b = row.index(0) if row.count(0) == 1 else None
+            if b is None or self.table[b][a] != 0:
                 raise GroupValidationError(f"inverse: element {a} lacks a unique two-sided inverse")
-            inverses.append(invs[0])
+            inverses.append(b)
         object.__setattr__(self, "inverses", tuple(inverses))
         self._check_associativity()
 

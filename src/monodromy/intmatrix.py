@@ -236,17 +236,16 @@ def smith_normal_form(M: IntMatrix) -> tuple[list[int], int]:
 
 
 def _eliminate_units(columns: Sequence[dict[int, int]]):
-    """Pivot on unit entries of sparse columns, cheapest Markowitz cost first.
+    """Pivot on unit entries of sparse columns, sparsest column first.
 
-    Each column maps row index -> entry.  The cost of a +-1 entry is
-    (column nonzeros - 1) * (row nonzeros - 1).  Each pivot (i, j, p) is a
-    unimodular Schur-complement step: column operations clear row i outside
-    column j, then row i and column j leave the matrix.  Returns the pivots
-    in order and the leftover nonzero columns {j: {row: entry}}, none of
-    which has a unit entry.
+    Each column maps row index -> entry.  A pass visits the live columns in
+    order of nonzero count, and in each one pivots on the +-1 entry whose
+    row has the fewest nonzeros.  Each pivot (i, j, p) is a unimodular
+    Schur-complement step: column operations clear row i outside column j,
+    then row i and column j leave the matrix.  Passes repeat until no
+    column has a unit entry.  Returns the pivots in order and the leftover
+    nonzero columns {j: {row: entry}}, none of which has a unit entry.
     """
-    from heapq import heappop, heappush  # local: keeps heapq out of package import
-
     cols: dict[int, dict[int, int]] = {}
     rows: dict[int, set[int]] = {}
     for j, column in enumerate(columns):
@@ -256,51 +255,36 @@ def _eliminate_units(columns: Sequence[dict[int, int]]):
             for i in col:
                 rows.setdefault(i, set()).add(j)
 
-    heap: list[tuple[int, int, int]] = []
-
-    def push(i, j):
-        if cols[j][i] in (1, -1):
-            heappush(heap, ((len(cols[j]) - 1) * (len(rows[i]) - 1), i, j))
-
-    for j, col in cols.items():
-        for i in col:
-            push(i, j)
-
     pivots: list[tuple[int, int, int]] = []
-    while heap:
-        cost, i, j = heappop(heap)
-        pivot = cols.get(j)
-        if pivot is None or pivot.get(i) not in (1, -1) \
-                or cost != (len(pivot) - 1) * (len(rows[i]) - 1):
-            continue  # stale: the entry changed after it was queued
-        del cols[j]
-        for r in pivot:
-            rows[r].discard(j)
-        p = pivot.pop(i)
-        touched = rows.pop(i)
-        for k in touched:
-            # col_k -= (a_ik / p) col_j clears row i; 1/p == p for a unit
-            col = cols[k]
-            f = col.pop(i) * p
-            for r, v in pivot.items():
-                new = col.get(r, 0) - f * v
-                if new:
-                    col[r] = new
-                    rows[r].add(k)
-                else:
-                    del col[r]
-                    rows[r].discard(k)
-            if not col:
-                del cols[k]
-        pivots.append((i, j, p))
-        # requeue the entries whose row or column count changed
-        for k in touched:
-            for r in cols.get(k, ()):
-                push(r, k)
-        for r in pivot:
-            for k in rows[r]:
-                push(r, k)
-    return pivots, cols
+    while True:
+        before = len(pivots)
+        for j in sorted(cols, key=lambda j: len(cols[j])):
+            pivot = cols.get(j)  # None once an earlier pivot of this pass emptied it
+            units = [i for i, v in pivot.items() if v in (1, -1)] if pivot else ()
+            if not units:
+                continue
+            i = min(units, key=lambda i: len(rows[i]))
+            del cols[j]
+            for r in pivot:
+                rows[r].discard(j)
+            p = pivot.pop(i)
+            for k in rows.pop(i):
+                # col_k -= (a_ik / p) col_j clears row i; 1/p == p for a unit
+                col = cols[k]
+                f = col.pop(i) * p
+                for r, v in pivot.items():
+                    new = col.get(r, 0) - f * v
+                    if new:
+                        col[r] = new
+                        rows[r].add(k)
+                    else:
+                        del col[r]
+                        rows[r].discard(k)
+                if not col:
+                    del cols[k]
+            pivots.append((i, j, p))
+        if len(pivots) == before:
+            return pivots, cols
 
 
 def sparse_rank_torsion(columns: Sequence[dict[int, int]]) -> tuple[int, list[int]]:

@@ -103,6 +103,11 @@ def free_reduce(seq: Iterable[tuple[object, int]]) -> tuple:
     return tuple(out)
 
 
+def invert_signed(seq: Sequence[tuple[object, int]]) -> tuple:
+    """The inverse of a signed symbol word: reversed, each sign flipped."""
+    return tuple((sym, -sign) for sym, sign in reversed(seq))
+
+
 def multiply(w1: Word, w2: Word) -> Word:
     _check_same_groups(w1, w2)
     raw = [(lt.factor, lt.elem) for lt in w1.letters + w2.letters]

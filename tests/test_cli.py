@@ -288,3 +288,16 @@ def test_seeded_parser_fuzz(capsys, monkeypatch, tmp_path):
         assert code in (0, 1, 2), argv
         assert "Traceback" not in out + err, argv
     assert time.perf_counter() - began < 20
+
+
+def test_lemma_check_json(capsys):
+    argv = ["lemma-check", "--groups", "C3,C4", "--trials", "20", "--depth", "3", "--seed", "9"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"delta_identity": {"passed": 20, "total": 20},
+                               "product_expansion": {"passed": 20, "total": 20},
+                               "magnus_weights": {"passed": 3, "total": 3},
+                               "schema": 1}
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, "delta-identity: 20/20\nproduct-expansion: 20/20\n"
+                              "magnus-weights (k<= 3): 3/3\n")

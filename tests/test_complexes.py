@@ -290,3 +290,13 @@ def test_cell_cap_is_checked_before_building():
     with pytest.raises(SizeLimitError, match=f"cell count {count} exceeds cap"):
         build_complex(groups, K, cap=count - 1)
     assert sum(build_complex(groups, K, cap=count).counts) == count
+
+
+def test_h1_with_squares_at_scale_matches_bbcg():
+    # squares on every edge of K, so d2 has thousands of columns to eliminate
+    path = SimplicialComplex(6, tuple(frozenset({v, v + 1}) for v in range(1, 6)))
+    cx = build_complex(cyclic(*[4] * 6), path)
+    assert h1(cx) == (bbcg_b1([4] * 6, path), []) == (2817, [])
+    skeleton = SimplicialComplex(6, tuple(map(frozenset, itertools.combinations(range(1, 7), 2))))
+    cx = build_complex(cyclic(*[3] * 6), skeleton)
+    assert h1(cx) == (bbcg_b1([3] * 6, skeleton), []) == (0, [])

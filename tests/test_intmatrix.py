@@ -7,7 +7,7 @@ from monodromy.action import (Automorphism, act_word, algebraic_basis,
 from monodromy.fibre import build_fibre_graph, rank_formula
 from monodromy.groups import (S3_CLASSIC_ORDER, SizeLimitError, make_cyclic,
                               make_symmetric, parse_group_spec)
-from monodromy.intmatrix import (IntMatrix, abelianize, bareiss_det,
+from monodromy.intmatrix import (IntMatrix, _eliminate_units, abelianize, bareiss_det,
                                  cyclic_closed_form, matrix_of_letter,
                                  representation_report, smith_normal_form,
                                  sparse_rank_torsion)
@@ -135,6 +135,23 @@ def test_det_of_report_generators_matches_bareiss_oracle():
                 assert m.det() == bareiss_det(m.entries) in (1, -1)
 
 
+def test_det_multiplicative_on_rank_833_tree_basis():
+    # det M(w) = prod det M(t) over the letters t of w, at C8^3 (rank 833)
+    groups = tuple(make_cyclic(8) for _ in range(3))
+    basis = tree_basis(build_fibre_graph(groups))
+    assert basis.rank == 833
+    letter_dets = {}
+    rng = random.Random(44)
+    for _ in range(3):
+        w = reduce_word([(rng.randrange(3), rng.randrange(1, 8)) for _ in range(6)], groups)
+        want = 1
+        for t in w.letters:
+            if t not in letter_dets:
+                letter_dets[t] = matrix_of_letter(t, basis).det()
+            want *= letter_dets[t]
+        assert abelianize(act_word(w, basis)).det() == want in (1, -1)
+
+
 def test_rank_examples():
     assert IntMatrix([[0, 0], [0, 0]]).rank() == 0
     assert IntMatrix([[1, 2], [2, 4]]).rank() == 1
@@ -224,6 +241,9 @@ def test_sparse_rank_torsion_matches_dense():
         density = rng.choice((0.0, 0.3, 0.6, 1.0))
         m = sparse_random(rng, rows, cols, density, rng.choice((1, 2, 6)))
         assert sparse_rank_torsion(as_columns(m)) == dense_rank_torsion(m)
+        # the elimination's contract: no zero and no unit entry is left over
+        _, left = _eliminate_units(as_columns(m))
+        assert all(v not in (-1, 0, 1) for col in left.values() for v in col.values())
 
 
 def test_sparse_rank_torsion_non_unit_blocks():
