@@ -20,6 +20,7 @@ P is the walk of g.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .fibre import FibreGraph, Walker, cotree_walker, cycle_witness
@@ -50,13 +51,22 @@ class Basis:
 
     def walker(self) -> Walker:
         """The letter walk of this basis, from any state."""
+        return self._walker
+
+    @cached_property
+    def _walker(self) -> Walker:
         if self.kind == "tree":
             return cotree_walker(self.graph)
         return commutator_walker(*self.groups)
 
+    @cached_property
+    def _tokens(self) -> dict[int, tuple[str, ...]]:
+        """The printed token of each symbol, by sign."""
+        return {1: self.symbols, -1: tuple(s + "^-1" for s in self.symbols)}
+
     def format_image(self, image: SymbolWord) -> str:
-        return "*".join(self.symbols[sym] + ("" if sign == 1 else "^-1")
-                        for sym, sign in image) or "e"
+        tokens = self._tokens
+        return "*".join([tokens[sign][sym] for sym, sign in image]) or "e"
 
 
 def algebraic_basis(groups: Sequence[FiniteGroup]) -> Basis:
@@ -143,23 +153,36 @@ def act_word(w: Word, basis: Basis) -> Automorphism:
     """The action of w by conjugation, as a deck translation.
 
     w is walked once and its walk reduced to the prefix P; each witness is
-    then walked from the image of w, between P and P^-1.  A free basis
-    gives each image one reduced word, so this equals the per-letter fold
-    act(uv) = act(u) o act(v).
+    then walked from the image of w, and its reduced walk W joined to P and
+    P^-1.  All three are reduced, so symbols cancel only at the two seams,
+    unless W cancels away and P meets P^-1: only then is the join reduced
+    in full.  A free basis gives each image one reduced word, so this
+    equals the per-letter fold act(uv) = act(u) o act(v).
     """
     if w.groups != basis.groups:
         raise ValueError("word is over a different group list")
     walk = basis.walker()
-    prefix: list[tuple[int, int]] = []
-    start = walk(w.letters, 0, prefix)
-    prefix = list(free_reduce(prefix))
+    raw: list[tuple[int, int]] = []
+    start = walk(w.letters, 0, raw)
+    prefix = free_reduce(raw)
     suffix = invert_signed(prefix)
+    n = len(prefix)
     images = []
     for wit in basis.witnesses:
-        run = prefix[:]
-        walk(wit.letters, start, run)
-        run += suffix
-        images.append(free_reduce(run))
+        raw = []
+        walk(wit.letters, start, raw)
+        run = free_reduce(raw)
+        # W[k] cancels P[-1-k] when it equals (P^-1)[k]; W[-1-j] cancels
+        # (P^-1)[j] when it equals P[-1-j]
+        b, k, j = len(run), 0, 0
+        while k < b and k < n and run[k] == suffix[k]:
+            k += 1
+        while k < b - j and j < n and run[b - 1 - j] == prefix[n - 1 - j]:
+            j += 1
+        if k < b - j:
+            images.append(prefix[:n - k] + run[k:b - j] + suffix[j:])
+        else:
+            images.append(free_reduce(prefix[:n - k] + suffix[j:]))
     return Automorphism(basis, tuple(images))
 
 

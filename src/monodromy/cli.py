@@ -10,6 +10,7 @@ import argparse
 import json
 import random
 import sys
+from typing import Callable
 
 from .action import act_word, algebraic_basis, tree_basis
 from .commutators import MAX_LEMMA_TRIALS, lemma_suite
@@ -33,18 +34,19 @@ def _basis_for(groups, choice):
     return tree_basis(build_fibre_graph(groups))
 
 
-def _emit(args, payload: dict, text: str):
+def _emit(args, payload: dict, text: Callable[[], str]):
+    """Print the payload as JSON, or the text, built only in text mode."""
     if args.format == "json":
         payload["schema"] = SCHEMA
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(text)
+        print(text())
 
 
 def cmd_rank(args):
     orders = [G.order for G in _groups(args)]
     n = rank_formula(orders)
-    _emit(args, {"orders": orders, "rank": n}, str(n))
+    _emit(args, {"orders": orders, "rank": n}, lambda: str(n))
     return 0
 
 
@@ -61,20 +63,18 @@ def cmd_graph(args):
         "cotree_edges": len(g.cotree),
         "betti_one": betti_one(g),
     }
-    text = (f"vertices={payload['vertices']} edges={payload['edges']} "
-            f"betti_one={payload['betti_one']}")
-    _emit(args, payload, text)
+    _emit(args, payload, lambda: f"vertices={payload['vertices']} edges={payload['edges']} "
+                                 f"betti_one={payload['betti_one']}")
     return 0
 
 
 def cmd_basis(args):
     groups = _groups(args)
     basis = _basis_for(groups, args.basis)
-    lines = [f"{sym} = {wit}" for sym, wit in zip(basis.symbols, basis.witnesses)]
-    payload = {"kind": basis.kind,
-               "symbols": list(basis.symbols),
-               "witnesses": [str(w) for w in basis.witnesses]}
-    _emit(args, payload, "\n".join(lines))
+    witnesses = [str(w) for w in basis.witnesses]
+    payload = {"kind": basis.kind, "symbols": list(basis.symbols), "witnesses": witnesses}
+    _emit(args, payload, lambda: "\n".join(f"{sym} = {wit}"
+                                           for sym, wit in zip(basis.symbols, witnesses)))
     return 0
 
 
@@ -85,7 +85,7 @@ def cmd_act(args):
     phi = act_word(w, basis)
     images = {sym: basis.format_image(img) for sym, img in zip(basis.symbols, phi.images)}
     payload = {"basis": list(basis.symbols), "element": str(w), "images": images}
-    _emit(args, payload, "\n".join(f"{sym} -> {text}" for sym, text in images.items()))
+    _emit(args, payload, lambda: "\n".join(f"{sym} -> {text}" for sym, text in images.items()))
     return 0
 
 
@@ -99,7 +99,7 @@ def cmd_matrix(args):
                "element": str(w),
                "determinant": mat.det(),
                "entries": mat.to_lists()}
-    _emit(args, payload, mat.pretty())
+    _emit(args, payload, mat.pretty)
     return 0
 
 
@@ -109,7 +109,7 @@ def cmd_report(args):
         print("report needs exactly two groups", file=sys.stderr)
         return 2
     rep = representation_report(groups[0], groups[1], seed=args.seed)
-    _emit(args, rep, "\n".join(f"{key}: {value}" for key, value in rep.items()))
+    _emit(args, rep, lambda: "\n".join(f"{key}: {value}" for key, value in rep.items()))
     checks = ("cross_factor_commute", "faithful", "non_ia_certificate",
               "kernel_words_act_trivially")
     return 0 if all(rep[k] for k in checks) else 1
@@ -127,9 +127,9 @@ def cmd_lemma_check(args):
     payload = {"delta_identity": {"passed": delta, "total": trials},
                "product_expansion": {"passed": expansion, "total": trials},
                "magnus_weights": {"passed": magnus, "total": depth}}
-    _emit(args, payload, f"delta-identity: {delta}/{trials}\n"
-                         f"product-expansion: {expansion}/{trials}\n"
-                         f"magnus-weights (k<= {depth}): {magnus}/{depth}")
+    _emit(args, payload, lambda: f"delta-identity: {delta}/{trials}\n"
+                                 f"product-expansion: {expansion}/{trials}\n"
+                                 f"magnus-weights (k<= {depth}): {magnus}/{depth}")
     return 0 if (delta, expansion, magnus) == (trials, trials, depth) else 1
 
 
@@ -143,7 +143,7 @@ def cmd_homology(args):
     betti, torsion = h1(cx)
     payload = {"betti": betti, "torsion": torsion,
                "cells": dict(zip(("vertices", "edges", "squares"), cx.counts))}
-    _emit(args, payload, f"betti={betti} torsion={torsion or 'none'}")
+    _emit(args, payload, lambda: f"betti={betti} torsion={torsion or 'none'}")
     return 0
 
 
@@ -152,7 +152,7 @@ def cmd_verify(args):
         criteria = [{"name": name, "ok": ok, "detail": detail}
                     for name, ok, detail in run_criteria(seed=args.seed)]
         ok = all(c["ok"] for c in criteria)
-        _emit(args, {"criteria": criteria, "ok": ok}, "")
+        _emit(args, {"criteria": criteria, "ok": ok}, lambda: "")
     else:
         ok = run_all(seed=args.seed, stream=sys.stdout)
     return 0 if ok else 1

@@ -35,7 +35,7 @@ from math import prod
 from typing import Callable, Sequence
 
 from .groups import FiniteGroup, SizeLimitError, cell_cap
-from .words import Letter, Word, reduce_word
+from .words import Letter, Word, letter
 
 # An edge is (vertex, coordinate): the unit segment from `vertex` to the
 # vertex whose position at `coordinate` is one higher.
@@ -113,18 +113,22 @@ def _upper(v: tuple[int, ...], i: int) -> tuple[int, ...]:
 
 
 def cycle_witness(g: FibreGraph, edge: Edge) -> Word:
-    """Kernel word of the fundamental cycle of a cotree edge (v, i).
+    """Kernel word of the fundamental cycle of a cotree edge (v, i), in closed form.
 
     The tree path to a vertex u spells g_{u_1} ... g_{u_n}, so the cycle is
     that word for v, the edge's letter g_{v_i}^-1 g_{v_i+1}, then the word
-    for the raised vertex w inverted.
+    for the raised vertex w inverted.  Dropping identity letters leaves it
+    reduced: a cotree edge has a nonzero coordinate after i, which separates
+    the edge letter from both halves.  (A tree edge puts the edge letter
+    next to coordinate i of w, and `Word` refuses it.)
     """
     v, i = edge
     w = _upper(v, i)
-    G = g.groups[i]
-    raw = list(enumerate(v)) + [(i, G.op(G.inverse(v[i]), w[i]))]
-    raw += [(k, g.groups[k].inverse(w[k])) for k in reversed(range(len(w)))]
-    return reduce_word(raw, g.groups)
+    groups = g.groups
+    G = groups[i]
+    up = [letter(k, v[k]) for k in range(len(v)) if v[k]]
+    down = [letter(k, groups[k].inverses[w[k]]) for k in reversed(range(len(w))) if w[k]]
+    return Word(groups, (*up, letter(i, G.table[G.inverses[v[i]]][w[i]]), *down))
 
 
 def place_values(orders: Sequence[int]) -> list[int]:

@@ -66,6 +66,8 @@ class FiniteGroup:
     names: tuple[str, ...]
     # inverses[a] is the inverse of a, found once by __post_init__
     inverses: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    # a generating set, the greedy one Light's test picks in __post_init__
+    generators: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     identity = 0
 
@@ -124,6 +126,7 @@ class FiniteGroup:
                 if [col[v] for v in row] != [row[v] for v in col]:
                     y = next(y for y in range(m) if col[row[y]] != row[col[y]])
                     raise GroupValidationError(f"associativity fails at ({x},{y},{g})")
+        object.__setattr__(self, "generators", tuple(gens))
 
     def op(self, a: int, b: int) -> int:
         if not (0 <= a < self.order and 0 <= b < self.order):

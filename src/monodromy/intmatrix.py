@@ -372,11 +372,12 @@ def representation_report(G: FiniteGroup, H: FiniteGroup,
 
     H1 of the kernel is I_G (x) I_H, with w[i,j] = [g_i, h_j] at i-major
     position; g acts as A_G(g) (x) I and h as I (x) A_H(h), where A is left
-    multiplication on the augmentation ideal.  Each generator's image is
-    checked against its Kronecker column, and the certificates are read off
-    the factor matrices:
+    multiplication on the augmentation ideal.  The image of each generator
+    of either factor is checked against its Kronecker column; both sides
+    are homomorphisms, so then every element factors.  The certificates
+    are read off the factor matrices:
     - the two factors commute, by the mixed-product property, exactly when
-      every generator factors;
+      every element factors;
     - A_G(g) (x) A_H(h) = I iff A_G(g) = A_H(h) = +-I with the same sign;
     - det(A_G(g) (x) I) = det(A_G(g))^(|H|-1), and symmetrically;
     - A_G(g) (x) I = I iff A_G(g) = I.
@@ -394,13 +395,13 @@ def representation_report(G: FiniteGroup, H: FiniteGroup,
 
     # symbol (i, j) sits at i*n + j, so column (i, j) of A (x) I holds A's
     # column i at rows r*n + j, and that of I (x) B holds B's column j at i*n + r
-    kronecker = (
-        [[{r * n + j: v for r, v in col.items()} for col in cols for j in range(n)]
-         for cols in cols_g],
-        [[{i * n + r: v for r, v in col.items()} for i in range(m) for col in cols]
-         for cols in cols_h])
-    cross_commute = all(_factors(act_letter(Letter(f, e), basis), kronecker[f][e])
-                        for f in (0, 1) for e in range(1, groups[f].order))
+    def kronecker(f: int, e: int) -> list[dict[int, int]]:
+        if f == 0:
+            return [{r * n + j: v for r, v in col.items()} for col in cols_g[e] for j in range(n)]
+        return [{i * n + r: v for r, v in col.items()} for i in range(m) for col in cols_h[e]]
+
+    cross_commute = all(_factors(act_letter(Letter(f, e), basis), kronecker(f, e))
+                        for f in (0, 1) for e in groups[f].generators)
     scalars_g = [_scalar(cols) for cols in cols_g]
     scalars_h = [_scalar(cols) for cols in cols_h]
     faithful = not any((a or b) and sg and sg == sh

@@ -10,6 +10,8 @@ layer shares, and the seeded random words the checks draw from.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 import re
 from dataclasses import dataclass
@@ -22,6 +24,11 @@ from .groups import FiniteGroup
 class Letter:
     factor: int  # 0-based coordinate
     elem: int    # non-identity element index of groups[factor]
+
+
+# The one shared Letter of each (factor, elem): letters are immutable values,
+# so the words built in bulk (reductions, witnesses) reuse them
+letter = functools.cache(Letter)
 
 
 @dataclass(frozen=True)
@@ -65,7 +72,7 @@ def single(groups: Sequence[FiniteGroup], factor: int, elem: int) -> Word:
     groups = tuple(groups)
     if elem % groups[factor].order == 0:
         return Word(groups, ())
-    return Word(groups, (Letter(factor, elem),))
+    return Word(groups, (letter(factor, elem),))
 
 
 def reduce_word(raw: Iterable[tuple[int, int]], groups: Sequence[FiniteGroup]) -> Word:
@@ -79,7 +86,7 @@ def reduce_word(raw: Iterable[tuple[int, int]], groups: Sequence[FiniteGroup]) -
         if elem == 0:
             continue
         if stack and stack[-1][0] == factor:
-            merged = G.op(stack[-1][1], elem)
+            merged = G.table[stack[-1][1]][elem]  # both are checked elements
             stack.pop()
             if merged != 0:
                 # re-push; a merge can expose a new same-factor neighbour only
@@ -89,7 +96,7 @@ def reduce_word(raw: Iterable[tuple[int, int]], groups: Sequence[FiniteGroup]) -
                 stack.append((factor, merged))
         else:
             stack.append((factor, elem))
-    return Word(groups, tuple(Letter(f, e) for f, e in stack))
+    return Word(groups, tuple(itertools.starmap(letter, stack)))
 
 
 def free_reduce(seq: Iterable[tuple[object, int]]) -> tuple:
@@ -134,8 +141,8 @@ def conjugate(g: Word, w: Word) -> Word:
 def project(w: Word) -> tuple[int, ...]:
     """Image under the retraction onto the direct product, per coordinate."""
     acc = [0] * len(w.groups)
-    for lt in w.letters:
-        acc[lt.factor] = w.groups[lt.factor].op(acc[lt.factor], lt.elem)
+    for lt in w.letters:  # a Word's letters are checked elements: read the tables unchecked
+        acc[lt.factor] = w.groups[lt.factor].table[acc[lt.factor]][lt.elem]
     return tuple(acc)
 
 
@@ -175,6 +182,7 @@ def random_kernel_word(rng: random.Random, groups: Sequence[FiniteGroup],
 
 _X_TOKEN = re.compile(r"x([0-9]+)\^?(-?[0-9]+)?$")
 _NAME_TOKEN = re.compile(r"s([0-9]+):(.+)$")
+_CYCLIC_NAME = re.compile(r"x(\^-?[0-9]+)?")
 
 
 def parse_word(text: str, groups: Sequence[FiniteGroup]) -> Word:
@@ -221,7 +229,7 @@ def format_word(w: Word) -> str:
     for lt in w.letters:
         name = w.groups[lt.factor].names[lt.elem]
         cyclic_name = name.replace("x", f"x{lt.factor + 1}")
-        if re.fullmatch(r"x(\^-?[0-9]+)?", name):
+        if _CYCLIC_NAME.fullmatch(name):
             parts.append(cyclic_name)
         else:
             parts.append(f"s{lt.factor + 1}:{name}")

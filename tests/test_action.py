@@ -455,3 +455,54 @@ def test_decompose_names_the_fault_in_the_commutator_basis():
     other = algebraic_basis((make_cyclic(3), make_cyclic(5)))
     with pytest.raises(ValueError, match="different group list"):
         decompose(other, commutator(single(groups, 0, 1), single(groups, 1, 1)))
+
+
+def reduce_tagged(parts):
+    """Free reduction of the concatenated parts; each survivor keeps its part's index."""
+    out = []
+    for tag, part in enumerate(parts):
+        for sym, sign in part:
+            if out and out[-1][1] == (sym, -sign):
+                out.pop()
+            else:
+                out.append((tag, (sym, sign)))
+    return out
+
+
+def test_seam_act_word_matches_full_reduction(monkeypatch):
+    # each image is P . W . P^-1 reduced in full, with P the reduced walk of
+    # g from 0 and W the reduced walk of the witness from pi(g).  act_word
+    # cancels at the two seams only, and calls free_reduce once more exactly
+    # when no letter of W survives; random words hit both cases in each basis
+    calls = []
+    monkeypatch.setattr("monodromy.action.free_reduce",
+                        lambda seq: calls.append(None) or free_reduce(seq))
+    rng = random.Random(29)
+    bases = [tree_basis(build_fibre_graph(groups)) for groups in
+             [(make_cyclic(3),) * 3,
+              (make_symmetric(3), make_cyclic(4), make_cyclic(3)),
+              (make_cyclic(2), make_cyclic(2), make_cyclic(2), make_cyclic(3))]]
+    bases += [algebraic_basis(groups) for groups in
+              [(make_cyclic(2), make_cyclic(3)), (make_cyclic(4), make_cyclic(4)),
+               (make_dihedral(4), make_symmetric(3))]]
+    seen = {"tree": [0, 0], "algebraic-n2": [0, 0]}  # [sliced, cancelled away]
+    for basis in bases:
+        walk = basis.walker()
+        for _ in range(40):
+            g = random_word(rng, basis.groups, 12)
+            raw = []
+            start = walk(g.letters, 0, raw)
+            prefix = free_reduce(raw)
+            expected, cancelled = [], 0
+            for wit in basis.witnesses:
+                raw = []
+                walk(wit.letters, start, raw)
+                tagged = reduce_tagged([prefix, free_reduce(raw), invert_signed(prefix)])
+                expected.append(tuple(s for _, s in tagged))
+                cancelled += all(tag != 1 for tag, _ in tagged)
+            calls.clear()
+            assert act_word(g, basis).images == tuple(expected), g
+            assert len(calls) == 1 + basis.rank + cancelled, g
+            seen[basis.kind][0] += basis.rank - cancelled
+            seen[basis.kind][1] += cancelled
+    assert all(sliced and cancelled for sliced, cancelled in seen.values()), seen

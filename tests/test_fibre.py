@@ -113,7 +113,7 @@ def test_fundamental_cycle_decomposes_to_itself():
         cycle = fundamental_cycle(parents, edge)
         assert loop_to_basis(g, cycle) == ((k, 1),)
         w = cycle_witness(g, edge)
-        assert w == path_to_word(g, cycle)
+        assert w == path_to_word(g, cycle) == cycle_word(g, tree_words(g, parents), edge)
         assert is_in_kernel(w)
         assert decompose(basis, w) == ((k, 1),)
 
@@ -313,6 +313,32 @@ def path_to_word(g, path):
     return reduce_word(raw, g.groups)
 
 
+def tree_words(g, parents):
+    """The oracle's tree paths, memoized: by end vertex, the raw letters of
+    the word each path spells, and of that word's inverse."""
+    spelled, inverse = {}, {}
+    for v in g.vertices:
+        w = path_to_word(g, tree_path_to(parents, v))
+        spelled[v] = [(lt.factor, lt.elem) for lt in w.letters]
+        inverse[v] = [(lt.factor, lt.elem) for lt in invert(w).letters]
+    return spelled, inverse
+
+
+def cycle_word(g, words, edge):
+    """path_to_word of the fundamental cycle, from the memoized tree words.
+
+    The cycle is the tree path to the tail, the edge, and the tree path to
+    the head reversed.  Reducing a part of a raw letter sequence first does
+    not change its normal form, so the reduced words of the two tree paths
+    may stand in for their paths' letters.
+    """
+    spelled, inverse = words
+    u, i = edge
+    G = g.groups[i]
+    edge_letter = (i, G.op(G.inverse(u[i]), u[i] + 1))  # as path_to_word spells (edge, +1)
+    return reduce_word(spelled[u] + [edge_letter] + inverse[upper(u, i)], g.groups)
+
+
 def differential_group_lists():
     c = {m: make_cyclic(m) for m in range(1, 9)}
     lists = [[c[m] for m in orders] for n in range(1, 5)
@@ -338,10 +364,11 @@ def test_closed_form_witnesses_match_walking_oracle():
     # the edge's position k in the oracle's cotree
     for groups in differential_group_lists():
         g, parents = bfs_search(groups)
+        words = tree_words(g, parents)
         closed = tree_basis(build_fibre_graph(groups))  # cycle_witness of each cotree edge
         for k, edge in enumerate(g.cotree):
             w = closed.witnesses[k]
-            assert w == path_to_word(g, fundamental_cycle(parents, edge)), edge
+            assert w == cycle_word(g, words, edge), edge
             assert decompose(closed, w) == ((k, 1),), edge
 
 

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from monodromy.fibre import build_fibre_graph, cycle_witness
 from monodromy.groups import S3_CLASSIC_ORDER, make_cyclic, make_symmetric
 from monodromy.words import (Letter, Word, commutator, empty_word, invert,
-                             is_in_kernel, multiply, parse_word, project,
-                             random_kernel_word, random_word, reduce_word,
-                             single)
+                             is_in_kernel, letter, multiply, parse_word,
+                             project, random_kernel_word, random_word,
+                             reduce_word, single)
 
 C2C3 = (make_cyclic(2), make_cyclic(3))
 
@@ -149,3 +150,24 @@ def test_random_words_skip_trivial_factors():
         assert is_in_kernel(k)
         assert all(lt.factor != 1 for lt in k.letters + w.letters)
     assert random_kernel_word(random.Random(0), (make_cyclic(1),) * 3, 14).is_identity
+
+
+def test_reductions_and_witnesses_share_letters():
+    # one Letter object per (factor, elem), still equal to and hashed like a
+    # freshly built one
+    groups = (make_cyclic(3), make_cyclic(4), make_cyclic(2))
+    w = reduce_word([(0, 1), (1, 3), (1, 2), (2, 1), (0, 2)], groups)
+    assert [(lt.factor, lt.elem) for lt in w.letters] == [(0, 1), (1, 1), (2, 1), (0, 2)]
+    assert w.letters[1] is letter(1, 1) is reduce_word([(1, 1)], groups).letters[0]
+    g = build_fibre_graph(groups)
+    witnesses = [cycle_witness(g, edge) for edge in g.cotree]
+    shared = {}
+    for wit in witnesses:
+        for lt in wit.letters:
+            assert shared.setdefault((lt.factor, lt.elem), lt) is lt
+            assert lt is letter(lt.factor, lt.elem)
+            fresh = Letter(lt.factor, lt.elem)
+            assert fresh is not lt and fresh == lt and hash(fresh) == hash(lt)
+    assert w == Word(groups, tuple(Letter(lt.factor, lt.elem) for lt in w.letters))
+    assert {Letter(0, 1): "x"}[letter(0, 1)] == "x"
+    assert letter(0, 1) != letter(0, 2) and letter(0, 1) != letter(1, 1)
