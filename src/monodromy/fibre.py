@@ -1,30 +1,29 @@
 """The grid-graph model of the fibre and its cycle calculus, in closed form.
 
-Vertices are tuples of element indices, one per coordinate.  For each
-coordinate i the graph carries chains of unit edges joining consecutive
-positions, for every assignment of the remaining coordinates.  The
-spanning tree is the staircase from the all-zero basepoint: edge (v, i) is
-a tree edge exactly when every coordinate of v after i is 0, so the tree
-path to a vertex raises its coordinates in ascending order.  Its cotree
-edges index a fundamental cycle basis, and the staircase gives both halves
-of the calculus in closed form:
+A vertex is a mixed-radix index x over the group orders m_i, coordinate 0
+most significant, and coordinate i has step T_i = prod_{k>i} m_k.  An edge
+(x, i) joins x to x + T_i, one position higher at coordinate i.
+`FibreGraph` holds only its groups: vertices, edges, tree and counts are
+read off the orders.  The spanning tree is the staircase from the
+basepoint 0: (x, i) is a tree edge exactly when the coordinates of x after
+i are all 0 (x % T_i == 0), so the tree path to a vertex raises its
+coordinates in ascending order.  Its cotree edges index a fundamental cycle
+basis, and the staircase gives both halves of the calculus in closed form:
 
-- The witness of cotree edge (v, i), with w = v raised at i, is the reduced
-  word  prod_k s_k:g_{v_k} . s_i:(g_{v_i}^-1 g_{v_i+1}) . prod_{k desc} s_k:g_{w_k}^-1,
+- The witness of cotree edge (x, i), with v and w the coordinates of x and
+  x + T_i, is the reduced word
+  prod_k s_k:g_{v_k} . s_i:(g_{v_i}^-1 g_{v_i+1}) . prod_{k desc} s_k:g_{w_k}^-1,
   because the tree path to a vertex telescopes.
 - A word is walked letter by letter (`cotree_walker`): a letter of
-  coordinate i crosses one cotree chain, a run of consecutive indices
-  off_i + (h (T_i - 1) + t - 1)(m_i - 1) + p, unless the state's
-  coordinates after i are all 0.  Here h and t are the mixed-radix indices
-  of the coordinates before and after i, T_i = prod_{k>i} m_k, and off_i
-  counts the cotree edges of the coordinates before i.  From the basepoint
-  the walk of a kernel word is its decomposition; from any other vertex it
-  is a translate, which is how `action.act_word` reads a conjugate
-  g w g^-1 as the cycle w translated by the image of g.
+  coordinate i crosses tree edges only when the state's coordinates after
+  i are all 0, and otherwise one run of consecutive cotree indices (see
+  `grid_edges`).  From the basepoint the walk of a kernel word is its
+  decomposition; from any other vertex it is a translate, which is how
+  `action.act_word` reads a conjugate g w g^-1 as the cycle w translated
+  by the image of g.
 
-The graph is written down in closed form too.  tests/test_fibre.py keeps
-the brute-force path as the oracle: a breadth-first search and sort for
-the graph, and an edge-path walker for the witnesses and decompositions.
+tests/test_fibre.py keeps the brute-force oracles: a breadth-first search
+for the graph, and an edge-path walker for witnesses and decompositions.
 """
 
 from __future__ import annotations
@@ -32,14 +31,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .groups import FiniteGroup, SizeLimitError, cell_cap
 from .words import Letter, Word, letter
 
-# An edge is (vertex, coordinate): the unit segment from `vertex` to the
-# vertex whose position at `coordinate` is one higher.
-Edge = tuple[tuple[int, ...], int]
+# An edge is (x, i): the unit segment from the vertex with mixed-radix index x
+# to the vertex x + T_i, whose position at coordinate i is one higher.
+Edge = tuple[int, int]
 Walker = Callable[[Sequence[Letter], int, list], int]  # walk(letters, index, out) -> index
 
 
@@ -60,12 +59,13 @@ def rank_formula(orders: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class FibreGraph:
+    """The grid graph of a group list; `grid_edges` reads its edges off the orders."""
     groups: tuple[FiniteGroup, ...]
-    vertices: tuple[tuple[int, ...], ...]
-    edges: tuple[Edge, ...]
-    basepoint: tuple[int, ...]
-    tree: frozenset[Edge]
-    cotree: tuple[Edge, ...]
+
+    @property
+    def cotree(self) -> tuple[Edge, ...]:
+        """The cotree edges in basis order, listed on each access."""
+        return tuple(grid_edges([G.order for G in self.groups], cotree_only=True))
 
     @property
     def cotree_index(self) -> dict:
@@ -77,54 +77,43 @@ def build_fibre_graph(groups: Sequence[FiniteGroup], cap: int | None = None) -> 
     groups = tuple(groups)
     if not groups:
         raise ValueError("need at least one group")
-    orders = [G.order for G in groups]
-    nverts = prod(orders)
+    nverts = prod(G.order for G in groups)
     if nverts > cell_cap(cap):
         raise SizeLimitError(f"vertex count {nverts} exceeds cap")
+    return FibreGraph(groups)
 
-    edges: list[Edge] = []
-    tree: list[Edge] = []
-    cotree: list[Edge] = []
-    # edges ordered by coordinate, then the other coordinates, then position
-    for i, m in enumerate(orders):
-        if m < 2:
-            continue
-        for rest in itertools.product(*map(range, orders[:i] + orders[i + 1:])):
-            head, tail = rest[:i], rest[i:]
-            chain = [(head + (p,) + tail, i) for p in range(m - 1)]
-            edges += chain
-            if any(tail):
-                cotree += chain
-            else:
-                tree += chain
 
-    return FibreGraph(groups, tuple(itertools.product(*map(range, orders))),
-                      tuple(edges), (0,) * len(orders), frozenset(tree), tuple(cotree))
+def grid_edges(orders: Sequence[int], cotree_only: bool = False) -> Iterator[Edge]:
+    """The edges (x, i) of the grid, by coordinate i, then the coordinates
+    before i (mixed-radix index h), then those after i (t), then the position
+    p: x = (h m_i + p) T_i + t.  The tree edges are those with t = 0; with
+    `cotree_only` they are skipped, and the k-th edge is the walker's cotree
+    index k = off_i + (h (T_i - 1) + t - 1)(m_i - 1) + p."""
+    for i, (m, tail) in enumerate(zip(orders, place_values(orders))):
+        for h in range(prod(orders[:i])):
+            for t in range(1 if cotree_only else 0, tail):
+                for p in range(m - 1):
+                    yield (h * m + p) * tail + t, i
 
 
 def betti_one(g: FibreGraph) -> int:
-    if len(g.tree) != len(g.vertices) - 1:
-        raise AssertionError("spanning tree size mismatch: graph not connected")
-    return len(g.edges) - len(g.vertices) + 1
-
-
-def _upper(v: tuple[int, ...], i: int) -> tuple[int, ...]:
-    return v[:i] + (v[i] + 1,) + v[i + 1:]
+    return rank_formula([G.order for G in g.groups])
 
 
 def cycle_witness(g: FibreGraph, edge: Edge) -> Word:
-    """Kernel word of the fundamental cycle of a cotree edge (v, i), in closed form.
+    """Kernel word of the fundamental cycle of a cotree edge (x, i), in closed form.
 
-    The tree path to a vertex u spells g_{u_1} ... g_{u_n}, so the cycle is
-    that word for v, the edge's letter g_{v_i}^-1 g_{v_i+1}, then the word
-    for the raised vertex w inverted.  Dropping identity letters leaves it
-    reduced: a cotree edge has a nonzero coordinate after i, which separates
-    the edge letter from both halves.  (A tree edge puts the edge letter
-    next to coordinate i of w, and `Word` refuses it.)
+    The tree path to a vertex u spells g_{u_1} ... g_{u_n}; with v and w the
+    coordinates of x and x + T_i, the cycle is that word for v, the edge's
+    letter g_{v_i}^-1 g_{v_i+1}, then the word for w inverted.  Dropping
+    identity letters leaves it reduced: a cotree edge has a nonzero
+    coordinate after i, which separates the edge letter from both halves
+    (at a tree edge it meets coordinate i of w, and `Word` refuses it).
     """
-    v, i = edge
-    w = _upper(v, i)
+    x, i = edge
     groups = g.groups
+    tails = place_values([G.order for G in groups])
+    v, w = ([y // t % G.order for G, t in zip(groups, tails)] for y in (x, x + tails[i]))
     G = groups[i]
     up = [letter(k, v[k]) for k in range(len(v)) if v[k]]
     down = [letter(k, groups[k].inverses[w[k]]) for k in reversed(range(len(w))) if w[k]]
@@ -156,10 +145,9 @@ def cotree_walker(g: FibreGraph) -> Walker:
     tables = [G.table for G in g.groups]
     orders = [G.order for G in g.groups]
     # T_i = prod_{k>i} m_k, and off_i = the cotree edges of coordinates < i
-    n = len(orders)
     tails = place_values(orders)
     offsets = list(itertools.accumulate(
-        (prod(orders[:k]) * (tails[k] - 1) * (orders[k] - 1) for k in range(n)), initial=0))
+        (prod(orders[:k]) * (tails[k] - 1) * (m - 1) for k, m in enumerate(orders)), initial=0))
 
     def walk(letters: Sequence[Letter], index: int, out: list) -> int:
         for lt in letters:
@@ -183,17 +171,15 @@ def cotree_walker(g: FibreGraph) -> Walker:
 
 def to_dot(g: FibreGraph) -> str:
     """DOT rendering: tree edges solid, cotree edges dashed."""
-    def vid(v):
-        return '"' + ",".join(str(k) for k in v) + '"'
-
+    orders = [G.order for G in g.groups]
+    tails = place_values(orders)
+    # the id and label of each vertex, in index order
+    ids = [",".join(p) for p in itertools.product(*([str(k) for k in range(m)] for m in orders))]
+    labels = [",".join(p) for p in itertools.product(*(G.names for G in g.groups))]
     lines = ["graph fibre {"]
-    for v in g.vertices:
-        label = ",".join(g.groups[i].names[v[i]] for i in range(len(v)))
-        lines.append(f'  {vid(v)} [label="{label}"];')
-    for edge in g.edges:
-        v, i = edge
-        w = _upper(v, i)
-        style = "solid" if edge in g.tree else "dashed"
-        lines.append(f'  {vid(v)} -- {vid(w)} [style={style}];')
+    lines += [f'  "{v}" [label="{label}"];' for v, label in zip(ids, labels)]
+    for x, i in grid_edges(orders):
+        style = "dashed" if x % tails[i] else "solid"
+        lines.append(f'  "{ids[x]}" -- "{ids[x + tails[i]]}" [style={style}];')
     lines.append("}")
     return "\n".join(lines)

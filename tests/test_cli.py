@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import time
@@ -25,6 +26,15 @@ def test_rank_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload == {"orders": [2, 2, 2], "rank": 5, "schema": 1}
+
+
+def test_main_leaves_no_cyclic_garbage(capsys):
+    # the parser is built on the first call and kept, so a later call leaves
+    # nothing that only a full collection would free
+    run(capsys, "rank", "--groups", "C2,C3")
+    gc.collect()
+    assert run(capsys, "rank", "--groups", "C2,C3") == (0, "2\n", "")
+    assert gc.collect() == 0
 
 
 def test_graph_counts_and_dot(capsys):

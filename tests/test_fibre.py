@@ -1,14 +1,18 @@
 import hashlib
 import itertools
+import json
 import random
 from collections import deque
+from dataclasses import dataclass
+from math import prod
 
 import pytest
 
-from monodromy.action import decompose, tree_basis
+from monodromy.action import Basis, decompose, tree_basis
 from monodromy.cli import main
-from monodromy.fibre import (FibreGraph, betti_one, build_fibre_graph,
-                             cycle_witness, rank_formula, to_dot)
+from monodromy.fibre import (betti_one, build_fibre_graph, cycle_witness,
+                             grid_edges, is_tree_edge, place_values,
+                             rank_formula, to_dot)
 from monodromy.groups import (SizeLimitError, make_cyclic, make_dihedral,
                               make_symmetric)
 from monodromy.words import (commutator, free_reduce, invert, is_in_kernel,
@@ -29,21 +33,27 @@ def test_rank_formula_values():
         rank_formula([])
 
 
+def grid_counts(g):
+    """Vertices, edges enumerated by `grid_edges`, and cotree edges of a graph."""
+    orders = [G.order for G in g.groups]
+    return prod(orders), sum(1 for _ in grid_edges(orders)), len(g.cotree)
+
+
 def test_build_counts():
     g = build_fibre_graph(cyclic_groups(2, 2))
-    assert (len(g.vertices), len(g.edges), len(g.cotree)) == (4, 4, 1)
+    assert grid_counts(g) == (4, 4, 1)
     g = build_fibre_graph(cyclic_groups(2, 3))
-    assert (len(g.vertices), len(g.edges)) == (6, 7)
+    assert grid_counts(g)[:2] == (6, 7)
     assert betti_one(g) == 2
     g = build_fibre_graph(cyclic_groups(2, 2, 2))
-    assert (len(g.vertices), len(g.edges)) == (8, 12)
+    assert grid_counts(g)[:2] == (8, 12)
     assert betti_one(g) == 5
 
 
 def test_trivial_groups_single_vertex():
     g = build_fibre_graph(cyclic_groups(1, 1))
     assert betti_one(g) == 0
-    assert len(g.edges) == 0
+    assert grid_counts(g) == (1, 0, 0)
 
 
 def test_size_cap():
@@ -52,21 +62,23 @@ def test_size_cap():
 
 
 def test_betti_matches_rank_formula_scan():
-    # Euler-characteristic identity over a spread of orders
+    # Euler-characteristic identity over a spread of orders, on the graph
+    # found by search
     for orders in [(2,), (5,), (2, 3), (4, 4), (10, 9), (2, 3, 4), (3, 3, 3),
                    (2, 2, 2, 2), (1, 5, 2)]:
-        g = build_fibre_graph(cyclic_groups(*orders))
-        assert betti_one(g) == rank_formula(orders)
+        o = bfs_fibre_graph(cyclic_groups(*orders))
+        assert len(o.edges) - len(o.vertices) + 1 == rank_formula(orders)
+        assert betti_one(build_fibre_graph(o.groups)) == rank_formula(orders)
 
 
 def test_empty_word_empty_path():
-    g = build_fibre_graph(cyclic_groups(2, 3))
+    g = bfs_fibre_graph(cyclic_groups(2, 3))
     assert word_to_path(g, single(g.groups, 0, 0)) == []
-    assert decompose(tree_basis(g), single(g.groups, 0, 0)) == ()
+    assert decompose(closed_basis(g), single(g.groups, 0, 0)) == ()
 
 
 def test_commutator_path_is_rectangle():
-    g = build_fibre_graph(cyclic_groups(2, 3))
+    g = bfs_fibre_graph(cyclic_groups(2, 3))
     w = commutator(single(g.groups, 0, 1), single(g.groups, 1, 1))
     path = word_to_path(g, w)
     # (0,0)->(1,0)->(1,1)->(0,1)->(0,0): four unit edges
@@ -78,15 +90,15 @@ def test_commutator_path_is_rectangle():
         (((0, 0), 1), -1),
     ]
     # only ((0, 1), 0), cotree edge 0, is off the tree, crossed downward
-    assert decompose(tree_basis(g), w) == loop_to_basis(g, path) == ((0, -1),)
+    assert decompose(closed_basis(g), w) == loop_to_basis(g, path) == ((0, -1),)
 
 
 def test_closed_iff_kernel_exhaustive():
     # all alternating words of length <= 4 over pairs with orders <= 4
     for orders in [(2, 3), (3, 4), (4, 4)]:
         groups = cyclic_groups(*orders)
-        g = build_fibre_graph(groups)
-        basis = tree_basis(g)
+        g = bfs_fibre_graph(groups)
+        basis = closed_basis(g)
         alphabet = [(f, e) for f in range(2) for e in range(1, orders[f])]
         for length in range(5):
             for combo in itertools.product(alphabet, repeat=length):
@@ -108,22 +120,22 @@ def test_closed_iff_kernel_exhaustive():
 
 def test_fundamental_cycle_decomposes_to_itself():
     g, parents = bfs_search(cyclic_groups(3, 3))
-    basis = tree_basis(g)
+    basis = closed_basis(g)
     for k, edge in enumerate(g.cotree):
         cycle = fundamental_cycle(parents, edge)
         assert loop_to_basis(g, cycle) == ((k, 1),)
-        w = cycle_witness(g, edge)
+        w = cycle_witness(basis.graph, grid_edge(place_values([3, 3]), edge))
         assert w == path_to_word(g, cycle) == cycle_word(g, tree_words(g, parents), edge)
         assert is_in_kernel(w)
         assert decompose(basis, w) == ((k, 1),)
 
 
 def test_backtracking_loop_trivial():
-    g = build_fibre_graph(cyclic_groups(2, 3))
+    g = bfs_fibre_graph(cyclic_groups(2, 3))
     w = multiply(single(g.groups, 1, 1), invert(single(g.groups, 1, 1)))
     assert w.is_identity
     assert loop_to_basis(g, word_to_path(g, w)) == ()
-    assert decompose(tree_basis(g), w) == ()
+    assert decompose(closed_basis(g), w) == ()
 
 
 def test_decomposition_is_homomorphism():
@@ -165,7 +177,7 @@ def test_composition_decomposition_example():
 
 def test_path_word_roundtrip():
     groups = cyclic_groups(3, 4)
-    g = build_fibre_graph(groups)
+    g = bfs_fibre_graph(groups)
     rng = random.Random(13)
     for _ in range(100):
         w = random_kernel_word(rng, groups)
@@ -178,6 +190,18 @@ def test_dot_output():
     assert dot.startswith("graph fibre {")
     assert dot.count("--") == 4
     assert "style=dashed" in dot and "style=solid" in dot
+
+
+@dataclass(frozen=True)
+class OracleGraph:
+    """The fibre graph in the tuple encoding the integer grid replaced: vertex
+    tuples, edges ((v...), i) from v to v raised at i, and the tree as a set."""
+    groups: tuple
+    vertices: tuple
+    edges: tuple
+    basepoint: tuple
+    tree: frozenset
+    cotree: tuple
 
 
 def bfs_search(groups):
@@ -228,13 +252,41 @@ def bfs_search(groups):
         return (i, tuple(v[j] for j in range(n) if j != i), v[i])
 
     cotree = tuple(sorted(set(edges) - tree, key=edge_sort_key))
-    graph = FibreGraph(groups, tuple(vertices), tuple(sorted(edges, key=edge_sort_key)),
-                       basepoint, frozenset(tree), cotree)
+    graph = OracleGraph(groups, tuple(vertices), tuple(sorted(edges, key=edge_sort_key)),
+                        basepoint, frozenset(tree), cotree)
     return graph, parents
 
 
 def bfs_fibre_graph(groups):
     return bfs_search(groups)[0]
+
+
+def grid_edge(tails, edge):
+    """The oracle's edge (v, i) as the grid edge (x, i), with x = sum_k v_k T_k."""
+    v, i = edge
+    return sum(a * t for a, t in zip(v, tails)), i
+
+
+def closed_basis(g):
+    """The closed-form tree basis of the oracle graph's group list."""
+    return tree_basis(build_fibre_graph(g.groups))
+
+
+def oracle_dot(g):
+    """DOT rendering of the oracle graph, vertex by vertex and edge by edge."""
+    def vid(v):
+        return '"' + ",".join(str(k) for k in v) + '"'
+
+    lines = ["graph fibre {"]
+    for v in g.vertices:
+        label = ",".join(g.groups[i].names[v[i]] for i in range(len(v)))
+        lines.append(f'  {vid(v)} [label="{label}"];')
+    for edge in g.edges:
+        v, i = edge
+        style = "solid" if edge in g.tree else "dashed"
+        lines.append(f'  {vid(v)} -- {vid(upper(v, i))} [style={style}];')
+    lines.append("}")
+    return "\n".join(lines)
 
 
 # The edge-path walker: the oracle for the closed-form witnesses and
@@ -350,12 +402,25 @@ def differential_group_lists():
     return lists
 
 
-def test_closed_form_graph_matches_bfs_oracle():
+def test_closed_form_graph_matches_bfs_oracle(capsys):
     # every criterion-1 list, every list of 5 factors of order 1-3, and a
-    # few mixed and larger lists
+    # few mixed and larger lists: the closed-form counts `graph` prints, the
+    # edges in order with their tree membership, the cotree in basis order
+    # and the DOT bytes
     for groups in differential_group_lists():
         orders = [G.order for G in groups]
-        assert build_fibre_graph(groups) == bfs_fibre_graph(groups), orders
+        o, g = bfs_fibre_graph(groups), build_fibre_graph(groups)
+        code, out, _ = run_cli(capsys, "graph", "--groups", ",".join(f"C{m}" for m in orders),
+                               "--format", "json")
+        counts = json.loads(out)
+        assert code == 0 and counts["betti_one"] == counts["cotree_edges"] == betti_one(g)
+        assert (counts["vertices"], counts["edges"], counts["tree_edges"]) == (
+            len(o.vertices), len(o.edges), len(o.tree)), orders
+        tails = place_values(orders)
+        assert [(x, i, is_tree_edge(x, tails[i])) for x, i in grid_edges(orders)] == [
+            (*grid_edge(tails, e), e in o.tree) for e in o.edges], orders
+        assert g.cotree == tuple(grid_edge(tails, e) for e in o.cotree), orders
+        assert to_dot(g) == oracle_dot(o), orders
 
 
 def test_closed_form_witnesses_match_walking_oracle():
@@ -379,8 +444,8 @@ def test_decompose_word_matches_walking_oracle():
     lists += [[c[m] for m in orders] for orders in itertools.product(range(1, 4), repeat=4)]
     rng = random.Random(14)
     for groups in lists:
-        g = build_fibre_graph(groups)
-        basis = tree_basis(g)
+        g = bfs_fibre_graph(groups)
+        basis = closed_basis(g)
         for _ in range(100):
             w = random_kernel_word(rng, groups, 14)
             assert decompose(basis, w) == loop_to_basis(g, word_to_path(g, w)), w
@@ -408,7 +473,7 @@ def test_tree_path_is_a_staircase():
     # along edges of the closed-form tree
     for orders in [(3, 4), (2, 3, 4), (3, 1, 2, 3), (4, 4, 4)]:
         g, parents = bfs_search(cyclic_groups(*orders))
-        tree = build_fibre_graph(g.groups).tree
+        tails = place_values(orders)
         for v in g.vertices:
             path = tree_path_to(parents, v)
             assert all(sign == 1 for _, sign in path)
@@ -416,7 +481,8 @@ def test_tree_path_is_a_staircase():
             assert [(i, u[i]) for (u, i), _ in path] == [
                 (i, p) for i in range(len(v)) for p in range(v[i])]
             for (u, i), _ in path:
-                assert (u, i) in tree and not any(u[i + 1:])
+                x, _ = grid_edge(tails, (u, i))
+                assert is_tree_edge(x, tails[i]) and not any(u[i + 1:])
 
 
 C2_C3_DOT = """graph fibre {
@@ -447,15 +513,32 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def oracle_tree_basis(graph):
+    """The tree basis with the oracle's walked fundamental cycles as witnesses."""
+    g, parents = bfs_search(graph.groups)
+    words = tree_words(g, parents)
+    witnesses = tuple(cycle_word(g, words, edge) for edge in g.cotree)
+    return Basis("tree", g.groups, tuple(f"c{k + 1}" for k in range(len(witnesses))), witnesses)
+
+
 def test_closed_form_graph_keeps_cli_output(capsys, monkeypatch):
     dot = ("graph", "--groups", "C2,C3", "--emit", "dot")
     basis = ("basis", "--groups", "S3,C4,C3", "--basis", "tree", "--format", "json")
     closed = [run_cli(capsys, *argv) for argv in (dot, basis)]
-    monkeypatch.setattr("monodromy.cli.build_fibre_graph", bfs_fibre_graph)
+    monkeypatch.setattr("monodromy.cli.to_dot", lambda g: oracle_dot(bfs_fibre_graph(g.groups)))
+    monkeypatch.setattr("monodromy.cli.tree_basis", oracle_tree_basis)
     assert closed == [run_cli(capsys, *argv) for argv in (dot, basis)]
     assert closed[0] == (0, C2_C3_DOT, "")
     assert closed[1][0] == 0
     assert hashlib.sha256(closed[1][1].encode()).hexdigest() == S3_C4_C3_TREE_BASIS_SHA256
+
+
+def test_graph_counts_are_closed_forms_at_a_million_vertices(capsys):
+    # no vertex, edge or tree is built: E = rank + V - 1, the tree V - 1
+    code, out, err = run_cli(capsys, "graph", "--groups", "C1000,C1000", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"vertices": 10**6, "edges": 1_998_000, "tree_edges": 10**6 - 1,
+                               "cotree_edges": 998_001, "betti_one": 998_001, "schema": 1}
 
 
 def test_decompose_word_names_the_fault():

@@ -1,4 +1,6 @@
+import itertools
 import random
+from math import prod
 
 import pytest
 
@@ -150,6 +152,31 @@ def test_det_multiplicative_on_rank_833_tree_basis():
                 letter_dets[t] = matrix_of_letter(t, basis).det()
             want *= letter_dets[t]
         assert abelianize(act_word(w, basis)).det() == want in (1, -1)
+
+
+def test_tree_basis_characters_for_three_or_more_factors():
+    # H1 (x) Q of the kernel is the sum over J, |J| >= 2, of |J| - 1 copies
+    # of the tensor product of the augmentation modules I_{G_j}, j in J.  So
+    # on every element g = g_1 g_2 ... g_n the abelianized matrix has trace
+    #   sum_J (|J| - 1) prod_{j in J} chi_j(g_j),  chi_j(a) = |G_j| - 1 if a = 1, else -1,
+    # and determinant prod_J det(tensor_{j in J} A_j(g_j))^(|J| - 1), with
+    # det A_j(a) = (-1)^((o(a) - 1) |G_j| / o(a)), the sign of left
+    # multiplication by a, and det(A (x) B) = det(A)^dim(B) det(B)^dim(A)
+    for spec in ("C2,C2,C2", "C3,C2,C2", "S3,C2,C3", "D4,C3,C2"):
+        groups = tuple(parse_group_spec(spec))
+        basis = tree_basis(build_fibre_graph(groups))
+        n, dim = len(groups), [G.order - 1 for G in groups]
+        subsets = [J for r in range(2, n + 1) for J in itertools.combinations(range(n), r)]
+        for g in itertools.product(*(range(G.order) for G in groups)):
+            m = abelianize(act_word(reduce_word(enumerate(g), groups), basis))
+            chi = [G.order - 1 if a == 0 else -1 for G, a in zip(groups, g)]
+            elem_orders = [G.element_order(a) for G, a in zip(groups, g)]
+            sign = [(-1) ** ((o - 1) * G.order // o) for G, o in zip(groups, elem_orders)]
+            trace = sum((len(J) - 1) * prod(chi[j] for j in J) for J in subsets)
+            det = prod(prod(sign[j] ** prod(dim[k] for k in J if k != j) for j in J) ** (len(J) - 1)
+                       for J in subsets)
+            assert sum(m.entries[k][k] for k in range(m.rows)) == trace, (spec, g)
+            assert m.det() == det, (spec, g)
 
 
 def test_rank_examples():
