@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .fibre import FibreGraph, Walker, cotree_walker, cycle_witness
+from .fibre import FibreGraph, Walker, cotree_walker, cycle_witnesses
 from .groups import FiniteGroup
 from .words import (Letter, Word, commutator, empty_word, free_reduce, invert,
                     invert_signed, is_in_kernel, multiply, single)
@@ -115,7 +115,7 @@ def commutator_walker(G: FiniteGroup, H: FiniteGroup) -> Walker:
 
 
 def tree_basis(graph: FibreGraph) -> Basis:
-    witnesses = tuple(cycle_witness(graph, e) for e in graph.cotree)
+    witnesses = tuple(cycle_witnesses(graph))
     symbols = tuple(f"c{k + 1}" for k in range(len(witnesses)))
     return Basis("tree", graph.groups, symbols, witnesses, graph=graph)
 

@@ -11,6 +11,7 @@ import functools
 import json
 import random
 import sys
+from json.encoder import encode_basestring_ascii as _quote  # C, unlike indent=2 dumps
 from math import prod
 from typing import Callable
 
@@ -21,7 +22,7 @@ from .fibre import betti_one, build_fibre_graph, rank_formula, to_dot
 from .groups import GroupSpecParseError, parse_group_spec
 from .intmatrix import abelianize, representation_report
 from .verify import run_all, run_criteria
-from .words import parse_word
+from .words import format_words, parse_word
 
 SCHEMA = 1
 
@@ -36,11 +37,32 @@ def _basis_for(groups, choice):
     return tree_basis(build_fibre_graph(groups))
 
 
+def _dumps(value, indent: str = "") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` byte for byte, in one pass: a list of
+    ints or strs (by `type`: a bool prints `true`) is joined at once; a non-str key raises."""
+    kind, inner = type(value), indent + "  "
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, (list, tuple)):
+        kinds = set(map(type, value))
+        items = (map(int.__repr__, value) if kinds == {int} else map(_quote, value)
+                 if kinds == {str} else (_dumps(v, inner) for v in value))
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]" if value else "[]"
+    if isinstance(value, dict):
+        items = (f"{_quote(k)}: {_dumps(v, inner)}" for k, v in sorted(value.items()))
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}" if value else "{}"
+    return json.dumps(value)  # floats and other scalars
+
+
 def _emit(args, payload: dict, text: Callable[[], str]):
     """Print the payload as JSON, or the text, built only in text mode."""
     if args.format == "json":
         payload["schema"] = SCHEMA
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
     else:
         print(text())
 
@@ -69,7 +91,7 @@ def cmd_graph(args):
 def cmd_basis(args):
     groups = _groups(args)
     basis = _basis_for(groups, args.basis)
-    witnesses = [str(w) for w in basis.witnesses]
+    witnesses = format_words(basis.witnesses)
     payload = {"kind": basis.kind, "symbols": list(basis.symbols), "witnesses": witnesses}
     _emit(args, payload, lambda: "\n".join(f"{sym} = {wit}"
                                            for sym, wit in zip(basis.symbols, witnesses)))

@@ -11,7 +11,7 @@ coordinates in ascending order.  Its cotree edges index a fundamental cycle
 basis, and the staircase gives both halves of the calculus in closed form:
 
 - The witness of cotree edge (x, i), with v and w the coordinates of x and
-  x + T_i, is the reduced word
+  x + T_i, is the reduced word (`cycle_witnesses` lists all in one grid pass)
   prod_k s_k:g_{v_k} . s_i:(g_{v_i}^-1 g_{v_i+1}) . prod_{k desc} s_k:g_{w_k}^-1,
   because the tree path to a vertex telescopes.
 - A word is walked letter by letter (`cotree_walker`): a letter of
@@ -22,8 +22,8 @@ basis, and the staircase gives both halves of the calculus in closed form:
   `action.act_word` reads a conjugate g w g^-1 as the cycle w translated
   by the image of g.
 
-tests/test_fibre.py keeps the brute-force oracles: a breadth-first search
-for the graph, and an edge-path walker for witnesses and decompositions.
+tests/test_fibre.py keeps the oracles: a breadth-first search for the graph, an
+edge-path walker, and `cycle_witness`, the per-edge witness removed from this API.
 """
 
 from __future__ import annotations
@@ -100,24 +100,30 @@ def betti_one(g: FibreGraph) -> int:
     return rank_formula([G.order for G in g.groups])
 
 
-def cycle_witness(g: FibreGraph, edge: Edge) -> Word:
-    """Kernel word of the fundamental cycle of a cotree edge (x, i), in closed form.
+def cycle_witnesses(g: FibreGraph) -> Iterator[Word]:
+    """The witness of each cotree edge, in basis order, in one pass over the grid.
 
-    The tree path to a vertex u spells g_{u_1} ... g_{u_n}; with v and w the
-    coordinates of x and x + T_i, the cycle is that word for v, the edge's
-    letter g_{v_i}^-1 g_{v_i+1}, then the word for w inverted.  Dropping
-    identity letters leaves it reduced: a cotree edge has a nonzero
-    coordinate after i, which separates the edge letter from both halves
-    (at a tree edge it meets coordinate i of w, and `Word` refuses it).
+    The letters of the head h and tail t are built once per coordinate i, then joined
+    around three letters of position p; t != 0 keeps the word reduced.
     """
-    x, i = edge
-    groups = g.groups
-    tails = place_values([G.order for G in groups])
-    v, w = ([y // t % G.order for G, t in zip(groups, tails)] for y in (x, x + tails[i]))
-    G = groups[i]
-    up = [letter(k, v[k]) for k in range(len(v)) if v[k]]
-    down = [letter(k, groups[k].inverses[w[k]]) for k in reversed(range(len(w))) if w[k]]
-    return Word(groups, (*up, letter(i, G.table[G.inverses[v[i]]][w[i]]), *down))
+    for i, G in enumerate(groups := g.groups):
+        steps = [((letter(i, p),) if p else (), (letter(i, G.table[G.inverses[p]][p + 1]),),
+                  (letter(i, G.inverses[p + 1]),)) for p in range(G.order - 1)]
+        tails = _digit_letters(groups, range(i + 1, len(groups)))[1:]
+        for up_h, down_h in _digit_letters(groups, range(i)) if steps and tails else ():
+            for up_t, down_t in tails:
+                for v_i, edge, w_i in steps:
+                    yield Word(groups, up_h + v_i + up_t + edge + down_t + w_i + down_h)
+
+
+def _digit_letters(groups: Sequence[FiniteGroup], coords: range) -> list[tuple[tuple, tuple]]:
+    """The up and the inverted-down letters of each mixed-radix digit tuple over `coords`."""
+    out = [((), ())]
+    for k in coords:
+        inv = groups[k].inverses
+        out = [(up + (letter(k, d),), (letter(k, inv[d]),) + down) if d else (up, down)
+               for up, down in out for d in range(groups[k].order)]
+    return out
 
 
 def place_values(orders: Sequence[int]) -> list[int]:

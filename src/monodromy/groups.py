@@ -79,10 +79,8 @@ class FiniteGroup:
             raise GroupValidationError("table must be order x order")
         if len(self.names) != m:
             raise GroupValidationError("names must list one string per element")
-        for row in self.table:
-            for v in row:
-                if not (0 <= v < m):
-                    raise GroupValidationError("closure: table entry out of range")
+        if any(min(row) < 0 or max(row) >= m for row in self.table):
+            raise GroupValidationError("closure: table entry out of range")
         for a in range(m):
             if self.table[0][a] != a or self.table[a][0] != a:
                 raise GroupValidationError("identity: index 0 is not a two-sided unit")
@@ -166,7 +164,8 @@ def make_cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupValidationError("invalid order: n must be >= 1")
     _check_table_size(f"C{n}", n)
-    table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+    elems = tuple(range(n))
+    table = tuple(elems[a:] + elems[:a] for a in range(n))  # row a is (a + b) % n
     names = tuple("1" if k == 0 else ("x" if k == 1 else f"x^{k}") for k in range(n))
     return FiniteGroup(n, table, names)
 

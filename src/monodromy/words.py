@@ -223,14 +223,16 @@ def parse_word(text: str, groups: Sequence[FiniteGroup]) -> Word:
 
 
 def format_word(w: Word) -> str:
-    if not w.letters:
-        return "e"
-    parts = []
-    for lt in w.letters:
-        name = w.groups[lt.factor].names[lt.elem]
-        cyclic_name = name.replace("x", f"x{lt.factor + 1}")
-        if _CYCLIC_NAME.fullmatch(name):
-            parts.append(cyclic_name)
-        else:
-            parts.append(f"s{lt.factor + 1}:{name}")
-    return "*".join(parts)
+    return format_words([w])[0]
+
+
+def format_words(words: Iterable[Word]) -> list[str]:
+    """Words as x<i>^<k> or s<i>:<name> tokens joined by '*', or 'e', from one token table."""
+    groups, out = None, []
+    for w in words:
+        if w.groups is not groups:
+            groups = w.groups
+            tokens = [[name.replace("x", f"x{i + 1}") if _CYCLIC_NAME.fullmatch(name)
+                       else f"s{i + 1}:{name}" for name in G.names] for i, G in enumerate(groups)]
+        out.append("*".join([tokens[lt.factor][lt.elem] for lt in w.letters]) or "e")
+    return out

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from monodromy.cli import main
+from monodromy.cli import _dumps, main
 from monodromy.commutators import MAX_LEMMA_TRIALS
 
 
@@ -311,3 +311,45 @@ def test_lemma_check_json(capsys):
     code, out, _ = run(capsys, *argv)
     assert (code, out) == (0, "delta-identity: 20/20\nproduct-expansion: 20/20\n"
                               "magnus-weights (k<= 3): 3/3\n")
+
+
+JSON_COMMANDS = [
+    ("rank", "--groups", "C2,C3,C4"),
+    ("graph", "--groups", "S3,C2"),
+    ("basis", "--groups", "C3,C4", "--basis", "algebraic"),
+    ("basis", "--groups", "S3,C2,C2", "--basis", "tree"),
+    ("act", "--groups", "S3,C4", "--element", "s1:(12)*x2"),
+    ("act", "--groups", "C3,C2,C2", "--element", "x1*x3", "--basis", "tree"),
+    ("matrix", "--groups", "C2,C3", "--element", "x1*x2"),
+    ("matrix", "--groups", "C3,C3,C2", "--element", "x1*x2", "--basis", "tree"),
+    ("report", "--groups", "S3,C2"),
+    ("report", "--groups", "C2,C2"),
+    ("lemma-check", "--groups", "C3,C4", "--trials", "10", "--depth", "3"),
+    ("homology", "--groups", "C3,C3,C2", "--complex", "K={1,2;3}"),
+    ("verify",),
+]
+
+
+def test_json_output_is_the_stdlib_encoding(capsys):
+    # every subcommand prints what json.dumps(indent=2, sort_keys=True) prints
+    for argv in JSON_COMMANDS:
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code in (0, 1) and err == "", argv
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+
+
+def test_dumps_matches_stdlib_on_edge_cases():
+    payloads = [
+        {}, [], {"a": {}, "b": []}, [[]], [[1, 2], [3, [4, [5, []]]]],
+        [1, True, 0, False], [True, False], [-1, 0, -2**70, 2**64, 2**64 + 1],
+        None, {"none": None, "list": [None, 1, "x"]}, 3, -0, True, "",
+        ["caf\u00e9", "\u2603 snow", "quote \" and back\\slash", "\x00\x1f\t\n\r\x7f"],
+        {"\u00e9": 1, "\"q\"": [2], "b\\": {"\n": "\x01"}, "A": 1.5, "a": [0.1, -2.5e-10]},
+        {"z": 1, "a": 2, "M": 3, "_": 4, "10": 5, "9": 6},
+        ("tuple", 1, (2, 3)), {"t": ()}, [1.0, 2], [float("inf")],
+    ]
+    for value in payloads:
+        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True), value
+    for bad in ({1: "x"}, {"a": {None: 1}}, [{(1, 2): 3}], {True: 1}):
+        with pytest.raises(TypeError):
+            _dumps(bad)

@@ -10,13 +10,14 @@ import pytest
 
 from monodromy.action import Basis, decompose, tree_basis
 from monodromy.cli import main
-from monodromy.fibre import (betti_one, build_fibre_graph, cycle_witness,
+from monodromy.fibre import (betti_one, build_fibre_graph, cycle_witnesses,
                              grid_edges, is_tree_edge, place_values,
                              rank_formula, to_dot)
 from monodromy.groups import (SizeLimitError, make_cyclic, make_dihedral,
-                              make_symmetric)
-from monodromy.words import (commutator, free_reduce, invert, is_in_kernel,
-                             multiply, random_kernel_word, reduce_word, single)
+                              make_symmetric, parse_group_spec)
+from monodromy.words import (Word, commutator, free_reduce, invert,
+                             is_in_kernel, letter, multiply,
+                             random_kernel_word, reduce_word, single)
 
 
 def cyclic_groups(*orders):
@@ -430,7 +431,7 @@ def test_closed_form_witnesses_match_walking_oracle():
     for groups in differential_group_lists():
         g, parents = bfs_search(groups)
         words = tree_words(g, parents)
-        closed = tree_basis(build_fibre_graph(groups))  # cycle_witness of each cotree edge
+        closed = tree_basis(build_fibre_graph(groups))  # the witnesses of cycle_witnesses
         for k, edge in enumerate(g.cotree):
             w = closed.witnesses[k]
             assert w == cycle_word(g, words, edge), edge
@@ -465,6 +466,35 @@ def test_witnesses_recompose_decomposition():
             for k, sign in decompose(basis, w):
                 acc = multiply(acc, witnesses[k] if sign == 1 else invert(witnesses[k]))
             assert acc == w
+
+
+def cycle_witness(g, edge):
+    """The closed-form witness of one cotree edge (x, i), read off its ends.
+
+    With v and w the coordinates of x and x + T_i, the witness is
+    prod_k s_k:g_{v_k} . s_i:(g_{v_i}^-1 g_{v_i+1}) . prod_{k desc} s_k:g_{w_k}^-1
+    with identity letters dropped.
+    """
+    x, i = edge
+    groups = g.groups
+    tails = place_values([G.order for G in groups])
+    v, w = ([y // t % G.order for G, t in zip(groups, tails)] for y in (x, x + tails[i]))
+    G = groups[i]
+    up = [letter(k, v[k]) for k in range(len(v)) if v[k]]
+    down = [letter(k, groups[k].inverses[w[k]]) for k in reversed(range(len(w))) if w[k]]
+    return Word(groups, (*up, letter(i, G.table[G.inverses[v[i]]][w[i]]), *down))
+
+
+def test_one_pass_witnesses_match_per_edge_closed_form():
+    # the grid pass of `cycle_witnesses` against the witness of each cotree
+    # edge on its own, with trivial factors, non-abelian factors and C8^3
+    for spec in ["C2,C3", "C3,C1,C2,C2", "S3,C4,C3", "D4,C3,C2", "C2,C1,C1,C3",
+                 "C8,C8,C8", "C1,C4", "C4,C1", "C1"]:
+        g = build_fibre_graph(parse_group_spec(spec))
+        expected = tuple(cycle_witness(g, e) for e in g.cotree)
+        assert tuple(cycle_witnesses(g)) == expected, spec
+        assert tree_basis(g).witnesses == expected, spec
+        assert len(expected) == betti_one(g), spec
 
 
 def test_tree_path_is_a_staircase():

@@ -22,6 +22,22 @@ def test_cyclic_modular_addition():
     assert c4.op(1, 3) == 0
 
 
+def test_cyclic_table_rows_are_rotations():
+    for n in range(1, 13):
+        assert make_cyclic(n).table == tuple(
+            tuple((a + b) % n for b in range(n)) for a in range(n)), n
+
+
+def test_closure_checked_per_row():
+    # an entry of m, or of -1, anywhere in a row is refused before any other axiom
+    for bad in (3, -1):
+        for r in range(3):
+            table = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+            table[r][2 - r] = bad
+            with pytest.raises(GroupValidationError, match="closure: table entry out of range"):
+                FiniteGroup(3, tuple(map(tuple, table)), ("1", "x", "x^2"))
+
+
 def test_cyclic_zero_order_rejected():
     with pytest.raises(GroupValidationError):
         make_cyclic(0)

@@ -1,13 +1,17 @@
+import json
 import random
+import re
 
 import pytest
 
-from monodromy.fibre import build_fibre_graph, cycle_witness
-from monodromy.groups import S3_CLASSIC_ORDER, make_cyclic, make_symmetric
-from monodromy.words import (Letter, Word, commutator, empty_word, invert,
-                             is_in_kernel, letter, multiply, parse_word,
-                             project, random_kernel_word, random_word,
-                             reduce_word, single)
+from monodromy.fibre import build_fibre_graph, cycle_witnesses
+from monodromy.groups import (S3_CLASSIC_ORDER, make_cyclic, make_symmetric,
+                              parse_group_spec)
+from monodromy.words import (Letter, Word, commutator, empty_word,
+                             format_word, format_words, invert, is_in_kernel,
+                             letter, multiply, parse_word, project,
+                             random_kernel_word, random_word, reduce_word,
+                             single)
 
 C2C3 = (make_cyclic(2), make_cyclic(3))
 
@@ -160,7 +164,7 @@ def test_reductions_and_witnesses_share_letters():
     assert [(lt.factor, lt.elem) for lt in w.letters] == [(0, 1), (1, 1), (2, 1), (0, 2)]
     assert w.letters[1] is letter(1, 1) is reduce_word([(1, 1)], groups).letters[0]
     g = build_fibre_graph(groups)
-    witnesses = [cycle_witness(g, edge) for edge in g.cotree]
+    witnesses = list(cycle_witnesses(g))
     shared = {}
     for wit in witnesses:
         for lt in wit.letters:
@@ -171,3 +175,40 @@ def test_reductions_and_witnesses_share_letters():
     assert w == Word(groups, tuple(Letter(lt.factor, lt.elem) for lt in w.letters))
     assert {Letter(0, 1): "x"}[letter(0, 1)] == "x"
     assert letter(0, 1) != letter(0, 2) and letter(0, 1) != letter(1, 1)
+
+
+def format_word_per_letter(w):
+    """The printed form of a word, one regex test per letter."""
+    if not w.letters:
+        return "e"
+    parts = []
+    for lt in w.letters:
+        name = w.groups[lt.factor].names[lt.elem]
+        if re.fullmatch(r"x(\^-?[0-9]+)?", name):
+            parts.append(name.replace("x", f"x{lt.factor + 1}"))
+        else:
+            parts.append(f"s{lt.factor + 1}:{name}")
+    return "*".join(parts)
+
+
+def test_format_words_matches_per_letter_form(tmp_path):
+    # a table group whose names look cyclic, or nearly: C2 x C2 named 1, x, x^2, xy
+    path = tmp_path / "klein.json"
+    path.write_text(json.dumps({"order": 4, "names": ["1", "x", "x^2", "xy"],
+                                "table": [[0, 1, 2, 3], [1, 0, 3, 2],
+                                          [2, 3, 0, 1], [3, 2, 1, 0]]}))
+    table_groups = tuple(parse_group_spec(f"table:{path},C3"))
+    rng = random.Random(21)
+    batches = [list(cycle_witnesses(build_fibre_graph(parse_group_spec(spec))))
+               for spec in ("S3,C4,C3", "D4,C3,C2")]
+    batches.append([empty_word(table_groups)]
+                   + [random_word(rng, table_groups, 10) for _ in range(200)])
+    # words over two group lists in one call
+    batches.append(batches[0][:5] + batches[2][:5] + batches[1][:5])
+    for words in batches:
+        expected = [format_word_per_letter(w) for w in words]
+        assert format_words(words) == expected
+        assert [format_word(w) for w in words] == [str(w) for w in words] == expected
+    assert format_words([empty_word(table_groups)]) == ["e"]
+    assert format_words([single(table_groups, 0, k) for k in range(1, 4)]) == [
+        "x1", "x1^2", "s1:xy"]
