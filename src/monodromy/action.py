@@ -6,7 +6,7 @@ supported: the commutator basis w[i,j] = [g_i, h_j] for exactly two
 factors, and the spanning-tree cycle basis of a fibre graph for any
 number of factors.
 
-Both act by deck translation through a letter walk, `Basis.walker`.  Its
+Both act by deck translation through a letter walk, `Basis.walk`.  Its
 state is the image of the prefix read so far, a mixed-radix index c
 (coordinate 0 most significant) standing for a fixed word: the staircase
 tree path in the tree basis (`fibre.cotree_walker`), g_p h_q for
@@ -25,8 +25,8 @@ from typing import Sequence
 
 from .fibre import FibreGraph, Walker, cotree_walker, cycle_witnesses
 from .groups import FiniteGroup
-from .words import (Letter, Word, commutator, empty_word, free_reduce, invert,
-                    invert_signed, is_in_kernel, multiply, single)
+from .words import (Letter, Word, commutator, free_reduce, invert, invert_signed,
+                    is_in_kernel, reduce_word, single)
 
 # A signed symbol word: ((symbol_index, +1|-1), ...)
 SymbolWord = tuple[tuple[int, int], ...]
@@ -38,7 +38,7 @@ class Basis:
     groups: tuple[FiniteGroup, ...]
     symbols: tuple[str, ...]
     witnesses: tuple[Word, ...]
-    graph: FibreGraph | None = field(default=None, compare=False)
+    walk: Walker = field(compare=False, repr=False)  # the letter walk, from any state
 
     def __post_init__(self):
         for w in self.witnesses:
@@ -48,16 +48,6 @@ class Basis:
     @property
     def rank(self) -> int:
         return len(self.symbols)
-
-    def walker(self) -> Walker:
-        """The letter walk of this basis, from any state."""
-        return self._walker
-
-    @cached_property
-    def _walker(self) -> Walker:
-        if self.kind == "tree":
-            return cotree_walker(self.graph)
-        return commutator_walker(*self.groups)
 
     @cached_property
     def _tokens(self) -> dict[int, tuple[str, ...]]:
@@ -82,7 +72,8 @@ def algebraic_basis(groups: Sequence[FiniteGroup]) -> Basis:
         for j in range(1, H.order):
             symbols.append(f"w[{i},{j}]")
             witnesses.append(commutator(single(groups, 0, i), single(groups, 1, j)))
-    return Basis("algebraic-n2", groups, tuple(symbols), tuple(witnesses))
+    return Basis("algebraic-n2", groups, tuple(symbols), tuple(witnesses),
+                 commutator_walker(G, H))
 
 
 def commutator_walker(G: FiniteGroup, H: FiniteGroup) -> Walker:
@@ -96,13 +87,13 @@ def commutator_walker(G: FiniteGroup, H: FiniteGroup) -> Walker:
     # a Word's letters are valid elements, so the walk reads the tables unchecked
     n, g_table, h_table = H.order, G.table, H.table
 
-    def walk(letters: Sequence[Letter], index: int, out: list) -> int:
+    def walk(letters: Sequence[tuple[int, int]], index: int, out: list) -> int:
         p, q = divmod(index, n)
-        for lt in letters:
-            if lt.factor:
-                q = h_table[q][lt.elem]
+        for f, e in letters:
+            if f:
+                q = h_table[q][e]
                 continue
-            r = g_table[p][lt.elem]
+            r = g_table[p][e]
             if q:
                 if p:
                     out.append(((p - 1) * (n - 1) + q - 1, 1))
@@ -117,7 +108,7 @@ def commutator_walker(G: FiniteGroup, H: FiniteGroup) -> Walker:
 def tree_basis(graph: FibreGraph) -> Basis:
     witnesses = tuple(cycle_witnesses(graph))
     symbols = tuple(f"c{k + 1}" for k in range(len(witnesses)))
-    return Basis("tree", graph.groups, symbols, witnesses, graph=graph)
+    return Basis("tree", graph.groups, symbols, witnesses, cotree_walker(graph))
 
 
 @dataclass(frozen=True)
@@ -145,18 +136,18 @@ def decompose(basis: Basis, w: Word) -> SymbolWord:
     if w.groups != basis.groups:
         raise ValueError("word is over a different group list")
     raw: list[tuple[int, int]] = []
-    if basis.walker()(w.letters, 0, raw):
+    if basis.walk(w.letters, 0, raw):
         raise ValueError("word is not in the kernel of the projection")
     return tuple(raw)
 
 
 def recompose(basis: Basis, image: SymbolWord) -> Word:
-    """The kernel word a signed symbol word spells: its witnesses multiplied."""
-    acc = empty_word(basis.groups)
+    """The kernel word a signed symbol word spells: its witnesses' letters, reduced once."""
+    raw: list[tuple[int, int]] = []
     for sym, sign in image:
         wit = basis.witnesses[sym]
-        acc = multiply(acc, wit if sign == 1 else invert(wit))
-    return acc
+        raw += wit.letters if sign == 1 else invert(wit).letters
+    return reduce_word(raw, basis.groups)
 
 
 def act_word(w: Word, basis: Basis) -> Automorphism:
@@ -171,7 +162,7 @@ def act_word(w: Word, basis: Basis) -> Automorphism:
     """
     if w.groups != basis.groups:
         raise ValueError("word is over a different group list")
-    walk = basis.walker()
+    walk = basis.walk
     raw: list[tuple[int, int]] = []
     start = walk(w.letters, 0, raw)
     prefix = tuple(raw)
@@ -197,4 +188,4 @@ def act_word(w: Word, basis: Basis) -> Automorphism:
 
 
 def act_letter(t: Letter, basis: Basis) -> Automorphism:
-    return act_word(single(basis.groups, t.factor, t.elem), basis)
+    return act_word(single(basis.groups, *t), basis)

@@ -21,7 +21,7 @@ from .complexes import build_complex, h1, load_complex_file, parse_complex_spec
 from .fibre import betti_one, build_fibre_graph, rank_formula, to_dot
 from .groups import GroupSpecParseError, parse_group_spec
 from .intmatrix import abelianize, representation_report
-from .verify import run_all, run_criteria
+from .verify import run_criteria
 from .words import format_words, parse_word
 
 SCHEMA = 1
@@ -168,13 +168,12 @@ def cmd_homology(args):
 
 
 def cmd_verify(args):
-    if args.format == "json":
-        criteria = [{"name": name, "ok": ok, "detail": detail}
-                    for name, ok, detail in run_criteria(seed=args.seed)]
-        ok = all(c["ok"] for c in criteria)
-        _emit(args, {"criteria": criteria, "ok": ok}, lambda: "")
-    else:
-        ok = run_all(seed=args.seed, stream=sys.stdout)
+    criteria = [{"name": name, "ok": ok, "detail": detail}
+                for name, ok, detail in run_criteria(seed=args.seed)]
+    ok = all(c["ok"] for c in criteria)
+    _emit(args, {"criteria": criteria, "ok": ok},
+          lambda: "\n".join(f"{'PASS' if c['ok'] else 'FAIL'} {c['name']}: {c['detail']}"
+                            for c in criteria))
     return 0 if ok else 1
 
 

@@ -162,8 +162,7 @@ class CubicalComplex:
         return self._boundary_matrix(2)
 
 
-def build_complex(groups: Sequence[FiniteGroup], K: SimplicialComplex,
-                  cap: int | None = None) -> CubicalComplex:
+def build_complex(groups: Sequence[FiniteGroup], K: SimplicialComplex) -> CubicalComplex:
     groups = tuple(groups)
     if K.n != len(groups):
         raise ValueError("complex vertex count must match the group list")
@@ -171,7 +170,7 @@ def build_complex(groups: Sequence[FiniteGroup], K: SimplicialComplex,
                     if K.has_face({i + 1, j + 1}))
     cx = CubicalComplex(groups, K, squares)
     total = sum(cx.counts)
-    if total > cell_cap(cap):
+    if total > cell_cap():
         raise SizeLimitError(f"cell count {total} exceeds cap")
     return cx
 

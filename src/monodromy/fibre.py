@@ -34,12 +34,12 @@ from math import prod
 from typing import Callable, Iterator, Sequence
 
 from .groups import FiniteGroup, SizeLimitError, cell_cap
-from .words import Letter, Word, letter
+from .words import Word
 
 # An edge is (x, i): the unit segment from the vertex with mixed-radix index x
 # to the vertex x + T_i, whose position at coordinate i is one higher.
 Edge = tuple[int, int]
-Walker = Callable[[Sequence[Letter], int, list], int]  # walk(letters, index, out) -> index
+Walker = Callable[[Sequence[tuple[int, int]], int, list], int]  # walk(letters, index, out)
 
 
 def rank_formula(orders: Sequence[int]) -> int:
@@ -73,12 +73,12 @@ class FibreGraph:
         return {e: k for k, e in enumerate(self.cotree)}
 
 
-def build_fibre_graph(groups: Sequence[FiniteGroup], cap: int | None = None) -> FibreGraph:
+def build_fibre_graph(groups: Sequence[FiniteGroup]) -> FibreGraph:
     groups = tuple(groups)
     if not groups:
         raise ValueError("need at least one group")
     nverts = prod(G.order for G in groups)
-    if nverts > cell_cap(cap):
+    if nverts > cell_cap():
         raise SizeLimitError(f"vertex count {nverts} exceeds cap")
     return FibreGraph(groups)
 
@@ -107,8 +107,8 @@ def cycle_witnesses(g: FibreGraph) -> Iterator[Word]:
     around three letters of position p; t != 0 keeps the word reduced.
     """
     for i, G in enumerate(groups := g.groups):
-        steps = [((letter(i, p),) if p else (), (letter(i, G.table[G.inverses[p]][p + 1]),),
-                  (letter(i, G.inverses[p + 1]),)) for p in range(G.order - 1)]
+        steps = [(((i, p),) if p else (), ((i, G.table[G.inverses[p]][p + 1]),),
+                  ((i, G.inverses[p + 1]),)) for p in range(G.order - 1)]
         tails = _digit_letters(groups, range(i + 1, len(groups)))[1:]
         for up_h, down_h in _digit_letters(groups, range(i)) if steps and tails else ():
             for up_t, down_t in tails:
@@ -121,7 +121,7 @@ def _digit_letters(groups: Sequence[FiniteGroup], coords: range) -> list[tuple[t
     out = [((), ())]
     for k in coords:
         inv = groups[k].inverses
-        out = [(up + (letter(k, d),), (letter(k, inv[d]),) + down) if d else (up, down)
+        out = [(up + ((k, d),), ((k, inv[d]),) + down) if d else (up, down)
                for up, down in out for d in range(groups[k].order)]
     return out
 
@@ -155,12 +155,11 @@ def cotree_walker(g: FibreGraph) -> Walker:
     offsets = list(itertools.accumulate(
         (prod(orders[:k]) * (tails[k] - 1) * (m - 1) for k, m in enumerate(orders)), initial=0))
 
-    def walk(letters: Sequence[Letter], index: int, out: list) -> int:
-        for lt in letters:
-            i = lt.factor
+    def walk(letters: Sequence[tuple[int, int]], index: int, out: list) -> int:
+        for i, e in letters:
             tail, m = tails[i], orders[i]
             a = (index // tail) % m
-            b = tables[i][a][lt.elem]
+            b = tables[i][a][e]
             index += (b - a) * tail
             t = index % tail  # the coordinates after i; is_tree_edge, inlined
             if t:

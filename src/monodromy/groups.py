@@ -33,10 +33,8 @@ class SizeLimitError(ValueError):
     """Requested object exceeds the configured size cap."""
 
 
-def cell_cap(cap: int | None = None) -> int:
-    """`cap` if given, else the size cap set by MONODROMY_CELL_CAP, else 10^6."""
-    if cap is not None:
-        return cap
+def cell_cap() -> int:
+    """The size cap set by MONODROMY_CELL_CAP, else 10^6."""
     raw = os.environ.get("MONODROMY_CELL_CAP")
     if raw is None:
         return DEFAULT_CELL_CAP

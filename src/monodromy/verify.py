@@ -274,12 +274,3 @@ def run_criteria(seed: int = 0):
     for name, fn in CRITERIA:
         ok, detail = fn(seed=seed)
         yield name, ok, detail
-
-
-def run_all(seed: int = 0, stream=None) -> bool:
-    ok_all = True
-    for name, ok, detail in run_criteria(seed):
-        ok_all &= ok
-        if stream is not None:
-            stream.write(f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n")
-    return ok_all

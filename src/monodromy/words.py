@@ -1,51 +1,47 @@
 """Reduced-word calculus in a free product of finite groups.
 
-A word is an alternating sequence of letters (factor index, non-identity
-element index).  Reduction merges adjacent same-factor letters through the
-Cayley table and drops identity letters, yielding the unique normal form.
-Words are immutable values; all operations are pure.  The module also
-holds the free reduction of signed symbol words, which every free-group
-layer shares, and the seeded random words the checks draw from.
+A letter is a plain int pair (factor index, non-identity element index);
+`Letter` names its two fields and equals the bare pair.  A word is an
+alternating sequence of letters.  Reduction merges adjacent same-factor
+letters through the Cayley table and drops identity letters, yielding the
+unique normal form.  Each word operation concatenates raw letters and
+reduces once; the inverse of a reduced word is reduced, so `invert` does
+not reduce at all.  Words are immutable values; all operations are pure.
+The module also holds the free reduction of signed symbol words, which
+every free-group layer shares, and the seeded random words the checks draw
+from.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .groups import FiniteGroup
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(NamedTuple):
     factor: int  # 0-based coordinate
     elem: int    # non-identity element index of groups[factor]
-
-
-# The one shared Letter of each (factor, elem): letters are immutable values,
-# so the words built in bulk (reductions, witnesses) reuse them
-letter = functools.cache(Letter)
 
 
 @dataclass(frozen=True)
 class Word:
     groups: tuple[FiniteGroup, ...]
-    letters: tuple[Letter, ...]
+    letters: tuple[tuple[int, int], ...]  # (factor, elem) pairs
 
     def __post_init__(self):
         prev = None
-        for lt in self.letters:
-            if not 0 <= lt.factor < len(self.groups):
-                raise ValueError(f"factor index out of range: {lt.factor}")
-            if not 0 < lt.elem < self.groups[lt.factor].order:
-                raise ValueError(f"bad element index {lt.elem} in factor {lt.factor}")
-            if prev is not None and prev == lt.factor:
+        for f, e in self.letters:
+            if not 0 <= f < len(self.groups):
+                raise ValueError(f"factor index out of range: {f}")
+            if not 0 < e < self.groups[f].order:
+                raise ValueError(f"bad element index {e} in factor {f}")
+            if prev == f:
                 raise ValueError("word not reduced: adjacent letters share a factor")
-            prev = lt.factor
+            prev = f
 
     def __len__(self):
         return len(self.letters)
@@ -72,7 +68,7 @@ def single(groups: Sequence[FiniteGroup], factor: int, elem: int) -> Word:
     groups = tuple(groups)
     if elem % groups[factor].order == 0:
         return Word(groups, ())
-    return Word(groups, (letter(factor, elem),))
+    return Word(groups, ((factor, elem),))
 
 
 def reduce_word(raw: Iterable[tuple[int, int]], groups: Sequence[FiniteGroup]) -> Word:
@@ -96,7 +92,7 @@ def reduce_word(raw: Iterable[tuple[int, int]], groups: Sequence[FiniteGroup]) -
                 stack.append((factor, merged))
         else:
             stack.append((factor, elem))
-    return Word(groups, tuple(itertools.starmap(letter, stack)))
+    return Word(groups, tuple(stack))
 
 
 def free_reduce(seq: Iterable[tuple[object, int]]) -> tuple:
@@ -117,32 +113,32 @@ def invert_signed(seq: Sequence[tuple[object, int]]) -> tuple:
 
 def multiply(w1: Word, w2: Word) -> Word:
     _check_same_groups(w1, w2)
-    raw = [(lt.factor, lt.elem) for lt in w1.letters + w2.letters]
-    return reduce_word(raw, w1.groups)
+    return reduce_word(w1.letters + w2.letters, w1.groups)
 
 
 def invert(w: Word) -> Word:
-    raw = [(lt.factor, w.groups[lt.factor].inverse(lt.elem))
-           for lt in reversed(w.letters)]
-    return reduce_word(raw, w.groups)
+    """Reversed, each element inverted: the inverse of a reduced word is reduced."""
+    groups = w.groups
+    return Word(groups, tuple((f, groups[f].inverses[e]) for f, e in reversed(w.letters)))
 
 
 def commutator(a: Word, b: Word) -> Word:
-    """[a, b] = a b a^-1 b^-1."""
+    """[a, b] = a b a^-1 b^-1, reduced once."""
     _check_same_groups(a, b)
-    return multiply(multiply(a, b), multiply(invert(a), invert(b)))
+    return reduce_word(a.letters + b.letters + invert(a).letters + invert(b).letters, a.groups)
 
 
 def conjugate(g: Word, w: Word) -> Word:
-    """g w g^-1."""
-    return multiply(multiply(g, w), invert(g))
+    """g w g^-1, reduced once."""
+    _check_same_groups(g, w)
+    return reduce_word(g.letters + w.letters + invert(g).letters, g.groups)
 
 
 def project(w: Word) -> tuple[int, ...]:
     """Image under the retraction onto the direct product, per coordinate."""
     acc = [0] * len(w.groups)
-    for lt in w.letters:  # a Word's letters are checked elements: read the tables unchecked
-        acc[lt.factor] = w.groups[lt.factor].table[acc[lt.factor]][lt.elem]
+    for f, e in w.letters:  # a Word's letters are checked elements: read the tables unchecked
+        acc[f] = w.groups[f].table[acc[f]][e]
     return tuple(acc)
 
 
@@ -234,5 +230,5 @@ def format_words(words: Iterable[Word]) -> list[str]:
             groups = w.groups
             tokens = [[name.replace("x", f"x{i + 1}") if _CYCLIC_NAME.fullmatch(name)
                        else f"s{i + 1}:{name}" for name in G.names] for i, G in enumerate(groups)]
-        out.append("*".join([tokens[lt.factor][lt.elem] for lt in w.letters]) or "e")
+        out.append("*".join([tokens[f][e] for f, e in w.letters]) or "e")
     return out

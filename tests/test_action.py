@@ -49,14 +49,14 @@ def act_two_groups(t, basis):
     with commutators hitting the identity dropped.
     """
     G, H = basis.groups
-    if t.elem == 0:
+    factor, k = t
+    if k == 0:
         return identity_automorphism(basis)
-    k = t.elem
     images = []
     for i in range(1, G.order):
         for j in range(1, H.order):
             seq = []
-            if t.factor == 0:
+            if factor == 0:
                 gi = G.op(k, i)
                 if gi != 0:
                     seq.append((algebraic_symbol_index(G, H, gi, j), 1))
@@ -90,12 +90,12 @@ def telescope_decompose(w):
     G, H = w.groups
     p = q = 0  # running prefix products in G and H
     raw = []
-    for lt in w.letters:
-        if lt.factor == 0:
-            p = G.op(p, lt.elem)
+    for f, e in w.letters:
+        if f == 0:
+            p = G.op(p, e)
             raw.append(((p, q), -1))  # [q, p_new] = [g,h]^-1 with g = p_new
         else:
-            q = H.op(q, lt.elem)
+            q = H.op(q, e)
             raw.append(((p, q), 1))   # [p, q_new]
     kept = (((i, j), sign) for (i, j), sign in raw if i and j)
     return tuple((i, j, sign) for (i, j), sign in free_reduce(kept))
@@ -442,7 +442,7 @@ def test_walk_of_concatenation_is_concatenation_of_walks():
             assert walk(v, walk(u, start, first), second) == end
             assert whole == first + second
             back = []
-            inverse = [Letter(lt.factor, groups[lt.factor].inverse(lt.elem)) for lt in reversed(u)]
+            inverse = [Letter(f, groups[f].inverse(e)) for f, e in reversed(u)]
             assert walk(inverse, walk(u, start, []), back) == start
             assert tuple(back) == invert_signed(tuple(first))
 
@@ -508,7 +508,7 @@ def test_seam_act_word_matches_full_reduction(monkeypatch):
                (make_dihedral(4), make_symmetric(3))]]
     seen = {"tree": [0, 0], "algebraic-n2": [0, 0]}  # [sliced, cancelled away]
     for basis in bases:
-        walk = basis.walker()
+        walk = basis.walk
         for _ in range(40):
             g = random_word(rng, basis.groups, 12)
             raw = []
@@ -527,3 +527,77 @@ def test_seam_act_word_matches_full_reduction(monkeypatch):
             seen[basis.kind][0] += basis.rank - cancelled
             seen[basis.kind][1] += cancelled
     assert all(sliced and cancelled for sliced, cancelled in seen.values()), seen
+
+
+# -- one reduction per word operation ----------------------------------------
+# Oracles: each operation as nested `multiply` calls, with the inverse spelt
+# one letter at a time.
+
+
+def invert_by_letters(w):
+    acc = empty_word(w.groups)
+    for f, e in w.letters:
+        acc = multiply(single(w.groups, f, w.groups[f].inverse(e)), acc)
+    return acc
+
+
+def recompose_by_multiply(basis, image):
+    acc = empty_word(basis.groups)
+    for sym, sign in image:
+        wit = basis.witnesses[sym]
+        acc = multiply(acc, wit if sign == 1 else invert_by_letters(wit))
+    return acc
+
+
+def test_word_operations_match_nested_multiply():
+    rng = random.Random(31)
+    pairs = [(make_cyclic(3), make_symmetric(3)), (make_dihedral(4), make_cyclic(2)),
+             (make_symmetric(3), make_dihedral(3))]
+    bases = [algebraic_basis(groups) for groups in pairs]
+    bases += [tree_basis(build_fibre_graph(groups)) for groups in pairs]
+    bases.append(tree_basis(build_fibre_graph(
+        (make_cyclic(2), make_symmetric(3), make_dihedral(3)))))
+    empty = 0
+    for basis in bases:
+        groups = basis.groups
+        for _ in range(60):
+            a, b = random_word(rng, groups, 10), random_word(rng, groups, 10)
+            k = random_kernel_word(rng, groups, 12)
+            assert invert(a) == invert_by_letters(a)
+            for x, y in [(a, b), (a, a), (a, invert(a)), (b, empty_word(groups))]:
+                comm = commutator(x, y)
+                assert comm == multiply(multiply(x, y),
+                                        multiply(invert_by_letters(x), invert_by_letters(y)))
+                conj = conjugate(x, y)
+                assert conj == multiply(multiply(x, y), invert_by_letters(x))
+                empty += comm.is_identity + conj.is_identity
+            image = decompose(basis, k)
+            assert recompose(basis, image) == recompose_by_multiply(basis, image) == k
+            # a symbol word and its inverse spell the empty word
+            both = image + invert_signed(image)
+            assert recompose(basis, both) == recompose_by_multiply(basis, both)
+            assert recompose(basis, both).is_identity
+    assert empty
+
+
+def test_word_operations_reduce_once(monkeypatch):
+    calls = []
+
+    def counted(raw, groups):
+        calls.append(None)
+        return reduce_word(raw, groups)
+
+    monkeypatch.setattr("monodromy.words.reduce_word", counted)
+    monkeypatch.setattr("monodromy.action.reduce_word", counted)
+    groups = (make_symmetric(3), make_cyclic(4))
+    rng = random.Random(32)
+    for basis in (algebraic_basis(groups), tree_basis(build_fibre_graph(groups))):
+        a, b = random_word(rng, groups, 10), random_word(rng, groups, 10)
+        image = ()
+        while len(image) < 2:
+            image = decompose(basis, random_kernel_word(rng, groups, 12))
+        for op, reductions in [(lambda: commutator(a, b), 1), (lambda: conjugate(a, b), 1),
+                               (lambda: recompose(basis, image), 1), (lambda: invert(a), 0)]:
+            calls.clear()
+            op()
+            assert len(calls) == reductions

@@ -148,11 +148,13 @@ def test_symmetric_group_factor():
     assert h1(cx)[0] == rank_formula([2, 6])
 
 
-def test_vertex_count_mismatch_and_cap():
+def test_vertex_count_mismatch_and_cap(monkeypatch):
     with pytest.raises(ValueError):
         build_complex(cyclic(2, 2), full_simplex(3))
+    groups = cyclic(30, 30, 30)  # built first: the cap also bounds group tables
+    monkeypatch.setenv("MONODROMY_CELL_CAP", "100")
     with pytest.raises(SizeLimitError):
-        build_complex(cyclic(30, 30, 30), full_simplex(3), cap=100)
+        build_complex(groups, full_simplex(3))
 
 
 def test_cell_cap_env_override(monkeypatch):
@@ -283,13 +285,15 @@ def test_h1_on_a_hundred_thousand_cells():
     assert h1(cx) == (bbcg_b1(orders, K), []) == (69633, [])
 
 
-def test_cell_cap_is_checked_before_building():
+def test_cell_cap_is_checked_before_building(monkeypatch):
     groups, K = cyclic(3, 4, 2), parse_complex_spec("K={1,2;3}")
     # 3*4*2 vertices, 2*4*2 + 3*3*2 + 3*4*1 edges, 2*3*2 squares on {1,2}
     count = 24 + (16 + 18 + 12) + 12
+    monkeypatch.setenv("MONODROMY_CELL_CAP", str(count - 1))
     with pytest.raises(SizeLimitError, match=f"cell count {count} exceeds cap"):
-        build_complex(groups, K, cap=count - 1)
-    assert sum(build_complex(groups, K, cap=count).counts) == count
+        build_complex(groups, K)
+    monkeypatch.setenv("MONODROMY_CELL_CAP", str(count))
+    assert sum(build_complex(groups, K).counts) == count
 
 
 def test_h1_with_squares_at_scale_matches_bbcg():

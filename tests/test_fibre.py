@@ -10,13 +10,13 @@ import pytest
 
 from monodromy.action import Basis, decompose, tree_basis
 from monodromy.cli import main
-from monodromy.fibre import (betti_one, build_fibre_graph, cycle_witnesses,
-                             grid_edges, is_tree_edge, place_values,
-                             rank_formula, to_dot)
+from monodromy.fibre import (betti_one, build_fibre_graph, cotree_walker,
+                             cycle_witnesses, grid_edges, is_tree_edge,
+                             place_values, rank_formula, to_dot)
 from monodromy.groups import (SizeLimitError, make_cyclic, make_dihedral,
                               make_symmetric, parse_group_spec)
 from monodromy.words import (Word, commutator, free_reduce, invert,
-                             is_in_kernel, letter, multiply,
+                             is_in_kernel, multiply,
                              random_kernel_word, reduce_word, single)
 
 
@@ -57,9 +57,11 @@ def test_trivial_groups_single_vertex():
     assert grid_counts(g) == (1, 0, 0)
 
 
-def test_size_cap():
+def test_size_cap(monkeypatch):
+    groups = cyclic_groups(100, 100, 100)  # built first: the cap also bounds group tables
+    monkeypatch.setenv("MONODROMY_CELL_CAP", "1000")
     with pytest.raises(SizeLimitError):
-        build_fibre_graph(cyclic_groups(100, 100, 100), cap=1000)
+        build_fibre_graph(groups)
 
 
 def test_betti_matches_rank_formula_scan():
@@ -106,8 +108,8 @@ def test_closed_iff_kernel_exhaustive():
                 w = reduce_word(combo, groups)
                 path = word_to_path(g, w)
                 state = list(g.basepoint)
-                for lt in w.letters:
-                    state[lt.factor] = groups[lt.factor].op(state[lt.factor], lt.elem)
+                for f, e in w.letters:
+                    state[f] = groups[f].op(state[f], e)
                 closed = tuple(state) == g.basepoint
                 assert closed == is_in_kernel(w)
                 if closed:
@@ -125,7 +127,7 @@ def test_fundamental_cycle_decomposes_to_itself():
     for k, edge in enumerate(g.cotree):
         cycle = fundamental_cycle(parents, edge)
         assert loop_to_basis(g, cycle) == ((k, 1),)
-        w = cycle_witness(basis.graph, grid_edge(place_values([3, 3]), edge))
+        w = cycle_witness(build_fibre_graph(g.groups), grid_edge(place_values([3, 3]), edge))
         assert w == path_to_word(g, cycle) == cycle_word(g, tree_words(g, parents), edge)
         assert is_in_kernel(w)
         assert decompose(basis, w) == ((k, 1),)
@@ -156,7 +158,7 @@ def test_decomposition_well_defined_on_elements():
     for _ in range(100):
         u = random_kernel_word(rng, groups)
         # spell the same element differently: insert a cancelling pair
-        raw = [(lt.factor, lt.elem) for lt in u.letters]
+        raw = list(u.letters)
         f = rng.randrange(2)
         e = rng.randrange(1, groups[f].order)
         raw = raw[:1] + [(f, e), (f, groups[f].inverse(e))] + raw[1:]
@@ -303,10 +305,9 @@ def word_to_path(g, w):
         raise ValueError("word is over a different group list")
     path = []
     state = list(g.basepoint)
-    for lt in w.letters:
-        i = lt.factor
+    for i, e in w.letters:
         a = state[i]
-        b = g.groups[i].op(a, lt.elem)
+        b = g.groups[i].op(a, e)
         step = 1 if b > a else -1
         for p in range(a, b, step):
             v = list(state)
@@ -372,8 +373,8 @@ def tree_words(g, parents):
     spelled, inverse = {}, {}
     for v in g.vertices:
         w = path_to_word(g, tree_path_to(parents, v))
-        spelled[v] = [(lt.factor, lt.elem) for lt in w.letters]
-        inverse[v] = [(lt.factor, lt.elem) for lt in invert(w).letters]
+        spelled[v] = list(w.letters)
+        inverse[v] = list(invert(w).letters)
     return spelled, inverse
 
 
@@ -480,9 +481,9 @@ def cycle_witness(g, edge):
     tails = place_values([G.order for G in groups])
     v, w = ([y // t % G.order for G, t in zip(groups, tails)] for y in (x, x + tails[i]))
     G = groups[i]
-    up = [letter(k, v[k]) for k in range(len(v)) if v[k]]
-    down = [letter(k, groups[k].inverses[w[k]]) for k in reversed(range(len(w))) if w[k]]
-    return Word(groups, (*up, letter(i, G.table[G.inverses[v[i]]][w[i]]), *down))
+    up = [(k, v[k]) for k in range(len(v)) if v[k]]
+    down = [(k, groups[k].inverses[w[k]]) for k in reversed(range(len(w))) if w[k]]
+    return Word(groups, (*up, (i, G.table[G.inverses[v[i]]][w[i]]), *down))
 
 
 def test_one_pass_witnesses_match_per_edge_closed_form():
@@ -548,7 +549,8 @@ def oracle_tree_basis(graph):
     g, parents = bfs_search(graph.groups)
     words = tree_words(g, parents)
     witnesses = tuple(cycle_word(g, words, edge) for edge in g.cotree)
-    return Basis("tree", g.groups, tuple(f"c{k + 1}" for k in range(len(witnesses))), witnesses)
+    return Basis("tree", g.groups, tuple(f"c{k + 1}" for k in range(len(witnesses))), witnesses,
+                 cotree_walker(graph))
 
 
 def test_closed_form_graph_keeps_cli_output(capsys, monkeypatch):

@@ -9,7 +9,7 @@ from monodromy.groups import (S3_CLASSIC_ORDER, make_cyclic, make_symmetric,
                               parse_group_spec)
 from monodromy.words import (Letter, Word, commutator, empty_word,
                              format_word, format_words, invert, is_in_kernel,
-                             letter, multiply, parse_word, project,
+                             multiply, parse_word, project,
                              random_kernel_word, random_word, reduce_word,
                              single)
 
@@ -37,7 +37,7 @@ def test_cayley_merge():
 
 def test_already_reduced():
     w = reduce_word([(0, 1), (1, 2)], C2C3)
-    assert [(lt.factor, lt.elem) for lt in w.letters] == [(0, 1), (1, 2)]
+    assert list(w.letters) == [(0, 1), (1, 2)]
 
 
 def test_reduce_cascading():
@@ -53,8 +53,7 @@ def test_commutator_with_empty():
 
 def test_commutator_letters():
     w = commutator(single(C2C3, 0, 1), single(C2C3, 1, 1))
-    assert [(lt.factor, lt.elem) for lt in w.letters] == \
-        [(0, 1), (1, 1), (0, 1), (1, 2)]  # x1 x2 x1 x2^2
+    assert list(w.letters) == [(0, 1), (1, 1), (0, 1), (1, 2)]  # x1 x2 x1 x2^2
 
 
 def test_invert_commutator():
@@ -84,7 +83,7 @@ def test_reduce_idempotent():
     rng = random.Random(2)
     for _ in range(200):
         w = rand_word(rng, C2C3)
-        assert reduce_word([(lt.factor, lt.elem) for lt in w.letters], C2C3) == w
+        assert reduce_word(w.letters, C2C3) == w
 
 
 def test_project_and_kernel():
@@ -120,7 +119,7 @@ def test_word_rejects_unreduced():
 
 def test_parse_word_cyclic():
     w = parse_word("x1^1*x2^2", C2C3)
-    assert [(lt.factor, lt.elem) for lt in w.letters] == [(0, 1), (1, 2)]
+    assert list(w.letters) == [(0, 1), (1, 2)]
     assert parse_word("x2^-1", C2C3) == single(C2C3, 1, 2)
     assert parse_word("e", C2C3).is_identity
 
@@ -128,7 +127,7 @@ def test_parse_word_cyclic():
 def test_parse_word_names():
     groups = (make_cyclic(2), make_symmetric(3, names_order=S3_CLASSIC_ORDER))
     w = parse_word("s2:(12)*x1", groups)
-    assert [(lt.factor, lt.elem) for lt in w.letters] == [(1, 1), (0, 1)]
+    assert list(w.letters) == [(1, 1), (0, 1)]
     with pytest.raises(ValueError):
         parse_word("s2:(14)", groups)
     with pytest.raises(ValueError):
@@ -152,29 +151,26 @@ def test_random_words_skip_trivial_factors():
         k = random_kernel_word(rng, groups, 14)
         w = random_word(rng, groups)
         assert is_in_kernel(k)
-        assert all(lt.factor != 1 for lt in k.letters + w.letters)
+        assert all(f != 1 for f, _ in k.letters + w.letters)
     assert random_kernel_word(random.Random(0), (make_cyclic(1),) * 3, 14).is_identity
 
 
-def test_reductions_and_witnesses_share_letters():
-    # one Letter object per (factor, elem), still equal to and hashed like a
-    # freshly built one
+def test_letters_are_int_pairs():
+    # a letter is its bare (factor, elem) pair; `Letter` only names the fields
     groups = (make_cyclic(3), make_cyclic(4), make_cyclic(2))
     w = reduce_word([(0, 1), (1, 3), (1, 2), (2, 1), (0, 2)], groups)
-    assert [(lt.factor, lt.elem) for lt in w.letters] == [(0, 1), (1, 1), (2, 1), (0, 2)]
-    assert w.letters[1] is letter(1, 1) is reduce_word([(1, 1)], groups).letters[0]
-    g = build_fibre_graph(groups)
-    witnesses = list(cycle_witnesses(g))
-    shared = {}
-    for wit in witnesses:
-        for lt in wit.letters:
-            assert shared.setdefault((lt.factor, lt.elem), lt) is lt
-            assert lt is letter(lt.factor, lt.elem)
-            fresh = Letter(lt.factor, lt.elem)
-            assert fresh is not lt and fresh == lt and hash(fresh) == hash(lt)
-    assert w == Word(groups, tuple(Letter(lt.factor, lt.elem) for lt in w.letters))
-    assert {Letter(0, 1): "x"}[letter(0, 1)] == "x"
-    assert letter(0, 1) != letter(0, 2) and letter(0, 1) != letter(1, 1)
+    assert w.letters == ((0, 1), (1, 1), (2, 1), (0, 2))
+    witnesses = list(cycle_witnesses(build_fibre_graph(groups)))
+    for word in [w, invert(w), commutator(w, single(groups, 1, 3))] + witnesses:
+        for lt in word.letters:
+            assert type(lt) is tuple and len(lt) == 2
+            assert all(type(v) is int for v in lt)
+    for f, e in w.letters:
+        assert Letter(f, e) == (f, e) and hash(Letter(f, e)) == hash((f, e))
+        assert Letter(f, e).factor == f and Letter(f, e).elem == e
+    assert {Letter(0, 1): "x"}[(0, 1)] == "x"
+    assert Letter(0, 1) != Letter(0, 2) and Letter(0, 1) != Letter(1, 1)
+    assert Word(groups, tuple(Letter(f, e) for f, e in w.letters)) == w
 
 
 def format_word_per_letter(w):
@@ -182,12 +178,12 @@ def format_word_per_letter(w):
     if not w.letters:
         return "e"
     parts = []
-    for lt in w.letters:
-        name = w.groups[lt.factor].names[lt.elem]
+    for f, e in w.letters:
+        name = w.groups[f].names[e]
         if re.fullmatch(r"x(\^-?[0-9]+)?", name):
-            parts.append(name.replace("x", f"x{lt.factor + 1}"))
+            parts.append(name.replace("x", f"x{f + 1}"))
         else:
-            parts.append(f"s{lt.factor + 1}:{name}")
+            parts.append(f"s{f + 1}:{name}")
     return "*".join(parts)
 
 
