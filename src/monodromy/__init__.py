@@ -5,13 +5,12 @@ from .action import (Automorphism, Basis, act_letter, act_word, algebraic_basis,
 from .commutators import (delta_identity_check, iterated_commutator,
                           magnus_weight, product_expansion_check)
 from .complexes import (CubicalComplex, SimplicialComplex, build_complex,
-                        full_simplex, h1, is_flag, parse_complex_spec,
-                        zero_complex)
+                        full_simplex, h1, parse_complex_spec, zero_complex)
 from .fibre import FibreGraph, betti_one, build_fibre_graph, rank_formula
 from .groups import (FiniteGroup, make_cyclic, make_dihedral, make_symmetric,
                      parse_group_spec)
 from .intmatrix import (IntMatrix, abelianize, cyclic_closed_form,
-                        representation_report, smith_normal_form)
+                        representation_report)
 from .words import (Letter, Word, commutator, invert, is_in_kernel, multiply,
                     parse_word, project, reduce_word)
 

@@ -19,7 +19,7 @@ from .action import act_word, algebraic_basis, tree_basis
 from .commutators import MAX_LEMMA_TRIALS, lemma_suite
 from .complexes import build_complex, h1, load_complex_file, parse_complex_spec
 from .fibre import betti_one, build_fibre_graph, rank_formula, to_dot
-from .groups import GroupSpecParseError, parse_group_spec
+from .groups import GroupSpecParseError, SizeLimitError, cell_cap, parse_group_spec
 from .intmatrix import abelianize, representation_report
 from .verify import run_criteria
 from .words import format_words, parse_word
@@ -111,6 +111,10 @@ def cmd_act(args):
 
 def cmd_matrix(args):
     groups = _groups(args)
+    rank, cap = rank_formula([G.order for G in groups]), cell_cap()
+    if rank * rank > cap:  # refused before any walk: the matrix is dense
+        raise SizeLimitError(f"rank {rank}: its matrix of rank^2 = {rank * rank} "
+                             f"entries exceeds cap {cap}")
     basis = _basis_for(groups, args.basis)
     w = parse_word(args.element, groups)
     mat = abelianize(act_word(w, basis))

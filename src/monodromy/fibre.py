@@ -78,8 +78,9 @@ def build_fibre_graph(groups: Sequence[FiniteGroup]) -> FibreGraph:
     if not groups:
         raise ValueError("need at least one group")
     nverts = prod(G.order for G in groups)
-    if nverts > cell_cap():
-        raise SizeLimitError(f"vertex count {nverts} exceeds cap")
+    cap = cell_cap()
+    if nverts > cap:
+        raise SizeLimitError(f"vertex count {nverts} exceeds cap {cap}")
     return FibreGraph(groups)
 
 
@@ -131,11 +132,6 @@ def place_values(orders: Sequence[int]) -> list[int]:
     return [prod(orders[i + 1:]) for i in range(len(orders))]
 
 
-def is_tree_edge(x: int, tail: int) -> bool:
-    """Whether edge (x, i), with tail = T_i, is in the staircase tree."""
-    return x % tail == 0
-
-
 def cotree_walker(g: FibreGraph) -> Walker:
     """The letter walk of the tree basis, from any state.
 
@@ -161,7 +157,7 @@ def cotree_walker(g: FibreGraph) -> Walker:
             a = (index // tail) % m
             b = tables[i][a][e]
             index += (b - a) * tail
-            t = index % tail  # the coordinates after i; is_tree_edge, inlined
+            t = index % tail  # the coordinates after i; 0 on a tree edge
             if t:
                 h = index // (tail * m)  # the coordinates before i
                 base = offsets[i] + (h * (tail - 1) + t - 1) * (m - 1)

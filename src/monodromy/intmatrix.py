@@ -1,4 +1,4 @@
-"""Exact integer matrices: abelianized automorphisms, determinants, SNF.
+"""Exact integer matrices: abelianized automorphisms, determinants, the report.
 
 Entries are Python ints (arbitrary precision); no floating point anywhere.
 The abelianization uses the columns-as-images convention, so matrices
@@ -186,55 +186,6 @@ def _permutation_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def smith_normal_form(M: IntMatrix) -> tuple[list[int], int]:
-    """Invariant factors d1 | d2 | ... (positive) and the rank."""
-    a = [row[:] for row in M.entries]
-    rows, cols = M.rows, M.cols
-    n = min(rows, cols)
-    t = 0
-    while t < n:
-        # a pivot of minimal absolute value in the trailing block, first in row order
-        pivot = min(((abs(a[i][j]), i, j) for i in range(t, rows) for j in range(t, cols)
-                     if a[i][j]), default=None)
-        if pivot is None:
-            break
-        _, pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-
-        dirty = False
-        for i in range(t + 1, rows):
-            if a[i][t]:
-                q = a[i][t] // a[t][t]
-                for j in range(t, cols):
-                    a[i][j] -= q * a[t][j]
-                if a[i][t]:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if a[t][j]:
-                q = a[t][j] // a[t][t]
-                for i in range(t, rows):
-                    a[i][j] -= q * a[i][t]
-                if a[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        # pivot must divide the rest of the block
-        offender = next((i for i in range(t + 1, rows) for j in range(t + 1, cols)
-                         if a[i][j] % a[t][t]), None)
-        if offender is not None:
-            for j in range(t, cols):
-                a[t][j] += a[offender][j]
-            continue
-        if a[t][t] < 0:
-            for j in range(t, cols):
-                a[t][j] = -a[t][j]
-        t += 1
-    factors = [a[i][i] for i in range(t)]
-    return factors, len(factors)
-
-
 def _eliminate_units(columns: Sequence[dict[int, int]]):
     """Pivot on unit entries of sparse columns, sparsest column first.
 
@@ -285,26 +236,6 @@ def _eliminate_units(columns: Sequence[dict[int, int]]):
             pivots.append((i, j, p))
         if len(pivots) == before:
             return pivots, cols
-
-
-def sparse_rank_torsion(columns: Sequence[dict[int, int]]) -> tuple[int, list[int]]:
-    """(rank, invariant factors > 1) of a matrix given as sparse columns.
-
-    Each unit pivot of `_eliminate_units` splits off an invariant factor 1.
-    Only a leftover block without a unit entry goes to the dense
-    `smith_normal_form`.
-    """
-    pivots, cols = _eliminate_units(columns)
-    rank = len(pivots)
-    if not cols:
-        return rank, []
-    live = {r: n for n, r in enumerate(sorted({r for col in cols.values() for r in col}))}
-    block = [[0] * len(cols) for _ in live]
-    for c, col in enumerate(cols.values()):
-        for r, v in col.items():
-            block[live[r]][c] = v
-    factors, block_rank = smith_normal_form(IntMatrix(block))
-    return rank + block_rank, [d for d in factors if d > 1]
 
 
 def abelianize(f: Automorphism) -> IntMatrix:

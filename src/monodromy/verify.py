@@ -66,7 +66,7 @@ def criterion_1_rank_formula(seed: int = 0):
         parents, nedges = [0] * (orders[0] * tails[0]), 0  # V = m_0 T_0
         for x, i in grid_edges(orders):
             nedges += 1
-            if x % tails[i] == 0:  # a tree edge; is_tree_edge, inlined
+            if x % tails[i] == 0:  # a tree edge: the coordinates after i are 0
                 parents[x + tails[i]] += 1
         if parents[0] or parents.count(1) != len(parents) - 1:
             return _fail(f"staircase tree does not span at orders {orders}")

@@ -226,7 +226,7 @@ def test_bad_cell_cap_names_the_variable(capsys, monkeypatch):
     assert code == 2
     assert err == "error: C3 has order 3: its table of order^2 entries exceeds cap 5\n"
     code, _, err = run(capsys, "graph", "--groups", "C2,C2,C2")
-    assert code == 2 and err == "error: vertex count 8 exceeds cap\n"
+    assert code == 2 and err == "error: vertex count 8 exceeds cap 5\n"
 
 
 
@@ -235,6 +235,22 @@ def test_table_cap_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "rank", "--groups", "C50")
     assert (code, out) == (2, "")
     assert err == "error: C50 has order 50: its table of order^2 entries exceeds cap 100\n"
+
+
+def test_matrix_refuses_rank_squared_over_the_cap(capsys, monkeypatch):
+    # rank 26,001: the dense matrix would hold 676,052,001 entries
+    began = time.perf_counter()
+    code, out, err = run(capsys, "matrix", "--basis", "tree", "--groups", "C10,C10,C10,C10",
+                         "--element", "x1")
+    assert time.perf_counter() - began < 2
+    assert (code, out) == (2, "")
+    assert err == "error: rank 26001: its matrix of rank^2 = 676052001 entries exceeds cap 1000000\n"
+    monkeypatch.setenv("MONODROMY_CELL_CAP", "16")
+    code, out, _ = run(capsys, "matrix", "--groups", "C3,C3", "--element", "x1")  # rank 4
+    assert code == 0 and len(out.splitlines()) == 4
+    code, out, err = run(capsys, "matrix", "--groups", "C2,C2,C2", "--element", "x1")
+    assert (code, out) == (2, "")
+    assert err == "error: rank 5: its matrix of rank^2 = 25 entries exceeds cap 16\n"
 
 
 TABLE_BODIES = ("5", '"x"', "[]", "not json", '{"order": 2}',

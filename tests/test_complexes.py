@@ -6,16 +6,28 @@ from math import prod
 import pytest
 
 from monodromy.complexes import (CubicalComplex, SimplicialComplex,
-                                 build_complex, full_simplex, h1, is_flag,
+                                 build_complex, full_simplex, h1,
                                  load_complex_file, parse_complex_spec,
                                  zero_complex)
 from monodromy.fibre import betti_one, build_fibre_graph, rank_formula
 from monodromy.groups import SizeLimitError, make_cyclic, make_symmetric
-from monodromy.intmatrix import IntMatrix, smith_normal_form
+from monodromy.intmatrix import IntMatrix
+from oracles import elimination_h1, smith_normal_form
 
 
 def cyclic(*orders):
     return tuple(make_cyclic(m) for m in orders)
+
+
+def is_flag(K):
+    """True iff every set of pairwise-adjacent vertices is a face."""
+    edges = K.edges()
+    for k in range(3, K.n + 1):
+        for combo in itertools.combinations(range(1, K.n + 1), k):
+            if all(frozenset(p) in edges for p in itertools.combinations(combo, 2)):
+                if not K.has_face(combo):
+                    return False
+    return True
 
 
 def rational_rank(mat):
@@ -160,7 +172,7 @@ def test_vertex_count_mismatch_and_cap(monkeypatch):
 def test_cell_cap_env_override(monkeypatch):
     groups = cyclic(4, 4)  # built first: the cap also bounds group tables
     monkeypatch.setenv("MONODROMY_CELL_CAP", "10")
-    with pytest.raises(SizeLimitError, match="cell count 49 exceeds cap"):
+    with pytest.raises(SizeLimitError, match="^cell count 49 exceeds cap 10$"):
         build_complex(groups, full_simplex(2))
     monkeypatch.setenv("MONODROMY_CELL_CAP", "1000000")
     build_complex(groups, full_simplex(2))
@@ -253,15 +265,26 @@ def random_complex(rng, n):
 
 
 def test_h1_matches_bbcg_formula_and_dense_oracle():
+    # the closed form against BBCG's subset sum, the sparse elimination and,
+    # where the cells are few, the dense tuple-cell Bareiss rank and SNF
     rng = random.Random(37)
-    for _ in range(100):
-        n = rng.randrange(1, 5)
-        orders = [rng.randrange(1, 4) for _ in range(n)]
-        K = random_complex(rng, n)
+    seen = {"trivial factor": 0, "triangle": 0, "dense": 0, "b1 > 0": 0}
+    for _ in range(150):
+        n = rng.randrange(1, 6)
+        orders = [rng.randrange(1, 5) for _ in range(n)]
+        if rng.random() < 0.3:
+            orders.insert(rng.randrange(n + 1), 1)
+        K = random_complex(rng, len(orders))
         cx = build_complex(cyclic(*orders), K)
         got = h1(cx)
-        assert got == (bbcg_b1(orders, K), [])
-        assert got == dense_h1(orders, K)
+        assert got == (bbcg_b1(orders, K), []) == elimination_h1(cx), (orders, K)
+        if sum(cx.counts) <= 300:
+            assert got == dense_h1(orders, K), (orders, K)
+            seen["dense"] += 1
+        seen["trivial factor"] += 1 in orders
+        seen["triangle"] += any(len(f) == 3 for f in K.facets)
+        seen["b1 > 0"] += got[0] > 0
+    assert min(seen.values()) >= 20, seen
 
 
 def test_grid_boundaries_match_tuple_cells():
@@ -282,7 +305,7 @@ def test_h1_on_a_hundred_thousand_cells():
     orders, K = [4] * 7, zero_complex(7)
     cx = build_complex(cyclic(*orders), K)
     assert cx.counts == (16384, 86016, 0)
-    assert h1(cx) == (bbcg_b1(orders, K), []) == (69633, [])
+    assert h1(cx) == elimination_h1(cx) == (bbcg_b1(orders, K), []) == (69633, [])
 
 
 def test_cell_cap_is_checked_before_building(monkeypatch):
@@ -290,17 +313,45 @@ def test_cell_cap_is_checked_before_building(monkeypatch):
     # 3*4*2 vertices, 2*4*2 + 3*3*2 + 3*4*1 edges, 2*3*2 squares on {1,2}
     count = 24 + (16 + 18 + 12) + 12
     monkeypatch.setenv("MONODROMY_CELL_CAP", str(count - 1))
-    with pytest.raises(SizeLimitError, match=f"cell count {count} exceeds cap"):
+    with pytest.raises(SizeLimitError, match=f"^cell count {count} exceeds cap {count - 1}$"):
         build_complex(groups, K)
     monkeypatch.setenv("MONODROMY_CELL_CAP", str(count))
     assert sum(build_complex(groups, K).counts) == count
 
 
 def test_h1_with_squares_at_scale_matches_bbcg():
-    # squares on every edge of K, so d2 has thousands of columns to eliminate
+    # squares on every edge of K, so the oracle's d2 has thousands of columns
     path = SimplicialComplex(6, tuple(frozenset({v, v + 1}) for v in range(1, 6)))
     cx = build_complex(cyclic(*[4] * 6), path)
-    assert h1(cx) == (bbcg_b1([4] * 6, path), []) == (2817, [])
+    assert h1(cx) == elimination_h1(cx) == (bbcg_b1([4] * 6, path), []) == (2817, [])
     skeleton = SimplicialComplex(6, tuple(map(frozenset, itertools.combinations(range(1, 7), 2))))
     cx = build_complex(cyclic(*[3] * 6), skeleton)
-    assert h1(cx) == (bbcg_b1([3] * 6, skeleton), []) == (0, [])
+    assert h1(cx) == elimination_h1(cx) == (bbcg_b1([3] * 6, skeleton), []) == (0, [])
+
+
+def test_h1_builds_no_boundary(monkeypatch):
+    # 851,968 cells, yet h1 reads b1 off the orders and the 16-cycle alone
+    def refuse(*args):
+        raise AssertionError("h1 must not build a boundary")
+
+    monkeypatch.setattr(CubicalComplex, "_square_boundaries", refuse)
+    monkeypatch.setattr(CubicalComplex, "boundary_columns", refuse)
+    cycle = SimplicialComplex(16, tuple(frozenset({v, v % 16 + 1}) for v in range(1, 17)))
+    cx = build_complex(cyclic(*[2] * 16), cycle)
+    assert sum(cx.counts) == 851968
+    assert h1(cx) == (196610, [])
+
+
+def test_h1_drops_trivial_factors_before_enumerating():
+    # over 42 vertices the connected induced subgraphs number 2^42 - 1; only
+    # the two C3 coordinates (1 and 42) have m >= 2, so h1 is instant
+    n = 42
+    orders = [3] + [1] * 40 + [3]
+    pairs = [frozenset(p) for p in itertools.combinations(range(1, n + 1), 2)]
+    skeleton = SimplicialComplex(n, tuple(pairs))
+    assert h1(build_complex(cyclic(*orders), skeleton)) == (0, [])
+    # without the edge {1, 42} the C3s lie in two components of K_J, J = {1, 42}:
+    # b1 = (2 - 1) * 2 * 2, whatever the C1 vertices join
+    apart = SimplicialComplex(n, tuple(p for p in pairs if p != frozenset({1, n})))
+    assert h1(build_complex(cyclic(*orders), apart)) == (4, [])
+    assert bbcg_b1([3, 3], zero_complex(2)) == 4

@@ -11,8 +11,8 @@ import pytest
 from monodromy.action import Basis, decompose, tree_basis
 from monodromy.cli import main
 from monodromy.fibre import (betti_one, build_fibre_graph, cotree_walker,
-                             cycle_witnesses, grid_edges, is_tree_edge,
-                             place_values, rank_formula, to_dot)
+                             cycle_witnesses, grid_edges, place_values,
+                             rank_formula, to_dot)
 from monodromy.groups import (SizeLimitError, make_cyclic, make_dihedral,
                               make_symmetric, parse_group_spec)
 from monodromy.words import (Word, commutator, free_reduce, invert,
@@ -22,6 +22,11 @@ from monodromy.words import (Word, commutator, free_reduce, invert,
 
 def cyclic_groups(*orders):
     return tuple(make_cyclic(m) for m in orders)
+
+
+def is_tree_edge(x, tail):
+    """Whether edge (x, i), with tail = T_i, is in the staircase tree."""
+    return x % tail == 0
 
 
 def test_rank_formula_values():

@@ -11,10 +11,10 @@ from monodromy.groups import (S3_CLASSIC_ORDER, SizeLimitError, make_cyclic,
                               make_symmetric, parse_group_spec)
 from monodromy.intmatrix import (IntMatrix, _eliminate_units, abelianize, bareiss_det,
                                  cyclic_closed_form, matrix_of_letter,
-                                 representation_report, smith_normal_form,
-                                 sparse_rank_torsion)
+                                 representation_report)
 from monodromy.words import (Letter, free_reduce, multiply, random_kernel_word,
                              reduce_word, single)
+from oracles import smith_normal_form, sparse_rank_torsion
 
 
 def rand_matrix(rng, rows, cols, bound=9):
