@@ -111,12 +111,12 @@ def cmd_act(args):
 
 def cmd_matrix(args):
     groups = _groups(args)
+    w = parse_word(args.element, groups)
     rank, cap = rank_formula([G.order for G in groups]), cell_cap()
     if rank * rank > cap:  # refused before any walk: the matrix is dense
         raise SizeLimitError(f"rank {rank}: its matrix of rank^2 = {rank * rank} "
                              f"entries exceeds cap {cap}")
     basis = _basis_for(groups, args.basis)
-    w = parse_word(args.element, groups)
     mat = abelianize(act_word(w, basis))
     payload = {"basis": list(basis.symbols),
                "convention": "columns-as-images",

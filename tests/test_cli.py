@@ -245,6 +245,10 @@ def test_matrix_refuses_rank_squared_over_the_cap(capsys, monkeypatch):
     assert time.perf_counter() - began < 2
     assert (code, out) == (2, "")
     assert err == "error: rank 26001: its matrix of rank^2 = 676052001 entries exceeds cap 1000000\n"
+    # the element is parsed first, so a malformed one keeps its own error
+    code, out, err = run(capsys, "matrix", "--groups", "C10,C10,C10,C10", "--element", "x9")
+    assert (code, out) == (2, "")
+    assert err == "error: coordinate 9 out of range in token 'x9'\n"
     monkeypatch.setenv("MONODROMY_CELL_CAP", "16")
     code, out, _ = run(capsys, "matrix", "--groups", "C3,C3", "--element", "x1")  # rank 4
     assert code == 0 and len(out.splitlines()) == 4

@@ -265,8 +265,10 @@ def random_complex(rng, n):
 
 
 def test_h1_matches_bbcg_formula_and_dense_oracle():
-    # the closed form against BBCG's subset sum, the sparse elimination and,
-    # where the cells are few, the dense tuple-cell Bareiss rank and SNF
+    # the closed form against BBCG's subset sum, the sparse elimination and
+    # the dense tuple-cell Bareiss rank and SNF; the dense oracle runs on every
+    # model of at most 513 cells, the size of C3^4 over the full 1-skeleton,
+    # so on every input with n <= 4 and orders <= 3
     rng = random.Random(37)
     seen = {"trivial factor": 0, "triangle": 0, "dense": 0, "b1 > 0": 0}
     for _ in range(150):
@@ -278,13 +280,13 @@ def test_h1_matches_bbcg_formula_and_dense_oracle():
         cx = build_complex(cyclic(*orders), K)
         got = h1(cx)
         assert got == (bbcg_b1(orders, K), []) == elimination_h1(cx), (orders, K)
-        if sum(cx.counts) <= 300:
+        if sum(cx.counts) <= 513:
             assert got == dense_h1(orders, K), (orders, K)
             seen["dense"] += 1
         seen["trivial factor"] += 1 in orders
         seen["triangle"] += any(len(f) == 3 for f in K.facets)
         seen["b1 > 0"] += got[0] > 0
-    assert min(seen.values()) >= 20, seen
+    assert min(seen.values()) >= 20 and seen["dense"] >= 100, seen
 
 
 def test_grid_boundaries_match_tuple_cells():
