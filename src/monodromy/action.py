@@ -14,16 +14,16 @@ c = p |H| + q in the commutator basis (`commutator_walker`).  Each letter
 emits the signed symbols s with  c . letter = s . c', so walks concatenate;
 a kernel word walks from 0 back to 0 and spells its decomposition, and
 conjugation by g sends a witness w to P . walk(w from pi(g)) . P^-1, where
-P is the walk of g.
+P is the walk of g; `Basis.walks` keeps the witness walks of the last state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Sequence
 
-from .fibre import FibreGraph, Walker, cotree_walker, cycle_witnesses
+from .fibre import FibreGraph, Walker, cotree_walker, cotree_walks, cycle_witnesses
 from .groups import FiniteGroup
 from .words import (Letter, Word, commutator, free_reduce, invert, invert_signed,
                     is_in_kernel, reduce_word, single)
@@ -39,6 +39,7 @@ class Basis:
     symbols: tuple[str, ...]
     witnesses: tuple[Word, ...]
     walk: Walker = field(compare=False, repr=False)  # the letter walk, from any state
+    walks: Callable[[int], tuple] = field(compare=False, repr=False)  # witness walks, by start
 
     def __post_init__(self):
         for w in self.witnesses:
@@ -72,8 +73,16 @@ def algebraic_basis(groups: Sequence[FiniteGroup]) -> Basis:
         for j in range(1, H.order):
             symbols.append(f"w[{i},{j}]")
             witnesses.append(commutator(single(groups, 0, i), single(groups, 1, j)))
-    return Basis("algebraic-n2", groups, tuple(symbols), tuple(witnesses),
-                 commutator_walker(G, H))
+    walk = commutator_walker(G, H)
+
+    @lru_cache(maxsize=1)
+    def walks(start: int) -> tuple[SymbolWord, ...]:
+        runs: list[list] = [[] for _ in witnesses]
+        for wit, raw in zip(witnesses, runs):
+            walk(wit.letters, start, raw)
+        return tuple(map(tuple, runs))
+
+    return Basis("algebraic-n2", groups, tuple(symbols), tuple(witnesses), walk, walks)
 
 
 def commutator_walker(G: FiniteGroup, H: FiniteGroup) -> Walker:
@@ -108,7 +117,8 @@ def commutator_walker(G: FiniteGroup, H: FiniteGroup) -> Walker:
 def tree_basis(graph: FibreGraph) -> Basis:
     witnesses = tuple(cycle_witnesses(graph))
     symbols = tuple(f"c{k + 1}" for k in range(len(witnesses)))
-    return Basis("tree", graph.groups, symbols, witnesses, cotree_walker(graph))
+    return Basis("tree", graph.groups, symbols, witnesses, cotree_walker(graph),
+                 lru_cache(maxsize=1)(cotree_walks(graph)))
 
 
 @dataclass(frozen=True)
@@ -153,8 +163,8 @@ def recompose(basis: Basis, image: SymbolWord) -> Word:
 def act_word(w: Word, basis: Basis) -> Automorphism:
     """The action of w by conjugation, as a deck translation.
 
-    w is walked once to the prefix P; each witness is then walked from the
-    image of w, and its walk W joined to P and P^-1.  The walk of a reduced
+    w is walked once to the prefix P; each witness's walk W from the image
+    of w (`Basis.walks`) is then joined to P and P^-1.  The walk of a reduced
     word is reduced (see `decompose`), so symbols cancel only at the two
     seams, unless W cancels away and P meets P^-1: only then is the join
     reduced in full.  A free basis gives each image one reduced word, so
@@ -162,17 +172,13 @@ def act_word(w: Word, basis: Basis) -> Automorphism:
     """
     if w.groups != basis.groups:
         raise ValueError("word is over a different group list")
-    walk = basis.walk
     raw: list[tuple[int, int]] = []
-    start = walk(w.letters, 0, raw)
+    start = basis.walk(w.letters, 0, raw)
     prefix = tuple(raw)
     suffix = invert_signed(prefix)
     n = len(prefix)
     images = []
-    for wit in basis.witnesses:
-        raw = []
-        walk(wit.letters, start, raw)
-        run = tuple(raw)
+    for run in basis.walks(start):
         # W[k] cancels P[-1-k] when it equals (P^-1)[k]; W[-1-j] cancels
         # (P^-1)[j] when it equals P[-1-j]
         b, k, j = len(run), 0, 0

@@ -20,7 +20,7 @@ basis, and the staircase gives both halves of the calculus in closed form:
   `grid_edges`).  From the basepoint the walk of a kernel word is its
   decomposition; from any other vertex it is a translate, which is how
   `action.act_word` reads a conjugate g w g^-1 as the cycle w translated
-  by the image of g.
+  by the image of g, and `cotree_walks` translates every witness at once.
 
 tests/test_fibre.py keeps the oracles: a breadth-first search for the graph, an
 edge-path walker, and `cycle_witness`, the per-edge witness removed from this API.
@@ -34,7 +34,7 @@ from math import prod
 from typing import Callable, Iterator, Sequence
 
 from .groups import FiniteGroup, SizeLimitError, cell_cap
-from .words import Word
+from .words import Word, invert_signed
 
 # An edge is (x, i): the unit segment from the vertex with mixed-radix index x
 # to the vertex x + T_i, whose position at coordinate i is one higher.
@@ -132,18 +132,16 @@ def place_values(orders: Sequence[int]) -> list[int]:
     return [prod(orders[i + 1:]) for i in range(len(orders))]
 
 
-def cotree_walker(g: FibreGraph) -> Walker:
-    """The letter walk of the tree basis, from any state.
+def _cotree_step(g: FibreGraph) -> Callable[[int, int, int, list], int]:
+    """The tree basis's walk of one letter: `step(i, e, index, out) -> index`.
 
-    `walk(letters, index, out)` starts at the vertex whose mixed-radix index
-    (coordinate 0 most significant) is `index`, appends to `out` the signed
-    cotree edges the letters cross, and returns the index it ends at.  A
-    letter (i, h) moves coordinate i of the state from a to b = a*h.  If the
-    state's coordinates after i are all 0 it crosses tree edges only;
-    otherwise it crosses one cotree chain, whose edges have the consecutive
-    indices base + p: upward over p = a..b-1, downward over p = a-1..b.
+    Letter (i, e) moves coordinate i of the vertex `index` from a to b = a*e
+    and returns the new index.  If the state's coordinates after i are all 0
+    it crosses tree edges only; otherwise it appends to `out` the one cotree
+    chain it crosses, edges of consecutive indices base + p: upward over
+    p = a..b-1, downward over p = a-1..b.
     """
-    # a Word's letters are valid elements, so the walk reads the tables unchecked
+    # a Word's letters are valid elements, so the step reads the tables unchecked
     tables = [G.table for G in g.groups]
     orders = [G.order for G in g.groups]
     # T_i = prod_{k>i} m_k, and off_i = the cotree edges of coordinates < i
@@ -151,23 +149,69 @@ def cotree_walker(g: FibreGraph) -> Walker:
     offsets = list(itertools.accumulate(
         (prod(orders[:k]) * (tails[k] - 1) * (m - 1) for k, m in enumerate(orders)), initial=0))
 
+    def step(i: int, e: int, index: int, out: list) -> int:
+        tail, m = tails[i], orders[i]
+        a = (index // tail) % m
+        b = tables[i][a][e]
+        index += (b - a) * tail
+        t = index % tail  # the coordinates after i; 0 on a tree edge
+        if t:
+            h = index // (tail * m)  # the coordinates before i
+            base = offsets[i] + (h * (tail - 1) + t - 1) * (m - 1)
+            if b > a:
+                out += [(base + p, 1) for p in range(a, b)]
+            else:
+                out += [(base + p, -1) for p in range(a - 1, b - 1, -1)]
+        return index
+
+    return step
+
+
+def cotree_walker(g: FibreGraph) -> Walker:
+    """The letter walk of the tree basis, from any state: one `_cotree_step` per letter."""
+    step = _cotree_step(g)
+
     def walk(letters: Sequence[tuple[int, int]], index: int, out: list) -> int:
         for i, e in letters:
-            tail, m = tails[i], orders[i]
-            a = (index // tail) % m
-            b = tables[i][a][e]
-            index += (b - a) * tail
-            t = index % tail  # the coordinates after i; 0 on a tree edge
-            if t:
-                h = index // (tail * m)  # the coordinates before i
-                base = offsets[i] + (h * (tail - 1) + t - 1) * (m - 1)
-                if b > a:
-                    out += [(base + p, 1) for p in range(a, b)]
-                else:
-                    out += [(base + p, -1) for p in range(a - 1, b - 1, -1)]
+            index = step(i, e, index, out)
         return index
 
     return walk
+
+
+def cotree_walks(g: FibreGraph) -> Callable[[int], tuple[tuple, ...]]:
+    """`walks(start)`: the walk of every witness from `start`, in basis order.
+
+    The witness of cotree edge (x, i) is up(x) . E . up(x + T_i)^-1, up(v) the
+    letters of v's nonzero coordinates ascending and E the edge letter.  Walks
+    concatenate and inverse letters retrace, so its walk is Phi(x) + E +
+    Phi(x + T_i)^-1, Phi(v) the walk of up(v) and E walked from where Phi(x)
+    ends.  In staircase order, v = (h m_k + d) T_k is its parent h m_k T_k and (k, d).
+    """
+    step = _cotree_step(g)
+    orders = [G.order for G in g.groups]
+    tails = place_values(orders)
+    edges = [[G.table[G.inverses[p]][p + 1] for p in range(G.order - 1)] for G in g.groups]
+
+    def walks(start: int) -> tuple[tuple, ...]:
+        phi: list = [()] * prod(orders)
+        ends = [start] * len(phi)  # the state each Phi(v) ends at
+        for k, (m, tail) in enumerate(zip(orders, tails)):
+            for parent in range(0, len(phi), m * tail):
+                for d in range(1, m):
+                    out: list = []
+                    v = parent + d * tail
+                    ends[v] = step(k, d, ends[parent], out)
+                    phi[v] = phi[parent] + tuple(out)
+        back = [invert_signed(run) for run in phi]
+        runs = []
+        for x, i in grid_edges(orders, cotree_only=True):
+            edge: list = []
+            step(i, edges[i][(x // tails[i]) % orders[i]], ends[x], edge)
+            runs.append(phi[x] + tuple(edge) + back[x + tails[i]])
+        return tuple(runs)
+
+    return walks
 
 
 def to_dot(g: FibreGraph) -> str:

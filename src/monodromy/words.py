@@ -176,7 +176,7 @@ def random_kernel_word(rng: random.Random, groups: Sequence[FiniteGroup],
     return reduce_word(raw + fix, groups)
 
 
-_X_TOKEN = re.compile(r"x([0-9]+)\^?(-?[0-9]+)?$")
+_X_TOKEN = re.compile(r"x([0-9]+)(?:\^(-?[0-9]+))?$")
 _NAME_TOKEN = re.compile(r"s([0-9]+):(.+)$")
 _CYCLIC_NAME = re.compile(r"x(\^-?[0-9]+)?")
 

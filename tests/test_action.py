@@ -529,6 +529,54 @@ def test_seam_act_word_matches_full_reduction(monkeypatch):
     assert all(sliced and cancelled for sliced, cancelled in seen.values()), seen
 
 
+# -- the walks of all witnesses from one state -----------------------------------
+# Oracle: each witness walked letter by letter with `Basis.walk`.
+
+
+def walk_each(basis, start):
+    runs = []
+    for wit in basis.witnesses:
+        raw = []
+        basis.walk(wit.letters, start, raw)
+        runs.append(tuple(raw))
+    return tuple(runs)
+
+
+def test_walks_match_walking_each_witness():
+    # the tree basis reads Phi(x) + E + Phi(x')^-1 off its table of tree-path
+    # walks; the commutator basis walks its witnesses
+    rng = random.Random(32)
+    bases = [tree_basis(build_fibre_graph(parse_group_spec(spec)))
+             for spec in ("S3,C4,C3", "D4,C3,C2", "S4,C1,C2", "C5", "C1,C4")]
+    bases += [algebraic_basis(parse_group_spec(spec)) for spec in ("S3,C4", "D4,C3", "C5,C2")]
+    for basis in bases:
+        states = prod(G.order for G in basis.groups)
+        for start in (0, states - 1, rng.randrange(states), rng.randrange(states)):
+            assert basis.walks(start) == walk_each(basis, start), (basis.groups, start)
+
+
+def test_walks_cache_one_state():
+    groups = parse_group_spec("S3,C4,C3")
+    for basis in (tree_basis(build_fibre_graph(groups)), algebraic_basis(groups[:2])):
+        act_word(single(basis.groups, 0, 1), basis)
+        act_word(single(basis.groups, 1, 1), basis)
+        info = basis.walks.cache_info()
+        assert (info.misses, info.currsize) == (2, 1)
+
+
+def test_kernel_words_reuse_the_walks_from_zero():
+    rng = random.Random(33)
+    groups = parse_group_spec("D4,C3")
+    for basis in (tree_basis(build_fibre_graph(groups)), algebraic_basis(groups)):
+        first, second = (random_kernel_word(rng, groups, 12) for _ in range(2))
+        act_word(first, basis)
+        phi = act_word(second, basis)
+        info = basis.walks.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert phi.images == tuple(decompose(basis, conjugate(second, wit))
+                                   for wit in basis.witnesses)
+
+
 # -- one reduction per word operation ----------------------------------------
 # Oracles: each operation as nested `multiply` calls, with the inverse spelt
 # one letter at a time.

@@ -200,6 +200,14 @@ def test_missing_input_files_exit_2(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_malformed_powers_exit_2(capsys):
+    # the caret comes exactly when an exponent follows
+    for token in ("x1-2", "x1^"):
+        code, out, err = run(capsys, "act", "--groups", "C3,C4", "--element", token)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot parse word token {token!r}\n"
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == 1
