@@ -21,15 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .fibre import FibreGraph, Walker, cotree_walker, cotree_walks, cycle_witnesses
 from .groups import FiniteGroup
 from .words import (Letter, Word, commutator, free_reduce, invert, invert_signed,
-                    is_in_kernel, reduce_word, single)
+                    projection, reduce_word, single)
 
-# A signed symbol word: ((symbol_index, +1|-1), ...)
-SymbolWord = tuple[tuple[int, int], ...]
+# A signed symbol word (see `words`): symbol k is k + 1, its inverse -(k + 1)
+SymbolWord = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,9 @@ class Basis:
     walks: Callable[[int], tuple] = field(compare=False, repr=False)  # witness walks, by start
 
     def __post_init__(self):
+        project = projection(self.groups)
         for w in self.witnesses:
-            if not is_in_kernel(w):
+            if any(project(w.letters)):
                 raise ValueError("basis witness is not in the kernel")
 
     @property
@@ -51,13 +53,14 @@ class Basis:
         return len(self.symbols)
 
     @cached_property
-    def _tokens(self) -> dict[int, tuple[str, ...]]:
-        """The printed token of each symbol, by sign."""
-        return {1: self.symbols, -1: tuple(s + "^-1" for s in self.symbols)}
+    def _tokens(self) -> list[str]:
+        """Symbol x prints as tokens[x]: a negative x wraps round to the reversed inverses."""
+        return ["", *self.symbols, *(s + "^-1" for s in reversed(self.symbols))]
 
     def format_image(self, image: SymbolWord) -> str:
-        tokens = self._tokens
-        return "*".join([tokens[sign][sym] for sym, sign in image]) or "e"
+        if len(image) > 1:
+            return "*".join(itemgetter(*image)(self._tokens))
+        return self._tokens[image[0]] if image else "e"
 
 
 def algebraic_basis(groups: Sequence[FiniteGroup]) -> Basis:
@@ -91,7 +94,7 @@ def commutator_walker(G: FiniteGroup, H: FiniteGroup) -> Walker:
     The state p |H| + q stands for g_p h_q.  A letter of H moves q and emits
     nothing.  A letter a of G moves p to p' = p a and, if q != 0, emits
     [g_p, h_q] unless p = 0, then [g_p', h_q]^-1 unless p' = 0; the symbol
-    w[i,j] has index (i - 1)(|H| - 1) + j - 1.
+    w[i,j] is (i - 1)(|H| - 1) + j.
     """
     # a Word's letters are valid elements, so the walk reads the tables unchecked
     n, g_table, h_table = H.order, G.table, H.table
@@ -105,9 +108,9 @@ def commutator_walker(G: FiniteGroup, H: FiniteGroup) -> Walker:
             r = g_table[p][e]
             if q:
                 if p:
-                    out.append(((p - 1) * (n - 1) + q - 1, 1))
+                    out.append((p - 1) * (n - 1) + q)
                 if r:
-                    out.append(((r - 1) * (n - 1) + q - 1, -1))
+                    out.append(-((r - 1) * (n - 1) + q))
             p = r
         return p * n + q
 
@@ -145,7 +148,7 @@ def decompose(basis: Basis, w: Word) -> SymbolWord:
     """
     if w.groups != basis.groups:
         raise ValueError("word is over a different group list")
-    raw: list[tuple[int, int]] = []
+    raw: list[int] = []
     if basis.walk(w.letters, 0, raw):
         raise ValueError("word is not in the kernel of the projection")
     return tuple(raw)
@@ -154,9 +157,9 @@ def decompose(basis: Basis, w: Word) -> SymbolWord:
 def recompose(basis: Basis, image: SymbolWord) -> Word:
     """The kernel word a signed symbol word spells: its witnesses' letters, reduced once."""
     raw: list[tuple[int, int]] = []
-    for sym, sign in image:
-        wit = basis.witnesses[sym]
-        raw += wit.letters if sign == 1 else invert(wit).letters
+    for x in image:
+        wit = basis.witnesses[abs(x) - 1]
+        raw += wit.letters if x > 0 else invert(wit).letters
     return reduce_word(raw, basis.groups)
 
 
@@ -172,7 +175,7 @@ def act_word(w: Word, basis: Basis) -> Automorphism:
     """
     if w.groups != basis.groups:
         raise ValueError("word is over a different group list")
-    raw: list[tuple[int, int]] = []
+    raw: list[int] = []
     start = basis.walk(w.letters, 0, raw)
     prefix = tuple(raw)
     suffix = invert_signed(prefix)

@@ -113,6 +113,8 @@ def cmd_matrix(args):
     groups = _groups(args)
     w = parse_word(args.element, groups)
     rank, cap = rank_formula([G.order for G in groups]), cell_cap()
+    if not rank:
+        raise ValueError(f"rank 0 for --groups {args.groups}: a trivial kernel has no matrix")
     if rank * rank > cap:  # refused before any walk: the matrix is dense
         raise SizeLimitError(f"rank {rank}: its matrix of rank^2 = {rank * rank} "
                              f"entries exceeds cap {cap}")

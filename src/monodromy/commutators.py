@@ -1,10 +1,11 @@
 """Iterated commutators and lower-central-series weight certificates.
 
-Free-letter words carry no group relations: they are freely reduced
-sequences of signed abstract symbols.  The Magnus substitution x -> 1 + X
-(truncated) certifies lower-central-series depth: a word whose series has
-no nonzero term below degree k lies in the k-th stage of the free group's
-descending central series, which maps into the free product's.
+Free-letter words carry no group relations: they are freely reduced signed
+symbol words (see `words`) over one-character names, a name a standing for
+ord(a).  The Magnus substitution x -> 1 + X (truncated) certifies
+lower-central-series depth: a word whose series has no nonzero term below
+degree k lies in the k-th stage of the free group's descending central
+series, which maps into the free product's.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from .groups import FiniteGroup
 from .words import (Word, commutator as group_commutator, conjugate, free_reduce,
                     invert_signed, multiply, random_word)
 
-# A free-letter word: ((symbol, +1|-1), ...), freely reduced.
-FreeLetterWord = tuple[tuple[str, int], ...]
+# A free-letter word: (+-ord(name), ...), freely reduced.
+FreeLetterWord = tuple[int, ...]
 
 MAX_MAGNUS_DEGREE = 8
 # lemma-check's work grows linearly with its trial count
@@ -25,7 +26,7 @@ MAX_LEMMA_TRIALS = 10**4
 
 
 def letters(*symbols: str) -> list[FreeLetterWord]:
-    return [((s, 1),) for s in symbols]
+    return [(ord(s),) for s in symbols]
 
 
 def fl_mul(*ws: FreeLetterWord) -> FreeLetterWord:
@@ -79,7 +80,7 @@ def lemma_suite(groups: Sequence[FiniteGroup], rng: random.Random,
     alphabet = "abcde"
     expansion = 0
     for _ in range(trials):
-        ws = [free_reduce((rng.choice(alphabet), rng.choice((1, -1)))
+        ws = [free_reduce(ord(rng.choice(alphabet)) * rng.choice((1, -1))
                           for _ in range(rng.randrange(1, 5)))
               for _ in range(3)]
         expansion += product_expansion_check(*ws)
@@ -94,19 +95,20 @@ def lemma_suite(groups: Sequence[FiniteGroup], rng: random.Random,
 def magnus_series(w: FreeLetterWord, degree: int) -> dict:
     """Truncated non-commutative Magnus expansion of a free-letter word.
 
-    The series is kept as one dict per monomial length.  Multiplying by
+    A monomial is a tuple of symbols, each the ord of its name, and the
+    series is kept as one dict per monomial length.  Multiplying by
     x -> 1 + X adds each coefficient to the monomial one symbol longer,
     T[mu x] = S[mu x] + S[mu]; dividing by it solves T (1 + X) = S, so
     T[mu x] = S[mu x] - T[mu] in increasing length.
     """
     levels: list[dict] = [{(): 1}] + [{} for _ in range(degree)]
-    for sym, sign in w:
-        lengths = range(degree, 0, -1) if sign == 1 else range(1, degree + 1)
-        for n in lengths:
+    for x in w:
+        unit, last = (1 if x > 0 else -1), (abs(x),)
+        for n in range(degree, 0, -1) if unit == 1 else range(1, degree + 1):
             level = levels[n]
             for mon, c in levels[n - 1].items():
-                key = mon + (sym,)
-                v = level.get(key, 0) + sign * c
+                key = mon + last
+                v = level.get(key, 0) + unit * c
                 if v:
                     level[key] = v
                 else:

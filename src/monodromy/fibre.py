@@ -138,8 +138,8 @@ def _cotree_step(g: FibreGraph) -> Callable[[int, int, int, list], int]:
     Letter (i, e) moves coordinate i of the vertex `index` from a to b = a*e
     and returns the new index.  If the state's coordinates after i are all 0
     it crosses tree edges only; otherwise it appends to `out` the one cotree
-    chain it crosses, edges of consecutive indices base + p: upward over
-    p = a..b-1, downward over p = a-1..b.
+    chain it crosses, edges of consecutive indices base + p, as symbols
+    +-(base + p + 1): upward over p = a..b-1, downward over p = a-1..b.
     """
     # a Word's letters are valid elements, so the step reads the tables unchecked
     tables = [G.table for G in g.groups]
@@ -159,9 +159,9 @@ def _cotree_step(g: FibreGraph) -> Callable[[int, int, int, list], int]:
             h = index // (tail * m)  # the coordinates before i
             base = offsets[i] + (h * (tail - 1) + t - 1) * (m - 1)
             if b > a:
-                out += [(base + p, 1) for p in range(a, b)]
+                out += range(base + a + 1, base + b + 1)
             else:
-                out += [(base + p, -1) for p in range(a - 1, b - 1, -1)]
+                out += range(-base - a, -base - b)
         return index
 
     return step

@@ -244,8 +244,11 @@ def abelianize(f: Automorphism) -> IntMatrix:
     cols = []
     for img in f.images:
         col = [0] * n
-        for sym, sign in img:
-            col[sym] += sign
+        for x in img:
+            if x > 0:
+                col[x - 1] += 1
+            else:
+                col[-x - 1] -= 1
         cols.append(col)
     return IntMatrix._of_rows(cols).transpose()
 
@@ -290,8 +293,9 @@ def _factors(phi: Automorphism, kron: list[dict[int, int]]) -> bool:
     """Whether each abelianized image of phi is the matching sparse column."""
     for img, col in zip(phi.images, kron):
         counts: dict[int, int] = {}
-        for sym, sign in img:
-            counts[sym] = counts.get(sym, 0) + sign
+        for x in img:
+            k = abs(x) - 1
+            counts[k] = counts.get(k, 0) + (1 if x > 0 else -1)
         if {s: v for s, v in counts.items() if v} != col:
             return False
     return True

@@ -7,9 +7,9 @@ letters through the Cayley table and drops identity letters, yielding the
 unique normal form.  Each word operation concatenates raw letters and
 reduces once; the inverse of a reduced word is reduced, so `invert` does
 not reduce at all.  Words are immutable values; all operations are pure.
-The module also holds the free reduction of signed symbol words, which
-every free-group layer shares, and the seeded random words the checks draw
-from.
+The module also holds the seeded random words the checks draw from, and
+the free reduction of signed symbol words, which every free-group layer
+shares: a word of nonzero ints, symbol k with sign s being s (k + 1).
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from operator import neg
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .groups import FiniteGroup
 
@@ -95,20 +96,20 @@ def reduce_word(raw: Iterable[tuple[int, int]], groups: Sequence[FiniteGroup]) -
     return Word(groups, tuple(stack))
 
 
-def free_reduce(seq: Iterable[tuple[object, int]]) -> tuple:
-    """Free reduction of signed symbols (symbol, +1|-1): cancel each x x^-1."""
-    out: list = []
-    for sym, sign in seq:
-        if out and out[-1] == (sym, -sign):
+def free_reduce(seq: Iterable[int]) -> tuple[int, ...]:
+    """Free reduction of a signed symbol word: cancel each x next to -x."""
+    out: list[int] = []
+    for x in seq:
+        if out and out[-1] == -x:
             out.pop()
         else:
-            out.append((sym, sign))
+            out.append(x)
     return tuple(out)
 
 
-def invert_signed(seq: Sequence[tuple[object, int]]) -> tuple:
-    """The inverse of a signed symbol word: reversed, each sign flipped."""
-    return tuple((sym, -sign) for sym, sign in reversed(seq))
+def invert_signed(seq: Sequence[int]) -> tuple[int, ...]:
+    """The inverse of a signed symbol word: reversed, each symbol negated."""
+    return tuple(map(neg, reversed(seq)))
 
 
 def multiply(w1: Word, w2: Word) -> Word:
@@ -134,16 +135,27 @@ def conjugate(g: Word, w: Word) -> Word:
     return reduce_word(g.letters + w.letters + invert(g).letters, g.groups)
 
 
+def projection(groups: Sequence[FiniteGroup]) -> Callable[[Iterable[tuple[int, int]]], tuple]:
+    """The retraction onto the direct product, per coordinate, of the letters
+    of a Word over `groups`; the tables are looked up once, here."""
+    tables = [G.table for G in groups]
+
+    def project_letters(letters: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+        acc = [0] * len(tables)
+        for f, e in letters:  # a Word's letters are checked elements: read the tables unchecked
+            acc[f] = tables[f][acc[f]][e]
+        return tuple(acc)
+
+    return project_letters
+
+
 def project(w: Word) -> tuple[int, ...]:
     """Image under the retraction onto the direct product, per coordinate."""
-    acc = [0] * len(w.groups)
-    for f, e in w.letters:  # a Word's letters are checked elements: read the tables unchecked
-        acc[f] = w.groups[f].table[acc[f]][e]
-    return tuple(acc)
+    return projection(w.groups)(w.letters)
 
 
 def is_in_kernel(w: Word) -> bool:
-    return all(v == 0 for v in project(w))
+    return not any(project(w))
 
 
 def _random_letters(rng: random.Random, groups: Sequence[FiniteGroup],

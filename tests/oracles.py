@@ -1,10 +1,16 @@
-"""Elimination oracles for `complexes.h1`, imported by the tests (not collected).
+"""Oracles imported by the tests (not collected).
 
-`elimination_h1` is H1 of the cubical model by elimination: ker d1 is free
-on the E - V + 1 cotree edges of the staircase tree, so H1 is the cokernel
-of d2 on the cotree rows.  `sparse_rank_torsion` pivots on the unit entries
-first and hands any leftover block to the dense `smith_normal_form`, so
-torsion is computed, not assumed away.
+The pair encoding of signed symbol words: a symbol is (k, +1|-1), not the
+int +-(k + 1) of `words`; `free_reduce_pairs` and `invert_pairs` are the
+free reduction and inverse written for it, and `encode` maps a pair word
+to the int encoding.
+
+The elimination oracles for `complexes.h1`: `elimination_h1` is H1 of the
+cubical model by elimination: ker d1 is free on the E - V + 1 cotree edges
+of the staircase tree, so H1 is the cokernel of d2 on the cotree rows.
+`sparse_rank_torsion` pivots on the unit entries first and hands any
+leftover block to the dense `smith_normal_form`, so torsion is computed,
+not assumed away.
 """
 
 from __future__ import annotations
@@ -14,6 +20,30 @@ from typing import Sequence
 from monodromy.complexes import CubicalComplex
 from monodromy.fibre import place_values
 from monodromy.intmatrix import IntMatrix, _eliminate_units
+
+
+def signed(k: int, sign: int) -> int:
+    """Symbol k with sign +1 or -1, in the int encoding."""
+    return sign * (k + 1)
+
+
+def encode(seq: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    return tuple(signed(k, sign) for k, sign in seq)
+
+
+def free_reduce_pairs(seq) -> tuple:
+    """Free reduction of pair-encoded symbols: cancel each (k, s) next to (k, -s)."""
+    out: list = []
+    for k, sign in seq:
+        if out and out[-1] == (k, -sign):
+            out.pop()
+        else:
+            out.append((k, sign))
+    return tuple(out)
+
+
+def invert_pairs(seq) -> tuple:
+    return tuple((k, -sign) for k, sign in reversed(seq))
 
 
 def smith_normal_form(M: IntMatrix) -> tuple[list[int], int]:

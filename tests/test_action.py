@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from math import prod
 
 import pytest
@@ -14,6 +15,8 @@ from monodromy.words import (Letter, commutator, conjugate, empty_word,
                              random_kernel_word, random_word, reduce_word,
                              single)
 
+from oracles import free_reduce_pairs, signed
+
 # -- oracles --------------------------------------------------------------
 # Independent checks of the letter walk in the commutator basis: the
 # closed-form action of one letter, the per-letter `compose` fold, and the
@@ -25,13 +28,13 @@ def algebraic_symbol_index(G, H, i, j):
 
 
 def identity_automorphism(basis):
-    return Automorphism(basis, tuple(((k, 1),) for k in range(basis.rank)))
+    return Automorphism(basis, tuple((signed(k, 1),) for k in range(basis.rank)))
 
 
 def apply(f, word):
     """f applied to a signed symbol word: substitute each image, then reduce."""
-    return free_reduce(s for sym, sign in word
-                       for s in (f.images[sym] if sign == 1 else invert_signed(f.images[sym])))
+    return free_reduce(s for x in word
+                       for s in (f.images[x - 1] if x > 0 else invert_signed(f.images[-x - 1])))
 
 
 def compose(f, g):
@@ -59,13 +62,13 @@ def act_two_groups(t, basis):
             if factor == 0:
                 gi = G.op(k, i)
                 if gi != 0:
-                    seq.append((algebraic_symbol_index(G, H, gi, j), 1))
-                seq.append((algebraic_symbol_index(G, H, k, j), -1))
+                    seq.append(signed(algebraic_symbol_index(G, H, gi, j), 1))
+                seq.append(signed(algebraic_symbol_index(G, H, k, j), -1))
             else:
-                seq.append((algebraic_symbol_index(G, H, i, k), -1))
+                seq.append(signed(algebraic_symbol_index(G, H, i, k), -1))
                 hj = H.op(k, j)
                 if hj != 0:
-                    seq.append((algebraic_symbol_index(G, H, i, hj), 1))
+                    seq.append(signed(algebraic_symbol_index(G, H, i, hj), 1))
             images.append(free_reduce(seq))
     return Automorphism(basis, tuple(images))
 
@@ -98,7 +101,7 @@ def telescope_decompose(w):
             q = H.op(q, e)
             raw.append(((p, q), 1))   # [p, q_new]
     kept = (((i, j), sign) for (i, j), sign in raw if i and j)
-    return tuple((i, j, sign) for (i, j), sign in free_reduce(kept))
+    return tuple((i, j, sign) for (i, j), sign in free_reduce_pairs(kept))
 
 
 def telescope_recompose(basis, decomposition):
@@ -112,17 +115,17 @@ def telescope_recompose(basis, decomposition):
 
 
 def telescope_symbols(G, H, decomposition):
-    return tuple((algebraic_symbol_index(G, H, i, j), sign) for i, j, sign in decomposition)
+    return tuple(signed(algebraic_symbol_index(G, H, i, j), sign) for i, j, sign in decomposition)
 
 
 # -- tests ------------------------------------------------------------------
 
 
 def test_free_reduce_signed():
-    assert free_reduce([(0, 1), (0, -1)]) == ()
-    assert free_reduce([(0, 1), (1, 1), (1, -1), (0, -1)]) == ()
-    assert free_reduce([(0, 1), (0, 1)]) == ((0, 1), (0, 1))
-    seq = ((2, -1), (0, 1))
+    assert free_reduce([1, -1]) == ()
+    assert free_reduce([1, 2, -2, -1]) == ()
+    assert free_reduce([1, 1]) == (1, 1)
+    seq = (-3, 1)
     assert invert_signed(invert_signed(seq)) == seq
 
 
@@ -169,7 +172,8 @@ def test_telescope_on_commutator_is_single_symbol():
     groups = (make_cyclic(3), make_cyclic(4))
     w = commutator(single(groups, 0, 2), single(groups, 1, 3))
     assert telescope_decompose(w) == ((2, 3, 1),)
-    assert decompose(algebraic_basis(groups), w) == ((algebraic_symbol_index(*groups, 2, 3), 1),)
+    k = algebraic_symbol_index(*groups, 2, 3)
+    assert decompose(algebraic_basis(groups), w) == (signed(k, 1),)
 
 
 def test_telescope_rejects_non_kernel():
@@ -201,7 +205,7 @@ def test_kernel_words_act_by_inner_automorphisms():
     # the basis sends each basis symbol s to the free reduction of d s d^-1,
     # so its class in Out(F_n) is trivial; checked before abelianizing
     def inner(d, rank):
-        return tuple(free_reduce(d + ((s, 1),) + invert_signed(d)) for s in range(rank))
+        return tuple(free_reduce(d + (signed(s, 1),) + invert_signed(d)) for s in range(rank))
 
     rng = random.Random(26)
     for groups in [(make_cyclic(3), make_cyclic(2), make_cyclic(2)),
@@ -314,20 +318,20 @@ def test_geometric_matches_algebraic_through_words():
                 alg, [(i, j, s) for (i, j, s) in _expand(phi_a, telescope_decompose(w), groups)])
             via_g_sym = apply(phi_g, decompose(geo, w))
             acc = empty_word(groups)
-            for sym, sign in via_g_sym:
-                wit = geo.witnesses[sym]
-                acc = multiply(acc, wit if sign == 1 else invert(wit))
+            for x in via_g_sym:
+                wit = geo.witnesses[abs(x) - 1]
+                acc = multiply(acc, wit if x > 0 else invert(wit))
             assert via_a == acc == conjugate(t, w)
 
 
 def _expand(phi, decomposition, groups):
     G, H = groups
-    sym = [(algebraic_symbol_index(G, H, i, j), s) for i, j, s in decomposition]
+    sym = [signed(algebraic_symbol_index(G, H, i, j), s) for i, j, s in decomposition]
     out = apply(phi, tuple(sym))
     triples = []
-    for k, s in out:
-        i, j = divmod(k, H.order - 1)
-        triples.append((i + 1, j + 1, s))
+    for x in out:
+        i, j = divmod(abs(x) - 1, H.order - 1)
+        triples.append((i + 1, j + 1, 1 if x > 0 else -1))
     return triples
 
 
@@ -348,7 +352,40 @@ def test_three_factor_geometric_action():
 def test_automorphism_image_count_enforced():
     basis = algebraic_basis((make_cyclic(2), make_cyclic(3)))
     with pytest.raises(ValueError):
-        Automorphism(basis, (((0, 1),),))
+        Automorphism(basis, ((signed(0, 1),),))
+
+
+def test_format_image_prints_every_signed_symbol():
+    # +(k + 1) prints symbol k's name and -(k + 1) adds ^-1, across the whole
+    # token list and at both of its ends
+    groups = parse_group_spec("S3,C4")
+    G, H = groups
+    alg = algebraic_basis(groups)
+    names = {signed(algebraic_symbol_index(G, H, i, j), 1): f"w[{i},{j}]"
+             for i in range(1, G.order) for j in range(1, H.order)}
+    tree = tree_basis(build_fibre_graph(parse_group_spec("C2,C3,C2")))
+    assert tree.rank == 9 and alg.rank == len(names) == 15
+    for basis, name in ((tree, {k + 1: f"c{k + 1}" for k in range(9)}), (alg, names)):
+        r = basis.rank
+        assert basis.format_image(()) == "e"
+        for x in range(1, r + 1):
+            assert basis.format_image((x,)) == name[x]
+            assert basis.format_image((-x,)) == name[x] + "^-1"
+        ends = (1, -1, r, -r)
+        assert basis.format_image(ends) == f"{name[1]}*{name[1]}^-1*{name[r]}*{name[r]}^-1"
+        every = tuple(range(1, r + 1)) + tuple(range(-r, 0))
+        assert basis.format_image(every) == "*".join(
+            [name[x] for x in range(1, r + 1)] + [name[-x] + "^-1" for x in range(-r, 0)])
+
+
+def test_basis_refuses_a_witness_outside_the_kernel():
+    groups = parse_group_spec("S3,C4")
+    basis = algebraic_basis(groups)
+    for bad in (single(groups, 0, 1), single(groups, 1, 2),
+                multiply(basis.witnesses[3], single(groups, 0, 4))):
+        with pytest.raises(ValueError, match="^basis witness is not in the kernel$"):
+            replace(basis, witnesses=basis.witnesses + (bad,))
+    assert replace(basis, witnesses=basis.witnesses[::-1]).rank == basis.rank
 
 
 def test_act_letter_dispatch():
@@ -481,11 +518,11 @@ def reduce_tagged(parts):
     """Free reduction of the concatenated parts; each survivor keeps its part's index."""
     out = []
     for tag, part in enumerate(parts):
-        for sym, sign in part:
-            if out and out[-1][1] == (sym, -sign):
+        for x in part:
+            if out and out[-1][1] == -x:
                 out.pop()
             else:
-                out.append((tag, (sym, sign)))
+                out.append((tag, x))
     return out
 
 
@@ -591,9 +628,9 @@ def invert_by_letters(w):
 
 def recompose_by_multiply(basis, image):
     acc = empty_word(basis.groups)
-    for sym, sign in image:
-        wit = basis.witnesses[sym]
-        acc = multiply(acc, wit if sign == 1 else invert_by_letters(wit))
+    for x in image:
+        wit = basis.witnesses[abs(x) - 1]
+        acc = multiply(acc, wit if x > 0 else invert_by_letters(wit))
     return acc
 
 

@@ -1,7 +1,11 @@
 import gc
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -263,6 +267,30 @@ def test_matrix_refuses_rank_squared_over_the_cap(capsys, monkeypatch):
     code, out, err = run(capsys, "matrix", "--groups", "C2,C2,C2", "--element", "x1")
     assert (code, out) == (2, "")
     assert err == "error: rank 5: its matrix of rank^2 = 25 entries exceeds cap 16\n"
+
+
+def test_matrix_refuses_rank_zero_naming_the_groups(capsys):
+    # a trivial kernel: the refusal names the rank and the --groups text
+    for groups, element in (("C1,C3", "x2"), ("C2", "x1"), ("C1,C1", "e")):
+        code, out, err = run(capsys, "matrix", "--basis", "tree", "--groups", groups,
+                             "--element", element)
+        assert (code, out) == (2, "")
+        assert err == f"error: rank 0 for --groups {groups}: a trivial kernel has no matrix\n"
+
+
+def test_python_m_monodromy_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", "monodromy", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = python_m("rank", "--groups", "C2,C3")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "2\n", "")
+    done = python_m("rank", "--groups", "C0")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: invalid order: n must be >= 1\n"
 
 
 TABLE_BODIES = ("5", '"x"', "[]", "not json", '{"order": 2}',

@@ -290,8 +290,8 @@ def test_sparse_rank_torsion_non_unit_blocks():
 def compose(f, g):
     """(f o g): substitute f's images into g's (the oracle of tests/test_action.py)."""
     def apply(img):
-        return free_reduce(s for sym, sign in img
-                           for s in (f.images[sym] if sign == 1 else invert_signed(f.images[sym])))
+        return free_reduce(s for x in img for s in (f.images[x - 1] if x > 0
+                                                    else invert_signed(f.images[-x - 1])))
     return Automorphism(f.basis, tuple(apply(img) for img in g.images))
 
 

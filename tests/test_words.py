@@ -8,10 +8,12 @@ from monodromy.fibre import build_fibre_graph, cycle_witnesses
 from monodromy.groups import (S3_CLASSIC_ORDER, make_cyclic, make_symmetric,
                               parse_group_spec)
 from monodromy.words import (Letter, Word, commutator, empty_word,
-                             format_word, format_words, invert, is_in_kernel,
-                             multiply, parse_word, project,
-                             random_kernel_word, random_word, reduce_word,
-                             single)
+                             format_word, format_words, free_reduce, invert,
+                             invert_signed, is_in_kernel, multiply, parse_word,
+                             project, random_kernel_word, random_word,
+                             reduce_word, single)
+
+from oracles import encode, free_reduce_pairs, invert_pairs
 
 C2C3 = (make_cyclic(2), make_cyclic(3))
 
@@ -208,3 +210,21 @@ def test_format_words_matches_per_letter_form(tmp_path):
     assert format_words([empty_word(table_groups)]) == ["e"]
     assert format_words([single(table_groups, 0, k) for k in range(1, 4)]) == [
         "x1", "x1^2", "s1:xy"]
+
+
+def test_signed_ints_match_the_pair_encoding():
+    # symbol k with sign s is s (k + 1): reducing and inverting commute with
+    # that map, on 500 random words over +-1..+-6
+    rng = random.Random(51)
+    shrunk = 0
+    for _ in range(500):
+        pairs = [(rng.randrange(6), rng.choice((1, -1))) for _ in range(rng.randrange(13))]
+        word = encode(pairs)
+        assert all(1 <= abs(x) <= 6 for x in word)
+        reduced = free_reduce(word)
+        assert reduced == encode(free_reduce_pairs(pairs)), pairs
+        assert invert_signed(word) == encode(invert_pairs(pairs)), pairs
+        assert invert_signed(reduced) == encode(invert_pairs(free_reduce_pairs(pairs)))
+        assert free_reduce(word + invert_signed(word)) == ()
+        shrunk += len(reduced) < len(word)
+    assert 0 < shrunk < 500
