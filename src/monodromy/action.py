@@ -68,9 +68,11 @@ def algebraic_basis(groups: Sequence[FiniteGroup]) -> Basis:
     groups = tuple(groups)
     if len(groups) != 2:
         raise ValueError("the commutator basis needs exactly two factors")
+    for k, G in enumerate(groups, 1):
+        if G.order < 2:
+            raise ValueError(f"the commutator basis needs two nontrivial factors: "
+                             f"factor {k} has order {G.order}")
     G, H = groups
-    if G.order < 2 or H.order < 2:
-        raise ValueError("both factors must be nontrivial")
     symbols, witnesses = [], []
     for i in range(1, G.order):
         for j in range(1, H.order):

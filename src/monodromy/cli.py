@@ -11,6 +11,7 @@ import functools
 import json
 import random
 import sys
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote  # C, unlike indent=2 dumps
 from math import prod
 from typing import Callable
@@ -48,14 +49,25 @@ def _dumps(value, indent: str = "") -> str:
     if kind is bool or value is None:
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, (list, tuple)):
-        kinds = set(map(type, value))
-        items = (map(int.__repr__, value) if kinds == {int} else map(_quote, value)
-                 if kinds == {str} else (_dumps(v, inner) for v in value))
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]" if value else "[]"
+        if not value:
+            return "[]"
+        kinds, sep = set(map(type, value)), f",\n{inner}"
+        body = (_join_ints(value, sep) if kinds == {int} else sep.join(map(_quote, value))
+                if kinds == {str} else sep.join(_dumps(v, inner) for v in value))
+        return f"[\n{inner}{body}\n{indent}]"
     if isinstance(value, dict):
         items = (f"{_quote(k)}: {_dumps(v, inner)}" for k, v in sorted(value.items()))
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}" if value else "{}"
     return json.dumps(value)  # floats and other scalars
+
+
+def _join_ints(values, sep: str) -> str:
+    """`sep.join(map(repr, values))` for exact ints, each run of zeros printed at once."""
+    zero, out, last = "0" + sep, [], 0
+    for k, v in compress(enumerate(values), values):
+        out.append(f"{zero * (k - last)}{v!r}{sep}")
+        last = k + 1
+    return ("".join(out) + zero * (len(values) - last))[:-len(sep)]
 
 
 def _emit(args, payload: dict, text: Callable[[], str]):

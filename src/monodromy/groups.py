@@ -289,6 +289,9 @@ def parse_group_spec(spec: str) -> list[FiniteGroup]:
             groups.append(load_cayley_table(m.group(3)))
         else:
             kind, n = m.group(1), int(m.group(2))
+            if n < 1:
+                raise GroupSpecParseError(f"group item {stripped!r} needs an index of at least 1",
+                                          pos)
             if kind == "C":
                 groups.append(make_cyclic(n))
             elif kind == "S":

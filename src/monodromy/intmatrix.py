@@ -2,12 +2,15 @@
 
 Entries are Python ints (arbitrary precision); no floating point anywhere.
 The abelianization uses the columns-as-images convention, so matrices
-compose covariantly: M(f o g) = M(f) * M(g).
+compose covariantly: M(f o g) = M(f) * M(g).  Its letters are counted once,
+into sparse columns (`columns`): the report compares those directly, and
+`abelianize` writes them into a dense matrix.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import compress
 from typing import Sequence
 
 from .action import Automorphism, Basis, act_letter, act_word, algebraic_basis
@@ -103,9 +106,9 @@ class IntMatrix:
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
         n = self.rows
-        columns = [{i: row[j] for i, row in enumerate(self.entries) if row[j]}
-                   for j in range(n)]
-        pivots, cols = _eliminate_units(columns)
+        # compress keeps the nonzero (row, entry) pairs of each column in C
+        sparse = [dict(compress(enumerate(col), col)) for col in zip(*self.entries)]
+        pivots, cols = _eliminate_units(sparse)
         if len(pivots) + len(cols) < n:
             return 0
         sigma = [-1] * n
@@ -238,19 +241,29 @@ def _eliminate_units(columns: Sequence[dict[int, int]]):
             return pivots, cols
 
 
-def abelianize(f: Automorphism) -> IntMatrix:
-    """Signed letter counts of each generator image, one column per generator."""
-    n = f.basis.rank
-    cols = []
+def columns(f: Automorphism) -> list[dict[int, int]]:
+    """The abelianized images of f: each one's nonzero signed letter counts, {row: count}."""
+    out = []
     for img in f.images:
-        col = [0] * n
+        counts: dict[int, int] = {}
         for x in img:
             if x > 0:
-                col[x - 1] += 1
+                counts[x - 1] = counts.get(x - 1, 0) + 1
             else:
-                col[-x - 1] -= 1
-        cols.append(col)
-    return IntMatrix._of_rows(cols).transpose()
+                counts[-x - 1] = counts.get(-x - 1, 0) - 1
+        # a symbol met as often as its inverse counts 0, and is dropped
+        out.append({k: v for k, v in counts.items() if v} if 0 in counts.values() else counts)
+    return out
+
+
+def abelianize(f: Automorphism) -> IntMatrix:
+    """The dense matrix of `columns`: column j holds the counts of image j."""
+    n = f.basis.rank
+    rows = [[0] * n for _ in range(n)]
+    for j, col in enumerate(columns(f)):
+        for i, v in col.items():
+            rows[i][j] = v
+    return IntMatrix._of_rows(rows)
 
 
 def matrix_of_letter(t: Letter, basis: Basis) -> IntMatrix:
@@ -289,18 +302,6 @@ def _scalar(cols: list[dict[int, int]]) -> int:
     return 0
 
 
-def _factors(phi: Automorphism, kron: list[dict[int, int]]) -> bool:
-    """Whether each abelianized image of phi is the matching sparse column."""
-    for img, col in zip(phi.images, kron):
-        counts: dict[int, int] = {}
-        for x in img:
-            k = abs(x) - 1
-            counts[k] = counts.get(k, 0) + (1 if x > 0 else -1)
-        if {s: v for s, v in counts.items() if v} != col:
-            return False
-    return True
-
-
 def representation_report(G: FiniteGroup, H: FiniteGroup,
                           seed: int = 0, kernel_trials: int = 50) -> dict:
     """Matrix-level certificate suite for a pair of finite groups.
@@ -320,10 +321,8 @@ def representation_report(G: FiniteGroup, H: FiniteGroup,
     if G.order * H.order > MAX_REPORT_PAIR:
         raise SizeLimitError(f"group pair of orders {G.order} and {H.order} too large for the "
                              f"matrix report: {G.order * H.order} exceeds {MAX_REPORT_PAIR}")
-    if G.order < 2 or H.order < 2:
-        raise ValueError("both factors must be nontrivial")
     groups = (G, H)
-    basis = algebraic_basis(groups)
+    basis = algebraic_basis(groups)  # refuses a trivial factor, naming it
     m, n = G.order - 1, H.order - 1
     cols_g = [_left_multiplication(G, a) for a in range(G.order)]
     cols_h = [_left_multiplication(H, b) for b in range(H.order)]
@@ -335,7 +334,7 @@ def representation_report(G: FiniteGroup, H: FiniteGroup,
             return [{r * n + j: v for r, v in col.items()} for col in cols_g[e] for j in range(n)]
         return [{i * n + r: v for r, v in col.items()} for i in range(m) for col in cols_h[e]]
 
-    cross_commute = all(_factors(act_letter(Letter(f, e), basis), kronecker(f, e))
+    cross_commute = all(columns(act_letter(Letter(f, e), basis)) == kronecker(f, e)
                         for f in (0, 1) for e in groups[f].generators)
     scalars_g = [_scalar(cols) for cols in cols_g]
     scalars_h = [_scalar(cols) for cols in cols_h]
@@ -352,7 +351,7 @@ def representation_report(G: FiniteGroup, H: FiniteGroup,
     kernel_identity = True
     for _ in range(kernel_trials):
         w = random_kernel_word(rng, groups, max_letters=10)
-        if not _factors(act_word(w, basis), identity):
+        if columns(act_word(w, basis)) != identity:
             kernel_identity = False
             break
 

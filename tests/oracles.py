@@ -5,6 +5,9 @@ int +-(k + 1) of `words`; `free_reduce_pairs` and `invert_pairs` are the
 free reduction and inverse written for it, and `encode` maps a pair word
 to the int encoding.
 
+`dense_counts` is the dense abelianization: one full column of signed
+letter counts per image, the loop `intmatrix.columns` replaces.
+
 The elimination oracles for `complexes.h1`: `elimination_h1` is H1 of the
 cubical model by elimination: ker d1 is free on the E - V + 1 cotree edges
 of the staircase tree, so H1 is the cokernel of d2 on the cotree rows.
@@ -44,6 +47,21 @@ def free_reduce_pairs(seq) -> tuple:
 
 def invert_pairs(seq) -> tuple:
     return tuple((k, -sign) for k, sign in reversed(seq))
+
+
+def dense_counts(phi) -> list[list[int]]:
+    """Column j lists the signed count of every symbol in image j, zeros included."""
+    n = phi.basis.rank
+    cols = []
+    for img in phi.images:
+        col = [0] * n
+        for x in img:
+            if x > 0:
+                col[x - 1] += 1
+            else:
+                col[-x - 1] -= 1
+        cols.append(col)
+    return cols
 
 
 def smith_normal_form(M: IntMatrix) -> tuple[list[int], int]:

@@ -290,7 +290,26 @@ def test_python_m_monodromy_runs_the_cli():
     assert (done.returncode, done.stdout, done.stderr) == (0, "2\n", "")
     done = python_m("rank", "--groups", "C0")
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr == "error: invalid order: n must be >= 1\n"
+    assert done.stderr == "error: group item 'C0' needs an index of at least 1 (at position 0)\n"
+
+
+def test_order_below_one_names_the_group_item(capsys):
+    for spec, item, pos in (("C0", "C0", 0), ("C2, S0", "S0", 3), ("C2,C3,D00", "D00", 6)):
+        code, out, err = run(capsys, "rank", "--groups", spec)
+        assert (code, out) == (2, "")
+        assert err == f"error: group item {item!r} needs an index of at least 1 (at position {pos})\n"
+
+
+def test_commutator_basis_names_the_trivial_factor(capsys):
+    # --basis auto picks the commutator basis for two groups; report always does
+    for argv, k in ((("act", "--groups", "C1,C3", "--element", "x2"), 1),
+                    (("report", "--groups", "C1,C3"), 1),
+                    (("report", "--groups", "C3,C1"), 2),
+                    (("act", "--groups", "C2,C1", "--element", "x1", "--format", "json"), 2)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == (f"error: the commutator basis needs two nontrivial factors: "
+                       f"factor {k} has order 1\n"), argv
 
 
 TABLE_BODIES = ("5", '"x"', "[]", "not json", '{"order": 2}',
@@ -403,9 +422,19 @@ def test_dumps_matches_stdlib_on_edge_cases():
         {"\u00e9": 1, "\"q\"": [2], "b\\": {"\n": "\x01"}, "A": 1.5, "a": [0.1, -2.5e-10]},
         {"z": 1, "a": 2, "M": 3, "_": 4, "10": 5, "9": 6},
         ("tuple", 1, (2, 3)), {"t": ()}, [1.0, 2], [float("inf")],
+        # int lists print each run of zeros at once
+        [0] * 7, [0], [3, -1, 2], [0, 0, 5, 0, -3, 0, 0], [-4, 0, 0, -1], [0, 0, 9],
+        [10**30, 0, -10**30, 0], (0, 0, 4, 0), [[0, 0], [0, 1], [2, 0]], {"z": [0, 0]},
+        [0, True, 0, False, 0], [True, 0], [False, 0, 1],
     ]
     for value in payloads:
         assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True), value
+    rng = random.Random(40)
+    for _ in range(300):
+        value = [rng.choice((0, 0, 0, 1, -1, rng.randint(-10**20, 10**20)))
+                 for _ in range(rng.randrange(1, 30))]
+        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True), value
+        assert _dumps([value]) == json.dumps([value], indent=2, sort_keys=True), value
     for bad in ({1: "x"}, {"a": {None: 1}}, [{(1, 2): 3}], {True: 1}):
         with pytest.raises(TypeError):
             _dumps(bad)

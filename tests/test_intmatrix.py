@@ -4,17 +4,17 @@ from math import prod
 
 import pytest
 
-from monodromy.action import (Automorphism, act_word, algebraic_basis,
+from monodromy.action import (Automorphism, act_letter, act_word, algebraic_basis,
                               invert_signed, tree_basis)
 from monodromy.fibre import build_fibre_graph, rank_formula
 from monodromy.groups import (S3_CLASSIC_ORDER, SizeLimitError, make_cyclic,
                               make_symmetric, parse_group_spec)
 from monodromy.intmatrix import (IntMatrix, _eliminate_units, abelianize, bareiss_det,
-                                 cyclic_closed_form, matrix_of_letter,
+                                 columns, cyclic_closed_form, matrix_of_letter,
                                  representation_report)
 from monodromy.words import (Letter, free_reduce, multiply, random_kernel_word,
                              reduce_word, single)
-from oracles import smith_normal_form, sparse_rank_torsion
+from oracles import dense_counts, smith_normal_form, sparse_rank_torsion
 
 
 def rand_matrix(rng, rows, cols, bound=9):
@@ -107,6 +107,27 @@ def test_det_matches_bareiss_oracle():
             for row in m.entries:
                 row[c] = x * row[a] + y * row[b] if c not in (a, b) else 0
         assert m.det() == bareiss_det(m.entries), m
+
+
+def test_det_of_zero_lines_and_shapes():
+    # an all-zero column or row leaves a column of compress() empty or short
+    for entries in ([[0]], [[0, 1], [0, 2]], [[1, 2], [0, 0]], [[0, 0], [0, 0]],
+                    [[1, 0, 2], [0, 0, 0], [3, 0, 4]], [[0, 0, 1], [0, 2, 0], [3, 0, 0]]):
+        assert IntMatrix(entries).det() == bareiss_det(entries), entries
+    rng = random.Random(39)
+    for _ in range(100):
+        n = rng.randrange(1, 7)
+        m = sparse_random(rng, n, n, rng.choice((0.3, 0.7)), 3)
+        k = rng.randrange(n)
+        if rng.random() < 0.5:
+            m.entries[k] = [0] * n
+        else:
+            for row in m.entries:
+                row[k] = 0
+        assert m.det() == bareiss_det(m.entries) == 0, m
+    for entries in ([[1, 2]], [[1], [2]], [[0, 0, 0], [0, 0, 0]]):
+        with pytest.raises(ValueError, match="square"):
+            IntMatrix(entries).det()
 
 
 def test_det_of_signed_permutation_matrices():
@@ -307,6 +328,39 @@ def test_abelianize_functorial():
         assert abelianize(compose(fu, fv)) == abelianize(fu) * abelianize(fv)
 
 
+def test_columns_match_the_dense_count_oracle():
+    # seeded words, in the kernel and not, in both bases: a conjugate P W P^-1
+    # meets x and -x apart, so counts return to 0 and must be dropped
+    returned_to_zero = 0
+    for spec in ("C3,C4", "S3,C2", "C2,C3,C2", "C3,C3,C3"):
+        groups = tuple(parse_group_spec(spec))
+        bases = [tree_basis(build_fibre_graph(groups))]
+        if len(groups) == 2:
+            bases.append(algebraic_basis(groups))
+        rng = random.Random(spec)
+        for basis in bases:
+            for trial in range(40):
+                if trial % 2:
+                    w = random_kernel_word(rng, groups, max_letters=10)
+                else:
+                    w = reduce_word([(f, rng.randrange(1, groups[f].order))
+                                     for f in (rng.randrange(len(groups)) for _ in range(6))],
+                                    groups)
+                phi = act_word(w, basis)
+                dense = dense_counts(phi)
+                got = columns(phi)
+                assert got == [{i: v for i, v in enumerate(col) if v} for col in dense], w
+                assert abelianize(phi).entries == [list(row) for row in zip(*dense)], w
+                returned_to_zero += sum(len(set(map(abs, img))) > len(col)
+                                        for img, col in zip(phi.images, got))
+    assert returned_to_zero > 0
+    # hand-built images in which x and -x meet apart, twice over in the last
+    basis = algebraic_basis((make_cyclic(2), make_cyclic(4)))
+    phi = Automorphism(basis, ((1, 2, -1), (2, -1, 3, 1, -3, -2, 1), (3, -1, 2, 1, -1, 1)))
+    assert columns(phi) == [{1: 1}, {0: 1}, {1: 1, 2: 1}]
+    assert abelianize(phi) == IntMatrix([[0, 1, 0], [1, 0, 1], [0, 0, 1]])
+
+
 def test_cyclic_closed_form_2_3():
     m1, m2 = cyclic_closed_form(2, 3)
     assert m1.to_lists() == [[-1, 0], [0, -1]]
@@ -374,26 +428,31 @@ def test_degenerate_pair_generators_both_act_as_negation():
 
 
 def test_representation_report_rejects_trivial_factor():
-    with pytest.raises(ValueError):
-        representation_report(make_cyclic(1), make_cyclic(3))
+    for orders, k in (((1, 3), 1), ((3, 1), 2), ((1, 1), 1)):
+        with pytest.raises(ValueError, match=f"factor {k} has order 1$"):
+            representation_report(*map(make_cyclic, orders))
 
 
 def dense_representation_report(G, H, seed=0, kernel_trials=50):
-    """The report from the explicit rank x rank generator matrices and their products."""
+    """The report from the rank x rank generator matrices, counted densely, and their products."""
     groups = (G, H)
     basis = algebraic_basis(groups)
     n = basis.rank
-    mats_g = [matrix_of_letter(Letter(0, a), basis) if a else IntMatrix.identity(n)
+
+    def dense(phi):
+        return IntMatrix(list(zip(*dense_counts(phi))))
+
+    mats_g = [dense(act_letter(Letter(0, a), basis)) if a else IntMatrix.identity(n)
               for a in range(G.order)]
-    mats_h = [matrix_of_letter(Letter(1, b), basis) if b else IntMatrix.identity(n)
+    mats_h = [dense(act_letter(Letter(1, b), basis)) if b else IntMatrix.identity(n)
               for b in range(H.order)]
     faithful = all((mg * mh).is_identity() == (a == 0 and b == 0)
                    for a, mg in enumerate(mats_g) for b, mh in enumerate(mats_h))
     dets_g = [bareiss_det(mat.entries) for mat in mats_g]
     dets_h = [bareiss_det(mat.entries) for mat in mats_h]
     rng = random.Random(seed)
-    kernel_identity = all(abelianize(act_word(random_kernel_word(rng, groups, max_letters=10),
-                                              basis)).is_identity()
+    kernel_identity = all(dense(act_word(random_kernel_word(rng, groups, max_letters=10),
+                                         basis)).is_identity()
                           for _ in range(kernel_trials))
     return {
         "orders": [G.order, H.order],
