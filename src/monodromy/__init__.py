@@ -9,7 +9,7 @@ from .complexes import (CubicalComplex, SimplicialComplex, build_complex,
 from .fibre import FibreGraph, betti_one, build_fibre_graph, rank_formula
 from .groups import (FiniteGroup, make_cyclic, make_dihedral, make_symmetric,
                      parse_group_spec)
-from .intmatrix import (IntMatrix, abelianize, cyclic_closed_form,
+from .intmatrix import (IntMatrix, abelianize, cyclic_closed_form, determinant,
                         representation_report)
 from .words import (Letter, Word, commutator, invert, is_in_kernel, multiply,
                     parse_word, project, reduce_word)

@@ -21,9 +21,9 @@ from .commutators import MAX_LEMMA_TRIALS, lemma_suite
 from .complexes import build_complex, h1, load_complex_file, parse_complex_spec
 from .fibre import betti_one, build_fibre_graph, rank_formula, to_dot
 from .groups import GroupSpecParseError, SizeLimitError, cell_cap, parse_group_spec
-from .intmatrix import abelianize, representation_report
+from .intmatrix import abelianize, determinant, representation_report
 from .verify import run_criteria
-from .words import format_words, parse_word
+from .words import format_words, parse_word, project
 
 SCHEMA = 1
 
@@ -135,7 +135,7 @@ def cmd_matrix(args):
     payload = {"basis": list(basis.symbols),
                "convention": "columns-as-images",
                "element": str(w),
-               "determinant": mat.det(),
+               "determinant": determinant(groups, project(w)),
                "entries": mat.to_lists()}
     _emit(args, payload, mat.pretty)
     return 0
@@ -144,8 +144,8 @@ def cmd_matrix(args):
 def cmd_report(args):
     groups = _groups(args)
     if len(groups) != 2:
-        print("report needs exactly two groups", file=sys.stderr)
-        return 2
+        raise ValueError(f"report needs exactly two groups, got {len(groups)} "
+                         f"from --groups {args.groups}")
     rep = representation_report(groups[0], groups[1], seed=args.seed)
     _emit(args, rep, lambda: "\n".join(f"{key}: {value}" for key, value in rep.items()))
     checks = ("cross_factor_commute", "faithful", "non_ia_certificate",

@@ -73,7 +73,11 @@ def parse_complex_spec(text: str, n: int | None = None) -> SimplicialComplex:
         part = part.strip()
         if not part:
             continue
-        facets.append(frozenset(int(v) for v in part.split(",")))
+        try:
+            facets.append(frozenset(int(v) for v in part.split(",")))
+        except ValueError:
+            raise ValueError(f"facet {part!r} of complex spec {text!r} has a "
+                             f"non-integer vertex") from None
     nv = max((max(f) for f in facets), default=0)
     if n is not None:
         if nv > n:

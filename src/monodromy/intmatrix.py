@@ -4,13 +4,14 @@ Entries are Python ints (arbitrary precision); no floating point anywhere.
 The abelianization uses the columns-as-images convention, so matrices
 compose covariantly: M(f o g) = M(f) * M(g).  Its letters are counted once,
 into sparse columns (`columns`): the report compares those directly, and
-`abelianize` writes them into a dense matrix.
+`abelianize` writes them into a dense matrix.  An element's determinant is
+read off its projection (`determinant`), not eliminated.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import compress
+from math import prod
 from typing import Sequence
 
 from .action import Automorphism, Basis, act_letter, act_word, algebraic_basis
@@ -94,36 +95,10 @@ class IntMatrix:
             for i, row in enumerate(self.entries))
 
     def det(self) -> int:
-        """Exact determinant: unit pivots first, Bareiss on what is left.
-
-        The unit eliminations are column operations, which keep the
-        determinant, and leave the pivot rows and columns block-triangular
-        against the rest once both are put in pivot order.  So det =
-        sgn(sigma) * prod(pivots) * det(leftover block), where sigma sends
-        each pivot row to its pivot column and the leftover rows to the
-        leftover columns in sorted order.  A column that empties gives 0.
-        """
+        """Exact determinant by fraction-free elimination: O(n^3), for small matrices."""
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        n = self.rows
-        # compress keeps the nonzero (row, entry) pairs of each column in C
-        sparse = [dict(compress(enumerate(col), col)) for col in zip(*self.entries)]
-        pivots, cols = _eliminate_units(sparse)
-        if len(pivots) + len(cols) < n:
-            return 0
-        sigma = [-1] * n
-        value = 1
-        for i, j, p in pivots:
-            sigma[i] = j
-            value *= p
-        left_rows = [i for i in range(n) if sigma[i] < 0]
-        left_cols = sorted(cols)
-        for i, j in zip(left_rows, left_cols):
-            sigma[i] = j
-        if left_cols:
-            value *= bareiss_det([[cols[j].get(i, 0) for j in left_cols]
-                                  for i in left_rows])
-        return _permutation_sign(sigma) * value
+        return bareiss_det(self.entries)
 
     def rank(self) -> int:
         """Rank over the rationals, by fraction-free elimination."""
@@ -149,8 +124,9 @@ class IntMatrix:
         return [row[:] for row in self.entries]
 
     def pretty(self) -> str:
-        width = max((len(str(v)) for row in self.entries for v in row), default=1)
-        return "\n".join(" ".join(str(v).rjust(width) for v in row)
+        width = max((len(str(v)) for row in self.entries for v in filter(None, row)), default=1)
+        zero = "0".rjust(width)  # the entries are mostly zero: pad it once
+        return "\n".join(" ".join([str(v).rjust(width) if v else zero for v in row])
                          for row in self.entries)
 
     def __repr__(self):
@@ -174,71 +150,6 @@ def bareiss_det(entries: Sequence[Sequence[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def _permutation_sign(perm: Sequence[int]) -> int:
-    """+1 or -1: a cycle of length L contributes (-1)^(L-1)."""
-    sign, seen = 1, [False] * len(perm)
-    for start in range(len(perm)):
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            if k != start:
-                sign = -sign
-    return sign
-
-
-def _eliminate_units(columns: Sequence[dict[int, int]]):
-    """Pivot on unit entries of sparse columns, sparsest column first.
-
-    Each column maps row index -> entry.  A pass visits the live columns in
-    order of nonzero count, and in each one pivots on the +-1 entry whose
-    row has the fewest nonzeros.  Each pivot (i, j, p) is a unimodular
-    Schur-complement step: column operations clear row i outside column j,
-    then row i and column j leave the matrix.  Passes repeat until no
-    column has a unit entry.  Returns the pivots in order and the leftover
-    nonzero columns {j: {row: entry}}, none of which has a unit entry.
-    """
-    cols: dict[int, dict[int, int]] = {}
-    rows: dict[int, set[int]] = {}
-    for j, column in enumerate(columns):
-        col = {i: v for i, v in column.items() if v}
-        if col:
-            cols[j] = col
-            for i in col:
-                rows.setdefault(i, set()).add(j)
-
-    pivots: list[tuple[int, int, int]] = []
-    while True:
-        before = len(pivots)
-        for j in sorted(cols, key=lambda j: len(cols[j])):
-            pivot = cols.get(j)  # None once an earlier pivot of this pass emptied it
-            units = [i for i, v in pivot.items() if v in (1, -1)] if pivot else ()
-            if not units:
-                continue
-            i = min(units, key=lambda i: len(rows[i]))
-            del cols[j]
-            for r in pivot:
-                rows[r].discard(j)
-            p = pivot.pop(i)
-            for k in rows.pop(i):
-                # col_k -= (a_ik / p) col_j clears row i; 1/p == p for a unit
-                col = cols[k]
-                f = col.pop(i) * p
-                for r, v in pivot.items():
-                    new = col.get(r, 0) - f * v
-                    if new:
-                        col[r] = new
-                        rows[r].add(k)
-                    else:
-                        del col[r]
-                        rows[r].discard(k)
-                if not col:
-                    del cols[k]
-            pivots.append((i, j, p))
-        if len(pivots) == before:
-            return pivots, cols
 
 
 def columns(f: Automorphism) -> list[dict[int, int]]:
@@ -278,6 +189,28 @@ def cyclic_closed_form(r: int, m: int) -> tuple[IntMatrix, IntMatrix]:
     return matrix_of_letter(Letter(0, 1), basis), matrix_of_letter(Letter(1, 1), basis)
 
 
+def determinant(groups: Sequence[FiniteGroup], g: Sequence[int]) -> int:
+    """det of the abelianized action of g = (g_1, ..., g_n) on the kernel, in any basis.
+
+    H1 of the kernel (x) Q is the sum over J, |J| >= 2, of |J| - 1 copies
+    of the tensor product of the augmentation ideals I_{G_j}, j in J (the
+    Bahri-Bendersky-Cohen-Gitler splitting).  On I_{G_j}, g_j has det
+    s_j, the sign of x -> g_j x on G_j: |G_j|/o cycles of length o = o(g_j).
+    With det(A (x) B) = det(A)^dim(B) det(B)^dim(A) and m_k = |G_k|, the
+    det is prod_j s_j^e_j, where
+      e_j = sum over J containing j of (|J| - 1) prod_{k in J, k != j} (m_k - 1)
+          = sum_{k != j} (m_k - 1) prod_{l not in {j, k}} m_l.
+    """
+    orders = [G.order for G in groups]
+    det = 1
+    for j, (G, a) in enumerate(zip(groups, g)):
+        o = G.element_order(a)
+        e = sum((m - 1) * prod(ml for l, ml in enumerate(orders) if l not in (j, k))
+                for k, m in enumerate(orders) if k != j)
+        det *= (-1) ** ((o - 1) * (G.order // o) * e)
+    return det
+
+
 def _left_multiplication(G: FiniteGroup, a: int) -> list[dict[int, int]]:
     """Sparse columns of left multiplication by a on the augmentation ideal I_G.
 
@@ -315,7 +248,7 @@ def representation_report(G: FiniteGroup, H: FiniteGroup,
     - the two factors commute, by the mixed-product property, exactly when
       every element factors;
     - A_G(g) (x) A_H(h) = I iff A_G(g) = A_H(h) = +-I with the same sign;
-    - det(A_G(g) (x) I) = det(A_G(g))^(|H|-1), and symmetrically;
+    - det(A_G(g) (x) I) = det(A_G(g))^(|H|-1), and symmetrically (`determinant`);
     - A_G(g) (x) I = I iff A_G(g) = I.
     """
     if G.order * H.order > MAX_REPORT_PAIR:
@@ -340,9 +273,8 @@ def representation_report(G: FiniteGroup, H: FiniteGroup,
     scalars_h = [_scalar(cols) for cols in cols_h]
     faithful = not any((a or b) and sg and sg == sh
                        for a, sg in enumerate(scalars_g) for b, sh in enumerate(scalars_h))
-    # det A_G(a) is the sign of x -> a x on G: |G|/o(a) cycles of length o(a)
-    dets_g = [(-1) ** ((k - 1) * (G.order // k) * n) for k in map(G.element_order, range(G.order))]
-    dets_h = [(-1) ** ((k - 1) * (H.order // k) * m) for k in map(H.element_order, range(H.order))]
+    dets_g = [determinant(groups, (a, 0)) for a in range(G.order)]
+    dets_h = [determinant(groups, (0, b)) for b in range(H.order)]
     all_sl = all(d == 1 for d in dets_g + dets_h)
     non_ia = 1 not in scalars_g[1:] + scalars_h[1:]
 

@@ -139,9 +139,10 @@ def criterion_4_cyclic_pairs(seed: int = 0):
                 for j in range(m):
                     if (pow1[i] * pow2[j]).is_identity() != (i == 0 and j == 0):
                         failures.append(f"faithfulness fails at ({r},{m}) i={i} j={j}")
-            if m1.det() != (-1) ** ((r - 1) * (m - 1)):
+            d1 = m1.det()
+            if d1 != (-1) ** ((r - 1) * (m - 1)):
                 failures.append(f"det M1 wrong for ({r},{m})")
-            if (r % 2 or m % 2) and (m1.det() != 1 or m2.det() != 1):
+            if (r % 2 or m % 2) and (d1 != 1 or m2.det() != 1):
                 failures.append(f"matrices not in SL for ({r},{m})")
     if failures:
         # (2,2) is a genuine degenerate case: the kernel is F_1, both

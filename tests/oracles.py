@@ -14,15 +14,20 @@ of the staircase tree, so H1 is the cokernel of d2 on the cotree rows.
 `sparse_rank_torsion` pivots on the unit entries first and hands any
 leftover block to the dense `smith_normal_form`, so torsion is computed,
 not assumed away.
+
+`elimination_det` runs the same unit-pivot elimination (`_eliminate_units`)
+on a square matrix, and Bareiss only on the block it leaves: the oracle
+of `intmatrix.determinant` at ranks where `IntMatrix.det` is too slow.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Sequence
 
 from monodromy.complexes import CubicalComplex
 from monodromy.fibre import place_values
-from monodromy.intmatrix import IntMatrix, _eliminate_units
+from monodromy.intmatrix import IntMatrix, bareiss_det
 
 
 def signed(k: int, sign: int) -> int:
@@ -111,6 +116,104 @@ def smith_normal_form(M: IntMatrix) -> tuple[list[int], int]:
         t += 1
     factors = [a[i][i] for i in range(t)]
     return factors, len(factors)
+
+
+def _eliminate_units(columns: Sequence[dict[int, int]]):
+    """Pivot on unit entries of sparse columns, sparsest column first.
+
+    Each column maps row index -> entry.  A pass visits the live columns in
+    order of nonzero count, and in each one pivots on the +-1 entry whose
+    row has the fewest nonzeros.  Each pivot (i, j, p) is a unimodular
+    Schur-complement step: column operations clear row i outside column j,
+    then row i and column j leave the matrix.  Passes repeat until no
+    column has a unit entry.  Returns the pivots in order and the leftover
+    nonzero columns {j: {row: entry}}, none of which has a unit entry.
+    """
+    cols: dict[int, dict[int, int]] = {}
+    rows: dict[int, set[int]] = {}
+    for j, column in enumerate(columns):
+        col = {i: v for i, v in column.items() if v}
+        if col:
+            cols[j] = col
+            for i in col:
+                rows.setdefault(i, set()).add(j)
+
+    pivots: list[tuple[int, int, int]] = []
+    while True:
+        before = len(pivots)
+        for j in sorted(cols, key=lambda j: len(cols[j])):
+            pivot = cols.get(j)  # None once an earlier pivot of this pass emptied it
+            units = [i for i, v in pivot.items() if v in (1, -1)] if pivot else ()
+            if not units:
+                continue
+            i = min(units, key=lambda i: len(rows[i]))
+            del cols[j]
+            for r in pivot:
+                rows[r].discard(j)
+            p = pivot.pop(i)
+            for k in rows.pop(i):
+                # col_k -= (a_ik / p) col_j clears row i; 1/p == p for a unit
+                col = cols[k]
+                f = col.pop(i) * p
+                for r, v in pivot.items():
+                    new = col.get(r, 0) - f * v
+                    if new:
+                        col[r] = new
+                        rows[r].add(k)
+                    else:
+                        del col[r]
+                        rows[r].discard(k)
+                if not col:
+                    del cols[k]
+            pivots.append((i, j, p))
+        if len(pivots) == before:
+            return pivots, cols
+
+
+def _permutation_sign(perm: Sequence[int]) -> int:
+    """+1 or -1: a cycle of length L contributes (-1)^(L-1)."""
+    sign, seen = 1, [False] * len(perm)
+    for start in range(len(perm)):
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = perm[k]
+            if k != start:
+                sign = -sign
+    return sign
+
+
+def elimination_det(m: IntMatrix) -> int:
+    """Exact determinant: unit pivots first, Bareiss on what is left.
+
+    The unit eliminations are column operations, which keep the
+    determinant, and leave the pivot rows and columns block-triangular
+    against the rest once both are put in pivot order.  So det =
+    sgn(sigma) * prod(pivots) * det(leftover block), where sigma sends
+    each pivot row to its pivot column and the leftover rows to the
+    leftover columns in sorted order.  A column that empties gives 0.
+    """
+    if m.rows != m.cols:
+        raise ValueError("determinant needs a square matrix")
+    n = m.rows
+    # compress keeps the nonzero (row, entry) pairs of each column in C
+    sparse = [dict(compress(enumerate(col), col)) for col in zip(*m.entries)]
+    pivots, cols = _eliminate_units(sparse)
+    if len(pivots) + len(cols) < n:
+        return 0
+    sigma = [-1] * n
+    value = 1
+    for i, j, p in pivots:
+        sigma[i] = j
+        value *= p
+    left_rows = [i for i in range(n) if sigma[i] < 0]
+    left_cols = sorted(cols)
+    for i, j in zip(left_rows, left_cols):
+        sigma[i] = j
+    if left_cols:
+        value *= bareiss_det([[cols[j].get(i, 0) for j in left_cols]
+                              for i in left_rows])
+    return _permutation_sign(sigma) * value
 
 
 def sparse_rank_torsion(columns: Sequence[dict[int, int]]) -> tuple[int, list[int]]:

@@ -122,6 +122,12 @@ def test_report_wrong_arity(capsys):
     assert "two groups" in err
 
 
+def test_report_arity_error_names_its_input(capsys):
+    for spec, count in (("C2,C2,C2", 3), ("C3", 1)):
+        assert run(capsys, "report", "--groups", spec) == (
+            2, "", f"error: report needs exactly two groups, got {count} from --groups {spec}\n")
+
+
 def test_report_size_guard_names_the_pair(capsys):
     # 101 * 100 = 10100 is over the 10^4 limit on |G| |H|
     code, out, err = run(capsys, "report", "--groups", "C101,C100")
@@ -169,6 +175,15 @@ def test_homology_inline_and_file(capsys, tmp_path):
                        "--complex", f"@{p}")
     assert code == 0
     assert "betti=0" in out
+
+
+def test_non_integer_facet_vertex_names_the_complex(capsys, tmp_path):
+    assert run(capsys, "homology", "--groups", "C2,C2", "--complex", "K={1;2;1,x}") == (
+        2, "", "error: facet '1,x' of complex spec 'K={1;2;1,x}' has a non-integer vertex\n")
+    p = tmp_path / "k.txt"
+    p.write_text("1\n2\n1, x\n")
+    assert run(capsys, "homology", "--groups", "C2,C2", "--complex", f"@{p}") == (
+        2, "", "error: facet '1, x' of complex spec '{1;2;1, x}' has a non-integer vertex\n")
 
 
 def test_usage_errors_exit_2(capsys):

@@ -9,12 +9,16 @@ from monodromy.action import (Automorphism, act_letter, act_word, algebraic_basi
 from monodromy.fibre import build_fibre_graph, rank_formula
 from monodromy.groups import (S3_CLASSIC_ORDER, SizeLimitError, make_cyclic,
                               make_symmetric, parse_group_spec)
-from monodromy.intmatrix import (IntMatrix, _eliminate_units, abelianize, bareiss_det,
-                                 columns, cyclic_closed_form, matrix_of_letter,
+from monodromy.intmatrix import (IntMatrix, abelianize, bareiss_det, columns,
+                                 cyclic_closed_form, determinant, matrix_of_letter,
                                  representation_report)
-from monodromy.words import (Letter, free_reduce, multiply, random_kernel_word,
+from monodromy.words import (Letter, free_reduce, multiply, project, random_kernel_word,
                              reduce_word, single)
-from oracles import dense_counts, smith_normal_form, sparse_rank_torsion
+from oracles import (_eliminate_units, dense_counts, elimination_det, smith_normal_form,
+                     sparse_rank_torsion)
+
+# the production determinant (Bareiss) and the unit-pivot elimination oracle
+DETS = (IntMatrix.det, elimination_det)
 
 
 def rand_matrix(rng, rows, cols, bound=9):
@@ -71,6 +75,28 @@ def test_power():
         IntMatrix([[1, 2, 3]]) ** 2
 
 
+def padded_pretty(m):
+    """The text layout, every entry converted and padded on its own."""
+    width = max((len(str(v)) for row in m.entries for v in row), default=1)
+    return "\n".join(" ".join(str(v).rjust(width) for v in row) for row in m.entries)
+
+
+def test_pretty_matches_entrywise_padding():
+    rng = random.Random(40)
+    shapes = [(1, 1), (1, 7), (7, 1), (3, 5), (6, 6)]
+    for trial in range(200):
+        r, c = shapes[trial % len(shapes)]
+        density = rng.choice((0.0, 0.1, 0.5, 1.0))
+        bound = rng.choice((1, 9, 10 ** 24))
+        m = sparse_random(rng, r, c, density, bound)
+        assert m.pretty() == padded_pretty(m), m
+    for entries in ([[0]], [[0, 0, 0]], [[0], [0]], [[-1, 0], [0, 0]], [[0, 10 ** 24]],
+                    [[-(10 ** 24)], [0], [5]], [[0, -7, 0, 12]]):
+        m = IntMatrix(entries)
+        assert m.pretty() == padded_pretty(m), entries
+    assert IntMatrix([[0, -7], [12, 0]]).pretty() == " 0 -7\n12  0"
+
+
 def test_det_examples():
     assert IntMatrix([[2]]).det() == 2
     assert IntMatrix([[1, 2], [3, 4]]).det() == -2
@@ -86,7 +112,8 @@ def test_det_multiplicative_random():
     for _ in range(200):
         n = rng.randrange(1, 5)
         a, b = rand_matrix(rng, n, n), rand_matrix(rng, n, n)
-        assert (a * b).det() == a.det() * b.det()
+        for det in DETS:
+            assert det(a * b) == det(a) * det(b)
 
 
 def test_det_matches_bareiss_oracle():
@@ -106,14 +133,16 @@ def test_det_matches_bareiss_oracle():
             x, y = rng.randint(-3, 3), rng.randint(-3, 3)
             for row in m.entries:
                 row[c] = x * row[a] + y * row[b] if c not in (a, b) else 0
-        assert m.det() == bareiss_det(m.entries), m
+        for det in DETS:
+            assert det(m) == bareiss_det(m.entries), m
 
 
 def test_det_of_zero_lines_and_shapes():
     # an all-zero column or row leaves a column of compress() empty or short
     for entries in ([[0]], [[0, 1], [0, 2]], [[1, 2], [0, 0]], [[0, 0], [0, 0]],
                     [[1, 0, 2], [0, 0, 0], [3, 0, 4]], [[0, 0, 1], [0, 2, 0], [3, 0, 0]]):
-        assert IntMatrix(entries).det() == bareiss_det(entries), entries
+        for det in DETS:
+            assert det(IntMatrix(entries)) == bareiss_det(entries), entries
     rng = random.Random(39)
     for _ in range(100):
         n = rng.randrange(1, 7)
@@ -124,10 +153,12 @@ def test_det_of_zero_lines_and_shapes():
         else:
             for row in m.entries:
                 row[k] = 0
-        assert m.det() == bareiss_det(m.entries) == 0, m
+        for det in DETS:
+            assert det(m) == bareiss_det(m.entries) == 0, m
     for entries in ([[1, 2]], [[1], [2]], [[0, 0, 0], [0, 0, 0]]):
-        with pytest.raises(ValueError, match="square"):
-            IntMatrix(entries).det()
+        for det in DETS:
+            with pytest.raises(ValueError, match="square"):
+                det(IntMatrix(entries))
 
 
 def test_det_of_signed_permutation_matrices():
@@ -144,18 +175,24 @@ def test_det_of_signed_permutation_matrices():
         want = (-1) ** inversions
         for s in signs:
             want *= s
-        assert IntMatrix(entries).det() == want == bareiss_det(entries)
+        for det in DETS:
+            assert det(IntMatrix(entries)) == want == bareiss_det(entries)
 
 
 def test_det_of_report_generators_matches_bareiss_oracle():
-    # every generator matrix of the report pairs the benchmark runs
+    # every generator matrix of the report pairs the benchmark runs, and the
+    # report's closed-form determinants of them
     for spec in ("S4,C3", "S3,D5", "D4,S3", "C6,C7"):
         groups = tuple(parse_group_spec(spec))
         basis = algebraic_basis(groups)
+        dets = representation_report(*groups, kernel_trials=0)["determinants"]
         for factor, G in enumerate(groups):
+            assert dets[f"factor{factor + 1}"][0] == 1
             for e in range(1, G.order):
                 m = matrix_of_letter(Letter(factor, e), basis)
-                assert m.det() == bareiss_det(m.entries) in (1, -1)
+                want = bareiss_det(m.entries)
+                assert elimination_det(m) == want in (1, -1)
+                assert dets[f"factor{factor + 1}"][e] == want, (spec, factor, e)
 
 
 def test_det_multiplicative_on_rank_833_tree_basis():
@@ -170,9 +207,10 @@ def test_det_multiplicative_on_rank_833_tree_basis():
         want = 1
         for t in w.letters:
             if t not in letter_dets:
-                letter_dets[t] = matrix_of_letter(t, basis).det()
+                letter_dets[t] = elimination_det(matrix_of_letter(t, basis))
             want *= letter_dets[t]
-        assert abelianize(act_word(w, basis)).det() == want in (1, -1)
+        assert elimination_det(abelianize(act_word(w, basis))) == want in (1, -1)
+        assert determinant(groups, project(w)) == want
 
 
 def test_tree_basis_characters_for_three_or_more_factors():
@@ -183,7 +221,7 @@ def test_tree_basis_characters_for_three_or_more_factors():
     # and determinant prod_J det(tensor_{j in J} A_j(g_j))^(|J| - 1), with
     # det A_j(a) = (-1)^((o(a) - 1) |G_j| / o(a)), the sign of left
     # multiplication by a, and det(A (x) B) = det(A)^dim(B) det(B)^dim(A)
-    for spec in ("C2,C2,C2", "C3,C2,C2", "S3,C2,C3", "D4,C3,C2"):
+    for spec in ("C2,C2,C2", "C3,C2,C2", "S3,C2,C3", "D4,C3,C2", "C4,C2,C1"):
         groups = tuple(parse_group_spec(spec))
         basis = tree_basis(build_fibre_graph(groups))
         n, dim = len(groups), [G.order - 1 for G in groups]
@@ -197,7 +235,34 @@ def test_tree_basis_characters_for_three_or_more_factors():
             det = prod(prod(sign[j] ** prod(dim[k] for k in J if k != j) for j in J) ** (len(J) - 1)
                        for J in subsets)
             assert sum(m.entries[k][k] for k in range(m.rows)) == trace, (spec, g)
-            assert m.det() == det, (spec, g)
+            assert elimination_det(m) == det == determinant(groups, g), (spec, g)
+
+
+def test_determinant_matches_elimination_oracle():
+    # the closed form against the eliminated matrix, on seeded words in the
+    # kernel and not, in both bases; C1 factors count 0 in every exponent
+    specs = ("C2,C3", "C3,C4", "C2,S3", "C4,C4", "S3,D4", "C6,C8",
+             "C1,C3,C2", "C2,C1,C4", "C2,C2,C2", "C3,C2,C2", "S3,C2,C3", "S3,C4,C3",
+             "C2,C2,C2,C2", "C2,C3,C2,C3", "C1,C2,C3,C1", "C3,C3,C3,C3")
+    signs = set()
+    for spec in specs:
+        groups = tuple(parse_group_spec(spec))
+        bases = [tree_basis(build_fibre_graph(groups))]
+        if len(groups) == 2:
+            bases.append(algebraic_basis(groups))
+        live = [f for f, G in enumerate(groups) if G.order > 1]
+        rng = random.Random(spec)
+        for basis in bases:
+            for trial in range(4):
+                if trial % 2:
+                    w = random_kernel_word(rng, groups, max_letters=10)
+                else:
+                    w = reduce_word([(f, rng.randrange(1, groups[f].order))
+                                     for f in (rng.choice(live) for _ in range(6))], groups)
+                want = elimination_det(abelianize(act_word(w, basis)))
+                assert determinant(groups, project(w)) == want, (spec, basis.kind, w)
+                signs.add(want)
+    assert signs == {1, -1}
 
 
 def test_rank_examples():
