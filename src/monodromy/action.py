@@ -15,6 +15,9 @@ emits the signed symbols s with  c . letter = s . c', so walks concatenate;
 a kernel word walks from 0 back to 0 and spells its decomposition, and
 conjugation by g sends a witness w to P . walk(w from pi(g)) . P^-1, where
 P is the walk of g; `Basis.walks` keeps the witness walks of the last state.
+So act(g) is x -> P x P^-1 after the automorphism that sends witness j to
+its walk W_j from pi(g), `outer_representative`: one outer class, one H1
+matrix, read off the state alone.  `act_word`, which `act` prints, keeps P.
 """
 
 from __future__ import annotations
@@ -196,6 +199,19 @@ def act_word(w: Word, basis: Basis) -> Automorphism:
         else:
             images.append(free_reduce(prefix[:n - k] + suffix[j:]))
     return Automorphism(basis, tuple(images))
+
+
+def outer_representative(w: Word, basis: Basis) -> Automorphism:
+    """The prefix-free representative of w's outer class: witness j to its walk from pi(w).
+
+    act_word(w) conjugates each of these images by the walk P of w, so the
+    two differ by an inner automorphism and abelianize alike: P's letters
+    cancel against P^-1's in every column.  The walks of a state are cached
+    (`Basis.walks`), so this costs one walk of w past the first call.
+    """
+    if w.groups != basis.groups:
+        raise ValueError("word is over a different group list")
+    return Automorphism(basis, basis.walks(basis.walk(w.letters, 0, [])))
 
 
 def act_letter(t: Letter, basis: Basis) -> Automorphism:

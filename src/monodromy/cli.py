@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii as _quote  # C, unlike indent=2
 from math import prod
 from typing import Callable
 
-from .action import act_word, algebraic_basis, tree_basis
+from .action import act_word, algebraic_basis, outer_representative, tree_basis
 from .commutators import MAX_LEMMA_TRIALS, lemma_suite
 from .complexes import build_complex, h1, load_complex_file, parse_complex_spec
 from .fibre import betti_one, build_fibre_graph, rank_formula, to_dot
@@ -70,9 +70,10 @@ def _join_ints(values, sep: str) -> str:
     return ("".join(out) + zero * (len(values) - last))[:-len(sep)]
 
 
-def _emit(args, payload: dict, text: Callable[[], str]):
-    """Print the payload as JSON, or the text, built only in text mode."""
+def _emit(args, payload: dict | Callable[[], dict], text: Callable[[], str]):
+    """Print the payload as JSON, or the text; each callable is called only in its own mode."""
     if args.format == "json":
+        payload = payload() if callable(payload) else payload
         payload["schema"] = SCHEMA
         print(_dumps(payload))
     else:
@@ -131,13 +132,12 @@ def cmd_matrix(args):
         raise SizeLimitError(f"rank {rank}: its matrix of rank^2 = {rank * rank} "
                              f"entries exceeds cap {cap}")
     basis = _basis_for(groups, args.basis)
-    mat = abelianize(act_word(w, basis))
-    payload = {"basis": list(basis.symbols),
-               "convention": "columns-as-images",
-               "element": str(w),
-               "determinant": determinant(groups, project(w)),
-               "entries": mat.to_lists()}
-    _emit(args, payload, mat.pretty)
+    mat = abelianize(outer_representative(w, basis))  # read off the state: P cancels in H1
+    _emit(args, lambda: {"basis": list(basis.symbols),
+                         "convention": "columns-as-images",
+                         "element": str(w),
+                         "determinant": determinant(groups, project(w)),
+                         "entries": mat.entries}, mat.pretty)
     return 0
 
 

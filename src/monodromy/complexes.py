@@ -87,9 +87,13 @@ def parse_complex_spec(text: str, n: int | None = None) -> SimplicialComplex:
 
 
 def load_complex_file(path: str, n: int | None = None) -> SimplicialComplex:
-    with open(path) as fh:
-        facets = [line.strip() for line in fh if line.strip()]
-    return parse_complex_spec("{" + ";".join(facets) + "}", n)
+    """The complex with one facet per non-blank line; a bad file's error starts with its path."""
+    try:
+        with open(path) as fh:  # an undecodable file raises ValueError too
+            facets = [line.strip() for line in fh if line.strip()]
+        return parse_complex_spec("{" + ";".join(facets) + "}", n)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _count(orders: Sequence[int], support: tuple[int, ...]) -> int:

@@ -10,13 +10,12 @@ from __future__ import annotations
 import itertools
 import random
 
-from .action import (Letter, act_letter, act_word, algebraic_basis, decompose,
-                     recompose, tree_basis)
+from .action import Letter, act_word, algebraic_basis, decompose, recompose, tree_basis
 from .commutators import lemma_suite
 from .complexes import build_complex, full_simplex, h1, parse_complex_spec, zero_complex
 from .fibre import build_fibre_graph, grid_edges, place_values, rank_formula
 from .groups import S3_CLASSIC_ORDER, make_cyclic, make_symmetric
-from .intmatrix import IntMatrix, abelianize, columns, cyclic_closed_form
+from .intmatrix import IntMatrix, columns, cyclic_closed_form, matrix_of_letter
 from .words import conjugate, random_kernel_word, single
 
 S3_MATRICES = {
@@ -91,10 +90,10 @@ def criterion_2_z2z3_matrices(seed: int = 0):
 def _s3_setup():
     groups = (make_cyclic(2), make_symmetric(3, names_order=S3_CLASSIC_ORDER))
     basis = algebraic_basis(groups)
-    mats = {"x": abelianize(act_letter(Letter(0, 1), basis))}
+    mats = {"x": matrix_of_letter(Letter(0, 1), basis)}
     for k, name in enumerate(S3_CLASSIC_ORDER):
         if k:
-            mats[name] = abelianize(act_letter(Letter(1, k), basis))
+            mats[name] = matrix_of_letter(Letter(1, k), basis)
     return mats
 
 

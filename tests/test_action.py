@@ -6,14 +6,16 @@ import pytest
 
 from monodromy.action import (Automorphism, act_letter, act_word,
                               algebraic_basis, commutator_walker, decompose,
-                              invert_signed, recompose, tree_basis)
+                              invert_signed, outer_representative, recompose,
+                              tree_basis)
 from monodromy.fibre import build_fibre_graph, cotree_walker
 from monodromy.groups import (make_cyclic, make_dihedral, make_symmetric,
                               parse_group_spec)
+from monodromy.intmatrix import columns
 from monodromy.words import (Letter, commutator, conjugate, empty_word,
                              free_reduce, invert, is_in_kernel, multiply,
-                             random_kernel_word, random_word, reduce_word,
-                             single)
+                             project, random_kernel_word, random_word,
+                             reduce_word, single)
 
 from oracles import free_reduce_pairs, signed
 
@@ -612,6 +614,35 @@ def test_kernel_words_reuse_the_walks_from_zero():
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
         assert phi.images == tuple(decompose(basis, conjugate(second, wit))
                                    for wit in basis.witnesses)
+
+
+def test_act_word_is_the_outer_representative_conjugated_by_its_walk():
+    # act_word(w) sends witness j to P . rep_j . P^-1, P the walk of w and
+    # rep_j its walk from pi(w): the same outer class, so the same columns
+    rng = random.Random(35)
+    bases = [tree_basis(build_fibre_graph(parse_group_spec(spec)))
+             for spec in ("C1,C3", "S3,C4,C3", "D4,C3,C2", "C3,C3,C3,C3", "C8,C8,C8",
+                          "S3,C4", "D4,C3")]
+    bases += [algebraic_basis(parse_group_spec(spec)) for spec in ("S3,C4", "D4,C3", "C3,C2")]
+    for basis in bases:
+        groups = basis.groups
+        kernel = [random_kernel_word(rng, groups, 12) for _ in range(3)]
+        others = [random_word(rng, groups, 12) for _ in range(4)]
+        assert any(any(project(w)) for w in others)  # some walk ends away from 0
+        for w in [empty_word(groups), *kernel, *others]:
+            phi, rep = act_word(w, basis), outer_representative(w, basis)
+            assert columns(phi) == columns(rep), (groups, w)
+            raw = []
+            basis.walk(w.letters, 0, raw)
+            prefix = tuple(raw)
+            assert phi.images == tuple(free_reduce(prefix + run + invert_signed(prefix))
+                                       for run in rep.images), (groups, w)
+
+
+def test_outer_representative_refuses_a_foreign_word():
+    basis = algebraic_basis((make_cyclic(2), make_cyclic(3)))
+    with pytest.raises(ValueError, match="different group list"):
+        outer_representative(single((make_cyclic(2), make_cyclic(4)), 0, 1), basis)
 
 
 # -- one reduction per word operation ----------------------------------------

@@ -183,7 +183,24 @@ def test_non_integer_facet_vertex_names_the_complex(capsys, tmp_path):
     p = tmp_path / "k.txt"
     p.write_text("1\n2\n1, x\n")
     assert run(capsys, "homology", "--groups", "C2,C2", "--complex", f"@{p}") == (
-        2, "", "error: facet '1, x' of complex spec '{1;2;1, x}' has a non-integer vertex\n")
+        2, "", f"error: {p}: facet '1, x' of complex spec '{{1;2;1, x}}' has a non-integer "
+               "vertex\n")
+
+
+def test_complex_file_errors_name_the_file(capsys, tmp_path):
+    # every error about a complex file's contents starts with its path
+    cases = [("1\n2\n1,3\n", "complex names vertex 3 but only 2 coordinates exist"),
+             ("1\n2\n1,x\n", "facet '1,x' of complex spec '{1;2;1,x}' has a non-integer vertex"),
+             ("1\n}\n", "facet '}' of complex spec '{1;}}' has a non-integer vertex")]
+    for k, (body, message) in enumerate(cases):
+        p = tmp_path / f"k{k}.txt"
+        p.write_text(body)
+        assert run(capsys, "homology", "--groups", "C2,C2", "--complex", f"@{p}") == (
+            2, "", f"error: {p}: {message}\n")
+    p = tmp_path / "binary.txt"
+    p.write_bytes(b"\xff\xfe1\n")
+    code, out, err = run(capsys, "homology", "--groups", "C2,C2", "--complex", f"@{p}")
+    assert (code, out) == (2, "") and err.startswith(f"error: {p}: ")
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,8 +1,12 @@
 import itertools
 import random
+from dataclasses import replace
 from math import prod
 
 import pytest
+
+from monodromy import intmatrix
+from monodromy.cli import main
 
 from monodromy.action import (Automorphism, act_letter, act_word, algebraic_basis,
                               invert_signed, tree_basis)
@@ -69,7 +73,7 @@ def test_derived_matrices_equal_constructed_ones():
 
 def test_power():
     m = IntMatrix([[1, 1], [0, 1]])
-    assert (m ** 5).to_lists() == [[1, 5], [0, 1]]
+    assert (m ** 5).entries == [[1, 5], [0, 1]]
     assert (m ** 0).is_identity()
     with pytest.raises(ValueError):
         IntMatrix([[1, 2, 3]]) ** 2
@@ -332,7 +336,7 @@ def test_product_matches_naive_reference():
             j = rng.randrange(c)
             for row in b.entries:
                 row[j] = 0
-        assert (a * b).to_lists() == naive_product(a, b)
+        assert (a * b).entries == naive_product(a, b)
     with pytest.raises(ValueError):
         IntMatrix([[1, 2]]) * IntMatrix([[1, 2]])
 
@@ -428,8 +432,8 @@ def test_columns_match_the_dense_count_oracle():
 
 def test_cyclic_closed_form_2_3():
     m1, m2 = cyclic_closed_form(2, 3)
-    assert m1.to_lists() == [[-1, 0], [0, -1]]
-    assert m2.to_lists() == [[-1, -1], [1, 0]]
+    assert m1.entries == [[-1, 0], [0, -1]]
+    assert m2.entries == [[-1, -1], [1, 0]]
     assert (m1 ** 2).is_identity()
     assert (m2 ** 3).is_identity()
     assert m1.det() == m2.det() == 1
@@ -541,3 +545,77 @@ def test_representation_report_matches_dense_oracle():
         for H in parse_group_spec(seconds):
             got = representation_report(G, H, seed=G.order + H.order, kernel_trials=3)
             assert got == dense_representation_report(G, H, G.order + H.order, 3), (G, H)
+
+
+# the four report pairs of the seed-0 pipeline workload, at their CLI seeds
+PIPELINE_PAIRS = (("S4,C3", 585363), ("S3,D5", 933416), ("D4,S3", 11415), ("C6,C7", 463508))
+
+
+def left_multiplication(G, a):
+    """Dense left multiplication by a on I_G: g_i - 1 goes to (a g_i - 1) - (a - 1)."""
+    rows = [[0] * (G.order - 1) for _ in range(G.order - 1)]
+    for i in range(1, G.order):
+        if G.op(a, i):
+            rows[G.op(a, i) - 1][i - 1] += 1
+        if a:
+            rows[a - 1][i - 1] -= 1
+    return rows
+
+
+def kron(a, b):
+    return IntMatrix([[x * y for x in row_a for y in row_b] for row_a in a for row_b in b])
+
+
+def brute_report_checks(G, H, seed, kernel_trials=50):
+    """The report's two action checks on the full images of act_word and act_letter."""
+    groups = (G, H)
+    basis = algebraic_basis(groups)
+    eye_g, eye_h = (IntMatrix.identity(K.order - 1).entries for K in groups)
+    kroneckers = [(Letter(0, a), kron(left_multiplication(G, a), eye_h)) for a in G.generators]
+    kroneckers += [(Letter(1, b), kron(eye_g, left_multiplication(H, b))) for b in H.generators]
+    cross = all(abelianize(act_letter(t, basis)) == want for t, want in kroneckers)
+    rng = random.Random(seed)
+    identity = [{k: 1} for k in range(basis.rank)]
+    kernel = all(columns(act_word(random_kernel_word(rng, groups, max_letters=10), basis))
+                 == identity for _ in range(kernel_trials))
+    return cross, kernel
+
+
+def test_report_checks_match_the_brute_loop_on_the_pipeline_pairs():
+    for spec, seed in PIPELINE_PAIRS:
+        G, H = parse_group_spec(spec)
+        rep = representation_report(G, H, seed=seed)
+        got = (rep["cross_factor_commute"], rep["kernel_words_act_trivially"])
+        assert got == brute_report_checks(G, H, seed) == (True, True), spec
+
+
+def corrupt_walks_at(monkeypatch, state):
+    """Make the report's commutator basis add a spurious symbol to the walks from `state`."""
+    real = intmatrix.algebraic_basis
+
+    def corrupt(groups):
+        basis = real(groups)
+
+        def walks(start):
+            runs = basis.walks(start)
+            return ((*runs[0], 1),) + runs[1:] if start == state else runs
+
+        return replace(basis, walks=walks)
+
+    monkeypatch.setattr(intmatrix, "algebraic_basis", corrupt)
+
+
+def test_report_checks_fail_on_corrupted_walks(monkeypatch, capsys):
+    G, H = parse_group_spec("S3,C4")
+    generator_state = G.generators[0] * H.order  # where the letter (0, g) walks from 0
+    for state, failing in ((0, "kernel_words_act_trivially"),
+                           (generator_state, "cross_factor_commute")):
+        with monkeypatch.context() as m:
+            corrupt_walks_at(m, state)
+            rep = representation_report(G, H)
+            assert main(["report", "--groups", "S3,C4", "--format", "json"]) == 1
+        capsys.readouterr()
+        checks = ("cross_factor_commute", "kernel_words_act_trivially", "faithful",
+                  "non_ia_certificate")
+        assert [k for k in checks if not rep[k]] == [failing], state
+    assert representation_report(G, H)["kernel_words_act_trivially"]
