@@ -1,7 +1,7 @@
 """Exact monodromy computations over products of finite discrete groups."""
 
-from .action import (Automorphism, Basis, act_letter, act_word, algebraic_basis,
-                     decompose, recompose, tree_basis)
+from .action import (Automorphism, Basis, act_word, algebraic_basis, decompose, recompose,
+                     tree_basis)
 from .commutators import (delta_identity_check, iterated_commutator,
                           magnus_weight, product_expansion_check)
 from .complexes import (CubicalComplex, SimplicialComplex, build_complex,
@@ -11,7 +11,7 @@ from .groups import (FiniteGroup, make_cyclic, make_dihedral, make_symmetric,
                      parse_group_spec)
 from .intmatrix import (IntMatrix, abelianize, cyclic_closed_form, determinant,
                         representation_report)
-from .words import (Letter, Word, commutator, invert, is_in_kernel, multiply,
-                    parse_word, project, reduce_word)
+from .words import (Word, commutator, invert, is_in_kernel, multiply, parse_word, project,
+                    reduce_word)
 
 __version__ = "0.1.0"

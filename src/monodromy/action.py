@@ -29,8 +29,8 @@ from typing import Callable, Sequence
 
 from .fibre import FibreGraph, Walker, cotree_walker, cotree_walks, cycle_witnesses
 from .groups import FiniteGroup
-from .words import (Letter, Word, commutator, free_reduce, invert, invert_signed,
-                    projection, reduce_word, single)
+from .words import (Word, commutator, free_reduce, invert, invert_signed, projection,
+                    reduce_word, single)
 
 # A signed symbol word (see `words`): symbol k is k + 1, its inverse -(k + 1)
 SymbolWord = tuple[int, ...]
@@ -212,7 +212,3 @@ def outer_representative(w: Word, basis: Basis) -> Automorphism:
     if w.groups != basis.groups:
         raise ValueError("word is over a different group list")
     return Automorphism(basis, basis.walks(basis.walk(w.letters, 0, [])))
-
-
-def act_letter(t: Letter, basis: Basis) -> Automorphism:
-    return act_word(single(basis.groups, *t), basis)

@@ -20,7 +20,7 @@ from .action import act_word, algebraic_basis, outer_representative, tree_basis
 from .commutators import MAX_LEMMA_TRIALS, lemma_suite
 from .complexes import build_complex, h1, load_complex_file, parse_complex_spec
 from .fibre import betti_one, build_fibre_graph, rank_formula, to_dot
-from .groups import GroupSpecParseError, SizeLimitError, cell_cap, parse_group_spec
+from .groups import SizeLimitError, cell_cap, parse_group_spec
 from .intmatrix import abelianize, determinant, representation_report
 from .verify import run_criteria
 from .words import format_words, parse_word, project
@@ -252,7 +252,7 @@ def main(argv=None) -> int:
     try:
         # the handler is looked up on each call, not held by the kept parser
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except (ValueError, GroupSpecParseError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         # an unreadable input file is a usage error; OSError's text names the path
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -135,7 +135,7 @@ def place_values(orders: Sequence[int]) -> list[int]:
 def _cotree_step(g: FibreGraph) -> Callable[[int, int, int, list], int]:
     """The tree basis's walk of one letter: `step(i, e, index, out) -> index`.
 
-    Letter (i, e) moves coordinate i of the vertex `index` from a to b = a*e
+    The letter (i, e) moves coordinate i of the vertex `index` from a to b = a*e
     and returns the new index.  If the state's coordinates after i are all 0
     it crosses tree edges only; otherwise it appends to `out` the one cotree
     chain it crosses, edges of consecutive indices base + p, as symbols

@@ -67,8 +67,6 @@ class FiniteGroup:
     # a generating set, the greedy one Light's test picks in __post_init__
     generators: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
-    identity = 0
-
     def __post_init__(self):
         m = self.order
         if m < 1:
@@ -186,13 +184,16 @@ def _cycle_notation(perm: tuple[int, ...]) -> str:
     return "".join(out) if out else "1"
 
 
-def make_symmetric(k: int, names_order: list[str] | None = None) -> FiniteGroup:
+#: The symmetric-group-on-3-letters listing used throughout the worked examples.
+S3_CLASSIC_ORDER = ["1", "(12)", "(13)", "(23)", "(123)", "(132)"]
+
+
+def make_symmetric(k: int) -> FiniteGroup:
     """Symmetric group on {1..k}.
 
-    Elements are permutations in lexicographic one-line order, composed
+    Elements are permutations in lexicographic one-line order, but S3 in the
+    worked examples' order, `S3_CLASSIC_ORDER`; they compose
     apply-right-first: (a.b)(i) = a(b(i)).  Names use cycle notation.
-    ``names_order`` relabels the enumeration to an explicit list of cycle
-    names (the identity "1" must come first).
     """
     if k < 1:
         raise GroupValidationError("invalid order: k must be >= 1")
@@ -202,23 +203,15 @@ def make_symmetric(k: int, names_order: list[str] | None = None) -> FiniteGroup:
         _check_table_size(f"S{k}", order, f"{k}!")
     perms = sorted(itertools.permutations(range(1, k + 1)))
     names = [_cycle_notation(p) for p in perms]
-    if names_order is not None:
-        if sorted(names_order) != sorted(names):
-            raise GroupValidationError("names_order must be a permutation of the element names")
-        if names_order[0] != "1":
-            raise GroupValidationError("identity must be listed first")
-        perms = [perms[names.index(nm)] for nm in names_order]
-        names = list(names_order)
+    if k == 3:
+        perms = [perms[names.index(nm)] for nm in S3_CLASSIC_ORDER]
+        names = S3_CLASSIC_ORDER
     index = {p: i for i, p in enumerate(perms)}
     table = tuple(
         tuple(index[tuple(a[b[i] - 1] for i in range(k))] for b in perms)
         for a in perms
     )
     return FiniteGroup(len(perms), table, tuple(names))
-
-
-#: The symmetric-group-on-3-letters listing used throughout the worked examples.
-S3_CLASSIC_ORDER = ["1", "(12)", "(13)", "(23)", "(123)", "(132)"]
 
 
 def make_dihedral(n: int) -> FiniteGroup:
@@ -295,8 +288,7 @@ def parse_group_spec(spec: str) -> list[FiniteGroup]:
             if kind == "C":
                 groups.append(make_cyclic(n))
             elif kind == "S":
-                order = S3_CLASSIC_ORDER if n == 3 else None
-                groups.append(make_symmetric(n, names_order=order))
+                groups.append(make_symmetric(n))
             else:
                 groups.append(make_dihedral(n))
         pos += len(item) + 1

@@ -8,7 +8,8 @@ images by the walk P of the element, and P cancels in H1.  Criterion 7 and
 the tests' dense report keep counting `act_word`, as the oracle of that.
 The letters are counted once, into sparse columns (`columns`): the report
 compares those directly, and `abelianize` writes them into a dense matrix.
-An element's determinant is read off its projection (`determinant`).
+An element's determinant is read off its projection (`determinant`);
+`IntMatrix.det` and `IntMatrix.rank` share one fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import random
 from math import prod
 from typing import Sequence
 
-from .action import Automorphism, Basis, algebraic_basis, outer_representative
+from .action import Automorphism, algebraic_basis, outer_representative
 from .groups import FiniteGroup, SizeLimitError, make_cyclic
-from .words import Letter, random_kernel_word, single
+from .words import random_kernel_word, single
 
 MAX_REPORT_PAIR = 10**4  # the largest |G| |H| representation_report accepts
 
@@ -47,15 +48,8 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls._of_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, r: int, c: int) -> "IntMatrix":
-        return cls._of_rows([[0] * c for _ in range(r)])
-
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.entries))
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -98,30 +92,15 @@ class IntMatrix:
             for i, row in enumerate(self.entries))
 
     def det(self) -> int:
-        """Exact determinant by fraction-free elimination: O(n^3), for small matrices."""
+        """Exact determinant: O(n^3), for small matrices."""
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        return bareiss_det(self.entries)
+        rank, pivot = _eliminate(self.entries)
+        return pivot if rank == self.rows else 0
 
     def rank(self) -> int:
-        """Rank over the rationals, by fraction-free elimination."""
-        a = [row[:] for row in self.entries]
-        rank, prev = 0, 1
-        rows, cols = self.rows, self.cols
-        for col in range(cols):
-            pivot = next((r for r in range(rank, rows) if a[r][col]), None)
-            if pivot is None:
-                continue
-            a[rank], a[pivot] = a[pivot], a[rank]
-            for i in range(rank + 1, rows):
-                for j in range(col + 1, cols):
-                    a[i][j] = (a[i][j] * a[rank][col] - a[i][col] * a[rank][j]) // prev
-                a[i][col] = 0
-            prev = a[rank][col]
-            rank += 1
-            if rank == rows:
-                break
-        return rank
+        """Rank over the rationals."""
+        return _eliminate(self.entries)[0]
 
     def pretty(self) -> str:
         width = max((len(str(v)) for row in self.entries for v in filter(None, row)), default=1)
@@ -133,23 +112,31 @@ class IntMatrix:
         return f"IntMatrix({self.entries!r})"
 
 
-def bareiss_det(entries: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square list of rows by fraction-free (Bareiss) elimination."""
-    n = len(entries)
-    a = [list(row) for row in entries]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            r = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if r is None:
-                return 0
-            a[k], a[r], sign = a[r], a[k], -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def _eliminate(entries: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of a copy of the rows: (rank, signed last pivot).
+
+    A column with no pivot left is skipped.  The k-th pivot is the minor on
+    the first k pivot rows and columns, so the last pivot, signed by the row
+    swaps, is the determinant of a square matrix of full rank.
+    """
+    a = [row[:] for row in entries]
+    rows, cols = len(a), len(a[0])
+    rank, prev, sign = 0, 1, 1
+    for col in range(cols):
+        pivot = next((r for r in range(rank, rows) if a[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            a[rank], a[pivot], sign = a[pivot], a[rank], -sign
+        for i in range(rank + 1, rows):
+            for j in range(col + 1, cols):
+                a[i][j] = (a[i][j] * a[rank][col] - a[i][col] * a[rank][j]) // prev
+            a[i][col] = 0
+        prev = a[rank][col]
+        rank += 1
+        if rank == rows:
+            break
+    return rank, sign * prev
 
 
 def columns(f: Automorphism) -> list[dict[int, int]]:
@@ -177,16 +164,13 @@ def abelianize(f: Automorphism) -> IntMatrix:
     return IntMatrix._of_rows(rows)
 
 
-def matrix_of_letter(t: Letter, basis: Basis) -> IntMatrix:
-    return abelianize(outer_representative(single(basis.groups, *t), basis))
-
-
 def cyclic_closed_form(r: int, m: int) -> tuple[IntMatrix, IntMatrix]:
     """Abelianized generator actions for C_r * C_m in the commutator basis."""
     if r < 2 or m < 2:
         raise ValueError("both cyclic orders must be at least 2")
-    basis = algebraic_basis((make_cyclic(r), make_cyclic(m)))
-    return matrix_of_letter(Letter(0, 1), basis), matrix_of_letter(Letter(1, 1), basis)
+    groups = (make_cyclic(r), make_cyclic(m))
+    basis = algebraic_basis(groups)
+    return tuple(abelianize(outer_representative(single(groups, f, 1), basis)) for f in (0, 1))
 
 
 def determinant(groups: Sequence[FiniteGroup], g: Sequence[int]) -> int:

@@ -10,12 +10,13 @@ from __future__ import annotations
 import itertools
 import random
 
-from .action import Letter, act_word, algebraic_basis, decompose, recompose, tree_basis
+from .action import (act_word, algebraic_basis, decompose, outer_representative, recompose,
+                     tree_basis)
 from .commutators import lemma_suite
 from .complexes import build_complex, full_simplex, h1, parse_complex_spec, zero_complex
 from .fibre import build_fibre_graph, grid_edges, place_values, rank_formula
 from .groups import S3_CLASSIC_ORDER, make_cyclic, make_symmetric
-from .intmatrix import IntMatrix, columns, cyclic_closed_form, matrix_of_letter
+from .intmatrix import IntMatrix, abelianize, columns, cyclic_closed_form
 from .words import conjugate, random_kernel_word, single
 
 S3_MATRICES = {
@@ -88,13 +89,11 @@ def criterion_2_z2z3_matrices(seed: int = 0):
 
 
 def _s3_setup():
-    groups = (make_cyclic(2), make_symmetric(3, names_order=S3_CLASSIC_ORDER))
+    groups = (make_cyclic(2), make_symmetric(3))
     basis = algebraic_basis(groups)
-    mats = {"x": matrix_of_letter(Letter(0, 1), basis)}
-    for k, name in enumerate(S3_CLASSIC_ORDER):
-        if k:
-            mats[name] = matrix_of_letter(Letter(1, k), basis)
-    return mats
+    letters = {"x": (0, 1)} | {name: (1, k) for k, name in enumerate(S3_CLASSIC_ORDER) if k}
+    return {name: abelianize(outer_representative(single(groups, *t), basis))
+            for name, t in letters.items()}
 
 
 def criterion_3_z2s3_matrices(seed: int = 0):
@@ -154,7 +153,7 @@ def criterion_4_cyclic_pairs(seed: int = 0):
 def _pair_suites():
     return [
         ("C4*C3", (make_cyclic(4), make_cyclic(3))),
-        ("C2*S3", (make_cyclic(2), make_symmetric(3, names_order=S3_CLASSIC_ORDER))),
+        ("C2*S3", (make_cyclic(2), make_symmetric(3))),
     ]
 
 

@@ -1,8 +1,7 @@
 """Reduced-word calculus in a free product of finite groups.
 
-A letter is a plain int pair (factor index, non-identity element index);
-`Letter` names its two fields and equals the bare pair.  A word is an
-alternating sequence of letters.  Reduction merges adjacent same-factor
+A letter is a plain int pair (factor index, non-identity element index),
+and a word is an alternating sequence of letters.  Reduction merges adjacent same-factor
 letters through the Cayley table and drops identity letters, yielding the
 unique normal form.  Each word operation concatenates raw letters and
 reduces once; the inverse of a reduced word is reduced, so `invert` does
@@ -18,14 +17,9 @@ import random
 import re
 from dataclasses import dataclass
 from operator import neg
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .groups import FiniteGroup
-
-
-class Letter(NamedTuple):
-    factor: int  # 0-based coordinate
-    elem: int    # non-identity element index of groups[factor]
 
 
 @dataclass(frozen=True)
@@ -86,10 +80,7 @@ def reduce_word(raw: Iterable[tuple[int, int]], groups: Sequence[FiniteGroup]) -
             merged = G.table[stack[-1][1]][elem]  # both are checked elements
             stack.pop()
             if merged != 0:
-                # re-push; a merge can expose a new same-factor neighbour only
-                # after a deletion, which the stack handles naturally
-                if stack and stack[-1][0] == factor:
-                    raise AssertionError("stack invariant broken")
+                # the stack alternates, so the new top is in another factor
                 stack.append((factor, merged))
         else:
             stack.append((factor, elem))

@@ -16,18 +16,24 @@ leftover block to the dense `smith_normal_form`, so torsion is computed,
 not assumed away.
 
 `elimination_det` runs the same unit-pivot elimination (`_eliminate_units`)
-on a square matrix, and Bareiss only on the block it leaves: the oracle
-of `intmatrix.determinant` at ranks where `IntMatrix.det` is too slow.
+on a square matrix, and `rational_elimination` only on the block it
+leaves: the oracle of `intmatrix.determinant` at ranks where
+`IntMatrix.det` is too slow.  `rational_elimination` (rank and det by
+Gaussian elimination over fractions) and `leibniz_det` (the sum over
+permutations, for small n) are the oracles of `IntMatrix.det` and
+`IntMatrix.rank`, which share one fraction-free elimination.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from fractions import Fraction
+from itertools import compress, permutations
+from math import prod
 from typing import Sequence
 
 from monodromy.complexes import CubicalComplex
 from monodromy.fibre import place_values
-from monodromy.intmatrix import IntMatrix, bareiss_det
+from monodromy.intmatrix import IntMatrix
 
 
 def signed(k: int, sign: int) -> int:
@@ -183,8 +189,43 @@ def _permutation_sign(perm: Sequence[int]) -> int:
     return sign
 
 
+def leibniz_det(entries: Sequence[Sequence[int]]) -> int:
+    """The determinant as the signed sum of n! products: for n up to about 6."""
+    n = len(entries)
+    return sum(_permutation_sign(p) * prod(entries[i][p[i]] for i in range(n))
+               for p in permutations(range(n)))
+
+
+def rational_elimination(entries: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(rank, det) by Gaussian elimination over exact fractions; det is 0 unless
+    the matrix is square of full rank.  Each pivot row is divided through, so
+    no division has to come out exact, unlike in the fraction-free routine."""
+    a = [[Fraction(v) for v in row] for row in entries]
+    rows, cols = len(a), len(a[0])
+    rank, det = 0, Fraction(1)
+    for col in range(cols):
+        piv = next((r for r in range(rank, rows) if a[r][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            a[rank], a[piv], det = a[piv], a[rank], -det
+        det *= a[rank][col]
+        a[rank] = [v / a[rank][col] for v in a[rank]]
+        for r in range(rank + 1, rows):
+            if a[r][col]:
+                f = a[r][col]
+                a[r] = [v - f * p for v, p in zip(a[r], a[rank])]
+        rank += 1
+    assert det.denominator == 1
+    return rank, det.numerator if rows == cols == rank else 0
+
+
+def rational_rank(mat: IntMatrix) -> int:
+    return rational_elimination(mat.entries)[0]
+
+
 def elimination_det(m: IntMatrix) -> int:
-    """Exact determinant: unit pivots first, Bareiss on what is left.
+    """Exact determinant: unit pivots first, `rational_elimination` on what is left.
 
     The unit eliminations are column operations, which keep the
     determinant, and leave the pivot rows and columns block-triangular
@@ -211,8 +252,8 @@ def elimination_det(m: IntMatrix) -> int:
     for i, j in zip(left_rows, left_cols):
         sigma[i] = j
     if left_cols:
-        value *= bareiss_det([[cols[j].get(i, 0) for j in left_cols]
-                              for i in left_rows])
+        value *= rational_elimination([[cols[j].get(i, 0) for j in left_cols]
+                                       for i in left_rows])[1]
     return _permutation_sign(sigma) * value
 
 

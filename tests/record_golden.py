@@ -141,7 +141,7 @@ def record() -> list[dict]:
                 os.environ[CAP] = cap
             try:
                 result = capture(argv)
-            except BaseException as exc:  # SystemExit from argparse included
+            except (Exception, SystemExit) as exc:  # argparse exits on a usage error
                 raise SystemExit(f"refusing to record: {argv} raised {exc!r}") from exc
             finally:
                 os.environ.pop(CAP, None)

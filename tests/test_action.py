@@ -4,7 +4,7 @@ from math import prod
 
 import pytest
 
-from monodromy.action import (Automorphism, act_letter, act_word,
+from monodromy.action import (Automorphism, act_word,
                               algebraic_basis, commutator_walker, decompose,
                               invert_signed, outer_representative, recompose,
                               tree_basis)
@@ -12,7 +12,7 @@ from monodromy.fibre import build_fibre_graph, cotree_walker
 from monodromy.groups import (make_cyclic, make_dihedral, make_symmetric,
                               parse_group_spec)
 from monodromy.intmatrix import columns
-from monodromy.words import (Letter, commutator, conjugate, empty_word,
+from monodromy.words import (commutator, conjugate, empty_word,
                              free_reduce, invert, is_in_kernel, multiply,
                              project, random_kernel_word, random_word,
                              reduce_word, single)
@@ -194,10 +194,9 @@ def test_closed_form_matches_conjugation():
         basis = algebraic_basis(groups)
         for factor in range(2):
             for e in range(1, groups[factor].order):
-                t = Letter(factor, e)
-                phi = act_two_groups(t, basis)
-                assert act_letter(t, basis) == phi
                 tw = single(groups, factor, e)
+                phi = act_two_groups((factor, e), basis)
+                assert act_word(tw, basis) == phi
                 for k, wit in enumerate(basis.witnesses):
                     assert recompose(basis, phi.images[k]) == conjugate(tw, wit)
 
@@ -229,8 +228,8 @@ def test_kernel_words_act_by_inner_automorphisms():
 
 def test_identity_letter_acts_trivially():
     basis = algebraic_basis((make_cyclic(3), make_cyclic(3)))
-    assert act_two_groups(Letter(0, 0), basis) == identity_automorphism(basis)
-    assert act_letter(Letter(0, 0), basis) == identity_automorphism(basis)
+    assert act_two_groups((0, 0), basis) == identity_automorphism(basis)
+    assert act_word(single(basis.groups, 0, 0), basis) == identity_automorphism(basis)
 
 
 def test_act_word_is_antihomomorphism_free():
@@ -247,10 +246,10 @@ def test_act_word_is_antihomomorphism_free():
 
 
 def letter_fold(w, basis):
-    """compose(act_letter(l1), compose(act_letter(l2), ...)); identity if empty."""
+    """compose(act(l1), compose(act(l2), ...)) over one-letter words; identity if empty."""
     phi = identity_automorphism(basis)
-    for lt in reversed(w.letters):
-        phi = compose(act_letter(lt, basis), phi)
+    for f, e in reversed(w.letters):
+        phi = compose(act_word(single(basis.groups, f, e), basis), phi)
     return phi
 
 
@@ -275,9 +274,9 @@ def test_tree_act_word_matches_letter_fold():
 def test_order_of_generator_action_divides_group_exponent():
     groups = (make_cyclic(2), make_cyclic(3))
     basis = algebraic_basis(groups)
-    phi = act_letter(Letter(0, 1), basis)
+    phi = act_word(single(groups, 0, 1), basis)
     assert compose(phi, phi) == identity_automorphism(basis)
-    psi = act_letter(Letter(1, 1), basis)
+    psi = act_word(single(groups, 1, 1), basis)
     assert compose(psi, compose(psi, psi)) == identity_automorphism(basis)
 
 
@@ -286,9 +285,8 @@ def test_inverse_letter_inverts_action():
     basis = algebraic_basis(groups)
     for factor in range(2):
         for e in range(1, groups[factor].order):
-            phi = act_letter(Letter(factor, e), basis)
-            inv = act_letter(
-                Letter(factor, groups[factor].inverse(e)), basis)
+            phi = act_word(single(groups, factor, e), basis)
+            inv = act_word(single(groups, factor, groups[factor].inverse(e)), basis)
             assert compose(phi, inv) == identity_automorphism(basis)
 
 
@@ -394,9 +392,9 @@ def test_act_letter_dispatch():
     groups = (make_cyclic(2), make_cyclic(3))
     alg = algebraic_basis(groups)
     geo = tree_basis(build_fibre_graph(groups))
-    t = Letter(1, 2)
-    assert act_letter(t, alg).basis.kind == "algebraic-n2"
-    assert act_letter(t, geo).basis.kind == "tree"
+    t = single(groups, 1, 2)
+    assert act_word(t, alg).basis.kind == "algebraic-n2"
+    assert act_word(t, geo).basis.kind == "tree"
 
 
 def test_act_geometric_matches_conjugate_then_decompose_oracle():
@@ -432,8 +430,8 @@ def test_commutator_walker_matches_closed_form():
         basis = algebraic_basis((G, H))
         for f in (0, 1):
             for e in range(basis.groups[f].order):
-                t = Letter(f, e)
-                assert act_letter(t, basis) == act_two_groups(t, basis), (G, H, t)
+                assert act_word(single(basis.groups, f, e), basis) == \
+                    act_two_groups((f, e), basis), (G, H, f, e)
 
 
 def test_commutator_act_word_matches_letter_fold():
@@ -455,7 +453,7 @@ def random_letters(rng, groups, count):
     out = []
     for _ in range(count):
         f = rng.randrange(len(groups))
-        out.append(Letter(f, rng.randrange(groups[f].order)))
+        out.append((f, rng.randrange(groups[f].order)))
     return out
 
 
@@ -481,7 +479,7 @@ def test_walk_of_concatenation_is_concatenation_of_walks():
             assert walk(v, walk(u, start, first), second) == end
             assert whole == first + second
             back = []
-            inverse = [Letter(f, groups[f].inverse(e)) for f, e in reversed(u)]
+            inverse = [(f, groups[f].inverse(e)) for f, e in reversed(u)]
             assert walk(inverse, walk(u, start, []), back) == start
             assert tuple(back) == invert_signed(tuple(first))
 

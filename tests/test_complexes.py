@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction
 from math import prod
 
 import pytest
@@ -12,7 +11,7 @@ from monodromy.complexes import (CubicalComplex, SimplicialComplex,
 from monodromy.fibre import betti_one, build_fibre_graph, rank_formula
 from monodromy.groups import SizeLimitError, make_cyclic, make_symmetric
 from monodromy.intmatrix import IntMatrix
-from oracles import elimination_h1, smith_normal_form
+from oracles import elimination_h1, rational_rank, smith_normal_form
 
 
 def cyclic(*orders):
@@ -28,25 +27,6 @@ def is_flag(K):
                 if not K.has_face(combo):
                     return False
     return True
-
-
-def rational_rank(mat):
-    """Independent rank computation with exact fractions."""
-    a = [[Fraction(v) for v in row] for row in mat.entries]
-    rank = 0
-    for col in range(mat.cols):
-        piv = next((r for r in range(rank, mat.rows) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [v * inv for v in a[rank]]
-        for r in range(mat.rows):
-            if r != rank and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * p for v, p in zip(a[r], a[rank])]
-        rank += 1
-    return rank
 
 
 def test_simplicial_complex_faces_and_flag():

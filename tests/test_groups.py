@@ -55,8 +55,11 @@ def test_symmetric_composition_right_first():
 
 
 def test_symmetric_classic_order_names():
-    s3 = make_symmetric(3, names_order=S3_CLASSIC_ORDER)
+    # S3 alone follows the worked examples' listing; larger ones stay lexicographic
+    s3 = make_symmetric(3)
     assert list(s3.names) == S3_CLASSIC_ORDER
+    assert s3.names[s3.op(1, 2)] == "(132)"  # (12)(13), applied right first
+    assert make_symmetric(4).names[:3] == ("1", "(34)", "(23)")
     assert s3.names[s3.inverse(s3.names.index("(123)"))] == "(132)"
 
 

@@ -8,17 +8,15 @@ import pytest
 from monodromy import intmatrix
 from monodromy.cli import main
 
-from monodromy.action import (Automorphism, act_letter, act_word, algebraic_basis,
-                              invert_signed, tree_basis)
+from monodromy.action import (Automorphism, act_word, algebraic_basis, invert_signed,
+                              outer_representative, tree_basis)
 from monodromy.fibre import build_fibre_graph, rank_formula
-from monodromy.groups import (S3_CLASSIC_ORDER, SizeLimitError, make_cyclic,
-                              make_symmetric, parse_group_spec)
-from monodromy.intmatrix import (IntMatrix, abelianize, bareiss_det, columns,
-                                 cyclic_closed_form, determinant, matrix_of_letter,
-                                 representation_report)
-from monodromy.words import (Letter, free_reduce, multiply, project, random_kernel_word,
-                             reduce_word, single)
-from oracles import (_eliminate_units, dense_counts, elimination_det, smith_normal_form,
+from monodromy.groups import SizeLimitError, make_cyclic, make_symmetric, parse_group_spec
+from monodromy.intmatrix import (IntMatrix, abelianize, columns, cyclic_closed_form,
+                                 determinant, representation_report)
+from monodromy.words import free_reduce, multiply, project, random_kernel_word, reduce_word, single
+from oracles import (_eliminate_units, dense_counts, elimination_det, leibniz_det,
+                     rational_elimination, rational_rank, smith_normal_form,
                      sparse_rank_torsion)
 
 # the production determinant (Bareiss) and the unit-pivot elimination oracle
@@ -56,17 +54,17 @@ def test_is_identity_checks_every_entry():
 
 def test_derived_matrices_equal_constructed_ones():
     # public construction coerces to lists of ints; results built inside
-    # the class skip that and must still compare and hash like them
+    # the class skip that and must still compare like them
     m = IntMatrix(((True, 2, 0), (0, -1, 5)))
     assert m.entries == [[1, 2, 0], [0, -1, 5]]
     t = IntMatrix([[1, 0], [2, -1], [0, 5]])
-    assert m.transpose() == t and hash(m.transpose()) == hash(t)
+    assert m.transpose() == t
     assert -m == IntMatrix([[-1, -2, 0], [0, 1, -5]])
     assert m * t == IntMatrix([[5, -2], [-2, 26]])
-    assert IntMatrix.zeros(2, 3) == IntMatrix([[0, 0, 0], [0, 0, 0]])
+    assert m * IntMatrix([[0], [0], [0]]) == IntMatrix([[0], [0]])
     assert IntMatrix.identity(2) == IntMatrix([[1, 0], [0, 1]])
-    for bad in (lambda: IntMatrix.identity(0), lambda: IntMatrix.zeros(0, 2),
-                lambda: IntMatrix.zeros(2, 0)):
+    for bad in (lambda: IntMatrix.identity(0), lambda: IntMatrix._of_rows([]),
+                lambda: IntMatrix._of_rows([[], []])):
         with pytest.raises(ValueError):
             bad()
 
@@ -120,7 +118,7 @@ def test_det_multiplicative_random():
             assert det(a * b) == det(a) * det(b)
 
 
-def test_det_matches_bareiss_oracle():
+def test_det_matches_rational_oracle():
     rng = random.Random(37)
     for trial in range(500):
         n = rng.randrange(1, 9)
@@ -137,8 +135,9 @@ def test_det_matches_bareiss_oracle():
             x, y = rng.randint(-3, 3), rng.randint(-3, 3)
             for row in m.entries:
                 row[c] = x * row[a] + y * row[b] if c not in (a, b) else 0
+        want = rational_elimination(m.entries)[1]
         for det in DETS:
-            assert det(m) == bareiss_det(m.entries), m
+            assert det(m) == want, m
 
 
 def test_det_of_zero_lines_and_shapes():
@@ -146,7 +145,7 @@ def test_det_of_zero_lines_and_shapes():
     for entries in ([[0]], [[0, 1], [0, 2]], [[1, 2], [0, 0]], [[0, 0], [0, 0]],
                     [[1, 0, 2], [0, 0, 0], [3, 0, 4]], [[0, 0, 1], [0, 2, 0], [3, 0, 0]]):
         for det in DETS:
-            assert det(IntMatrix(entries)) == bareiss_det(entries), entries
+            assert det(IntMatrix(entries)) == leibniz_det(entries), entries
     rng = random.Random(39)
     for _ in range(100):
         n = rng.randrange(1, 7)
@@ -158,11 +157,44 @@ def test_det_of_zero_lines_and_shapes():
             for row in m.entries:
                 row[k] = 0
         for det in DETS:
-            assert det(m) == bareiss_det(m.entries) == 0, m
+            assert det(m) == leibniz_det(m.entries) == 0, m
     for entries in ([[1, 2]], [[1], [2]], [[0, 0, 0], [0, 0, 0]]):
         for det in DETS:
             with pytest.raises(ValueError, match="square"):
                 det(IntMatrix(entries))
+
+
+def test_one_elimination_matches_det_and_rank_oracles():
+    # det and rank share one fraction-free elimination: each is checked against
+    # oracles that share no code with it, on singular matrices too
+    rng = random.Random(45)
+    for trial in range(600):
+        n = rng.randrange(1, 7)
+        m = sparse_random(rng, n, n, rng.choice((0.2, 0.5, 1.0)), rng.choice((1, 3, 2 ** 40)))
+        k = rng.randrange(n)
+        if trial % 4 == 1:  # a zero row or column
+            if rng.random() < 0.5:
+                m.entries[k] = [0] * n
+            else:
+                for row in m.entries:
+                    row[k] = 0
+        elif trial % 4 == 2 and n > 1:  # a row that is a combination of the others
+            x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+            a, b = rng.sample([i for i in range(n) if i != k], 2) if n > 2 else (1 - k, 1 - k)
+            m.entries[k] = [x * u + y * v for u, v in zip(m.entries[a], m.entries[b])]
+        want = leibniz_det(m.entries)
+        assert m.det() == elimination_det(m) == want, m
+        assert m.rank() == rational_rank(m) and (m.rank() == n) == (want != 0), m
+        if trial % 4 == 2 and n > 1:
+            assert want == 0
+    for trial in range(300):
+        rows, cols, inner = (rng.randrange(1, 8) for _ in range(3))
+        bound = rng.choice((1, 4, 2 ** 40))
+        m = sparse_random(rng, rows, cols, rng.choice((0.0, 0.2, 0.6, 1.0)), bound)
+        if trial % 2:  # rank at most `inner`
+            m = sparse_random(rng, rows, inner, 0.7, bound) * \
+                sparse_random(rng, inner, cols, 0.7, 3)
+        assert m.rank() == rational_rank(m) <= min(rows, cols), m
 
 
 def test_det_of_signed_permutation_matrices():
@@ -180,10 +212,10 @@ def test_det_of_signed_permutation_matrices():
         for s in signs:
             want *= s
         for det in DETS:
-            assert det(IntMatrix(entries)) == want == bareiss_det(entries)
+            assert det(IntMatrix(entries)) == want
 
 
-def test_det_of_report_generators_matches_bareiss_oracle():
+def test_det_of_report_generators_matches_rational_oracle():
     # every generator matrix of the report pairs the benchmark runs, and the
     # report's closed-form determinants of them
     for spec in ("S4,C3", "S3,D5", "D4,S3", "C6,C7"):
@@ -193,9 +225,9 @@ def test_det_of_report_generators_matches_bareiss_oracle():
         for factor, G in enumerate(groups):
             assert dets[f"factor{factor + 1}"][0] == 1
             for e in range(1, G.order):
-                m = matrix_of_letter(Letter(factor, e), basis)
-                want = bareiss_det(m.entries)
-                assert elimination_det(m) == want in (1, -1)
+                m = abelianize(outer_representative(single(groups, factor, e), basis))
+                want = rational_elimination(m.entries)[1]
+                assert m.det() == elimination_det(m) == want in (1, -1)
                 assert dets[f"factor{factor + 1}"][e] == want, (spec, factor, e)
 
 
@@ -211,7 +243,8 @@ def test_det_multiplicative_on_rank_833_tree_basis():
         want = 1
         for t in w.letters:
             if t not in letter_dets:
-                letter_dets[t] = elimination_det(matrix_of_letter(t, basis))
+                phi = outer_representative(single(groups, *t), basis)
+                letter_dets[t] = elimination_det(abelianize(phi))
             want *= letter_dets[t]
         assert elimination_det(abelianize(act_word(w, basis))) == want in (1, -1)
         assert determinant(groups, project(w)) == want
@@ -287,7 +320,7 @@ def test_rank_vs_det_random():
 def test_snf_examples():
     assert smith_normal_form(IntMatrix([[2, 0], [0, 3]]))[0] == [1, 6]
     assert smith_normal_form(IntMatrix([[2, 4], [4, 8]]))[0] == [2]
-    assert smith_normal_form(IntMatrix.zeros(3, 3))[0] == []
+    assert smith_normal_form(IntMatrix([[0, 0, 0]] * 3))[0] == []
     factors, rank = smith_normal_form(IntMatrix([[4, 0], [0, 6]]))
     assert factors == [2, 12] and rank == 2
     # classic presentation matrix of Z/2 + Z/6
@@ -451,15 +484,17 @@ def test_cyclic_closed_form_orders_and_det():
 
 
 def test_matrix_of_letter_agrees_with_closed_form():
-    basis = algebraic_basis((make_cyclic(2), make_cyclic(3)))
+    # the closed form reads the state; the full action conjugates by P, which cancels in H1
+    groups = (make_cyclic(2), make_cyclic(3))
+    basis = algebraic_basis(groups)
     m1, m2 = cyclic_closed_form(2, 3)
-    assert matrix_of_letter(Letter(0, 1), basis) == m1
-    assert matrix_of_letter(Letter(1, 1), basis) == m2
+    assert abelianize(act_word(single(groups, 0, 1), basis)) == m1
+    assert abelianize(act_word(single(groups, 1, 1), basis)) == m2
 
 
 def test_representation_report_c2_s3():
     G = make_cyclic(2)
-    H = make_symmetric(3, names_order=S3_CLASSIC_ORDER)
+    H = make_symmetric(3)
     rep = representation_report(G, H, seed=5, kernel_trials=25)
     assert rep["rank"] == 5
     assert rep["cross_factor_commute"]
@@ -511,14 +546,14 @@ def dense_representation_report(G, H, seed=0, kernel_trials=50):
     def dense(phi):
         return IntMatrix(list(zip(*dense_counts(phi))))
 
-    mats_g = [dense(act_letter(Letter(0, a), basis)) if a else IntMatrix.identity(n)
+    mats_g = [dense(act_word(single(groups, 0, a), basis)) if a else IntMatrix.identity(n)
               for a in range(G.order)]
-    mats_h = [dense(act_letter(Letter(1, b), basis)) if b else IntMatrix.identity(n)
+    mats_h = [dense(act_word(single(groups, 1, b), basis)) if b else IntMatrix.identity(n)
               for b in range(H.order)]
     faithful = all((mg * mh).is_identity() == (a == 0 and b == 0)
                    for a, mg in enumerate(mats_g) for b, mh in enumerate(mats_h))
-    dets_g = [bareiss_det(mat.entries) for mat in mats_g]
-    dets_h = [bareiss_det(mat.entries) for mat in mats_h]
+    dets_g = [elimination_det(mat) for mat in mats_g]
+    dets_h = [elimination_det(mat) for mat in mats_h]
     rng = random.Random(seed)
     kernel_identity = all(dense(act_word(random_kernel_word(rng, groups, max_letters=10),
                                          basis)).is_identity()
@@ -567,13 +602,13 @@ def kron(a, b):
 
 
 def brute_report_checks(G, H, seed, kernel_trials=50):
-    """The report's two action checks on the full images of act_word and act_letter."""
+    """The report's two action checks on the full images of act_word."""
     groups = (G, H)
     basis = algebraic_basis(groups)
     eye_g, eye_h = (IntMatrix.identity(K.order - 1).entries for K in groups)
-    kroneckers = [(Letter(0, a), kron(left_multiplication(G, a), eye_h)) for a in G.generators]
-    kroneckers += [(Letter(1, b), kron(eye_g, left_multiplication(H, b))) for b in H.generators]
-    cross = all(abelianize(act_letter(t, basis)) == want for t, want in kroneckers)
+    kroneckers = [((0, a), kron(left_multiplication(G, a), eye_h)) for a in G.generators]
+    kroneckers += [((1, b), kron(eye_g, left_multiplication(H, b))) for b in H.generators]
+    cross = all(abelianize(act_word(single(groups, *t), basis)) == want for t, want in kroneckers)
     rng = random.Random(seed)
     identity = [{k: 1} for k in range(basis.rank)]
     kernel = all(columns(act_word(random_kernel_word(rng, groups, max_letters=10), basis))

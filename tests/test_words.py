@@ -5,9 +5,8 @@ import re
 import pytest
 
 from monodromy.fibre import build_fibre_graph, cycle_witnesses
-from monodromy.groups import (S3_CLASSIC_ORDER, make_cyclic, make_symmetric,
-                              parse_group_spec)
-from monodromy.words import (Letter, Word, commutator, empty_word,
+from monodromy.groups import make_cyclic, make_symmetric, parse_group_spec
+from monodromy.words import (Word, commutator, empty_word,
                              format_word, format_words, free_reduce, invert,
                              invert_signed, is_in_kernel, multiply, parse_word,
                              project, random_kernel_word, random_word,
@@ -114,9 +113,9 @@ def test_mismatched_group_lists():
 
 def test_word_rejects_unreduced():
     with pytest.raises(ValueError):
-        Word(C2C3, (Letter(0, 1), Letter(0, 1)))
+        Word(C2C3, ((0, 1), (0, 1)))
     with pytest.raises(ValueError):
-        Word(C2C3, (Letter(1, 0),))
+        Word(C2C3, ((1, 0),))
 
 
 def test_parse_word_cyclic():
@@ -127,7 +126,7 @@ def test_parse_word_cyclic():
 
 
 def test_parse_word_names():
-    groups = (make_cyclic(2), make_symmetric(3, names_order=S3_CLASSIC_ORDER))
+    groups = (make_cyclic(2), make_symmetric(3))
     w = parse_word("s2:(12)*x1", groups)
     assert list(w.letters) == [(1, 1), (0, 1)]
     with pytest.raises(ValueError):
@@ -137,7 +136,7 @@ def test_parse_word_names():
 
 
 def test_format_parse_roundtrip():
-    groups = (make_cyclic(4), make_symmetric(3, names_order=S3_CLASSIC_ORDER))
+    groups = (make_cyclic(4), make_symmetric(3))
     rng = random.Random(7)
     for _ in range(100):
         w = rand_word(rng, groups)
@@ -158,7 +157,7 @@ def test_random_words_skip_trivial_factors():
 
 
 def test_letters_are_int_pairs():
-    # a letter is its bare (factor, elem) pair; `Letter` only names the fields
+    # a letter is its bare (factor, elem) pair
     groups = (make_cyclic(3), make_cyclic(4), make_cyclic(2))
     w = reduce_word([(0, 1), (1, 3), (1, 2), (2, 1), (0, 2)], groups)
     assert w.letters == ((0, 1), (1, 1), (2, 1), (0, 2))
@@ -167,12 +166,6 @@ def test_letters_are_int_pairs():
         for lt in word.letters:
             assert type(lt) is tuple and len(lt) == 2
             assert all(type(v) is int for v in lt)
-    for f, e in w.letters:
-        assert Letter(f, e) == (f, e) and hash(Letter(f, e)) == hash((f, e))
-        assert Letter(f, e).factor == f and Letter(f, e).elem == e
-    assert {Letter(0, 1): "x"}[(0, 1)] == "x"
-    assert Letter(0, 1) != Letter(0, 2) and Letter(0, 1) != Letter(1, 1)
-    assert Word(groups, tuple(Letter(f, e) for f, e in w.letters)) == w
 
 
 def format_word_per_letter(w):
