@@ -1,11 +1,12 @@
 """Reduced-word calculus in a free product of finite groups.
 
 A letter is a plain int pair (factor index, non-identity element index),
-and a word is an alternating sequence of letters.  Reduction merges adjacent same-factor
-letters through the Cayley table and drops identity letters, yielding the
-unique normal form.  Each word operation concatenates raw letters and
-reduces once; the inverse of a reduced word is reduced, so `invert` does
-not reduce at all.  Words are immutable values; all operations are pure.
+and a word is an alternating sequence of letters.  Reduction merges
+adjacent same-factor letters through the Cayley table and drops identity
+letters, yielding the unique normal form.  Each word operation
+concatenates raw letters and reduces once; the inverse of a reduced word
+is reduced, so `invert` does not reduce at all.  Words are immutable
+values; all operations are pure.
 The module also holds the seeded random words the checks draw from, and
 the free reduction of signed symbol words, which every free-group layer
 shares: a word of nonzero ints, symbol k with sign s being s (k + 1).
