@@ -6,15 +6,16 @@ supported: the commutator basis w[i,j] = [g_i, h_j] for exactly two
 factors, and the spanning-tree cycle basis of a fibre graph for any
 number of factors.
 
-Both act by deck translation through a letter walk, `Basis.walk`.  Its
-state is the image of the prefix read so far, a mixed-radix index c
+Both act by deck translation through a letter walk, `Basis.walk`;
+`Basis.state` runs it from the basepoint 0 for every caller.  Its state
+is the image of the prefix read so far, a mixed-radix index c
 (coordinate 0 most significant) standing for a fixed word: the staircase
 tree path in the tree basis (`fibre.cotree_walker`), g_p h_q for
 c = p |H| + q in the commutator basis (`commutator_walker`).  Each letter
 emits the signed symbols s with  c . letter = s . c', so walks concatenate;
 a kernel word walks from 0 back to 0 and spells its decomposition, and
 conjugation by g sends a witness w to P . walk(w from pi(g)) . P^-1, where
-P is the walk of g; `Basis.walks` keeps the witness walks of the last state.
+P is the walk of g; `Basis.walks` caches the witness walks of one state.
 So act(g) is x -> P x P^-1 after the automorphism that sends witness j to
 its walk W_j from pi(g), `outer_representative`: one outer class, one H1
 matrix, read off the state alone.  `act_word`, which `act` prints, keeps P.
@@ -22,8 +23,8 @@ matrix, read off the state alone.  `act_word`, which `act` prints, keeps P.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -50,12 +51,21 @@ class Basis:
         for w in self.witnesses:
             if any(project(w.letters)):
                 raise ValueError("basis witness is not in the kernel")
+        # one cache of the last state's walks, also for a `replace`d basis
+        walks = getattr(self.walks, "__wrapped__", self.walks)
+        object.__setattr__(self, "walks", functools.lru_cache(maxsize=1)(walks))
 
     @property
     def rank(self) -> int:
         return len(self.symbols)
 
-    @cached_property
+    def state(self, w: Word, out: list | None = None) -> int:
+        """The state w walks to from the basepoint 0; its symbols go to `out`."""
+        if w.groups != self.groups:
+            raise ValueError("word is over a different group list")
+        return self.walk(w.letters, 0, [] if out is None else out)
+
+    @functools.cached_property
     def _tokens(self) -> list[str]:
         """Symbol x prints as tokens[x]: a negative x wraps round to the reversed inverses."""
         return ["", *self.symbols, *(s + "^-1" for s in reversed(self.symbols))]
@@ -83,7 +93,6 @@ def algebraic_basis(groups: Sequence[FiniteGroup]) -> Basis:
             witnesses.append(commutator(single(groups, 0, i), single(groups, 1, j)))
     walk = commutator_walker(G, H)
 
-    @lru_cache(maxsize=1)
     def walks(start: int) -> tuple[SymbolWord, ...]:
         runs: list[list] = [[] for _ in witnesses]
         for wit, raw in zip(witnesses, runs):
@@ -126,7 +135,7 @@ def tree_basis(graph: FibreGraph) -> Basis:
     witnesses = tuple(cycle_witnesses(graph))
     symbols = tuple(f"c{k + 1}" for k in range(len(witnesses)))
     return Basis("tree", graph.groups, symbols, witnesses, cotree_walker(graph),
-                 lru_cache(maxsize=1)(cotree_walks(graph)))
+                 cotree_walks(graph))
 
 
 @dataclass(frozen=True)
@@ -151,10 +160,8 @@ def decompose(basis: Basis, w: Word) -> SymbolWord:
     symbol lies across a letter of H, which changes q, or across h a h' with
     a at q = 0, which changes p, so it never cancels.
     """
-    if w.groups != basis.groups:
-        raise ValueError("word is over a different group list")
     raw: list[int] = []
-    if basis.walk(w.letters, 0, raw):
+    if basis.state(w, raw):
         raise ValueError("word is not in the kernel of the projection")
     return tuple(raw)
 
@@ -178,10 +185,8 @@ def act_word(w: Word, basis: Basis) -> Automorphism:
     reduced in full.  A free basis gives each image one reduced word, so
     this equals the per-letter fold act(uv) = act(u) o act(v).
     """
-    if w.groups != basis.groups:
-        raise ValueError("word is over a different group list")
     raw: list[int] = []
-    start = basis.walk(w.letters, 0, raw)
+    start = basis.state(w, raw)
     prefix = tuple(raw)
     suffix = invert_signed(prefix)
     n = len(prefix)
@@ -209,6 +214,4 @@ def outer_representative(w: Word, basis: Basis) -> Automorphism:
     cancel against P^-1's in every column.  The walks of a state are cached
     (`Basis.walks`), so this costs one walk of w past the first call.
     """
-    if w.groups != basis.groups:
-        raise ValueError("word is over a different group list")
-    return Automorphism(basis, basis.walks(basis.walk(w.letters, 0, [])))
+    return Automorphism(basis, basis.walks(basis.state(w)))

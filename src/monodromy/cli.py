@@ -20,7 +20,7 @@ from .action import act_word, algebraic_basis, outer_representative, tree_basis
 from .commutators import MAX_LEMMA_TRIALS, lemma_suite
 from .complexes import build_complex, h1, load_complex_file, parse_complex_spec
 from .fibre import betti_one, build_fibre_graph, rank_formula, to_dot
-from .groups import SizeLimitError, cell_cap, parse_group_spec
+from .groups import check_size, parse_group_spec
 from .intmatrix import abelianize, determinant, representation_report
 from .verify import run_criteria
 from .words import format_words, parse_word, project
@@ -125,12 +125,11 @@ def cmd_act(args):
 def cmd_matrix(args):
     groups = _groups(args)
     w = parse_word(args.element, groups)
-    rank, cap = rank_formula([G.order for G in groups]), cell_cap()
+    rank = rank_formula([G.order for G in groups])
+    # refused before any walk, as the matrix is dense; a bad cap before rank 0
+    check_size(rank * rank, f"rank {rank}: its matrix of rank^2 = {rank * rank} entries")
     if not rank:
         raise ValueError(f"rank 0 for --groups {args.groups}: a trivial kernel has no matrix")
-    if rank * rank > cap:  # refused before any walk: the matrix is dense
-        raise SizeLimitError(f"rank {rank}: its matrix of rank^2 = {rank * rank} "
-                             f"entries exceeds cap {cap}")
     basis = _basis_for(groups, args.basis)
     mat = abelianize(outer_representative(w, basis))  # read off the state: P cancels in H1
     _emit(args, lambda: {"basis": list(basis.symbols),

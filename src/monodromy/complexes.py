@@ -22,7 +22,7 @@ from math import prod
 from typing import Sequence
 
 from .fibre import place_values
-from .groups import FiniteGroup, SizeLimitError, cell_cap
+from .groups import FiniteGroup, check_size
 from .intmatrix import IntMatrix
 
 
@@ -47,9 +47,6 @@ class SimplicialComplex:
     def has_face(self, s) -> bool:
         s = frozenset(s)
         return any(s <= f for f in self.facets) or not s
-
-    def edges(self) -> set[frozenset[int]]:
-        return {frozenset(p) for f in self.facets for p in itertools.combinations(f, 2)}
 
 
 def zero_complex(n: int) -> SimplicialComplex:
@@ -112,7 +109,6 @@ def _lowest_vertices(orders: Sequence[int], support: tuple[int, ...]) -> list[in
 @dataclass(frozen=True)
 class CubicalComplex:
     groups: tuple[FiniteGroup, ...]
-    complex: SimplicialComplex
     # supports (i, j), i < j, of the squares: the edges of the complex
     squares: tuple[tuple[int, int], ...]
 
@@ -165,10 +161,9 @@ def build_complex(groups: Sequence[FiniteGroup], K: SimplicialComplex) -> Cubica
         raise ValueError("complex vertex count must match the group list")
     squares = tuple((i, j) for i, j in itertools.combinations(range(len(groups)), 2)
                     if K.has_face({i + 1, j + 1}))
-    cx = CubicalComplex(groups, K, squares)
-    total, cap = sum(cx.counts), cell_cap()
-    if total > cap:
-        raise SizeLimitError(f"cell count {total} exceeds cap {cap}")
+    cx = CubicalComplex(groups, squares)
+    total = sum(cx.counts)
+    check_size(total, f"cell count {total}")
     return cx
 
 

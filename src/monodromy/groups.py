@@ -3,7 +3,9 @@
 Every group is stored as an order ``m``, an ``m x m`` multiplication table of
 element indices, and a list of display names.  The identity is always index 0.
 Group axioms are checked at construction time, associativity by Light's test
-over a generating set.
+over a generating set.  `check_size` is the one size gate: these tables, the
+fibre graph's vertices, the cubical cells and `matrix`'s rank^2 entries are
+each refused above MONODROMY_CELL_CAP before they are built.
 """
 
 from __future__ import annotations
@@ -33,26 +35,21 @@ class SizeLimitError(ValueError):
     """Requested object exceeds the configured size cap."""
 
 
-def cell_cap() -> int:
-    """The size cap set by MONODROMY_CELL_CAP, else 10^6."""
-    raw = os.environ.get("MONODROMY_CELL_CAP")
-    if raw is None:
-        return DEFAULT_CELL_CAP
+def check_size(count: int, what: str) -> None:
+    """Refuse `what`, of `count` cells, entries or vertices, before it is built.
+
+    The cap is MONODROMY_CELL_CAP, else 10^6; a cap that is not a positive
+    integer is refused first, whatever the count.
+    """
+    raw = os.environ.get("MONODROMY_CELL_CAP", str(DEFAULT_CELL_CAP))
     try:
         cap = int(raw)
     except ValueError:
         cap = 0
     if cap < 1:
         raise ValueError(f"MONODROMY_CELL_CAP must be a positive integer, got {raw!r}")
-    return cap
-
-
-def _check_table_size(name: str, order: int, shown: str | None = None) -> None:
-    """Refuse, before building it, a Cayley table of order^2 entries above the cap."""
-    cap = cell_cap()
-    if order * order > cap:
-        raise SizeLimitError(f"{name} has order {shown or order}: its table of "
-                             f"order^2 entries exceeds cap {cap}")
+    if count > cap:
+        raise SizeLimitError(f"{what} exceeds cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -159,7 +156,7 @@ def make_cyclic(n: int) -> FiniteGroup:
     """Cyclic group C_n with element k standing for x^k."""
     if n < 1:
         raise GroupValidationError("invalid order: n must be >= 1")
-    _check_table_size(f"C{n}", n)
+    check_size(n * n, f"C{n} has order {n}: its table of order^2 entries")
     elems = tuple(range(n))
     table = tuple(elems[a:] + elems[:a] for a in range(n))  # row a is (a + b) % n
     names = tuple("1" if k == 0 else ("x" if k == 1 else f"x^{k}") for k in range(n))
@@ -200,7 +197,7 @@ def make_symmetric(k: int) -> FiniteGroup:
     order = 1
     for d in range(2, k + 1):  # d! <= k!, so this stops at the first d! over the cap
         order *= d
-        _check_table_size(f"S{k}", order, f"{k}!")
+        check_size(order * order, f"S{k} has order {k}!: its table of order^2 entries")
     perms = sorted(itertools.permutations(range(1, k + 1)))
     names = [_cycle_notation(p) for p in perms]
     if k == 3:
@@ -218,7 +215,7 @@ def make_dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n; element i + n*f stands for r^i s^f."""
     if n < 1:
         raise GroupValidationError("invalid order: n must be >= 1")
-    _check_table_size(f"D{n}", 2 * n)
+    check_size(4 * n * n, f"D{n} has order {2 * n}: its table of order^2 entries")
 
     def mul(a, b):
         i1, f1 = a % n, a // n
@@ -237,9 +234,10 @@ def make_dihedral(n: int) -> FiniteGroup:
 
 
 def load_cayley_table(path: str) -> FiniteGroup:
-    """Load a group from a JSON file with fields order, names, table."""
-    with open(path) as fh:
-        data = json.load(fh)
+    """Load a group from a JSON file with fields order, names, table.
+
+    Every error but an unreadable file's starts with the file's path.
+    """
 
     def is_int(v):
         return isinstance(v, int) and not isinstance(v, bool)
@@ -247,18 +245,23 @@ def load_cayley_table(path: str) -> FiniteGroup:
     def is_list(v, item):
         return isinstance(v, list) and all(map(item, v))
 
-    if not isinstance(data, dict):
-        raise GroupValidationError(f"cayley table file {path}: expected a JSON object")
-    for key, ok, what in (("order", is_int, "an integer"),
-                          ("names", lambda v: is_list(v, lambda s: isinstance(s, str)),
-                           "a list of strings"),
-                          ("table", lambda v: is_list(v, lambda row: is_list(row, is_int)),
-                           "a list of integer lists")):
-        if key not in data:
-            raise GroupValidationError(f"cayley table file {path}: missing field {key!r}")
-        if not ok(data[key]):
-            raise GroupValidationError(f"cayley table file {path}: field {key!r} must be {what}")
-    return FiniteGroup(data["order"], tuple(map(tuple, data["table"])), tuple(data["names"]))
+    try:
+        with open(path) as fh:  # JSON and decoding errors are ValueErrors too
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise GroupValidationError("expected a JSON object")
+        for key, ok, what in (("order", is_int, "an integer"),
+                              ("names", lambda v: is_list(v, lambda s: isinstance(s, str)),
+                               "a list of strings"),
+                              ("table", lambda v: is_list(v, lambda row: is_list(row, is_int)),
+                               "a list of integer lists")):
+            if key not in data:
+                raise GroupValidationError(f"missing field {key!r}")
+            if not ok(data[key]):
+                raise GroupValidationError(f"field {key!r} must be {what}")
+        return FiniteGroup(data["order"], tuple(map(tuple, data["table"])), tuple(data["names"]))
+    except ValueError as exc:
+        raise GroupValidationError(f"cayley table file {path}: {exc}") from None
 
 
 _ITEM_RE = re.compile(r"([CSD])([0-9]+)$|table:(.+)$")

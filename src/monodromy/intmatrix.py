@@ -269,7 +269,7 @@ def representation_report(G: FiniteGroup, H: FiniteGroup,
     rng = random.Random(seed)
     identity = [{k: 1} for k in range(basis.rank)]
     kernel_identity = all(
-        basis.walk(random_kernel_word(rng, groups, max_letters=10).letters, 0, []) == 0
+        basis.state(random_kernel_word(rng, groups, max_letters=10)) == 0
         for _ in range(kernel_trials)) and columns(Automorphism(basis, basis.walks(0))) == identity
 
     return {

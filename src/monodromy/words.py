@@ -200,25 +200,19 @@ def parse_word(text: str, groups: Sequence[FiniteGroup]) -> Word:
     raw: list[tuple[int, int]] = []
     for token in text.split("*"):
         token = token.strip()
-        m = _X_TOKEN.match(token)
-        if m:
-            i = int(m.group(1))
-            k = 1 if m.group(2) is None else int(m.group(2))
-            if not 1 <= i <= len(groups):
-                raise ValueError(f"coordinate {i} out of range in token {token!r}")
-            G = groups[i - 1]
-            if G.order < 2:
-                raise ValueError(f"factor {i} is trivial; has no generator")
-            raw.append((i - 1, G.power(1, k)))
-            continue
-        m = _NAME_TOKEN.match(token)
-        if m:
-            i = int(m.group(1))
-            if not 1 <= i <= len(groups):
-                raise ValueError(f"coordinate {i} out of range in token {token!r}")
-            raw.append((i - 1, groups[i - 1].index_of(m.group(2))))
-            continue
-        raise ValueError(f"cannot parse word token {token!r}")
+        m = _X_TOKEN.match(token) or _NAME_TOKEN.match(token)
+        if m is None:
+            raise ValueError(f"cannot parse word token {token!r}")
+        i = int(m.group(1))
+        if not 1 <= i <= len(groups):
+            raise ValueError(f"coordinate {i} out of range in token {token!r}")
+        G = groups[i - 1]
+        if m.re is _NAME_TOKEN:
+            raw.append((i - 1, G.index_of(m.group(2))))
+        elif G.order < 2:
+            raise ValueError(f"factor {i} is trivial; has no generator")
+        else:
+            raw.append((i - 1, G.power(1, 1 if m.group(2) is None else int(m.group(2)))))
     return reduce_word(raw, groups)
 
 

@@ -15,6 +15,9 @@ of the staircase tree, so H1 is the cokernel of d2 on the cotree rows.
 leftover block to the dense `smith_normal_form`, so torsion is computed,
 not assumed away.
 
+`edges` lists a simplicial complex's 1-faces, for the flag and BBCG
+checks of tests/test_complexes.py.
+
 `elimination_det` runs the same unit-pivot elimination (`_eliminate_units`)
 on a square matrix, and `rational_elimination` only on the block it
 leaves: the oracle of `intmatrix.determinant` at ranks where
@@ -27,11 +30,11 @@ permutations, for small n) are the oracles of `IntMatrix.det` and
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, permutations
+from itertools import combinations, compress, permutations
 from math import prod
 from typing import Sequence
 
-from monodromy.complexes import CubicalComplex
+from monodromy.complexes import CubicalComplex, SimplicialComplex
 from monodromy.fibre import place_values
 from monodromy.intmatrix import IntMatrix
 
@@ -287,3 +290,8 @@ def elimination_h1(cx: CubicalComplex) -> tuple[int, list[int]]:
         columns.append({x * n + i: s for x, i, s in faces if x % tails[i]})
     rank, torsion = sparse_rank_torsion(columns)
     return nedges - nverts + 1 - rank, torsion
+
+
+def edges(K: SimplicialComplex) -> set[frozenset[int]]:
+    """The 1-faces of K: each pair of vertices on a common facet."""
+    return {frozenset(p) for f in K.facets for p in combinations(f, 2)}

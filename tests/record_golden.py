@@ -80,6 +80,7 @@ def commands() -> list[tuple[list[str], str | None]]:
         ["rank", "--groups", ""], ["rank", "--groups", "S" + "9" * 12],
         ["rank", "--groups", "table:fixtures/missing.json"],
         ["rank", "--groups", "table:fixtures/not_a_group.json"],
+        ["rank", "--groups", "table:fixtures/not_json.json"],
         ["rank", "--groups", "table:fixtures/missing_field.json"],
         ["act", "--groups", "C2,C3", "--element", "x9"],
         ["act", "--groups", "C2,C3", "--element", "x1-2"],
@@ -108,6 +109,7 @@ def commands() -> list[tuple[list[str], str | None]]:
     capped = [
         (["graph", "--groups", "C2,C3"], "5"), (["graph", "--groups", "C2,C2,C2"], "5"),
         (["rank", "--groups", "C50"], "100"), (["rank", "--groups", "S4"], "100"),
+        (["rank", "--groups", "D8"], "100"),
         (["basis", "--groups", "C2,C3,C2", "--basis", "tree"], "abc"),
         (["homology", "--groups", "C2,C3", "--complex", "K={1,2}"], "0"),
         (["matrix", "--groups", "C3,C3", "--element", "x1"], "16"),

@@ -643,6 +643,35 @@ def test_outer_representative_refuses_a_foreign_word():
         outer_representative(single((make_cyclic(2), make_cyclic(4)), 0, 1), basis)
 
 
+def test_every_walk_from_the_basepoint_refuses_a_foreign_word():
+    # one check in `Basis.state`: the same line from each caller, in both bases,
+    # also for a kernel word whose letters fit the basis's tables
+    groups = (make_cyclic(3), make_cyclic(4))
+    foreign = (make_cyclic(3), make_cyclic(5))
+    words = [single(foreign, 0, 1),
+             commutator(single(foreign, 0, 1), single(foreign, 1, 1))]
+    calls = (lambda w, basis: decompose(basis, w), act_word, outer_representative,
+             lambda w, basis: basis.state(w))
+    for basis in (tree_basis(build_fibre_graph(groups)), algebraic_basis(groups)):
+        for w in words:
+            for call in calls:
+                with pytest.raises(ValueError, match="^word is over a different group list$"):
+                    call(w, basis)
+
+
+def test_a_replaced_basis_caches_one_state():
+    groups = parse_group_spec("S3,C4")
+    for basis in (tree_basis(build_fibre_graph(groups)), algebraic_basis(groups)):
+        copy = replace(basis, symbols=tuple(s.upper() for s in basis.symbols))
+        outer_representative(single(groups, 0, 1), copy)
+        outer_representative(single(groups, 1, 1), copy)
+        info = copy.walks.cache_info()
+        assert (info.maxsize, info.misses, info.currsize) == (1, 2, 1)
+        assert not hasattr(copy.walks.__wrapped__, "cache_info")  # one cache, not two
+        assert basis.walks.cache_info().currsize == 0
+        assert copy.walks(0) == walk_each(basis, 0)
+
+
 # -- one reduction per word operation ----------------------------------------
 # Oracles: each operation as nested `multiply` calls, with the inverse spelt
 # one letter at a time.

@@ -274,6 +274,18 @@ def test_bad_cell_cap_names_the_variable(capsys, monkeypatch):
 
 
 
+def test_cayley_table_errors_name_the_file(capsys, tmp_path):
+    cases = (("order: 2\n", "Expecting value: line 1 column 1 (char 0)"),
+             (json.dumps({"order": 2, "names": ["1", "a"], "table": [[0, 1], [1, 1]]}),
+              "inverse: element 1 lacks a unique two-sided inverse"))
+    for k, (body, message) in enumerate(cases):
+        path = tmp_path / f"table{k}.json"
+        path.write_text(body)
+        code, out, err = run(capsys, "rank", "--groups", f"C2,table:{path}")
+        assert (code, out) == (2, "")
+        assert err == f"error: cayley table file {path}: {message}\n"
+
+
 def test_table_cap_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("MONODROMY_CELL_CAP", "100")
     code, out, err = run(capsys, "rank", "--groups", "C50")

@@ -11,7 +11,7 @@ from monodromy.complexes import (CubicalComplex, SimplicialComplex,
 from monodromy.fibre import betti_one, build_fibre_graph, rank_formula
 from monodromy.groups import SizeLimitError, make_cyclic, make_symmetric
 from monodromy.intmatrix import IntMatrix
-from oracles import elimination_h1, rational_rank, smith_normal_form
+from oracles import edges, elimination_h1, rational_rank, smith_normal_form
 
 
 def cyclic(*orders):
@@ -20,10 +20,10 @@ def cyclic(*orders):
 
 def is_flag(K):
     """True iff every set of pairwise-adjacent vertices is a face."""
-    edges = K.edges()
+    one_faces = edges(K)
     for k in range(3, K.n + 1):
         for combo in itertools.combinations(range(1, K.n + 1), k):
-            if all(frozenset(p) in edges for p in itertools.combinations(combo, 2)):
+            if all(frozenset(p) in one_faces for p in itertools.combinations(combo, 2)):
                 if not K.has_face(combo):
                     return False
     return True
@@ -32,7 +32,7 @@ def is_flag(K):
 def test_simplicial_complex_faces_and_flag():
     tri = parse_complex_spec("K={1,2;2,3;1,3}")
     assert tri.n == 3
-    assert tri.edges() == {frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})}
+    assert edges(tri) == {frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})}
     assert not tri.has_face({1, 2, 3})
     assert not is_flag(tri)
     assert is_flag(full_simplex(3))
@@ -48,7 +48,7 @@ def test_complex_requires_all_singletons():
 
 def test_parse_complex_spec_variants():
     k = parse_complex_spec("{1;2}")
-    assert k.n == 2 and not k.edges()
+    assert k.n == 2 and not edges(k)
     k = parse_complex_spec("K={1,2,3}", n=3)
     assert k.has_face({1, 2, 3})
     with pytest.raises(ValueError):
@@ -61,7 +61,7 @@ def test_load_complex_file(tmp_path):
     p = tmp_path / "k.txt"
     p.write_text("1,2\n2,3\n1,3\n")
     k = load_complex_file(str(p))
-    assert k.edges() == parse_complex_spec("K={1,2;2,3;1,3}").edges()
+    assert edges(k) == edges(parse_complex_spec("K={1,2;2,3;1,3}"))
 
 
 def test_cell_counts_cube():
@@ -164,7 +164,7 @@ def bbcg_b1(orders, K):
     Bahri-Bendersky-Cohen-Gitler's stable splitting of the polyhedral
     product; c counts the components of the full subcomplex on J.
     """
-    edges = K.edges()
+    one_faces = edges(K)
     total = 0
     for size in range(2, K.n + 1):
         for J in itertools.combinations(range(1, K.n + 1), size):
@@ -175,7 +175,7 @@ def bbcg_b1(orders, K):
                     v = comp[v]
                 return v
 
-            for e in edges:
+            for e in one_faces:
                 if e <= set(J):
                     a, b = sorted(e)
                     comp[find(a)] = find(b)

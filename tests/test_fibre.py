@@ -69,6 +69,12 @@ def test_size_cap(monkeypatch):
     monkeypatch.setenv("MONODROMY_CELL_CAP", "1000")
     with pytest.raises(SizeLimitError):
         build_fibre_graph(groups)
+    groups = cyclic_groups(4, 5, 6)  # 120 vertices: the cap admits exactly its own count
+    monkeypatch.setenv("MONODROMY_CELL_CAP", "120")
+    assert betti_one(build_fibre_graph(groups)) == rank_formula([4, 5, 6])
+    monkeypatch.setenv("MONODROMY_CELL_CAP", "119")
+    with pytest.raises(SizeLimitError, match="^vertex count 120 exceeds cap 119$"):
+        build_fibre_graph(groups)
 
 
 def test_betti_matches_rank_formula_scan():

@@ -174,7 +174,7 @@ def test_malformed_cayley_table_file_names_path_and_field(tmp_path):
 
 
 def test_group_tables_capped_by_cell_cap(monkeypatch):
-    # order^2 table entries against cell_cap(10**6): orders up to 1000
+    # order^2 table entries against check_size's default cap 10**6: orders up to 1000
     for build, arg, name in ((make_cyclic, 1001, "C1001 has order 1001"),
                              (make_dihedral, 501, "D501 has order 1002"),
                              (make_symmetric, 7, "S7 has order 7!"),

@@ -221,3 +221,15 @@ def test_signed_ints_match_the_pair_encoding():
         assert free_reduce(word + invert_signed(word)) == ()
         shrunk += len(reduced) < len(word)
     assert 0 < shrunk < 500
+
+
+def test_parse_word_checks_the_coordinate_of_either_token_form():
+    for text, i, token in (("x3", 3, "x3"), ("x1*x0^2", 0, "x0^2"), ("s3:x", 3, "s3:x"),
+                           ("x2*s0:1", 0, "s0:1")):
+        message = f"coordinate {i} out of range in token {token!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_word(text, C2C3)
+    trivial = (make_cyclic(1), make_cyclic(3))
+    with pytest.raises(ValueError, match="^factor 1 is trivial; has no generator$"):
+        parse_word("x1^2", trivial)
+    assert parse_word("s1:1*x2^-1", trivial) == single(trivial, 1, 2)
