@@ -16,6 +16,10 @@ emits the signed symbols s with  c . letter = s . c', so walks concatenate;
 a kernel word walks from 0 back to 0 and spells its decomposition, and
 conjugation by g sends a witness w to P . walk(w from pi(g)) . P^-1, where
 P is the walk of g; `Basis.walks` caches the witness walks of one state.
+The witnesses are built and kernel-checked on the first read of
+`Basis.witnesses`: the tree basis reads its walks off the grid
+(`fibre.cotree_walks`), so `act` and `matrix` build none, while the
+commutator basis walks its witnesses and so reads them before any walk.
 So act(g) is x -> P x P^-1 after the automorphism that sends witness j to
 its walk W_j from pi(g), `outer_representative`: one outer class, one H1
 matrix, read off the state alone.  `act_word`, which `act` prints, keeps P.
@@ -24,11 +28,13 @@ matrix, read off the state alone.  `act_word`, which `act` prints, keeps P.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .fibre import FibreGraph, Walker, cotree_walker, cotree_walks, cycle_witnesses
+from .fibre import (FibreGraph, Walker, betti_one, cotree_walker, cotree_walks,
+                    cycle_witnesses)
 from .groups import FiniteGroup
 from .words import (Word, commutator, free_reduce, invert, invert_signed, projection,
                     reduce_word, single)
@@ -42,18 +48,27 @@ class Basis:
     kind: str  # "algebraic-n2" | "tree"
     groups: tuple[FiniteGroup, ...]
     symbols: tuple[str, ...]
-    witnesses: tuple[Word, ...]
+    # builds the witnesses, one per symbol, on the first read of `witnesses`
+    make_witnesses: Callable[[], Iterable[Word]] = field(compare=False, repr=False)
     walk: Walker = field(compare=False, repr=False)  # the letter walk, from any state
-    walks: Callable[[int], tuple] = field(compare=False, repr=False)  # witness walks, by start
+    # the witness walks by start in closed form; None walks each witness
+    closed_walks: Callable[[int], tuple] | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
+    @functools.cached_property
+    def witnesses(self) -> tuple[Word, ...]:
+        """The kernel word each symbol stands for, built and kernel-checked on first read."""
+        witnesses = tuple(self.make_witnesses())
         project = projection(self.groups)
-        for w in self.witnesses:
+        for w in witnesses:
             if any(project(w.letters)):
                 raise ValueError("basis witness is not in the kernel")
-        # one cache of the last state's walks, also for a `replace`d basis
-        walks = getattr(self.walks, "__wrapped__", self.walks)
-        object.__setattr__(self, "walks", functools.lru_cache(maxsize=1)(walks))
+        return witnesses
+
+    @functools.cached_property
+    def walks(self) -> Callable[[int], tuple[SymbolWord, ...]]:
+        """The witness walks from a state, cached for the last state."""
+        return functools.lru_cache(maxsize=1)(
+            self.closed_walks or functools.partial(_walk_each, self.walk, self.witnesses))
 
     @property
     def rank(self) -> int:
@@ -63,6 +78,8 @@ class Basis:
         """The state w walks to from the basepoint 0; its symbols go to `out`."""
         if w.groups != self.groups:
             raise ValueError("word is over a different group list")
+        if self.closed_walks is None:
+            _ = self.witnesses  # walked by `walks`, so checked before any walk
         return self.walk(w.letters, 0, [] if out is None else out)
 
     @functools.cached_property
@@ -76,6 +93,13 @@ class Basis:
         return self._tokens[image[0]] if image else "e"
 
 
+def _walk_each(walk: Walker, witnesses: Sequence[Word], start: int) -> tuple[SymbolWord, ...]:
+    runs: list[list] = [[] for _ in witnesses]
+    for wit, raw in zip(witnesses, runs):
+        walk(wit.letters, start, raw)
+    return tuple(map(tuple, runs))
+
+
 def algebraic_basis(groups: Sequence[FiniteGroup]) -> Basis:
     """The basis w[i,j] = [g_i, h_j], i-major, for two nontrivial factors."""
     groups = tuple(groups)
@@ -86,20 +110,11 @@ def algebraic_basis(groups: Sequence[FiniteGroup]) -> Basis:
             raise ValueError(f"the commutator basis needs two nontrivial factors: "
                              f"factor {k} has order {G.order}")
     G, H = groups
-    symbols, witnesses = [], []
-    for i in range(1, G.order):
-        for j in range(1, H.order):
-            symbols.append(f"w[{i},{j}]")
-            witnesses.append(commutator(single(groups, 0, i), single(groups, 1, j)))
-    walk = commutator_walker(G, H)
-
-    def walks(start: int) -> tuple[SymbolWord, ...]:
-        runs: list[list] = [[] for _ in witnesses]
-        for wit, raw in zip(witnesses, runs):
-            walk(wit.letters, start, raw)
-        return tuple(map(tuple, runs))
-
-    return Basis("algebraic-n2", groups, tuple(symbols), tuple(witnesses), walk, walks)
+    pairs = functools.partial(itertools.product, range(1, G.order), range(1, H.order))
+    return Basis("algebraic-n2", groups, tuple(f"w[{i},{j}]" for i, j in pairs()),
+                 lambda: (commutator(single(groups, 0, i), single(groups, 1, j))
+                          for i, j in pairs()),
+                 commutator_walker(G, H))
 
 
 def commutator_walker(G: FiniteGroup, H: FiniteGroup) -> Walker:
@@ -132,10 +147,10 @@ def commutator_walker(G: FiniteGroup, H: FiniteGroup) -> Walker:
 
 
 def tree_basis(graph: FibreGraph) -> Basis:
-    witnesses = tuple(cycle_witnesses(graph))
-    symbols = tuple(f"c{k + 1}" for k in range(len(witnesses)))
-    return Basis("tree", graph.groups, symbols, witnesses, cotree_walker(graph),
-                 cotree_walks(graph))
+    """The spanning-tree cycle basis; its walks are read off the grid, not off the witnesses."""
+    symbols = tuple(f"c{k + 1}" for k in range(betti_one(graph)))
+    return Basis("tree", graph.groups, symbols, lambda: cycle_witnesses(graph),
+                 cotree_walker(graph), cotree_walks(graph))
 
 
 @dataclass(frozen=True)

@@ -259,7 +259,10 @@ def load_cayley_table(path: str) -> FiniteGroup:
                 raise GroupValidationError(f"missing field {key!r}")
             if not ok(data[key]):
                 raise GroupValidationError(f"field {key!r} must be {what}")
-        return FiniteGroup(data["order"], tuple(map(tuple, data["table"])), tuple(data["names"]))
+        order = data["order"]
+        if order > 0:  # refused over the cap before the table is checked; < 1 by FiniteGroup
+            check_size(order * order, f"order {order}: its table of order^2 entries")
+        return FiniteGroup(order, tuple(map(tuple, data["table"])), tuple(data["names"]))
     except ValueError as exc:
         raise GroupValidationError(f"cayley table file {path}: {exc}") from None
 

@@ -5,7 +5,9 @@ and a word is an alternating sequence of letters.  Reduction merges
 adjacent same-factor letters through the Cayley table and drops identity
 letters, yielding the unique normal form.  Each word operation
 concatenates raw letters and reduces once; the inverse of a reduced word
-is reduced, so `invert` does not reduce at all.  Words are immutable
+is reduced, so `invert` does not reduce at all.  `reduce_word` is the one
+checked constructor of reduced words: it and `invert` wrap their letters
+without the validation of a `Word(...)` built directly.  Words are immutable
 values; all operations are pure.
 The module also holds the seeded random words the checks draw from, and
 the free reduction of signed symbol words, which every free-group layer
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from dataclasses import dataclass
 from operator import neg
 from typing import Callable, Iterable, Sequence
@@ -38,6 +41,14 @@ class Word:
             if prev == f:
                 raise ValueError("word not reduced: adjacent letters share a factor")
             prev = f
+
+    @classmethod
+    def _of_letters(cls, groups: tuple[FiniteGroup, ...], letters: tuple) -> "Word":
+        """Wrap letters reduced inside this module, without checking them again."""
+        w = cls.__new__(cls)
+        object.__setattr__(w, "groups", groups)  # past the frozen __setattr__, as __init__ does
+        object.__setattr__(w, "letters", letters)
+        return w
 
     def __len__(self):
         return len(self.letters)
@@ -68,24 +79,28 @@ def single(groups: Sequence[FiniteGroup], factor: int, elem: int) -> Word:
 
 
 def reduce_word(raw: Iterable[tuple[int, int]], groups: Sequence[FiniteGroup]) -> Word:
-    """Reduce a raw (factor, elem) sequence to alternating normal form."""
+    """Reduce a raw (factor, elem) sequence to alternating normal form, checking each letter."""
     groups = tuple(groups)
+    n = len(groups)
     stack: list[tuple[int, int]] = []
+    top = -1  # the factor of the top letter; the stack alternates
     for factor, elem in raw:
+        if not 0 <= factor < n:
+            raise ValueError(f"factor index out of range: {factor}")
         G = groups[factor]
         if not 0 <= elem < G.order:
             raise ValueError(f"element index {elem} out of range for factor {factor}")
-        if elem == 0:
+        if not elem:
             continue
-        if stack and stack[-1][0] == factor:
-            merged = G.table[stack[-1][1]][elem]  # both are checked elements
-            stack.pop()
-            if merged != 0:
-                # the stack alternates, so the new top is in another factor
-                stack.append((factor, merged))
-        else:
+        if factor != top:
             stack.append((factor, elem))
-    return Word(groups, tuple(stack))
+            top = factor
+        elif merged := G.table[stack[-1][1]][elem]:  # both are checked elements
+            stack[-1] = (factor, merged)
+        else:
+            stack.pop()
+            top = stack[-1][0] if stack else -1
+    return Word._of_letters(groups, tuple(stack))
 
 
 def free_reduce(seq: Iterable[int]) -> tuple[int, ...]:
@@ -112,7 +127,8 @@ def multiply(w1: Word, w2: Word) -> Word:
 def invert(w: Word) -> Word:
     """Reversed, each element inverted: the inverse of a reduced word is reduced."""
     groups = w.groups
-    return Word(groups, tuple((f, groups[f].inverses[e]) for f, e in reversed(w.letters)))
+    return Word._of_letters(groups, tuple((f, groups[f].inverses[e])
+                                          for f, e in reversed(w.letters)))
 
 
 def commutator(a: Word, b: Word) -> Word:
@@ -172,11 +188,11 @@ def random_kernel_word(rng: random.Random, groups: Sequence[FiniteGroup],
                        max_letters: int = 10) -> Word:
     """Fewer than max_letters random letter draws, closed up into the kernel.
 
-    One letter per coordinate is appended to cancel the projection.
+    One letter per coordinate is appended to cancel the projection, which is a
+    homomorphism: the raw draws project as their reduced word does.
     """
     raw = _random_letters(rng, groups, rng.randrange(max_letters))
-    fix = [(i, groups[i].inverse(p))
-           for i, p in enumerate(project(reduce_word(raw, groups))) if p]
+    fix = [(i, groups[i].inverses[p]) for i, p in enumerate(projection(groups)(raw)) if p]
     return reduce_word(raw + fix, groups)
 
 
@@ -203,7 +219,7 @@ def parse_word(text: str, groups: Sequence[FiniteGroup]) -> Word:
         m = _X_TOKEN.match(token) or _NAME_TOKEN.match(token)
         if m is None:
             raise ValueError(f"cannot parse word token {token!r}")
-        i = int(m.group(1))
+        i = _token_int(m.group(1), "coordinate", token)
         if not 1 <= i <= len(groups):
             raise ValueError(f"coordinate {i} out of range in token {token!r}")
         G = groups[i - 1]
@@ -212,8 +228,19 @@ def parse_word(text: str, groups: Sequence[FiniteGroup]) -> Word:
         elif G.order < 2:
             raise ValueError(f"factor {i} is trivial; has no generator")
         else:
-            raw.append((i - 1, G.power(1, 1 if m.group(2) is None else int(m.group(2)))))
+            k = 1 if m.group(2) is None else _token_int(m.group(2), "exponent", token)
+            raw.append((i - 1, G.power(1, k)))
     return reduce_word(raw, groups)
+
+
+def _token_int(digits: str, what: str, token: str) -> int:
+    """int(digits), refused with a line naming the token if it has more digits than int() reads."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: unlimited, or no limit before 3.10.7
+    count = len(digits.lstrip("-"))
+    if limit and count > limit:  # limit >= 640, so the token is cut
+        raise ValueError(f"{what} in token {token[:20] + '...'!r} has {count} digits, "
+                         f"over the limit of {limit}")
+    return int(digits)
 
 
 def format_word(w: Word) -> str:

@@ -15,6 +15,10 @@ of the staircase tree, so H1 is the cokernel of d2 on the cotree rows.
 leftover block to the dense `smith_normal_form`, so torsion is computed,
 not assumed away.
 
+`two_reduce_kernel_word` is `words.random_kernel_word` as first written:
+the same draws, reduced once to project them and once more after the
+letters that cancel the projection are appended.
+
 `edges` lists a simplicial complex's 1-faces, for the flag and BBCG
 checks of tests/test_complexes.py.
 
@@ -37,6 +41,7 @@ from typing import Sequence
 from monodromy.complexes import CubicalComplex, SimplicialComplex
 from monodromy.fibre import place_values
 from monodromy.intmatrix import IntMatrix
+from monodromy.words import project, reduce_word
 
 
 def signed(k: int, sign: int) -> int:
@@ -295,3 +300,14 @@ def elimination_h1(cx: CubicalComplex) -> tuple[int, list[int]]:
 def edges(K: SimplicialComplex) -> set[frozenset[int]]:
     """The 1-faces of K: each pair of vertices on a common facet."""
     return {frozenset(p) for f in K.facets for p in combinations(f, 2)}
+
+
+def two_reduce_kernel_word(rng, groups, max_letters: int = 10):
+    """A random kernel word: the raw draws reduced and projected, closed up and reduced again."""
+    raw = []
+    for _ in range(rng.randrange(max_letters)):
+        f = rng.randrange(len(groups))
+        if groups[f].order > 1:
+            raw.append((f, rng.randrange(1, groups[f].order)))
+    fix = [(i, groups[i].inverse(p)) for i, p in enumerate(project(reduce_word(raw, groups))) if p]
+    return reduce_word(raw + fix, groups)

@@ -90,6 +90,7 @@ def commands() -> list[tuple[list[str], str | None]]:
         ["act", "--groups", "C1,C3", "--element", "x2"],
         ["act", "--groups", "C2,C1", "--element", "x1", "--format", "json"],
         ["act", "--groups", "C2,C2,C2", "--element", "x1", "--basis", "algebraic"],
+        ["act", "--groups", "C3,C4", "--element", "x1^" + "9" * 5000],
         ["matrix", "--basis", "tree", "--groups", "C1,C3", "--element", "x2"],
         ["matrix", "--groups", "C2", "--element", "x1"],
         ["matrix", "--groups", "C10,C10,C10,C10", "--element", "x1", "--basis", "tree"],
@@ -115,6 +116,7 @@ def commands() -> list[tuple[list[str], str | None]]:
         (["matrix", "--groups", "C3,C3", "--element", "x1"], "16"),
         (["matrix", "--groups", "C2,C2,C2", "--element", "x1"], "16"),
         (["homology", "--groups", "C3,C3,C3", "--complex", "K={1,2,3}"], "20"),
+        (["rank", "--groups", "table:fixtures/c2_table.json,C2"], "3"),
     ]
     return [(argv, None) for argv in ok + refused] + capped
 

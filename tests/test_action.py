@@ -4,6 +4,7 @@ from math import prod
 
 import pytest
 
+from monodromy import action, cli
 from monodromy.action import (Automorphism, act_word,
                               algebraic_basis, commutator_walker, decompose,
                               invert_signed, outer_representative, recompose,
@@ -379,13 +380,47 @@ def test_format_image_prints_every_signed_symbol():
 
 
 def test_basis_refuses_a_witness_outside_the_kernel():
+    # the check runs on the first read of `witnesses`; the commutator basis
+    # walks its witnesses, so its first `walks` or `state` reads them first
     groups = parse_group_spec("S3,C4")
-    basis = algebraic_basis(groups)
-    for bad in (single(groups, 0, 1), single(groups, 1, 2),
-                multiply(basis.witnesses[3], single(groups, 0, 4))):
-        with pytest.raises(ValueError, match="^basis witness is not in the kernel$"):
-            replace(basis, witnesses=basis.witnesses + (bad,))
-    assert replace(basis, witnesses=basis.witnesses[::-1]).rank == basis.rank
+    reads = [lambda b: b.witnesses, lambda b: b.walks(0),
+             lambda b: b.state(single(groups, 0, 1))]
+    for basis, checked in ((algebraic_basis(groups), reads),
+                           (tree_basis(build_fibre_graph(groups)), reads[:1])):
+        for bad in (single(groups, 0, 1), single(groups, 1, 2),
+                    multiply(basis.witnesses[3], single(groups, 0, 4))):
+            for read in checked:
+                copy = replace(basis, make_witnesses=lambda: basis.witnesses + (bad,))
+                with pytest.raises(ValueError, match="^basis witness is not in the kernel$"):
+                    read(copy)
+        assert replace(basis, make_witnesses=lambda: basis.witnesses[::-1]).rank == basis.rank
+
+
+def test_tree_basis_builds_witnesses_only_where_they_are_read(capsys, monkeypatch):
+    # act and matrix read the tree basis's walks off the grid and build no
+    # witness; `basis` prints every witness, built and kernel-checked
+    real, built = action.cycle_witnesses, []  # each witness the factory yields
+    monkeypatch.setattr(action, "cycle_witnesses",
+                        lambda graph: (built.append(w) or w for w in real(graph)))
+    groups = parse_group_spec("S3,C4,C3")
+    basis = tree_basis(build_fibre_graph(groups))
+    for w in (single(groups, 0, 4), commutator(single(groups, 1, 1), single(groups, 2, 2))):
+        act_word(w, basis)
+        outer_representative(w, basis)
+        decompose(basis, conjugate(w, commutator(single(groups, 0, 1), single(groups, 2, 1))))
+    assert "witnesses" not in basis.__dict__ and not built
+    bases = []
+    monkeypatch.setattr(cli, "tree_basis", lambda graph: bases.append(tree_basis(graph))
+                        or bases[-1])
+    for argv in (["act", "--element", "s1:(12)*x2"], ["matrix", "--element", "x3"], ["basis"]):
+        assert cli.main([*argv, "--groups", "S3,C4,C3", "--basis", "tree"]) == 0
+    assert ["witnesses" in b.__dict__ for b in bases] == [False, False, True]
+    assert built == list(bases[2].witnesses) and len(built) == bases[2].rank
+    monkeypatch.setattr(cli, "tree_basis", lambda graph: replace(
+        tree_basis(graph), make_witnesses=lambda: [single(graph.groups, 0, 1)]))
+    capsys.readouterr()
+    assert cli.main(["basis", "--groups", "S3,C4,C3", "--basis", "tree"]) == 2
+    assert capsys.readouterr() == ("", "error: basis witness is not in the kernel\n")
 
 
 def test_act_letter_dispatch():

@@ -293,6 +293,25 @@ def test_table_cap_exits_2(capsys, monkeypatch):
     assert err == "error: C50 has order 50: its table of order^2 entries exceeds cap 100\n"
 
 
+def test_loaded_table_is_refused_over_the_cap_before_it_is_checked(capsys, tmp_path):
+    # C1001's table holds 1,002,001 entries, over the default cap of 10^6
+    n, path = 1001, tmp_path / "c1001.json"
+    path.write_text(json.dumps({"order": n, "names": ["1"] + [f"x^{k}" for k in range(1, n)],
+                                "table": [[(a + b) % n for b in range(n)] for a in range(n)]}))
+    code, out, err = run(capsys, "rank", "--groups", f"table:{path},C2")
+    assert (code, out) == (2, "")
+    assert err == (f"error: cayley table file {path}: order 1001: its table of order^2 entries "
+                   "exceeds cap 1000000\n")
+
+
+def test_huge_exponent_is_refused_with_its_token(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "act", "--groups", "C3,C4", "--element", "x1^" + "9" * 5000)
+    assert (code, out) == (2, "")
+    assert err == (f"error: exponent in token 'x1^99999999999999999...' has 5000 digits, "
+                   f"over the limit of {limit}\n")
+
+
 def test_matrix_refuses_rank_squared_over_the_cap(capsys, monkeypatch):
     # rank 26,001: the dense matrix would hold 676,052,001 entries
     began = time.perf_counter()

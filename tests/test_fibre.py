@@ -562,16 +562,8 @@ def oracle_tree_basis(graph):
     g, parents = bfs_search(graph.groups)
     words = tree_words(g, parents)
     witnesses = tuple(cycle_word(g, words, edge) for edge in g.cotree)
-    walk = cotree_walker(graph)
-
-    def walks(start):
-        runs = [[] for _ in witnesses]
-        for wit, run in zip(witnesses, runs):
-            walk(wit.letters, start, run)
-        return tuple(map(tuple, runs))
-
-    return Basis("tree", g.groups, tuple(f"c{k + 1}" for k in range(len(witnesses))), witnesses,
-                 walk, walks)
+    return Basis("tree", g.groups, tuple(f"c{k + 1}" for k in range(len(witnesses))),
+                 lambda: witnesses, cotree_walker(graph))  # walks each witness
 
 
 def test_closed_form_graph_keeps_cli_output(capsys, monkeypatch):

@@ -635,7 +635,7 @@ def corrupt_walks_at(monkeypatch, state):
             runs = basis.walks(start)
             return ((*runs[0], 1),) + runs[1:] if start == state else runs
 
-        return replace(basis, walks=walks)
+        return replace(basis, closed_walks=walks)
 
     monkeypatch.setattr(intmatrix, "algebraic_basis", corrupt)
 

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 
 import pytest
 
@@ -12,7 +13,7 @@ from monodromy.words import (Word, commutator, empty_word,
                              project, random_kernel_word, random_word,
                              reduce_word, single)
 
-from oracles import encode, free_reduce_pairs, invert_pairs
+from oracles import encode, free_reduce_pairs, invert_pairs, two_reduce_kernel_word
 
 C2C3 = (make_cyclic(2), make_cyclic(3))
 
@@ -233,3 +234,45 @@ def test_parse_word_checks_the_coordinate_of_either_token_form():
     with pytest.raises(ValueError, match="^factor 1 is trivial; has no generator$"):
         parse_word("x1^2", trivial)
     assert parse_word("s1:1*x2^-1", trivial) == single(trivial, 1, 2)
+
+
+def test_reduce_word_checks_each_letter_once():
+    # the one checked constructor: a bad factor or element is refused with a
+    # ValueError, and the reduced word it wraps unchecked passes `Word`'s checks
+    for f in (-1, 2):
+        with pytest.raises(ValueError, match=f"^factor index out of range: {f}$"):
+            reduce_word([(0, 1), (f, 1)], C2C3)
+    with pytest.raises(ValueError, match="^element index 3 out of range for factor 1$"):
+        reduce_word([(1, 3)], C2C3)
+    rng = random.Random(41)
+    groups = tuple(parse_group_spec("S3,C4,C3"))
+    for _ in range(200):
+        w = rand_word(rng, groups, 12)
+        assert Word(groups, w.letters) == w == Word(groups, invert(invert(w)).letters)
+        assert Word(groups, invert(w).letters) == invert(w)
+
+
+def test_random_kernel_word_matches_the_two_reduce_oracle():
+    # the raw draws are projected and reduced once: the same draws, the same word
+    for spec in ("C3,C4", "S3,C2", "C2,C3,C2"):
+        groups = parse_group_spec(spec)
+        for seed in range(5):
+            rng, oracle = random.Random(seed), random.Random(seed)
+            for max_letters in (1, 2, 10, 14) * 25:
+                w = random_kernel_word(rng, groups, max_letters)
+                assert w == two_reduce_kernel_word(oracle, groups, max_letters), (spec, seed)
+                assert is_in_kernel(w)
+            assert rng.random() == oracle.random()
+
+
+def test_parse_word_refuses_a_number_longer_than_int_reads():
+    limit = sys.get_int_max_str_digits()
+    for text, what in (("x1^" + "9" * (limit + 1), "exponent"),
+                       ("x1^-" + "9" * (limit + 1), "exponent"),
+                       ("x" + "0" * limit + "1", "coordinate"),
+                       ("s" + "0" * limit + "1:x", "coordinate")):
+        message = (f"{what} in token {text[:20] + '...'!r} has {limit + 1} digits, "
+                   f"over the limit of {limit}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_word(text, C2C3)
+    assert parse_word("x2^" + "0" * (limit - 1) + "4", C2C3) == single(C2C3, 1, 1)
