@@ -83,14 +83,21 @@ class Basis:
         return self.walk(w.letters, 0, [] if out is None else out)
 
     @functools.cached_property
-    def _tokens(self) -> list[str]:
-        """Symbol x prints as tokens[x]: a negative x wraps round to the reversed inverses."""
-        return ["", *self.symbols, *(s + "^-1" for s in reversed(self.symbols))]
+    def tokens(self) -> list[str]:
+        return token_table(self.symbols)
 
-    def format_image(self, image: SymbolWord) -> str:
+    def format_image(self, image: SymbolWord, tokens: Sequence[str] | None = None) -> str:
+        """The image's tokens joined by '*', or 'e'; `tokens` replaces `self.tokens`, so the
+        CLI can join a `token_table` of JSON-escaped symbols."""
+        tokens = self.tokens if tokens is None else tokens
         if len(image) > 1:
-            return "*".join(itemgetter(*image)(self._tokens))
-        return self._tokens[image[0]] if image else "e"
+            return "*".join(itemgetter(*image)(tokens))
+        return tokens[image[0]] if image else "e"
+
+
+def token_table(symbols: Sequence[str]) -> list[str]:
+    """Symbol x prints as table[x]: a negative x wraps round to the reversed inverses."""
+    return ["", *symbols, *(s + "^-1" for s in reversed(symbols))]
 
 
 def _walk_each(walk: Walker, witnesses: Sequence[Word], start: int) -> tuple[SymbolWord, ...]:

@@ -14,14 +14,15 @@ import sys
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote  # C, unlike indent=2 dumps
 from math import prod
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
-from .action import act_word, algebraic_basis, outer_representative, tree_basis
+from .action import (Basis, SymbolWord, act_word, algebraic_basis, outer_representative,
+                     token_table, tree_basis)
 from .commutators import MAX_LEMMA_TRIALS, lemma_suite
 from .complexes import build_complex, h1, load_complex_file, parse_complex_spec
 from .fibre import betti_one, build_fibre_graph, rank_formula, to_dot
 from .groups import check_size, parse_group_spec
-from .intmatrix import abelianize, determinant, representation_report
+from .intmatrix import columns, determinant, representation_report
 from .verify import run_criteria
 from .words import format_words, parse_word, project
 
@@ -40,7 +41,8 @@ def _basis_for(groups, choice):
 
 def _dumps(value, indent: str = "") -> str:
     """`json.dumps(value, indent=2, sort_keys=True)` byte for byte, in one pass: a list of
-    ints or strs (by `type`: a bool prints `true`) is joined at once; a non-str key raises."""
+    ints or strs (by `type`: a bool prints `true`) is joined at once; a non-str key raises.
+    A callable value writes its own JSON at the indent it is given."""
     kind, inner = type(value), indent + "  "
     if kind is str:
         return _quote(value)
@@ -52,22 +54,66 @@ def _dumps(value, indent: str = "") -> str:
         if not value:
             return "[]"
         kinds, sep = set(map(type, value)), f",\n{inner}"
-        body = (_join_ints(value, sep) if kinds == {int} else sep.join(map(_quote, value))
+        body = (_join_ints(compress(enumerate(value), value), len(value), sep) if kinds == {int}
+                else sep.join(map(_quote, value))
                 if kinds == {str} else sep.join(_dumps(v, inner) for v in value))
         return f"[\n{inner}{body}\n{indent}]"
     if isinstance(value, dict):
         items = (f"{_quote(k)}: {_dumps(v, inner)}" for k, v in sorted(value.items()))
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}" if value else "{}"
+    if callable(value):
+        return value(indent)
     return json.dumps(value)  # floats and other scalars
 
 
-def _join_ints(values, sep: str) -> str:
-    """`sep.join(map(repr, values))` for exact ints, each run of zeros printed at once."""
-    zero, out, last = "0" + sep, [], 0
-    for k, v in compress(enumerate(values), values):
-        out.append(f"{zero * (k - last)}{v!r}{sep}")
+def _join_ints(nonzeros: Iterable[tuple[int, int]], length: int, sep: str,
+               width: int = 0) -> str:
+    """A row of `length` exact ints, given as its (position, value) nonzeros in ascending
+    order, each right-aligned to `width` and joined by `sep`; each run of zeros at once."""
+    spec = f">{width}"
+    zero, out, last = f"{0:{spec}}{sep}", [], 0
+    for k, v in nonzeros:
+        out.append(f"{zero * (k - last)}{v:{spec}}{sep}")
         last = k + 1
-    return ("".join(out) + zero * (len(values) - last))[:-len(sep)]
+    return ("".join(out) + zero * (length - last))[:-len(sep)]
+
+
+def _sparse_rows(cols: list[dict[int, int]]) -> list[list[tuple[int, int]]]:
+    """The rows of the square matrix whose column j is cols[j], as (column, nonzero) pairs."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in cols]
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            rows[i].append((j, v))  # j ascends, so each row comes out sorted
+    return rows
+
+
+def _rows_text(rows: list[list[tuple[int, int]]]) -> str:
+    """The matrix as text: each entry right-aligned to the widest, one line per row."""
+    width = max((len(repr(v)) for row in rows for _, v in row), default=1)
+    return "\n".join([_join_ints(row, len(rows), " ", width) for row in rows])
+
+
+def _rows_json(rows: list[list[tuple[int, int]]], indent: str) -> str:
+    """The matrix as a JSON list of rows, as `_dumps` writes the dense lists at `indent`."""
+    inner = indent + "  "
+    sep = f",\n{inner}  "
+    body = f",\n{inner}".join([f"[\n{inner}  {_join_ints(row, len(rows), sep)}\n{inner}]"
+                               for row in rows])
+    return f"[\n{inner}{body}\n{indent}]"
+
+
+def _images_json(basis: Basis, images: Sequence[SymbolWord], indent: str) -> str:
+    """`act`'s images as a JSON object keyed by symbol.  JSON escapes each character on its
+    own, so the symbols are escaped once, only if one needs it, and each image joins the
+    escaped tokens as it is."""
+    if not images:
+        return "{}"
+    symbols, inner, joined = basis.symbols, indent + "  ", "".join(basis.symbols)
+    tokens = (basis.tokens if len(_quote(joined)) == len(joined) + 2
+              else token_table([_quote(s)[1:-1] for s in symbols]))
+    items = [f'"{tokens[k + 1]}": "{basis.format_image(images[k], tokens)}"'
+             for k in sorted(range(len(symbols)), key=symbols.__getitem__)]
+    return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
 
 
 def _emit(args, payload: dict | Callable[[], dict], text: Callable[[], str]):
@@ -115,10 +161,11 @@ def cmd_act(args):
     groups = _groups(args)
     basis = _basis_for(groups, args.basis)
     w = parse_word(args.element, groups)
-    phi = act_word(w, basis)
-    images = {sym: basis.format_image(img) for sym, img in zip(basis.symbols, phi.images)}
-    payload = {"basis": list(basis.symbols), "element": str(w), "images": images}
-    _emit(args, payload, lambda: "\n".join(f"{sym} -> {text}" for sym, text in images.items()))
+    images = act_word(w, basis).images
+    payload = {"basis": list(basis.symbols), "element": str(w),
+               "images": functools.partial(_images_json, basis, images)}
+    _emit(args, payload, lambda: "\n".join(f"{sym} -> {basis.format_image(img)}"
+                                           for sym, img in zip(basis.symbols, images)))
     return 0
 
 
@@ -126,17 +173,19 @@ def cmd_matrix(args):
     groups = _groups(args)
     w = parse_word(args.element, groups)
     rank = rank_formula([G.order for G in groups])
-    # refused before any walk, as the matrix is dense; a bad cap before rank 0
+    # refused before any walk, as the output is dense; a bad cap before rank 0
     check_size(rank * rank, f"rank {rank}: its matrix of rank^2 = {rank * rank} entries")
     if not rank:
         raise ValueError(f"rank 0 for --groups {args.groups}: a trivial kernel has no matrix")
     basis = _basis_for(groups, args.basis)
-    mat = abelianize(outer_representative(w, basis))  # read off the state: P cancels in H1
+    # read off the state (P cancels in H1), each column's letters counted once
+    rows = _sparse_rows(columns(outer_representative(w, basis)))
     _emit(args, lambda: {"basis": list(basis.symbols),
                          "convention": "columns-as-images",
                          "element": str(w),
                          "determinant": determinant(groups, project(w)),
-                         "entries": mat.entries}, mat.pretty)
+                         "entries": functools.partial(_rows_json, rows)},
+          functools.partial(_rows_text, rows))
     return 0
 
 
@@ -224,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--element", required=True)
     p.add_argument("--basis", choices=("algebraic", "tree", "auto"), default="auto")
 
-    p = add("matrix", help="abelianized matrix of one element")
+    p = add("matrix", help="integer matrix of one element on H1 of the kernel")
     p.add_argument("--groups", required=True)
     p.add_argument("--element", required=True)
     p.add_argument("--basis", choices=("algebraic", "tree", "auto"), default="auto")

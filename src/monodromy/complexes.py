@@ -22,7 +22,7 @@ from math import prod
 from typing import Sequence
 
 from .fibre import place_values
-from .groups import FiniteGroup, check_size
+from .groups import FiniteGroup, check_size, token_int
 from .intmatrix import IntMatrix
 
 
@@ -70,9 +70,13 @@ def parse_complex_spec(text: str, n: int | None = None) -> SimplicialComplex:
         part = part.strip()
         if not part:
             continue
+        vertices = part.split(",")
         try:
-            facets.append(frozenset(int(v) for v in part.split(",")))
+            facets.append(frozenset(map(int, vertices)))
         except ValueError:
+            for v in map(str.strip, vertices):
+                if v.lstrip("+-").isdecimal():  # a number int() refused: too many digits
+                    token_int(v, "complex vertex", v)
             raise ValueError(f"facet {part!r} of complex spec {text!r} has a "
                              f"non-integer vertex") from None
     nv = max((max(f) for f in facets), default=0)

@@ -5,7 +5,9 @@ element indices, and a list of display names.  The identity is always index 0.
 Group axioms are checked at construction time, associativity by Light's test
 over a generating set.  `check_size` is the one size gate: these tables, the
 fibre graph's vertices, the cubical cells and `matrix`'s rank^2 entries are
-each refused above MONODROMY_CELL_CAP before they are built.
+each refused above MONODROMY_CELL_CAP before they are built.  `token_int`
+reads each number typed in a group item, a word token or a complex vertex,
+and refuses one with more digits than `int` reads by naming it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import itertools
 import json
 import os
 import re
+import sys
 from dataclasses import dataclass, field
 
 DEFAULT_CELL_CAP = 10**6
@@ -267,6 +270,16 @@ def load_cayley_table(path: str) -> FiniteGroup:
         raise GroupValidationError(f"cayley table file {path}: {exc}") from None
 
 
+def token_int(digits: str, what: str, source: str) -> int:
+    """int(digits), refused with a line naming `source` if it has more digits than int() reads."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: unlimited, or no limit before 3.10.7
+    count = len(digits.lstrip("+-"))
+    if limit and count > limit:  # limit >= 640, so the source is cut
+        raise ValueError(f"{what} {source[:20] + '...'!r} has {count} digits, "
+                         f"over the limit of {limit}")
+    return int(digits)
+
+
 _ITEM_RE = re.compile(r"([CSD])([0-9]+)$|table:(.+)$")
 
 
@@ -287,7 +300,7 @@ def parse_group_spec(spec: str) -> list[FiniteGroup]:
         if m.group(3) is not None:
             groups.append(load_cayley_table(m.group(3)))
         else:
-            kind, n = m.group(1), int(m.group(2))
+            kind, n = m.group(1), token_int(m.group(2), "index of --groups item", stripped)
             if n < 1:
                 raise GroupSpecParseError(f"group item {stripped!r} needs an index of at least 1",
                                           pos)

@@ -7,7 +7,9 @@ off its state, from `action.outer_representative`: `act_word` conjugates its
 images by the walk P of the element, and P cancels in H1.  Criterion 7 and
 the tests' dense report keep counting `act_word`, as the oracle of that.
 The letters are counted once, into sparse columns (`columns`): the report
-compares those directly, and `abelianize` writes them into a dense matrix.
+compares those directly, and the CLI's `matrix` prints them as sparse rows,
+with no dense copy.  `abelianize` writes them into a dense `IntMatrix` for
+verify's matrix criteria and `cyclic_closed_form`.
 An element's determinant is read off its projection (`determinant`);
 `IntMatrix.det` and `IntMatrix.rank` share one fraction-free elimination.
 """
@@ -101,12 +103,6 @@ class IntMatrix:
     def rank(self) -> int:
         """Rank over the rationals."""
         return _eliminate(self.entries)[0]
-
-    def pretty(self) -> str:
-        width = max((len(str(v)) for row in self.entries for v in filter(None, row)), default=1)
-        zero = "0".rjust(width)  # the entries are mostly zero: pad it once
-        return "\n".join(" ".join([str(v).rjust(width) if v else zero for v in row])
-                         for row in self.entries)
 
     def __repr__(self):
         return f"IntMatrix({self.entries!r})"

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import random
 import re
-import sys
 from dataclasses import dataclass
 from operator import neg
 from typing import Callable, Iterable, Sequence
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, token_int
 
 
 @dataclass(frozen=True)
@@ -219,7 +218,7 @@ def parse_word(text: str, groups: Sequence[FiniteGroup]) -> Word:
         m = _X_TOKEN.match(token) or _NAME_TOKEN.match(token)
         if m is None:
             raise ValueError(f"cannot parse word token {token!r}")
-        i = _token_int(m.group(1), "coordinate", token)
+        i = token_int(m.group(1), "coordinate in token", token)
         if not 1 <= i <= len(groups):
             raise ValueError(f"coordinate {i} out of range in token {token!r}")
         G = groups[i - 1]
@@ -228,19 +227,9 @@ def parse_word(text: str, groups: Sequence[FiniteGroup]) -> Word:
         elif G.order < 2:
             raise ValueError(f"factor {i} is trivial; has no generator")
         else:
-            k = 1 if m.group(2) is None else _token_int(m.group(2), "exponent", token)
+            k = 1 if m.group(2) is None else token_int(m.group(2), "exponent in token", token)
             raw.append((i - 1, G.power(1, k)))
     return reduce_word(raw, groups)
-
-
-def _token_int(digits: str, what: str, token: str) -> int:
-    """int(digits), refused with a line naming the token if it has more digits than int() reads."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: unlimited, or no limit before 3.10.7
-    count = len(digits.lstrip("-"))
-    if limit and count > limit:  # limit >= 640, so the token is cut
-        raise ValueError(f"{what} in token {token[:20] + '...'!r} has {count} digits, "
-                         f"over the limit of {limit}")
-    return int(digits)
 
 
 def format_word(w: Word) -> str:

@@ -6,7 +6,8 @@ free reduction and inverse written for it, and `encode` maps a pair word
 to the int encoding.
 
 `dense_counts` is the dense abelianization: one full column of signed
-letter counts per image, the loop `intmatrix.columns` replaces.
+letter counts per image, the loop `intmatrix.columns` replaces.  `pretty`
+prints a dense matrix as `matrix` printed it before it wrote sparse rows.
 
 The elimination oracles for `complexes.h1`: `elimination_h1` is H1 of the
 cubical model by elimination: ker d1 is free on the E - V + 1 cotree edges
@@ -81,6 +82,15 @@ def dense_counts(phi) -> list[list[int]]:
                 col[-x - 1] -= 1
         cols.append(col)
     return cols
+
+
+def pretty(m: IntMatrix) -> str:
+    """The text layout of a dense matrix: each entry right-aligned to the widest, one line
+    per row.  The oracle of the sparse-row writer that `matrix` prints with."""
+    width = max((len(str(v)) for row in m.entries for v in filter(None, row)), default=1)
+    zero = "0".rjust(width)  # the entries are mostly zero: pad it once
+    return "\n".join(" ".join([str(v).rjust(width) if v else zero for v in row])
+                     for row in m.entries)
 
 
 def smith_normal_form(M: IntMatrix) -> tuple[list[int], int]:

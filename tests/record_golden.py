@@ -78,6 +78,7 @@ def commands() -> list[tuple[list[str], str | None]]:
         ["rank", "--groups", "C2,Q8"], ["rank", "--groups", "C0"],
         ["rank", "--groups", "C2, S0"], ["rank", "--groups", "C2,C3,D00"],
         ["rank", "--groups", ""], ["rank", "--groups", "S" + "9" * 12],
+        ["rank", "--groups", "C" + "9" * 5000],
         ["rank", "--groups", "table:fixtures/missing.json"],
         ["rank", "--groups", "table:fixtures/not_a_group.json"],
         ["rank", "--groups", "table:fixtures/not_json.json"],
@@ -103,6 +104,7 @@ def commands() -> list[tuple[list[str], str | None]]:
         ["lemma-check", "--groups", "C3,C4", "--trials", "100000000"],
         ["homology", "--groups", "C2,C3", "--complex", "K={1,2,3}"],
         ["homology", "--groups", "C2,C2", "--complex", "K={1;2;1,x}"],
+        ["homology", "--groups", "C2,C2", "--complex", "K={1;2;1," + "9" * 5000 + "}"],
         ["homology", "--groups", "C2,C2", "--complex", "@fixtures/k_bad_vertex.txt"],
         ["homology", "--groups", "C2,C2", "--complex", "@fixtures/k_non_integer.txt"],
         ["homology", "--groups", "C2,C2", "--complex", "@fixtures/missing.txt"],

@@ -1,16 +1,26 @@
 import gc
+import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from monodromy.cli import _dumps, main
+from monodromy import cli
+from monodromy.action import (Automorphism, act_word, algebraic_basis, outer_representative,
+                              tree_basis)
+from monodromy.cli import _dumps, _join_ints, _rows_json, _rows_text, _sparse_rows, main
 from monodromy.commutators import MAX_LEMMA_TRIALS
+from monodromy.fibre import build_fibre_graph
+from monodromy.groups import parse_group_spec
+from monodromy.intmatrix import IntMatrix, abelianize, determinant
+from monodromy.words import empty_word, format_word, project, random_kernel_word, random_word
+from oracles import pretty
 
 
 def run(capsys, *argv):
@@ -312,6 +322,30 @@ def test_huge_exponent_is_refused_with_its_token(capsys):
                    f"over the limit of {limit}\n")
 
 
+def test_huge_group_index_is_refused_with_its_item(capsys):
+    limit = sys.get_int_max_str_digits()
+    for kind in "CSD":
+        code, out, err = run(capsys, "rank", "--groups", "C2," + kind + "9" * 5000)
+        assert (code, out) == (2, "")
+        assert err == (f"error: index of --groups item '{kind}9999999999999999999...' has 5000 "
+                       f"digits, over the limit of {limit}\n")
+
+
+def test_huge_facet_vertex_is_refused_with_its_digit_count(capsys, tmp_path):
+    limit = sys.get_int_max_str_digits()
+    message = (f"complex vertex '99999999999999999999...' has 5000 digits, "
+               f"over the limit of {limit}\n")
+    assert run(capsys, "homology", "--groups", "C2,C2",
+               "--complex", "K={1;2;1, " + "9" * 5000 + "}") == (2, "", "error: " + message)
+    assert run(capsys, "homology", "--groups", "C2,C2",
+               "--complex", "K={1;2;x,-" + "9" * 5000 + "}") == (
+        2, "", "error: " + message.replace("'9", "'-"))
+    p = tmp_path / "k.txt"
+    p.write_text("1\n2\n1," + "9" * 5000 + "\n")
+    assert run(capsys, "homology", "--groups", "C2,C2", "--complex", f"@{p}") == (
+        2, "", f"error: {p}: {message}")
+
+
 def test_matrix_refuses_rank_squared_over_the_cap(capsys, monkeypatch):
     # rank 26,001: the dense matrix would hold 676,052,001 entries
     began = time.perf_counter()
@@ -501,3 +535,121 @@ def test_dumps_matches_stdlib_on_edge_cases():
     for bad in ({1: "x"}, {"a": {None: 1}}, [{(1, 2): 3}], {True: 1}):
         with pytest.raises(TypeError):
             _dumps(bad)
+    # a callable writes its own JSON at the indent it is given
+    for value in ([1, {"b": [0, 2]}], {"a": [[0, 3], []], "b": "x"}, [], {}):
+        hooked = {"k": [lambda indent: _dumps(value, indent)], "v": lambda i: _dumps(value, i)}
+        assert _dumps(hooked) == json.dumps({"k": [value], "v": value}, indent=2, sort_keys=True)
+    # _join_ints writes a row from its (position, value) nonzeros and its length
+    for _ in range(300):
+        dense = [rng.choice((0, 0, 0, 1, -1, rng.randint(-10**20, 10**20)))
+                 for _ in range(rng.randrange(1, 30))]
+        nonzeros = [(k, v) for k, v in enumerate(dense) if v]
+        width = rng.choice((0, 1, 2, 25))
+        assert _join_ints(nonzeros, len(dense), ",\n  ") == ",\n  ".join(map(repr, dense))
+        assert _join_ints(iter(nonzeros), len(dense), " ", width) == " ".join(
+            str(v).rjust(width) for v in dense)
+
+
+def test_row_writers_match_the_dense_layouts():
+    # the sparse rows of `matrix` print as `pretty` and json.dumps print the dense matrix
+    rng = random.Random(25)
+    for n in (1, 2, 3, 7, 12):
+        for density in (0.0, 0.1, 0.5, 1.0):
+            entries = [[rng.choice((1, -1, 10, -123, 10**25)) if rng.random() < density else 0
+                        for _ in range(n)] for _ in range(n)]
+            rows = _sparse_rows([{i: row[j] for i, row in enumerate(entries) if row[j]}
+                                 for j in range(n)])
+            assert _rows_text(rows) == pretty(IntMatrix(entries))
+            assert _dumps({"entries": lambda indent: _rows_json(rows, indent)}) == json.dumps(
+                {"entries": entries}, indent=2, sort_keys=True)
+            for indent in ("", "  ", "    "):
+                assert _rows_json(rows, indent) == _dumps(entries, indent)
+
+
+MATRIX_CASES = (("C2,C2", "algebraic"), ("C2,C2", "tree"), ("S3,C2", "algebraic"),
+                ("S3,C2", "tree"), ("S3,D4", "algebraic"), ("S3,D4", "tree"),
+                ("C3,C3,C3,C3", "tree"), ("D4,C3,C2", "tree"))
+
+
+def _basis(groups, choice):
+    return algebraic_basis(groups) if choice == "algebraic" else tree_basis(
+        build_fibre_graph(groups))
+
+
+def dense_matrix_output(groups, basis, w, phi, fmt):
+    """What `matrix` printed from the dense matrix: `pretty`, or json.dumps of the payload."""
+    mat = abelianize(phi)
+    if fmt == "text":
+        return pretty(mat) + "\n"
+    return json.dumps({"basis": list(basis.symbols), "convention": "columns-as-images",
+                       "determinant": determinant(groups, project(w)), "element": str(w),
+                       "entries": mat.entries, "schema": 1}, indent=2, sort_keys=True) + "\n"
+
+
+def test_matrix_prints_the_dense_matrix_bytes(capsys, monkeypatch):
+    rng = random.Random(25)
+    seen = set()
+    for spec, choice in MATRIX_CASES:
+        groups = parse_group_spec(spec)
+        basis = _basis(groups, choice)
+        kernel = [random_kernel_word(rng, groups, 8) for _ in range(2)] + [empty_word(groups)]
+        for w in [random_word(rng, groups, k) for k in (2, 4, 9, 9)] + kernel:
+            phi = outer_representative(w, basis)
+            assert abelianize(phi).is_identity() or w not in kernel
+            seen.update(v for row in abelianize(phi).entries for v in row)
+            for fmt in ("text", "json"):
+                argv = ["matrix", "--groups", spec, "--basis", choice,
+                        "--element", format_word(w), "--format", fmt]
+                want = dense_matrix_output(groups, basis, w, phi, fmt)
+                assert run(capsys, *argv) == (0, want, ""), argv
+    assert {-1, 0, 1} <= seen
+    # entries of two or more digits, from images whose symbols repeat
+    for spec, choice in MATRIX_CASES:
+        groups = parse_group_spec(spec)
+        basis = _basis(groups, choice)
+        counts = [{rng.randrange(basis.rank): rng.choice((-1, 1, 2, -10, 123))
+                   for _ in range(3)} for _ in range(basis.rank)]
+        counts[0][0] = -10
+        images = tuple(tuple(x for k, c in col.items() for x in [(k + 1) * (c // abs(c))] * abs(c))
+                       for col in counts)
+        phi = Automorphism(basis, images)
+        monkeypatch.setattr(cli, "outer_representative", lambda w, b: Automorphism(b, images))
+        w = empty_word(groups)
+        for fmt in ("text", "json"):
+            argv = ["matrix", "--groups", spec, "--basis", choice, "--element", "e",
+                    "--format", fmt]
+            assert run(capsys, *argv) == (0, dense_matrix_output(groups, basis, w, phi, fmt),
+                                          ""), argv
+        assert max(map(abs, (v for col in abelianize(phi).entries for v in col))) >= 10
+
+
+def test_act_json_escapes_each_symbol_once(capsys, monkeypatch):
+    rng = random.Random(25)
+    names = ('q"{}', "b\\{}", "café{}", "☃{}", "\U0001d53d{}", "c{}", "t\x01\t{}")
+    for spec, choice in MATRIX_CASES + (("C1,C3", "tree"),):
+        groups = parse_group_spec(spec)
+        plain = _basis(groups, choice)
+        for basis in (plain, replace(plain, symbols=tuple(
+                names[k % len(names)].format(k) for k in range(plain.rank)))):
+            monkeypatch.setattr(cli, "_basis_for", lambda groups, choice: basis)
+            for w in (random_word(rng, groups, 6), random_kernel_word(rng, groups, 6)):
+                images = act_word(w, basis).images
+                argv = ["act", "--groups", spec, "--element", format_word(w)]
+                want = {"basis": list(basis.symbols), "element": str(w), "schema": 1,
+                        "images": {sym: basis.format_image(img)
+                                   for sym, img in zip(basis.symbols, images)}}
+                assert run(capsys, *argv, "--format", "json") == (
+                    0, json.dumps(want, indent=2, sort_keys=True) + "\n", ""), argv
+                assert run(capsys, *argv) == (0, "".join(
+                    f"{sym} -> {text}\n" for sym, text in want["images"].items()) or "\n", "")
+
+
+def test_large_matrix_bytes_are_pinned(capsys):
+    # rank 833: the sha256 of stdout as the dense matrix printed it, text and JSON
+    pins = {"text": "e43c319ef16f48ced3a357adc8e64fdec62bf47eafe0cc686d4bc16d470df1f7",
+            "json": "b8524242a01959b6846e18588451dbe1fd4a74f6dc20320893ea432f12e3558a"}
+    for fmt, digest in pins.items():
+        code, out, err = run(capsys, "matrix", "--basis", "tree", "--groups", "C8,C8,C8",
+                             "--element", "x1*x2*x3", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
