@@ -16,10 +16,10 @@ emits the signed symbols s with  c . letter = s . c', so walks concatenate;
 a kernel word walks from 0 back to 0 and spells its decomposition, and
 conjugation by g sends a witness w to P . walk(w from pi(g)) . P^-1, where
 P is the walk of g; `Basis.walks` caches the witness walks of one state.
-The witnesses are built and kernel-checked on the first read of
-`Basis.witnesses`: the tree basis reads its walks off the grid
-(`fibre.cotree_walks`), so `act` and `matrix` build none, while the
-commutator basis walks its witnesses and so reads them before any walk.
+Each basis passes its witness walks, `Basis.closed_walks`: the tree basis
+reads them off the grid (`fibre.cotree_walks`), the commutator basis walks
+each commutator's raw letters.  No walk builds a witness; `Basis.witnesses`
+builds and kernel-checks them on first read (`basis`, `recompose`, verify).
 So act(g) is x -> P x P^-1 after the automorphism that sends witness j to
 its walk W_j from pi(g), `outer_representative`: one outer class, one H1
 matrix, read off the state alone.  `act_word`, which `act` prints, keeps P.
@@ -36,8 +36,7 @@ from typing import Callable, Iterable, Sequence
 from .fibre import (FibreGraph, Walker, betti_one, cotree_walker, cotree_walks,
                     cycle_witnesses)
 from .groups import FiniteGroup
-from .words import (Word, commutator, free_reduce, invert, invert_signed, projection,
-                    reduce_word, single)
+from .words import Word, free_reduce, invert, invert_signed, projection, reduce_word
 
 # A signed symbol word (see `words`): symbol k is k + 1, its inverse -(k + 1)
 SymbolWord = tuple[int, ...]
@@ -51,8 +50,8 @@ class Basis:
     # builds the witnesses, one per symbol, on the first read of `witnesses`
     make_witnesses: Callable[[], Iterable[Word]] = field(compare=False, repr=False)
     walk: Walker = field(compare=False, repr=False)  # the letter walk, from any state
-    # the witness walks by start in closed form; None walks each witness
-    closed_walks: Callable[[int], tuple] | None = field(default=None, compare=False, repr=False)
+    # the witness walks by start, which build no witness
+    closed_walks: Callable[[int], tuple] = field(compare=False, repr=False)
 
     @functools.cached_property
     def witnesses(self) -> tuple[Word, ...]:
@@ -67,8 +66,7 @@ class Basis:
     @functools.cached_property
     def walks(self) -> Callable[[int], tuple[SymbolWord, ...]]:
         """The witness walks from a state, cached for the last state."""
-        return functools.lru_cache(maxsize=1)(
-            self.closed_walks or functools.partial(_walk_each, self.walk, self.witnesses))
+        return functools.lru_cache(maxsize=1)(self.closed_walks)
 
     @property
     def rank(self) -> int:
@@ -78,8 +76,6 @@ class Basis:
         """The state w walks to from the basepoint 0; its symbols go to `out`."""
         if w.groups != self.groups:
             raise ValueError("word is over a different group list")
-        if self.closed_walks is None:
-            _ = self.witnesses  # walked by `walks`, so checked before any walk
         return self.walk(w.letters, 0, [] if out is None else out)
 
     @functools.cached_property
@@ -100,15 +96,16 @@ def token_table(symbols: Sequence[str]) -> list[str]:
     return ["", *symbols, *(s + "^-1" for s in reversed(symbols))]
 
 
-def _walk_each(walk: Walker, witnesses: Sequence[Word], start: int) -> tuple[SymbolWord, ...]:
-    runs: list[list] = [[] for _ in witnesses]
-    for wit, raw in zip(witnesses, runs):
-        walk(wit.letters, start, raw)
+def _walk_each(walk: Walker, letters: Sequence[tuple], start: int) -> tuple[SymbolWord, ...]:
+    runs: list[list] = [[] for _ in letters]
+    for word, raw in zip(letters, runs):
+        walk(word, start, raw)
     return tuple(map(tuple, runs))
 
 
 def algebraic_basis(groups: Sequence[FiniteGroup]) -> Basis:
-    """The basis w[i,j] = [g_i, h_j], i-major, for two nontrivial factors."""
+    """The basis w[i,j] = [g_i, h_j], i-major, for two nontrivial factors; each witness
+    is spelt once as its reduced letters g_i h_j g_i^-1 h_j^-1, walked as they are."""
     groups = tuple(groups)
     if len(groups) != 2:
         raise ValueError("the commutator basis needs exactly two factors")
@@ -117,11 +114,12 @@ def algebraic_basis(groups: Sequence[FiniteGroup]) -> Basis:
             raise ValueError(f"the commutator basis needs two nontrivial factors: "
                              f"factor {k} has order {G.order}")
     G, H = groups
-    pairs = functools.partial(itertools.product, range(1, G.order), range(1, H.order))
-    return Basis("algebraic-n2", groups, tuple(f"w[{i},{j}]" for i, j in pairs()),
-                 lambda: (commutator(single(groups, 0, i), single(groups, 1, j))
-                          for i, j in pairs()),
-                 commutator_walker(G, H))
+    pairs = list(itertools.product(range(1, G.order), range(1, H.order)))
+    letters = [((0, i), (1, j), (0, G.inverses[i]), (1, H.inverses[j])) for i, j in pairs]
+    walk = commutator_walker(G, H)
+    return Basis("algebraic-n2", groups, tuple(f"w[{i},{j}]" for i, j in pairs),
+                 lambda: (Word(groups, w) for w in letters), walk,
+                 functools.partial(_walk_each, walk, letters))
 
 
 def commutator_walker(G: FiniteGroup, H: FiniteGroup) -> Walker:
@@ -154,7 +152,7 @@ def commutator_walker(G: FiniteGroup, H: FiniteGroup) -> Walker:
 
 
 def tree_basis(graph: FibreGraph) -> Basis:
-    """The spanning-tree cycle basis; its walks are read off the grid, not off the witnesses."""
+    """The fundamental cycles of the staircase tree; their walks are read off the grid."""
     symbols = tuple(f"c{k + 1}" for k in range(betti_one(graph)))
     return Basis("tree", graph.groups, symbols, lambda: cycle_witnesses(graph),
                  cotree_walker(graph), cotree_walks(graph))

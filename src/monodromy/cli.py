@@ -226,10 +226,9 @@ def cmd_homology(args):
     else:
         K = parse_complex_spec(args.complex, n=len(groups))
     cx = build_complex(groups, K)
-    betti, torsion = h1(cx)
-    payload = {"betti": betti, "torsion": torsion,
+    payload = {"betti": h1(cx), "torsion": [],  # H1 is free
                "cells": dict(zip(("vertices", "edges", "squares"), cx.counts))}
-    _emit(args, payload, lambda: f"betti={betti} torsion={torsion or 'none'}")
+    _emit(args, payload, lambda: f"betti={payload['betti']} torsion=none")
     return 0
 
 

@@ -22,7 +22,7 @@ from math import prod
 from typing import Sequence
 
 from .fibre import place_values
-from .groups import FiniteGroup, check_size, token_int
+from .groups import FiniteGroup, check_size, clip, token_int
 from .intmatrix import IntMatrix
 
 
@@ -58,27 +58,25 @@ def full_simplex(n: int) -> SimplicialComplex:
 
 
 _COMPLEX_RE = re.compile(r"\s*(?:K\s*=\s*)?\{(.*)\}\s*$", re.S)
+_VERTEX_RE = re.compile(r"-?[0-9]+")  # ASCII digits: int() also reads '+1', '0_2' and '\u0661'
 
 
 def parse_complex_spec(text: str, n: int | None = None) -> SimplicialComplex:
     """Parse facet-list syntax K={1;2;3;1,2}; facets ';'-separated."""
     m = _COMPLEX_RE.match(text)
     if m is None:
-        raise ValueError(f"cannot parse complex spec {text!r}")
+        raise ValueError(f"cannot parse complex spec {clip(text)!r}")
     facets = []
     for part in m.group(1).split(";"):
         part = part.strip()
         if not part:
             continue
-        vertices = part.split(",")
-        try:
-            facets.append(frozenset(map(int, vertices)))
-        except ValueError:
-            for v in map(str.strip, vertices):
-                if v.lstrip("+-").isdecimal():  # a number int() refused: too many digits
-                    token_int(v, "complex vertex", v)
-            raise ValueError(f"facet {part!r} of complex spec {text!r} has a "
-                             f"non-integer vertex") from None
+        vertices = [v.strip() for v in part.split(",")]
+        numbers = [token_int(v, "complex vertex", v) for v in vertices if _VERTEX_RE.fullmatch(v)]
+        if len(numbers) < len(vertices):
+            raise ValueError(f"facet {clip(part)!r} of complex spec {clip(text)!r} has a "
+                             f"non-integer vertex")
+        facets.append(frozenset(numbers))
     nv = max((max(f) for f in facets), default=0)
     if n is not None:
         if nv > n:
@@ -171,8 +169,8 @@ def build_complex(groups: Sequence[FiniteGroup], K: SimplicialComplex) -> Cubica
     return cx
 
 
-def h1(cx: CubicalComplex) -> tuple[int, list[int]]:
-    """(first Betti number, invariant factors > 1), in closed form.
+def h1(cx: CubicalComplex) -> int:
+    """The first Betti number, in closed form; H1 has no torsion.
 
     Bahri-Bendersky-Cohen-Gitler's splitting of the polyhedral product makes
     H1 free of rank sum_{|J|>=2} (c(K_J) - 1) w(J), where c counts the
@@ -211,4 +209,4 @@ def h1(cx: CubicalComplex) -> tuple[int, list[int]]:
             free ^= bit
         closed = inside | border
         total += weight * prod(m for k, m in enumerate(orders) if not closed >> k & 1)
-    return total - prod(orders) + 1, []
+    return total - prod(orders) + 1

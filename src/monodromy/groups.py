@@ -270,12 +270,17 @@ def load_cayley_table(path: str) -> FiniteGroup:
         raise GroupValidationError(f"cayley table file {path}: {exc}") from None
 
 
+def clip(text: str) -> str:
+    """`text` as an error line echoes it: cut to 20 characters and '...' if longer."""
+    return text if len(text) <= 20 else text[:20] + "..."
+
+
 def token_int(digits: str, what: str, source: str) -> int:
     """int(digits), refused with a line naming `source` if it has more digits than int() reads."""
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: unlimited, or no limit before 3.10.7
     count = len(digits.lstrip("+-"))
-    if limit and count > limit:  # limit >= 640, so the source is cut
-        raise ValueError(f"{what} {source[:20] + '...'!r} has {count} digits, "
+    if limit and count > limit:
+        raise ValueError(f"{what} {clip(source)!r} has {count} digits, "
                          f"over the limit of {limit}")
     return int(digits)
 

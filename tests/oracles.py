@@ -20,6 +20,9 @@ not assumed away.
 the same draws, reduced once to project them and once more after the
 letters that cancel the projection are appended.
 
+`walk_each` walks each witness of a basis letter by letter with
+`Basis.walk`: the oracle of `Basis.walks`, which builds no witness.
+
 `edges` lists a simplicial complex's 1-faces, for the flag and BBCG
 checks of tests/test_complexes.py.
 
@@ -305,6 +308,16 @@ def elimination_h1(cx: CubicalComplex) -> tuple[int, list[int]]:
         columns.append({x * n + i: s for x, i, s in faces if x % tails[i]})
     rank, torsion = sparse_rank_torsion(columns)
     return nedges - nverts + 1 - rank, torsion
+
+
+def walk_each(basis, start: int) -> tuple[tuple[int, ...], ...]:
+    """The walk of each witness from `start`, one letter at a time."""
+    runs = []
+    for wit in basis.witnesses:
+        raw: list[int] = []
+        basis.walk(wit.letters, start, raw)
+        runs.append(tuple(raw))
+    return tuple(runs)
 
 
 def edges(K: SimplicialComplex) -> set[frozenset[int]]:

@@ -105,6 +105,10 @@ def commands() -> list[tuple[list[str], str | None]]:
         ["homology", "--groups", "C2,C3", "--complex", "K={1,2,3}"],
         ["homology", "--groups", "C2,C2", "--complex", "K={1;2;1,x}"],
         ["homology", "--groups", "C2,C2", "--complex", "K={1;2;1," + "9" * 5000 + "}"],
+        ["homology", "--groups", "C2,C2", "--complex", "K={1;2;x" + "9" * 5000 + "}"],
+        ["homology", "--groups", "C2,C2", "--complex", "K={+1;2}"],
+        ["homology", "--groups", "C2,C2", "--complex", "K={1;0_2}"],
+        ["homology", "--groups", "C2,C2", "--complex", "K={\u0661;\u0662}"],
         ["homology", "--groups", "C2,C2", "--complex", "@fixtures/k_bad_vertex.txt"],
         ["homology", "--groups", "C2,C2", "--complex", "@fixtures/k_non_integer.txt"],
         ["homology", "--groups", "C2,C2", "--complex", "@fixtures/missing.txt"],

@@ -12,13 +12,13 @@ from monodromy.action import (Automorphism, act_word,
 from monodromy.fibre import build_fibre_graph, cotree_walker
 from monodromy.groups import (make_cyclic, make_dihedral, make_symmetric,
                               parse_group_spec)
-from monodromy.intmatrix import columns
+from monodromy.intmatrix import columns, cyclic_closed_form
 from monodromy.words import (commutator, conjugate, empty_word,
                              free_reduce, invert, is_in_kernel, multiply,
                              project, random_kernel_word, random_word,
                              reduce_word, single)
 
-from oracles import free_reduce_pairs, signed
+from oracles import free_reduce_pairs, signed, walk_each
 
 # -- oracles --------------------------------------------------------------
 # Independent checks of the letter walk in the commutator basis: the
@@ -380,19 +380,16 @@ def test_format_image_prints_every_signed_symbol():
 
 
 def test_basis_refuses_a_witness_outside_the_kernel():
-    # the check runs on the first read of `witnesses`; the commutator basis
-    # walks its witnesses, so its first `walks` or `state` reads them first
+    # the check runs on the first read of `witnesses`, in both bases; no walk reads them
     groups = parse_group_spec("S3,C4")
-    reads = [lambda b: b.witnesses, lambda b: b.walks(0),
-             lambda b: b.state(single(groups, 0, 1))]
-    for basis, checked in ((algebraic_basis(groups), reads),
-                           (tree_basis(build_fibre_graph(groups)), reads[:1])):
+    for basis in (algebraic_basis(groups), tree_basis(build_fibre_graph(groups))):
         for bad in (single(groups, 0, 1), single(groups, 1, 2),
                     multiply(basis.witnesses[3], single(groups, 0, 4))):
-            for read in checked:
-                copy = replace(basis, make_witnesses=lambda: basis.witnesses + (bad,))
-                with pytest.raises(ValueError, match="^basis witness is not in the kernel$"):
-                    read(copy)
+            copy = replace(basis, make_witnesses=lambda: basis.witnesses + (bad,))
+            copy.walks(0)
+            copy.state(single(groups, 0, 1))
+            with pytest.raises(ValueError, match="^basis witness is not in the kernel$"):
+                copy.witnesses
         assert replace(basis, make_witnesses=lambda: basis.witnesses[::-1]).rank == basis.rank
 
 
@@ -421,6 +418,35 @@ def test_tree_basis_builds_witnesses_only_where_they_are_read(capsys, monkeypatc
     capsys.readouterr()
     assert cli.main(["basis", "--groups", "S3,C4,C3", "--basis", "tree"]) == 2
     assert capsys.readouterr() == ("", "error: basis witness is not in the kernel\n")
+
+
+def test_commutator_basis_builds_witnesses_only_where_they_are_read(capsys, monkeypatch):
+    # report, act, matrix and the closed form walk each commutator's raw letters
+    # and build no `Word`; `basis` builds each witness once and kernel-checks it
+    real_word, built = action.Word, []
+    monkeypatch.setattr(action, "Word", lambda groups, letters: built.append(
+        real_word(groups, letters)) or built[-1])
+    real_projection, checked = action.projection, []
+
+    def projection(groups):
+        project_letters = real_projection(groups)
+        return lambda letters: checked.append(letters) or project_letters(letters)
+
+    monkeypatch.setattr(action, "projection", projection)
+    for argv in (["report"], ["act", "--basis", "algebraic", "--element", "s1:(12)*x2"],
+                 ["matrix", "--basis", "algebraic", "--element", "x2"]):
+        assert cli.main([*argv, "--groups", "S3,C4"]) == 0
+    cyclic_closed_form(3, 4)
+    assert not built and not checked
+    bases = []
+    monkeypatch.setattr(cli, "algebraic_basis", lambda groups: bases.append(
+        algebraic_basis(groups)) or bases[-1])
+    assert cli.main(["basis", "--groups", "S3,C4", "--basis", "algebraic"]) == 0
+    assert built == list(bases[0].witnesses) and len(built) == bases[0].rank == 15
+    assert checked == [w.letters for w in built]
+    assert all(w.letters == commutator(single(w.groups, 0, w.letters[0][1]),
+                                       single(w.groups, 1, w.letters[1][1])).letters
+               for w in built)
 
 
 def test_act_letter_dispatch():
@@ -602,21 +628,12 @@ def test_seam_act_word_matches_full_reduction(monkeypatch):
 
 
 # -- the walks of all witnesses from one state -----------------------------------
-# Oracle: each witness walked letter by letter with `Basis.walk`.
-
-
-def walk_each(basis, start):
-    runs = []
-    for wit in basis.witnesses:
-        raw = []
-        basis.walk(wit.letters, start, raw)
-        runs.append(tuple(raw))
-    return tuple(runs)
+# Oracle: each witness walked letter by letter with `Basis.walk` (`oracles.walk_each`).
 
 
 def test_walks_match_walking_each_witness():
     # the tree basis reads Phi(x) + E + Phi(x')^-1 off its table of tree-path
-    # walks; the commutator basis walks its witnesses
+    # walks; the commutator basis walks the raw letters of each commutator
     rng = random.Random(32)
     bases = [tree_basis(build_fibre_graph(parse_group_spec(spec)))
              for spec in ("S3,C4,C3", "D4,C3,C2", "S4,C1,C2", "C5", "C1,C4")]

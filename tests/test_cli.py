@@ -197,6 +197,31 @@ def test_non_integer_facet_vertex_names_the_complex(capsys, tmp_path):
                "vertex\n")
 
 
+def test_long_facet_and_spec_are_echoed_cut(capsys, tmp_path):
+    # each echo is cut to 20 characters and '...'; an @file keeps its whole path
+    spec = "K={1;2;x" + "9" * 5000 + "}"
+    line = ("facet 'x9999999999999999999...' of complex spec 'K={1;2;x999999999999...' has a "
+            "non-integer vertex")
+    assert run(capsys, "homology", "--groups", "C2,C2", "--complex", spec) == (
+        2, "", f"error: {line}\n")
+    p = tmp_path / "k.txt"
+    p.write_text("1\n2\nx" + "9" * 5000 + "\n")
+    assert run(capsys, "homology", "--groups", "C2,C2", "--complex", f"@{p}") == (
+        2, "", f"error: {p}: facet 'x9999999999999999999...' of complex spec "
+               "'{1;2;x99999999999999...' has a non-integer vertex\n")
+    assert run(capsys, "homology", "--groups", "C2,C2", "--complex", "K={1;2" + "3" * 5000) == (
+        2, "", "error: cannot parse complex spec 'K={1;233333333333333...'\n")
+
+
+def test_facet_vertex_grammar_keeps_minus_and_whitespace(capsys):
+    # a vertex is -?[0-9]+ after stripping (the golden corpus pins '+1', '0_2' and
+    # Arabic-Indic digits refused): a minus still reaches the range check
+    assert run(capsys, "homology", "--groups", "C2,C2", "--complex", "K={-1;2}") == (
+        2, "", "error: vertex -1 out of range 1..2\n")
+    code, out, err = run(capsys, "homology", "--groups", "C2,C2", "--complex", "K={ 1 ;\t2 }")
+    assert (code, err) == (0, "") and "betti=" in out
+
+
 def test_complex_file_errors_name_the_file(capsys, tmp_path):
     # every error about a complex file's contents starts with its path
     cases = [("1\n2\n1,3\n", "complex names vertex 3 but only 2 coordinates exist"),

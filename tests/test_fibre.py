@@ -19,7 +19,7 @@ from monodromy.words import (Word, commutator, free_reduce, invert,
                              is_in_kernel, multiply,
                              random_kernel_word, reduce_word, single)
 
-from oracles import encode, free_reduce_pairs, signed
+from oracles import encode, free_reduce_pairs, signed, walk_each
 
 
 def cyclic_groups(*orders):
@@ -562,8 +562,9 @@ def oracle_tree_basis(graph):
     g, parents = bfs_search(graph.groups)
     words = tree_words(g, parents)
     witnesses = tuple(cycle_word(g, words, edge) for edge in g.cotree)
-    return Basis("tree", g.groups, tuple(f"c{k + 1}" for k in range(len(witnesses))),
-                 lambda: witnesses, cotree_walker(graph))  # walks each witness
+    basis = Basis("tree", g.groups, tuple(f"c{k + 1}" for k in range(len(witnesses))),
+                  lambda: witnesses, cotree_walker(graph), lambda start: walk_each(basis, start))
+    return basis
 
 
 def test_closed_form_graph_keeps_cli_output(capsys, monkeypatch):
