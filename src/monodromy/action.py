@@ -80,20 +80,14 @@ class Basis:
 
     @functools.cached_property
     def tokens(self) -> list[str]:
-        return token_table(self.symbols)
+        """Symbol x prints as tokens[x]: a negative x wraps round to the reversed inverses."""
+        return ["", *self.symbols, *(s + "^-1" for s in reversed(self.symbols))]
 
-    def format_image(self, image: SymbolWord, tokens: Sequence[str] | None = None) -> str:
-        """The image's tokens joined by '*', or 'e'; `tokens` replaces `self.tokens`, so the
-        CLI can join a `token_table` of JSON-escaped symbols."""
-        tokens = self.tokens if tokens is None else tokens
+    def format_image(self, image: SymbolWord) -> str:
+        """The image's tokens joined by '*', or 'e'."""
         if len(image) > 1:
-            return "*".join(itemgetter(*image)(tokens))
-        return tokens[image[0]] if image else "e"
-
-
-def token_table(symbols: Sequence[str]) -> list[str]:
-    """Symbol x prints as table[x]: a negative x wraps round to the reversed inverses."""
-    return ["", *symbols, *(s + "^-1" for s in reversed(symbols))]
+            return "*".join(itemgetter(*image)(self.tokens))
+        return self.tokens[image[0]] if image else "e"
 
 
 def _walk_each(walk: Walker, letters: Sequence[tuple], start: int) -> tuple[SymbolWord, ...]:

@@ -11,26 +11,20 @@ import functools
 import json
 import random
 import sys
-from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote  # C, unlike indent=2 dumps
 from math import prod
 from typing import Callable, Iterable, Sequence
 
-from .action import (Basis, SymbolWord, act_word, algebraic_basis, outer_representative,
-                     token_table, tree_basis)
+from .action import Basis, SymbolWord, act_word, algebraic_basis, outer_representative, tree_basis
 from .commutators import MAX_LEMMA_TRIALS, lemma_suite
 from .complexes import build_complex, h1, load_complex_file, parse_complex_spec
 from .fibre import betti_one, build_fibre_graph, rank_formula, to_dot
-from .groups import check_size, parse_group_spec
+from .groups import check_size, clip, parse_group_spec
 from .intmatrix import columns, determinant, representation_report
 from .verify import run_criteria
 from .words import format_words, parse_word, project
 
 SCHEMA = 1
-
-
-def _groups(args):
-    return parse_group_spec(args.groups)
 
 
 def _basis_for(groups, choice):
@@ -54,7 +48,7 @@ def _dumps(value, indent: str = "") -> str:
         if not value:
             return "[]"
         kinds, sep = set(map(type, value)), f",\n{inner}"
-        body = (_join_ints(compress(enumerate(value), value), len(value), sep) if kinds == {int}
+        body = (sep.join(map(int.__repr__, value)) if kinds == {int}
                 else sep.join(map(_quote, value))
                 if kinds == {str} else sep.join(_dumps(v, inner) for v in value))
         return f"[\n{inner}{body}\n{indent}]"
@@ -103,23 +97,19 @@ def _rows_json(rows: list[list[tuple[int, int]]], indent: str) -> str:
 
 
 def _images_json(basis: Basis, images: Sequence[SymbolWord], indent: str) -> str:
-    """`act`'s images as a JSON object keyed by symbol.  JSON escapes each character on its
-    own, so the symbols are escaped once, only if one needs it, and each image joins the
-    escaped tokens as it is."""
+    """`act`'s images as a JSON object keyed by symbol.  Both bases name their symbols in
+    plain ASCII (`w[i,j]`, `c<k>`), which JSON writes as it is, so nothing is escaped."""
     if not images:
         return "{}"
-    symbols, inner, joined = basis.symbols, indent + "  ", "".join(basis.symbols)
-    tokens = (basis.tokens if len(_quote(joined)) == len(joined) + 2
-              else token_table([_quote(s)[1:-1] for s in symbols]))
-    items = [f'"{tokens[k + 1]}": "{basis.format_image(images[k], tokens)}"'
+    symbols, inner = basis.symbols, indent + "  "
+    items = [f'"{symbols[k]}": "{basis.format_image(images[k])}"'
              for k in sorted(range(len(symbols)), key=symbols.__getitem__)]
     return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
 
 
-def _emit(args, payload: dict | Callable[[], dict], text: Callable[[], str]):
-    """Print the payload as JSON, or the text; each callable is called only in its own mode."""
+def _emit(args, payload: dict, text: Callable[[], str]):
+    """Print the payload as JSON, or the text, which is called only in text mode."""
     if args.format == "json":
-        payload = payload() if callable(payload) else payload
         payload["schema"] = SCHEMA
         print(_dumps(payload))
     else:
@@ -127,14 +117,14 @@ def _emit(args, payload: dict | Callable[[], dict], text: Callable[[], str]):
 
 
 def cmd_rank(args):
-    orders = [G.order for G in _groups(args)]
+    orders = [G.order for G in parse_group_spec(args.groups)]
     n = rank_formula(orders)
     _emit(args, {"orders": orders, "rank": n}, lambda: str(n))
     return 0
 
 
 def cmd_graph(args):
-    groups = _groups(args)
+    groups = parse_group_spec(args.groups)
     g = build_fibre_graph(groups)
     if args.emit == "dot":
         print(to_dot(g))
@@ -148,7 +138,7 @@ def cmd_graph(args):
 
 
 def cmd_basis(args):
-    groups = _groups(args)
+    groups = parse_group_spec(args.groups)
     basis = _basis_for(groups, args.basis)
     witnesses = format_words(basis.witnesses)
     payload = {"kind": basis.kind, "symbols": list(basis.symbols), "witnesses": witnesses}
@@ -158,7 +148,7 @@ def cmd_basis(args):
 
 
 def cmd_act(args):
-    groups = _groups(args)
+    groups = parse_group_spec(args.groups)
     basis = _basis_for(groups, args.basis)
     w = parse_word(args.element, groups)
     images = act_word(w, basis).images
@@ -170,30 +160,32 @@ def cmd_act(args):
 
 
 def cmd_matrix(args):
-    groups = _groups(args)
+    groups = parse_group_spec(args.groups)
     w = parse_word(args.element, groups)
     rank = rank_formula([G.order for G in groups])
     # refused before any walk, as the output is dense; a bad cap before rank 0
-    check_size(rank * rank, f"rank {rank}: its matrix of rank^2 = {rank * rank} entries")
+    check_size(rank * rank, f"rank {clip(str(rank))}: its matrix of rank^2 = "
+                            f"{clip(str(rank * rank))} entries")
     if not rank:
-        raise ValueError(f"rank 0 for --groups {args.groups}: a trivial kernel has no matrix")
+        raise ValueError(f"rank 0 for --groups {clip(args.groups)}: "
+                         f"a trivial kernel has no matrix")
     basis = _basis_for(groups, args.basis)
     # read off the state (P cancels in H1), each column's letters counted once
     rows = _sparse_rows(columns(outer_representative(w, basis)))
-    _emit(args, lambda: {"basis": list(basis.symbols),
-                         "convention": "columns-as-images",
-                         "element": str(w),
-                         "determinant": determinant(groups, project(w)),
-                         "entries": functools.partial(_rows_json, rows)},
+    _emit(args, {"basis": list(basis.symbols),
+                 "convention": "columns-as-images",
+                 "element": str(w),
+                 "determinant": determinant(groups, project(w)),
+                 "entries": functools.partial(_rows_json, rows)},
           functools.partial(_rows_text, rows))
     return 0
 
 
 def cmd_report(args):
-    groups = _groups(args)
+    groups = parse_group_spec(args.groups)
     if len(groups) != 2:
         raise ValueError(f"report needs exactly two groups, got {len(groups)} "
-                         f"from --groups {args.groups}")
+                         f"from --groups {clip(args.groups)}")
     rep = representation_report(groups[0], groups[1], seed=args.seed)
     _emit(args, rep, lambda: "\n".join(f"{key}: {value}" for key, value in rep.items()))
     checks = ("cross_factor_commute", "faithful", "non_ia_certificate",
@@ -204,12 +196,13 @@ def cmd_report(args):
 def cmd_lemma_check(args):
     for flag, value in (("--trials", args.trials), ("--depth", args.depth)):
         if value < 0:
-            raise ValueError(f"{flag} must be non-negative, got {value}")
+            raise ValueError(f"{flag} must be non-negative, got {clip(str(value))}")
     if args.trials > MAX_LEMMA_TRIALS:
-        raise ValueError(f"--trials must be at most {MAX_LEMMA_TRIALS}, got {args.trials}")
+        raise ValueError(f"--trials must be at most {MAX_LEMMA_TRIALS}, got "
+                         f"{clip(str(args.trials))}")
     trials, depth = args.trials, min(args.depth, 5)
-    delta, expansion, magnus = lemma_suite(_groups(args), random.Random(args.seed),
-                                           trials, depth)
+    delta, expansion, magnus = lemma_suite(parse_group_spec(args.groups),
+                                           random.Random(args.seed), trials, depth)
     payload = {"delta_identity": {"passed": delta, "total": trials},
                "product_expansion": {"passed": expansion, "total": trials},
                "magnus_weights": {"passed": magnus, "total": depth}}
@@ -220,7 +213,7 @@ def cmd_lemma_check(args):
 
 
 def cmd_homology(args):
-    groups = _groups(args)
+    groups = parse_group_spec(args.groups)
     if args.complex.startswith("@"):
         K = load_complex_file(args.complex[1:], n=len(groups))
     else:

@@ -38,11 +38,11 @@ class SimplicialComplex:
         for f in self.facets:
             for v in f:
                 if not 1 <= v <= self.n:
-                    raise ValueError(f"vertex {v} out of range 1..{self.n}")
+                    raise ValueError(f"vertex {clip(str(v))} out of range 1..{self.n}")
             covered |= f
         if covered != set(range(1, self.n + 1)):
             missing = sorted(set(range(1, self.n + 1)) - covered)
-            raise ValueError(f"all singletons must be present; missing {missing}")
+            raise ValueError(f"all singletons must be present; missing {clip(str(missing))}")
 
     def has_face(self, s) -> bool:
         s = frozenset(s)
@@ -80,7 +80,8 @@ def parse_complex_spec(text: str, n: int | None = None) -> SimplicialComplex:
     nv = max((max(f) for f in facets), default=0)
     if n is not None:
         if nv > n:
-            raise ValueError(f"complex names vertex {nv} but only {n} coordinates exist")
+            raise ValueError(f"complex names vertex {clip(str(nv))} but only {n} "
+                             f"coordinates exist")
         nv = n
     return SimplicialComplex(nv, tuple(facets))
 
@@ -165,7 +166,7 @@ def build_complex(groups: Sequence[FiniteGroup], K: SimplicialComplex) -> Cubica
                     if K.has_face({i + 1, j + 1}))
     cx = CubicalComplex(groups, squares)
     total = sum(cx.counts)
-    check_size(total, f"cell count {total}")
+    check_size(total, f"cell count {clip(str(total))}")
     return cx
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Callable, Iterator, Sequence
 
-from .groups import FiniteGroup, check_size
+from .groups import FiniteGroup, check_size, clip
 from .words import Word, invert_signed
 
 # An edge is (x, i): the unit segment from the vertex with mixed-radix index x
@@ -78,7 +78,7 @@ def build_fibre_graph(groups: Sequence[FiniteGroup]) -> FibreGraph:
     if not groups:
         raise ValueError("need at least one group")
     nverts = prod(G.order for G in groups)
-    check_size(nverts, f"vertex count {nverts}")
+    check_size(nverts, f"vertex count {clip(str(nverts))}")
     return FibreGraph(groups)
 
 

@@ -7,7 +7,8 @@ over a generating set.  `check_size` is the one size gate: these tables, the
 fibre graph's vertices, the cubical cells and `matrix`'s rank^2 entries are
 each refused above MONODROMY_CELL_CAP before they are built.  `token_int`
 reads each number typed in a group item, a word token or a complex vertex,
-and refuses one with more digits than `int` reads by naming it.
+and refuses one with more digits than `int` reads by naming it.  `clip`
+cuts each typed value or count that an error line echoes.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ def check_size(count: int, what: str) -> None:
     except ValueError:
         cap = 0
     if cap < 1:
-        raise ValueError(f"MONODROMY_CELL_CAP must be a positive integer, got {raw!r}")
+        raise ValueError(f"MONODROMY_CELL_CAP must be a positive integer, got {clip(raw)!r}")
     if count > cap:
-        raise SizeLimitError(f"{what} exceeds cap {cap}")
+        raise SizeLimitError(f"{what} exceeds cap {clip(str(cap))}")
 
 
 @dataclass(frozen=True)
@@ -152,14 +153,14 @@ class FiniteGroup:
         try:
             return self.names.index(name)
         except ValueError:
-            raise ValueError(f"no element named {name!r}") from None
+            raise ValueError(f"no element named {clip(name)!r}") from None
 
 
 def make_cyclic(n: int) -> FiniteGroup:
     """Cyclic group C_n with element k standing for x^k."""
     if n < 1:
         raise GroupValidationError("invalid order: n must be >= 1")
-    check_size(n * n, f"C{n} has order {n}: its table of order^2 entries")
+    check_size(n * n, f"C{clip(str(n))} has order {clip(str(n))}: its table of order^2 entries")
     elems = tuple(range(n))
     table = tuple(elems[a:] + elems[:a] for a in range(n))  # row a is (a + b) % n
     names = tuple("1" if k == 0 else ("x" if k == 1 else f"x^{k}") for k in range(n))
@@ -197,10 +198,10 @@ def make_symmetric(k: int) -> FiniteGroup:
     """
     if k < 1:
         raise GroupValidationError("invalid order: k must be >= 1")
-    order = 1
+    order, what = 1, f"S{clip(str(k))} has order {clip(str(k))}!: its table of order^2 entries"
     for d in range(2, k + 1):  # d! <= k!, so this stops at the first d! over the cap
         order *= d
-        check_size(order * order, f"S{k} has order {k}!: its table of order^2 entries")
+        check_size(order * order, what)
     perms = sorted(itertools.permutations(range(1, k + 1)))
     names = [_cycle_notation(p) for p in perms]
     if k == 3:
@@ -218,7 +219,8 @@ def make_dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n; element i + n*f stands for r^i s^f."""
     if n < 1:
         raise GroupValidationError("invalid order: n must be >= 1")
-    check_size(4 * n * n, f"D{n} has order {2 * n}: its table of order^2 entries")
+    check_size(4 * n * n,
+               f"D{clip(str(n))} has order {clip(str(2 * n))}: its table of order^2 entries")
 
     def mul(a, b):
         i1, f1 = a % n, a // n
@@ -264,7 +266,7 @@ def load_cayley_table(path: str) -> FiniteGroup:
                 raise GroupValidationError(f"field {key!r} must be {what}")
         order = data["order"]
         if order > 0:  # refused over the cap before the table is checked; < 1 by FiniteGroup
-            check_size(order * order, f"order {order}: its table of order^2 entries")
+            check_size(order * order, f"order {clip(str(order))}: its table of order^2 entries")
         return FiniteGroup(order, tuple(map(tuple, data["table"])), tuple(data["names"]))
     except ValueError as exc:
         raise GroupValidationError(f"cayley table file {path}: {exc}") from None
@@ -301,14 +303,14 @@ def parse_group_spec(spec: str) -> list[FiniteGroup]:
         stripped = item.strip()
         m = _ITEM_RE.match(stripped)
         if m is None:
-            raise GroupSpecParseError(f"malformed group item {stripped!r}", pos)
+            raise GroupSpecParseError(f"malformed group item {clip(stripped)!r}", pos)
         if m.group(3) is not None:
             groups.append(load_cayley_table(m.group(3)))
         else:
             kind, n = m.group(1), token_int(m.group(2), "index of --groups item", stripped)
             if n < 1:
-                raise GroupSpecParseError(f"group item {stripped!r} needs an index of at least 1",
-                                          pos)
+                raise GroupSpecParseError(
+                    f"group item {clip(stripped)!r} needs an index of at least 1", pos)
             if kind == "C":
                 groups.append(make_cyclic(n))
             elif kind == "S":

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import neg
 from typing import Callable, Iterable, Sequence
 
-from .groups import FiniteGroup, token_int
+from .groups import FiniteGroup, clip, token_int
 
 
 @dataclass(frozen=True)
@@ -217,10 +217,10 @@ def parse_word(text: str, groups: Sequence[FiniteGroup]) -> Word:
         token = token.strip()
         m = _X_TOKEN.match(token) or _NAME_TOKEN.match(token)
         if m is None:
-            raise ValueError(f"cannot parse word token {token!r}")
+            raise ValueError(f"cannot parse word token {clip(token)!r}")
         i = token_int(m.group(1), "coordinate in token", token)
         if not 1 <= i <= len(groups):
-            raise ValueError(f"coordinate {i} out of range in token {token!r}")
+            raise ValueError(f"coordinate {clip(str(i))} out of range in token {clip(token)!r}")
         G = groups[i - 1]
         if m.re is _NAME_TOKEN:
             raw.append((i - 1, G.index_of(m.group(2))))

@@ -112,6 +112,26 @@ def commands() -> list[tuple[list[str], str | None]]:
         ["homology", "--groups", "C2,C2", "--complex", "@fixtures/k_bad_vertex.txt"],
         ["homology", "--groups", "C2,C2", "--complex", "@fixtures/k_non_integer.txt"],
         ["homology", "--groups", "C2,C2", "--complex", "@fixtures/missing.txt"],
+        # each typed value, or count computed from one, echoed cut to 20 characters
+        ["homology", "--groups", "C2,C2", "--complex", "K={1;2;1," + "9" * 4000 + "}"],
+        ["homology", "--groups", "C2,C2", "--complex", "K={1;2;-" + "9" * 4000 + "}"],
+        ["rank", "--groups", "Q" * 40], ["rank", "--groups", "C" + "0" * 40],
+        ["rank", "--groups", "C" + "9" * 40], ["rank", "--groups", "S" + "9" * 40],
+        ["rank", "--groups", "D" + "9" * 40],
+        ["rank", "--groups", "table:fixtures/order_over_cap.json"],
+        ["act", "--groups", "C2,C3", "--element", "s1:" + "Q" * 40],
+        ["act", "--groups", "C2,C3", "--element", "Q" * 40],
+        ["act", "--groups", "C2,C3", "--element", "x" + "9" * 40],
+        ["lemma-check", "--groups", "C3,C4", "--trials", "-" + "9" * 40],
+        ["lemma-check", "--groups", "C3,C4", "--depth", "-" + "9" * 40],
+        ["lemma-check", "--groups", "C3,C4", "--trials", "9" * 40],
+        ["report", "--groups", ",".join(["C2"] * 8)],
+        ["matrix", "--groups", ",".join(["C1"] * 8), "--element", "e"],
+        ["homology", "--groups", ",".join(["C2"] * 12), "--complex", "K={1}"],
+        ["matrix", "--groups", ",".join(["C2"] * 80), "--element", "x1"],
+        ["graph", "--groups", ",".join(["C2"] * 70)],
+        ["homology", "--groups", ",".join(["C100"] * 12),
+         "--complex", "K={" + ";".join(map(str, range(1, 13))) + "}"],
     ]
     capped = [
         (["graph", "--groups", "C2,C3"], "5"), (["graph", "--groups", "C2,C2,C2"], "5"),
@@ -123,6 +143,7 @@ def commands() -> list[tuple[list[str], str | None]]:
         (["matrix", "--groups", "C2,C2,C2", "--element", "x1"], "16"),
         (["homology", "--groups", "C3,C3,C3", "--complex", "K={1,2,3}"], "20"),
         (["rank", "--groups", "table:fixtures/c2_table.json,C2"], "3"),
+        (["rank", "--groups", "C2"], "x" * 40), (["rank", "--groups", "C" + "9" * 40], "9" * 30),
     ]
     return [(argv, None) for argv in ok + refused] + capped
 

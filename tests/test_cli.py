@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -434,6 +433,45 @@ def test_commutator_basis_names_the_trivial_factor(capsys):
                        f"factor {k} has order 1\n"), argv
 
 
+def test_every_refusal_line_is_bounded(capsys, monkeypatch):
+    # each typed value, and each count computed from one, is echoed cut (`groups.clip`),
+    # so a refusal is one short line however long its input; paths stay whole
+    monkeypatch.chdir(Path(__file__).parent)  # a short fixture path
+    nines, qs = "9" * 4000, "Q" * 5000
+    twos, ones = ",".join(["C2"] * 5000), ",".join(["C1"] * 5000)
+    hundreds = ",".join(["C100"] * 100)
+    cases = [
+        (None, "homology", "--groups", "C2,C2", "--complex", f"K={{1;2;1,{nines}}}"),
+        (None, "homology", "--groups", "C2,C2", "--complex", f"K={{1;2;-{nines}}}"),
+        (None, "rank", "--groups", qs), (None, "rank", "--groups", "C" + "0" * 4000),
+        (None, "rank", "--groups", "C" + nines), (None, "rank", "--groups", "S" + nines),
+        (None, "rank", "--groups", "D" + nines),
+        (None, "rank", "--groups", "table:fixtures/order_over_cap.json"),
+        (None, "act", "--groups", "C2,C3", "--element", "s1:" + qs),
+        ("9" * 5000, "rank", "--groups", "C2"), (nines, "rank", "--groups", "C" + nines),
+        (None, "act", "--groups", "C2,C3", "--element", "x" + nines),
+        (None, "act", "--groups", "C2,C3", "--element", qs),
+        (None, "lemma-check", "--groups", "C3,C4", "--trials", "-" + nines),
+        (None, "lemma-check", "--groups", "C3,C4", "--depth", "-" + nines),
+        (None, "lemma-check", "--groups", "C3,C4", "--trials", nines),
+        (None, "report", "--groups", twos), (None, "matrix", "--groups", ones, "--element", "e"),
+        (None, "homology", "--groups", twos, "--complex", "K={1}"),
+        (None, "matrix", "--groups", twos, "--element", "x1"),
+        (None, "graph", "--groups", twos),
+        (None, "homology", "--groups", hundreds,
+         "--complex", "K={" + ";".join(map(str, range(1, 101))) + "}"),
+    ]
+    for cap, *argv in cases:
+        if cap is None:
+            monkeypatch.delenv("MONODROMY_CELL_CAP", raising=False)
+        else:
+            monkeypatch.setenv("MONODROMY_CELL_CAP", cap)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv[:2]
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv[:2], err[:100])
+        assert len(err[:-1].encode()) <= 200 and "Traceback" not in err, (argv[:2], err[:100])
+
+
 TABLE_BODIES = ("5", '"x"', "[]", "not json", '{"order": 2}',
                 '{"order": 1, "names": ["1"], "table": 5}',
                 '{"order": [1], "names": ["1"], "table": [[0]]}',
@@ -544,7 +582,7 @@ def test_dumps_matches_stdlib_on_edge_cases():
         {"\u00e9": 1, "\"q\"": [2], "b\\": {"\n": "\x01"}, "A": 1.5, "a": [0.1, -2.5e-10]},
         {"z": 1, "a": 2, "M": 3, "_": 4, "10": 5, "9": 6},
         ("tuple", 1, (2, 3)), {"t": ()}, [1.0, 2], [float("inf")],
-        # int lists print each run of zeros at once
+        # int lists, zeros and runs of zeros included
         [0] * 7, [0], [3, -1, 2], [0, 0, 5, 0, -3, 0, 0], [-4, 0, 0, -1], [0, 0, 9],
         [10**30, 0, -10**30, 0], (0, 0, 4, 0), [[0, 0], [0, 1], [2, 0]], {"z": [0, 0]},
         [0, True, 0, False, 0], [True, 0], [False, 0, 1],
@@ -648,25 +686,37 @@ def test_matrix_prints_the_dense_matrix_bytes(capsys, monkeypatch):
         assert max(map(abs, (v for col in abelianize(phi).entries for v in col))) >= 10
 
 
-def test_act_json_escapes_each_symbol_once(capsys, monkeypatch):
+def test_act_json_writes_each_symbol_as_the_basis_names_it(capsys, monkeypatch):
     rng = random.Random(25)
-    names = ('q"{}', "b\\{}", "café{}", "☃{}", "\U0001d53d{}", "c{}", "t\x01\t{}")
     for spec, choice in MATRIX_CASES + (("C1,C3", "tree"),):
         groups = parse_group_spec(spec)
-        plain = _basis(groups, choice)
-        for basis in (plain, replace(plain, symbols=tuple(
-                names[k % len(names)].format(k) for k in range(plain.rank)))):
-            monkeypatch.setattr(cli, "_basis_for", lambda groups, choice: basis)
-            for w in (random_word(rng, groups, 6), random_kernel_word(rng, groups, 6)):
-                images = act_word(w, basis).images
-                argv = ["act", "--groups", spec, "--element", format_word(w)]
-                want = {"basis": list(basis.symbols), "element": str(w), "schema": 1,
-                        "images": {sym: basis.format_image(img)
-                                   for sym, img in zip(basis.symbols, images)}}
-                assert run(capsys, *argv, "--format", "json") == (
-                    0, json.dumps(want, indent=2, sort_keys=True) + "\n", ""), argv
-                assert run(capsys, *argv) == (0, "".join(
-                    f"{sym} -> {text}\n" for sym, text in want["images"].items()) or "\n", "")
+        basis = _basis(groups, choice)
+        monkeypatch.setattr(cli, "_basis_for", lambda groups, choice: basis)
+        for w in (random_word(rng, groups, 6), random_kernel_word(rng, groups, 6)):
+            images = act_word(w, basis).images
+            argv = ["act", "--groups", spec, "--element", format_word(w)]
+            want = {"basis": list(basis.symbols), "element": str(w), "schema": 1,
+                    "images": {sym: basis.format_image(img)
+                               for sym, img in zip(basis.symbols, images)}}
+            assert run(capsys, *argv, "--format", "json") == (
+                0, json.dumps(want, indent=2, sort_keys=True) + "\n", ""), argv
+            assert run(capsys, *argv) == (0, "".join(
+                f"{sym} -> {text}\n" for sym, text in want["images"].items()) or "\n", "")
+
+
+def test_basis_symbols_need_no_json_escape():
+    # `act` writes each symbol and image token unescaped, which holds for the names both
+    # bases give, over the golden corpus's group lists
+    table = Path(__file__).parent / "fixtures" / "c2_table.json"
+    for spec in ("C2,C3", "C1,C3", "C2,C1", "S3,C4", "D4,C3", "S3,D4", "C1,C3,C2",
+                 "C2,C2,C2,C2", "C1,C2,C1,C3", f"table:{table},C3"):
+        groups = parse_group_spec(spec)
+        bases = [tree_basis(build_fibre_graph(groups))]
+        if len(groups) == 2 and min(G.order for G in groups) > 1:
+            bases.append(algebraic_basis(groups))
+        for basis in bases:
+            for s in basis.tokens:
+                assert cli._quote(s) == f'"{s}"', (spec, s)
 
 
 def test_large_matrix_bytes_are_pinned(capsys):
