@@ -19,10 +19,12 @@ P is the walk of g; `Basis.walks` caches the witness walks of one state.
 Each basis passes its witness walks, `Basis.closed_walks`: the tree basis
 reads them off the grid (`fibre.cotree_walks`), the commutator basis walks
 each commutator's raw letters.  No walk builds a witness; `Basis.witnesses`
-builds and kernel-checks them on first read (`basis`, `recompose`, verify).
+builds and kernel-checks them on first read (`recompose`, verify, and `basis`
+in the commutator basis; the tree basis prints `fibre.witness_texts`).
 So act(g) is x -> P x P^-1 after the automorphism that sends witness j to
 its walk W_j from pi(g), `outer_representative`: one outer class, one H1
-matrix, read off the state alone.  `act_word`, which `act` prints, keeps P.
+matrix, read off the state alone.  `act_word` keeps P, and `image_texts`,
+which `act` prints, spells each image from the cuts of P and P^-1 around it.
 """
 
 from __future__ import annotations
@@ -190,21 +192,49 @@ def recompose(basis: Basis, image: SymbolWord) -> Word:
 
 
 def act_word(w: Word, basis: Basis) -> Automorphism:
-    """The action of w by conjugation, as a deck translation.
+    """The action of w by conjugation, as a deck translation (see `_seams`).
+
+    A free basis gives each image one reduced word, so this equals the
+    per-letter fold act(uv) = act(u) o act(v).
+    """
+    prefix, suffix, seams = _seams(w, basis)
+    return Automorphism(basis, tuple([prefix[:h] + middle + suffix[t:]
+                                      for h, middle, t in seams]))
+
+
+def image_texts(w: Word, basis: Basis) -> list[str]:
+    """The images of `act_word(w, basis)` as `Basis.format_image` prints them.
+
+    Only the middle run of each image is formatted: each cut of P and P^-1
+    it is joined to is spelt once, on its first use, with its '*' on the
+    side the middle lies.
+    """
+    prefix, suffix, seams = _seams(w, basis)
+    tokens, fmt, out = basis.tokens, basis.format_image, []
+    heads, tails = [None] * (len(prefix) + 1), [None] * (len(prefix) + 1)
+    for h, middle, t in seams:
+        if heads[h] is None:
+            heads[h] = "".join([tokens[x] + "*" for x in prefix[:h]])
+        if tails[t] is None:
+            tails[t] = "".join(["*" + tokens[x] for x in suffix[t:]])
+        out.append(heads[h] + fmt(middle) + tails[t])
+    return out
+
+
+def _seams(w: Word, basis: Basis) -> tuple[SymbolWord, SymbolWord, list[tuple]]:
+    """P, P^-1 and each image P[:head] + middle + (P^-1)[tail:], as (head, middle, tail).
 
     w is walked once to the prefix P; each witness's walk W from the image
     of w (`Basis.walks`) is then joined to P and P^-1.  The walk of a reduced
     word is reduced (see `decompose`), so symbols cancel only at the two
-    seams, unless W cancels away and P meets P^-1: only then is the join
-    reduced in full.  A free basis gives each image one reduced word, so
-    this equals the per-letter fold act(uv) = act(u) o act(v).
+    seams, and the middle is what is left of W.  If W cancels away, P meets
+    P^-1: only then is the join reduced in full, into a middle with empty cuts.
     """
     raw: list[int] = []
     start = basis.state(w, raw)
     prefix = tuple(raw)
     suffix = invert_signed(prefix)
-    n = len(prefix)
-    images = []
+    n, seams = len(prefix), []
     for run in basis.walks(start):
         # W[k] cancels P[-1-k] when it equals (P^-1)[k]; W[-1-j] cancels
         # (P^-1)[j] when it equals P[-1-j]
@@ -214,10 +244,10 @@ def act_word(w: Word, basis: Basis) -> Automorphism:
         while k < b - j and j < n and run[b - 1 - j] == prefix[n - 1 - j]:
             j += 1
         if k < b - j:
-            images.append(prefix[:n - k] + run[k:b - j] + suffix[j:])
+            seams.append((n - k, run[k:b - j], j))
         else:
-            images.append(free_reduce(prefix[:n - k] + suffix[j:]))
-    return Automorphism(basis, tuple(images))
+            seams.append((0, free_reduce(prefix[:n - k] + suffix[j:]), n))
+    return prefix, suffix, seams
 
 
 def outer_representative(w: Word, basis: Basis) -> Automorphism:

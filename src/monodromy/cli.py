@@ -15,11 +15,11 @@ from json.encoder import encode_basestring_ascii as _quote  # C, unlike indent=2
 from math import prod
 from typing import Callable, Iterable, Sequence
 
-from .action import Basis, SymbolWord, act_word, algebraic_basis, outer_representative, tree_basis
+from .action import algebraic_basis, image_texts, outer_representative, tree_basis
 from .commutators import MAX_LEMMA_TRIALS, lemma_suite
 from .complexes import build_complex, h1, load_complex_file, parse_complex_spec
-from .fibre import betti_one, build_fibre_graph, rank_formula, to_dot
-from .groups import check_size, clip, parse_group_spec
+from .fibre import betti_one, build_fibre_graph, rank_formula, to_dot, witness_texts
+from .groups import check_size, clip, clip_int, parse_group_spec, printable_int
 from .intmatrix import columns, determinant, representation_report
 from .verify import run_criteria
 from .words import format_words, parse_word, project
@@ -96,13 +96,14 @@ def _rows_json(rows: list[list[tuple[int, int]]], indent: str) -> str:
     return f"[\n{inner}{body}\n{indent}]"
 
 
-def _images_json(basis: Basis, images: Sequence[SymbolWord], indent: str) -> str:
-    """`act`'s images as a JSON object keyed by symbol.  Both bases name their symbols in
-    plain ASCII (`w[i,j]`, `c<k>`), which JSON writes as it is, so nothing is escaped."""
+def _images_json(symbols: Sequence[str], images: Sequence[str], indent: str) -> str:
+    """`act`'s image texts as a JSON object keyed by symbol.  Both bases name their symbols
+    and tokens in plain ASCII (`w[i,j]`, `c<k>`), which JSON writes as it is, so nothing is
+    escaped."""
     if not images:
         return "{}"
-    symbols, inner = basis.symbols, indent + "  "
-    items = [f'"{symbols[k]}": "{basis.format_image(images[k])}"'
+    inner = indent + "  "
+    items = [f'"{symbols[k]}": "{images[k]}"'
              for k in sorted(range(len(symbols)), key=symbols.__getitem__)]
     return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
 
@@ -118,7 +119,7 @@ def _emit(args, payload: dict, text: Callable[[], str]):
 
 def cmd_rank(args):
     orders = [G.order for G in parse_group_spec(args.groups)]
-    n = rank_formula(orders)
+    n = printable_int(rank_formula(orders), f"the rank for --groups {clip(args.groups)}")
     _emit(args, {"orders": orders, "rank": n}, lambda: str(n))
     return 0
 
@@ -140,7 +141,9 @@ def cmd_graph(args):
 def cmd_basis(args):
     groups = parse_group_spec(args.groups)
     basis = _basis_for(groups, args.basis)
-    witnesses = format_words(basis.witnesses)
+    # the tree basis spells its witnesses off the grid, building no `Word`
+    witnesses = (witness_texts(basis.groups) if basis.kind == "tree"
+                 else format_words(basis.witnesses))
     payload = {"kind": basis.kind, "symbols": list(basis.symbols), "witnesses": witnesses}
     _emit(args, payload, lambda: "\n".join(f"{sym} = {wit}"
                                            for sym, wit in zip(basis.symbols, witnesses)))
@@ -151,10 +154,10 @@ def cmd_act(args):
     groups = parse_group_spec(args.groups)
     basis = _basis_for(groups, args.basis)
     w = parse_word(args.element, groups)
-    images = act_word(w, basis).images
+    images = image_texts(w, basis)
     payload = {"basis": list(basis.symbols), "element": str(w),
-               "images": functools.partial(_images_json, basis, images)}
-    _emit(args, payload, lambda: "\n".join(f"{sym} -> {basis.format_image(img)}"
+               "images": functools.partial(_images_json, basis.symbols, images)}
+    _emit(args, payload, lambda: "\n".join(f"{sym} -> {img}"
                                            for sym, img in zip(basis.symbols, images)))
     return 0
 
@@ -164,8 +167,8 @@ def cmd_matrix(args):
     w = parse_word(args.element, groups)
     rank = rank_formula([G.order for G in groups])
     # refused before any walk, as the output is dense; a bad cap before rank 0
-    check_size(rank * rank, f"rank {clip(str(rank))}: its matrix of rank^2 = "
-                            f"{clip(str(rank * rank))} entries")
+    check_size(rank * rank, f"rank {clip_int(rank)}: its matrix of rank^2 = "
+                            f"{clip_int(rank * rank)} entries")
     if not rank:
         raise ValueError(f"rank 0 for --groups {clip(args.groups)}: "
                          f"a trivial kernel has no matrix")
@@ -196,10 +199,10 @@ def cmd_report(args):
 def cmd_lemma_check(args):
     for flag, value in (("--trials", args.trials), ("--depth", args.depth)):
         if value < 0:
-            raise ValueError(f"{flag} must be non-negative, got {clip(str(value))}")
+            raise ValueError(f"{flag} must be non-negative, got {clip_int(value)}")
     if args.trials > MAX_LEMMA_TRIALS:
         raise ValueError(f"--trials must be at most {MAX_LEMMA_TRIALS}, got "
-                         f"{clip(str(args.trials))}")
+                         f"{clip_int(args.trials)}")
     trials, depth = args.trials, min(args.depth, 5)
     delta, expansion, magnus = lemma_suite(parse_group_spec(args.groups),
                                            random.Random(args.seed), trials, depth)
@@ -235,6 +238,14 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
+def _int_arg(text: str) -> int:
+    """int(text) for an integer flag, refused with the value cut as error lines echo it."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {clip(text)!r}") from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -246,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_arg, default=0)
         return p
 
     p = add("rank", help="rank of the kernel free group")
@@ -275,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("lemma-check", help="commutator-calculus property checks")
     p.add_argument("--groups", required=True)
-    p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--depth", type=_int_arg, default=5)
+    p.add_argument("--trials", type=_int_arg, default=200)
 
     p = add("homology", help="H1 of the cubical model over a complex")
     p.add_argument("--groups", required=True)

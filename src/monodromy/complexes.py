@@ -22,7 +22,7 @@ from math import prod
 from typing import Sequence
 
 from .fibre import place_values
-from .groups import FiniteGroup, check_size, clip, token_int
+from .groups import FiniteGroup, check_size, clip, clip_int, token_int
 from .intmatrix import IntMatrix
 
 
@@ -38,7 +38,7 @@ class SimplicialComplex:
         for f in self.facets:
             for v in f:
                 if not 1 <= v <= self.n:
-                    raise ValueError(f"vertex {clip(str(v))} out of range 1..{self.n}")
+                    raise ValueError(f"vertex {clip_int(v)} out of range 1..{self.n}")
             covered |= f
         if covered != set(range(1, self.n + 1)):
             missing = sorted(set(range(1, self.n + 1)) - covered)
@@ -80,7 +80,7 @@ def parse_complex_spec(text: str, n: int | None = None) -> SimplicialComplex:
     nv = max((max(f) for f in facets), default=0)
     if n is not None:
         if nv > n:
-            raise ValueError(f"complex names vertex {clip(str(nv))} but only {n} "
+            raise ValueError(f"complex names vertex {clip_int(nv)} but only {n} "
                              f"coordinates exist")
         nv = n
     return SimplicialComplex(nv, tuple(facets))
@@ -96,9 +96,11 @@ def load_complex_file(path: str, n: int | None = None) -> SimplicialComplex:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _count(orders: Sequence[int], support: tuple[int, ...]) -> int:
-    # (m_i - 1) interval choices on the support, m_i positions elsewhere
-    return prod(m - 1 if i in support else m for i, m in enumerate(orders))
+def _count(total: int, orders: Sequence[int], support: tuple[int, ...]) -> int:
+    # (m_i - 1) interval choices on the support, m_i positions elsewhere; total = prod m_i
+    for i in support:
+        total = total // orders[i] * (orders[i] - 1)
+    return total
 
 
 def _lowest_vertices(orders: Sequence[int], support: tuple[int, ...]) -> list[int]:
@@ -122,7 +124,8 @@ class CubicalComplex:
     @property
     def counts(self) -> tuple[int, int, int]:
         orders = self.orders
-        return tuple(sum(_count(orders, s) for s in dim)
+        total = prod(orders)
+        return tuple(sum(_count(total, orders, s) for s in dim)
                      for dim in ([()], [(i,) for i in range(len(orders))], self.squares))
 
     def _square_boundaries(self):
@@ -162,11 +165,12 @@ def build_complex(groups: Sequence[FiniteGroup], K: SimplicialComplex) -> Cubica
     groups = tuple(groups)
     if K.n != len(groups):
         raise ValueError("complex vertex count must match the group list")
-    squares = tuple((i, j) for i, j in itertools.combinations(range(len(groups)), 2)
-                    if K.has_face({i + 1, j + 1}))
+    # the edges of K, read off each facet's own vertex pairs
+    squares = tuple(sorted({(i - 1, j - 1) for f in K.facets
+                            for i, j in itertools.combinations(sorted(f), 2)}))
     cx = CubicalComplex(groups, squares)
     total = sum(cx.counts)
-    check_size(total, f"cell count {clip(str(total))}")
+    check_size(total, f"cell count {clip_int(total)}")
     return cx
 
 

@@ -11,9 +11,11 @@ coordinates in ascending order.  Its cotree edges index a fundamental cycle
 basis, and the staircase gives both halves of the calculus in closed form:
 
 - The witness of cotree edge (x, i), with v and w the coordinates of x and
-  x + T_i, is the reduced word (`cycle_witnesses` lists all in one grid pass)
+  x + T_i, is the reduced word
   prod_k s_k:g_{v_k} . s_i:(g_{v_i}^-1 g_{v_i+1}) . prod_{k desc} s_k:g_{w_k}^-1,
-  because the tree path to a vertex telescopes.
+  because the tree path to a vertex telescopes.  One grid pass spells them
+  all, as `Word`s (`cycle_witnesses`) or as the text `basis` prints
+  (`witness_texts`).
 - A word is walked letter by letter (`cotree_walker`): a letter of
   coordinate i crosses tree edges only when the state's coordinates after
   i are all 0, and otherwise one run of consecutive cotree indices (see
@@ -33,8 +35,8 @@ from dataclasses import dataclass
 from math import prod
 from typing import Callable, Iterator, Sequence
 
-from .groups import FiniteGroup, check_size, clip
-from .words import Word, invert_signed
+from .groups import FiniteGroup, check_size, clip_int
+from .words import Word, invert_signed, letter_tokens
 
 # An edge is (x, i): the unit segment from the vertex with mixed-radix index x
 # to the vertex x + T_i, whose position at coordinate i is one higher.
@@ -78,7 +80,7 @@ def build_fibre_graph(groups: Sequence[FiniteGroup]) -> FibreGraph:
     if not groups:
         raise ValueError("need at least one group")
     nverts = prod(G.order for G in groups)
-    check_size(nverts, f"vertex count {clip(str(nverts))}")
+    check_size(nverts, f"vertex count {clip_int(nverts)}")
     return FibreGraph(groups)
 
 
@@ -100,28 +102,57 @@ def betti_one(g: FibreGraph) -> int:
 
 
 def cycle_witnesses(g: FibreGraph) -> Iterator[Word]:
-    """The witness of each cotree edge, in basis order, in one pass over the grid.
+    """The witness of each cotree edge, in basis order, as a `Word`."""
+    letters = [[((k, e),) for e in range(G.order)] for k, G in enumerate(g.groups)]
+    return (Word(g.groups, w) for w in _spelt_witnesses(g.groups, letters, ()))
 
-    The letters of the head h and tail t are built once per coordinate i, then joined
-    around three letters of position p; t != 0 keeps the word reduced.
+
+def witness_texts(groups: Sequence[FiniteGroup]) -> list[str]:
+    """The witness of each cotree edge of a built graph of `groups`, in basis order, as
+    `format_words` prints it."""
+    return list(_spelt_witnesses(groups, letter_tokens(groups), "*"))
+
+
+def _spelt_witnesses(groups: Sequence[FiniteGroup], tokens: Sequence[Sequence],
+                     sep) -> Iterator:
+    """The witnesses in one pass over the grid, letter (k, e) spelt tokens[k][e].
+
+    A letter going up is spelt with `sep` after it, one coming down with `sep`
+    before it and the edge letter bare, so pieces join with +: letter tuples
+    and () give the letters, token strings and '*' the text.  The pieces of
+    the head h and tail t are spelt once per coordinate i, and each middle
+    v_i . up(t) . edge . down(t) . w_i once per tail and position p; t != 0
+    keeps the word reduced.  Every joined witness is in the kernel, as each
+    digit d meets d^-1 and each step v_i . edge . w_i projects to the identity:
+    those pieces are checked here.
     """
-    for i, G in enumerate(groups := g.groups):
-        steps = [(((i, p),) if p else (), ((i, G.table[G.inverses[p]][p + 1]),),
-                  ((i, G.inverses[p + 1]),)) for p in range(G.order - 1)]
-        tails = _digit_letters(groups, range(i + 1, len(groups)))[1:]
-        for up_h, down_h in _digit_letters(groups, range(i)) if steps and tails else ():
-            for up_t, down_t in tails:
-                for v_i, edge, w_i in steps:
-                    yield Word(groups, up_h + v_i + up_t + edge + down_t + w_i + down_h)
+    for i, G in enumerate(groups):
+        table, inv, row, steps = G.table, G.inverses, tokens[i], []
+        for p in range(G.order - 1):
+            edge = table[inv[p]][p + 1]
+            if table[table[p][edge]][inv[p + 1]]:
+                raise ValueError("basis witness is not in the kernel")
+            steps.append((row[p] + sep if p else sep[:0], row[edge], sep + row[inv[p + 1]]))
+        tails = _digit_pieces(groups, tokens, sep, range(i + 1, len(groups)))[1:]
+        middles = [v_i + up_t + edge + down_t + w_i
+                   for up_t, down_t in tails for v_i, edge, w_i in steps]
+        for up_h, down_h in _digit_pieces(groups, tokens, sep, range(i)) if middles else ():
+            for middle in middles:
+                yield up_h + middle + down_h
 
 
-def _digit_letters(groups: Sequence[FiniteGroup], coords: range) -> list[tuple[tuple, tuple]]:
-    """The up and the inverted-down letters of each mixed-radix digit tuple over `coords`."""
-    out = [((), ())]
+def _digit_pieces(groups: Sequence[FiniteGroup], tokens: Sequence[Sequence], sep,
+                  coords: range) -> list[tuple]:
+    """The up and the inverted-down pieces of each mixed-radix digit tuple over `coords`."""
+    empty = sep[:0]
+    out = [(empty, empty)]
     for k in coords:
-        inv = groups[k].inverses
-        out = [(up + ((k, d),), ((k, inv[d]),) + down) if d else (up, down)
-               for up, down in out for d in range(groups[k].order)]
+        G, row = groups[k], tokens[k]
+        if any(G.table[d][G.inverses[d]] for d in range(G.order)):
+            raise ValueError("basis witness is not in the kernel")
+        digits = [(empty, empty)] + [(row[d] + sep, sep + row[G.inverses[d]])
+                                     for d in range(1, G.order)]
+        out = [(up + up_d, down_d + down) for up, down in out for up_d, down_d in digits]
     return out
 
 

@@ -53,7 +53,7 @@ def check_size(count: int, what: str) -> None:
     if cap < 1:
         raise ValueError(f"MONODROMY_CELL_CAP must be a positive integer, got {clip(raw)!r}")
     if count > cap:
-        raise SizeLimitError(f"{what} exceeds cap {clip(str(cap))}")
+        raise SizeLimitError(f"{what} exceeds cap {clip_int(cap)}")
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def make_cyclic(n: int) -> FiniteGroup:
     """Cyclic group C_n with element k standing for x^k."""
     if n < 1:
         raise GroupValidationError("invalid order: n must be >= 1")
-    check_size(n * n, f"C{clip(str(n))} has order {clip(str(n))}: its table of order^2 entries")
+    check_size(n * n, f"C{clip_int(n)} has order {clip_int(n)}: its table of order^2 entries")
     elems = tuple(range(n))
     table = tuple(elems[a:] + elems[:a] for a in range(n))  # row a is (a + b) % n
     names = tuple("1" if k == 0 else ("x" if k == 1 else f"x^{k}") for k in range(n))
@@ -198,7 +198,7 @@ def make_symmetric(k: int) -> FiniteGroup:
     """
     if k < 1:
         raise GroupValidationError("invalid order: k must be >= 1")
-    order, what = 1, f"S{clip(str(k))} has order {clip(str(k))}!: its table of order^2 entries"
+    order, what = 1, f"S{clip_int(k)} has order {clip_int(k)}!: its table of order^2 entries"
     for d in range(2, k + 1):  # d! <= k!, so this stops at the first d! over the cap
         order *= d
         check_size(order * order, what)
@@ -220,7 +220,7 @@ def make_dihedral(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupValidationError("invalid order: n must be >= 1")
     check_size(4 * n * n,
-               f"D{clip(str(n))} has order {clip(str(2 * n))}: its table of order^2 entries")
+               f"D{clip_int(n)} has order {clip_int(2 * n)}: its table of order^2 entries")
 
     def mul(a, b):
         i1, f1 = a % n, a // n
@@ -266,7 +266,7 @@ def load_cayley_table(path: str) -> FiniteGroup:
                 raise GroupValidationError(f"field {key!r} must be {what}")
         order = data["order"]
         if order > 0:  # refused over the cap before the table is checked; < 1 by FiniteGroup
-            check_size(order * order, f"order {clip(str(order))}: its table of order^2 entries")
+            check_size(order * order, f"order {clip_int(order)}: its table of order^2 entries")
         return FiniteGroup(order, tuple(map(tuple, data["table"])), tuple(data["names"]))
     except ValueError as exc:
         raise GroupValidationError(f"cayley table file {path}: {exc}") from None
@@ -277,14 +277,42 @@ def clip(text: str) -> str:
     return text if len(text) <= 20 else text[:20] + "..."
 
 
+def _leading_digits(n: int, keep: int) -> tuple[str, int]:
+    """The first `keep` >= 1 digits of |n| and its digit count, without `str` of all of n."""
+    m = abs(n)
+    # 0.30102999 < log10 2, so the shift leaves at least `keep` digits
+    shift = max(int((m.bit_length() - 1) * 0.30102999) + 1 - keep, 0)
+    head = str(m // 10 ** shift)
+    return head[:keep], shift + len(head)
+
+
+def clip_int(n: int) -> str:
+    """clip(str(n)), also for an n with more digits than `str` writes."""
+    if -10 ** 19 < n < 10 ** 19:  # at most 20 characters
+        return str(n)
+    sign = "-" if n < 0 else ""
+    head, count = _leading_digits(n, 20 - len(sign))
+    return sign + head + ("..." if count > len(head) else "")
+
+
+def _over_limit(count: int) -> int:
+    """The most digits int() reads and str() writes, if `count` is more, else 0."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: unlimited, or no limit before 3.10.7
+    return limit if limit and count > limit else 0
+
+
 def token_int(digits: str, what: str, source: str) -> int:
     """int(digits), refused with a line naming `source` if it has more digits than int() reads."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: unlimited, or no limit before 3.10.7
-    count = len(digits.lstrip("+-"))
-    if limit and count > limit:
-        raise ValueError(f"{what} {clip(source)!r} has {count} digits, "
-                         f"over the limit of {limit}")
+    if limit := _over_limit(count := len(digits.lstrip("+-"))):
+        raise ValueError(f"{what} {clip(source)!r} has {count} digits, over the limit of {limit}")
     return int(digits)
+
+
+def printable_int(n: int, what: str) -> int:
+    """n, refused with a line naming `what` if it has more digits than str() writes."""
+    if limit := _over_limit(count := _leading_digits(n, 1)[1]):
+        raise ValueError(f"{what} has {count} digits, over the limit of {limit}")
+    return n
 
 
 _ITEM_RE = re.compile(r"([CSD])([0-9]+)$|table:(.+)$")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import neg
 from typing import Callable, Iterable, Sequence
 
-from .groups import FiniteGroup, clip, token_int
+from .groups import FiniteGroup, clip, clip_int, token_int
 
 
 @dataclass(frozen=True)
@@ -220,7 +220,7 @@ def parse_word(text: str, groups: Sequence[FiniteGroup]) -> Word:
             raise ValueError(f"cannot parse word token {clip(token)!r}")
         i = token_int(m.group(1), "coordinate in token", token)
         if not 1 <= i <= len(groups):
-            raise ValueError(f"coordinate {clip(str(i))} out of range in token {clip(token)!r}")
+            raise ValueError(f"coordinate {clip_int(i)} out of range in token {clip(token)!r}")
         G = groups[i - 1]
         if m.re is _NAME_TOKEN:
             raw.append((i - 1, G.index_of(m.group(2))))
@@ -236,13 +236,18 @@ def format_word(w: Word) -> str:
     return format_words([w])[0]
 
 
+def letter_tokens(groups: Sequence[FiniteGroup]) -> list[list[str]]:
+    """The token table: letter (f, e) prints as tokens[f][e], x<i>^<k> or s<i>:<name>."""
+    return [[name.replace("x", f"x{i + 1}") if _CYCLIC_NAME.fullmatch(name)
+             else f"s{i + 1}:{name}" for name in G.names] for i, G in enumerate(groups)]
+
+
 def format_words(words: Iterable[Word]) -> list[str]:
-    """Words as x<i>^<k> or s<i>:<name> tokens joined by '*', or 'e', from one token table."""
+    """Words as their letters' tokens joined by '*', or 'e', from one token table."""
     groups, out = None, []
     for w in words:
         if w.groups is not groups:
             groups = w.groups
-            tokens = [[name.replace("x", f"x{i + 1}") if _CYCLIC_NAME.fullmatch(name)
-                       else f"s{i + 1}:{name}" for name in G.names] for i, G in enumerate(groups)]
+            tokens = letter_tokens(groups)
         out.append("*".join([tokens[f][e] for f, e in w.letters]) or "e")
     return out

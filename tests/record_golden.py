@@ -132,6 +132,13 @@ def commands() -> list[tuple[list[str], str | None]]:
         ["graph", "--groups", ",".join(["C2"] * 70)],
         ["homology", "--groups", ",".join(["C100"] * 12),
          "--complex", "K={" + ";".join(map(str, range(1, 13))) + "}"],
+        # counts, a rank and an order of more digits than str() writes
+        ["graph", "--groups", ",".join(["C8"] * 5000)],
+        ["matrix", "--groups", ",".join(["C8"] * 5000), "--element", "x1"],
+        ["homology", "--groups", ",".join(["C8"] * 5000),
+         "--complex", "K={" + ";".join(map(str, range(1, 5001))) + "}"],
+        ["rank", "--groups", ",".join(["C8"] * 5000)],
+        ["rank", "--groups", "D" + "9" * 4300],
     ]
     capped = [
         (["graph", "--groups", "C2,C3"], "5"), (["graph", "--groups", "C2,C2,C2"], "5"),

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +15,7 @@ from monodromy.groups import (make_cyclic, make_dihedral, make_symmetric,
                               parse_group_spec)
 from monodromy.intmatrix import columns, cyclic_closed_form
 from monodromy.words import (commutator, conjugate, empty_word,
-                             free_reduce, invert, is_in_kernel, multiply,
+                             free_reduce, invert, is_in_kernel, multiply, parse_word,
                              project, random_kernel_word, random_word,
                              reduce_word, single)
 
@@ -394,8 +395,8 @@ def test_basis_refuses_a_witness_outside_the_kernel():
 
 
 def test_tree_basis_builds_witnesses_only_where_they_are_read(capsys, monkeypatch):
-    # act and matrix read the tree basis's walks off the grid and build no
-    # witness; `basis` prints every witness, built and kernel-checked
+    # act, matrix and basis read the tree basis off the grid and build no
+    # witness: `basis` spells each witness from its pieces, kernel-checked there
     real, built = action.cycle_witnesses, []  # each witness the factory yields
     monkeypatch.setattr(action, "cycle_witnesses",
                         lambda graph: (built.append(w) or w for w in real(graph)))
@@ -411,13 +412,23 @@ def test_tree_basis_builds_witnesses_only_where_they_are_read(capsys, monkeypatc
                         or bases[-1])
     for argv in (["act", "--element", "s1:(12)*x2"], ["matrix", "--element", "x3"], ["basis"]):
         assert cli.main([*argv, "--groups", "S3,C4,C3", "--basis", "tree"]) == 0
-    assert ["witnesses" in b.__dict__ for b in bases] == [False, False, True]
-    assert built == list(bases[2].witnesses) and len(built) == bases[2].rank
-    monkeypatch.setattr(cli, "tree_basis", lambda graph: replace(
-        tree_basis(graph), make_witnesses=lambda: [single(graph.groups, 0, 1)]))
-    capsys.readouterr()
-    assert cli.main(["basis", "--groups", "S3,C4,C3", "--basis", "tree"]) == 2
-    assert capsys.readouterr() == ("", "error: basis witness is not in the kernel\n")
+    assert ["witnesses" in b.__dict__ for b in bases] == [False, False, False] and not built
+    # a piece that does not cancel in the projection: a wrong inverse of the first
+    # factor (its steps) or of the last (the tails' digits)
+    for k in (0, 2):
+        def corrupted(spec, k=k):
+            groups = parse_group_spec(spec)
+            inverses = groups[k].inverses
+            object.__setattr__(groups[k], "inverses", inverses[:1] + inverses[2:] + inverses[1:2])
+            return groups
+        monkeypatch.setattr(cli, "parse_group_spec", corrupted)
+        capsys.readouterr()
+        assert cli.main(["basis", "--groups", "S3,C4,C3", "--basis", "tree"]) == 2, k
+        assert capsys.readouterr() == ("", "error: basis witness is not in the kernel\n"), k
+    # the factory behind `Basis.witnesses` (recompose, verify) checks what it builds
+    bad = replace(basis, make_witnesses=lambda: [single(groups, 0, 1)])
+    with pytest.raises(ValueError, match="basis witness is not in the kernel"):
+        bad.witnesses
 
 
 def test_commutator_basis_builds_witnesses_only_where_they_are_read(capsys, monkeypatch):
@@ -625,6 +636,43 @@ def test_seam_act_word_matches_full_reduction(monkeypatch):
             seen[basis.kind][0] += basis.rank - cancelled
             seen[basis.kind][1] += cancelled
     assert all(sliced and cancelled for sliced, cancelled in seen.values()), seen
+
+
+def test_image_texts_match_the_formatted_images(monkeypatch):
+    # `act`'s writer spells each cut of P and P^-1 once and formats only the
+    # middle runs: its texts against `format_image` of each `act_word` image,
+    # in both bases, for the identity, kernel words, random words and a word
+    # whose images reach the full-cancel branch
+    calls = []
+    monkeypatch.setattr("monodromy.action.free_reduce",
+                        lambda seq: calls.append(None) or free_reduce(seq))
+    rng = random.Random(41)
+    table = f"table:{Path(__file__).parent / 'fixtures' / 'c2_table.json'}"
+    specs = ["C2,C3", "C1,C3", "C3,C1,C2", "S3,C4,C3", "D4,C3,C2", "C3,C3,C3", f"{table},C3",
+             "S3,C4", "D4,C3", "C4,C4"]
+    for spec in specs:
+        groups = parse_group_spec(spec)
+        bases = [tree_basis(build_fibre_graph(groups))]
+        if len(groups) == 2 and min(G.order for G in groups) > 1:
+            bases.append(algebraic_basis(groups))
+        words = [empty_word(groups)] + [random_kernel_word(rng, groups, 8) for _ in range(4)]
+        words += [random_word(rng, groups, 12) for _ in range(12)]
+        for basis in bases:
+            for w in words:
+                calls.clear()
+                expected = [basis.format_image(img) for img in act_word(w, basis).images]
+                cancelled = len(calls)
+                calls.clear()
+                assert action.image_texts(w, basis) == expected, (spec, basis.kind, w)
+                assert len(calls) == cancelled, (spec, basis.kind, w)
+    # x2*x1 walks a witness, in each basis of C2xC3, to a run that cancels away
+    groups = parse_group_spec("C2,C3")
+    w = parse_word("x2*x1", groups)
+    for basis in (tree_basis(build_fibre_graph(groups)), algebraic_basis(groups)):
+        calls.clear()
+        texts = action.image_texts(w, basis)
+        assert calls, basis.kind
+        assert texts == [basis.format_image(img) for img in act_word(w, basis).images]
 
 
 # -- the walks of all witnesses from one state -----------------------------------

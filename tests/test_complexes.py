@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from math import prod
 
 import pytest
@@ -337,3 +338,29 @@ def test_h1_drops_trivial_factors_before_enumerating():
     apart = SimplicialComplex(n, tuple(p for p in pairs if p != frozenset({1, n})))
     assert h1(build_complex(cyclic(*orders), apart)) == 4
     assert bbcg_b1([3, 3], zero_complex(2)) == 4
+
+
+def test_squares_are_the_edges_of_k():
+    # `build_complex` reads the squares off each facet's vertex pairs: the same
+    # sorted supports as testing every pair of coordinates for a face of K
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        facets = [frozenset({v}) for v in range(1, n + 1)]
+        facets += [frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
+                   for _ in range(rng.randint(0, 4))]
+        K = SimplicialComplex(n, tuple(facets))
+        cx = build_complex(cyclic(*[rng.randint(1, 3) for _ in range(n)]), K)
+        assert cx.squares == tuple((i, j) for i, j in itertools.combinations(range(n), 2)
+                                   if K.has_face({i + 1, j + 1})), facets
+        assert cx.counts == tuple(map(len, tuple_cells(cx.orders, K))), facets
+
+
+def test_many_factor_refusal_is_quick():
+    # 600 factors of C2 with their singletons: refused on the cell count, with
+    # no pass over the pairs of coordinates (a loose bound, not a timer)
+    K = zero_complex(600)
+    began = time.perf_counter()
+    with pytest.raises(SizeLimitError, match=r"^cell count 12490041862331788805\.\.\. "):
+        build_complex(cyclic(*[2] * 600), K)
+    assert time.perf_counter() - began < 1.0

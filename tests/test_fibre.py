@@ -5,6 +5,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +13,10 @@ from monodromy.action import Basis, decompose, tree_basis
 from monodromy.cli import main
 from monodromy.fibre import (betti_one, build_fibre_graph, cotree_walker,
                              cycle_witnesses, grid_edges, place_values,
-                             rank_formula, to_dot)
+                             rank_formula, to_dot, witness_texts)
 from monodromy.groups import (SizeLimitError, make_cyclic, make_dihedral,
                               make_symmetric, parse_group_spec)
-from monodromy.words import (Word, commutator, free_reduce, invert,
+from monodromy.words import (Word, commutator, format_words, free_reduce, invert,
                              is_in_kernel, multiply,
                              random_kernel_word, reduce_word, single)
 
@@ -509,6 +510,18 @@ def test_one_pass_witnesses_match_per_edge_closed_form():
         assert tuple(cycle_witnesses(g)) == expected, spec
         assert tree_basis(g).witnesses == expected, spec
         assert len(expected) == betti_one(g), spec
+
+
+def test_witness_texts_match_the_formatted_witnesses():
+    # the text spelling of the closed form against the `Word`s it builds, as
+    # `format_words` prints them: trivial factors, S/D names and a loaded table
+    table = f"table:{Path(__file__).parent / 'fixtures' / 'c2_table.json'}"
+    for spec in ["C2,C3", "C1,C3", "C3,C1,C2,C2", "C1,C2,C1,C3", "C1", "C1,C1", "C5",
+                 "S3,C4,C3", "D4,C3,C2", "S3,D4", "C8,C8,C8", f"{table},C3", f"C2,{table},S3"]:
+        g = build_fibre_graph(parse_group_spec(spec))
+        texts = witness_texts(g.groups)
+        assert texts == format_words(cycle_witnesses(g)), spec
+        assert len(texts) == betti_one(g), spec
 
 
 def test_tree_path_is_a_staircase():
