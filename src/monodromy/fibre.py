@@ -16,13 +16,16 @@ basis, and the staircase gives both halves of the calculus in closed form:
   because the tree path to a vertex telescopes.  One grid pass spells them
   all, as `Word`s (`cycle_witnesses`) or as the text `basis` prints
   (`witness_texts`).
-- A word is walked letter by letter (`cotree_walker`): a letter of
-  coordinate i crosses tree edges only when the state's coordinates after
-  i are all 0, and otherwise one run of consecutive cotree indices (see
-  `grid_edges`).  From the basepoint the walk of a kernel word is its
-  decomposition; from any other vertex it is a translate, which is how
-  `action.act_word` reads a conjugate g w g^-1 as the cycle w translated
-  by the image of g, and `cotree_walks` translates every witness at once.
+- A letter of coordinate i moves the state along one line of the grid: it
+  crosses tree edges only when the state's coordinates after i are all 0,
+  and otherwise one run of consecutive cotree indices (see `grid_edges`).
+  `_cotree_lines` holds that arithmetic once; a word is walked letter by
+  letter (`cotree_walker`).  From the basepoint the walk of a kernel word
+  is its decomposition; from any other vertex it is a translate, which is
+  how `action.act_word` reads a conjugate g w g^-1 as the cycle w
+  translated by the image of g.  `cotree_walks` translates every witness
+  at once, by coordinate blocks: one line read per tree-path parent and
+  per block of cotree edges, and one crossing per vertex and per witness.
 
 tests/test_fibre.py keeps the oracles: a breadth-first search for the graph, an
 edge-path walker, and `cycle_witness`, the per-edge witness removed from this API.
@@ -36,7 +39,7 @@ from math import prod
 from typing import Callable, Iterator, Sequence
 
 from .groups import FiniteGroup, check_size, clip_int
-from .words import Word, invert_signed, letter_tokens
+from .words import Word, letter_tokens
 
 # An edge is (x, i): the unit segment from the vertex with mixed-radix index x
 # to the vertex x + T_i, whose position at coordinate i is one higher.
@@ -161,16 +164,18 @@ def place_values(orders: Sequence[int]) -> list[int]:
     return [prod(orders[i + 1:]) for i in range(len(orders))]
 
 
-def _cotree_step(g: FibreGraph) -> Callable[[int, int, int, list], int]:
-    """The tree basis's walk of one letter: `step(i, e, index, out) -> index`.
+def _cotree_lines(g: FibreGraph) -> Callable[[int, int], tuple]:
+    """`line(i, index) -> (a, row, up, down)`: the line of coordinate i through
+    the vertex `index`, which holds the tree basis's cotree-index arithmetic.
 
-    The letter (i, e) moves coordinate i of the vertex `index` from a to b = a*e
-    and returns the new index.  If the state's coordinates after i are all 0
-    it crosses tree edges only; otherwise it appends to `out` the one cotree
-    chain it crosses, edges of consecutive indices base + p, as symbols
-    +-(base + p + 1): upward over p = a..b-1, downward over p = a-1..b.
+    a is the vertex's position at coordinate i and row its row of the table,
+    so a letter e moves it to b = row[e].  The line's edge p has cotree
+    index base + p, so its symbol is up[p] = base + p + 1 and its inverse
+    down[p + 1]: moving from a to b crosses up[a:b] going up and down[a:b:-1]
+    going down.  If the vertex's coordinates after i are all 0
+    the line is on the tree and both are empty.
     """
-    # a Word's letters are valid elements, so the step reads the tables unchecked
+    # a Word's letters are valid elements, so the walks read the tables unchecked
     tables = [G.table for G in g.groups]
     orders = [G.order for G in g.groups]
     # T_i = prod_{k>i} m_k, and off_i = the cotree edges of coordinates < i
@@ -178,31 +183,30 @@ def _cotree_step(g: FibreGraph) -> Callable[[int, int, int, list], int]:
     offsets = list(itertools.accumulate(
         (prod(orders[:k]) * (tails[k] - 1) * (m - 1) for k, m in enumerate(orders)), initial=0))
 
-    def step(i: int, e: int, index: int, out: list) -> int:
+    def line(i: int, index: int) -> tuple:
         tail, m = tails[i], orders[i]
         a = (index // tail) % m
-        b = tables[i][a][e]
-        index += (b - a) * tail
         t = index % tail  # the coordinates after i; 0 on a tree edge
-        if t:
-            h = index // (tail * m)  # the coordinates before i
-            base = offsets[i] + (h * (tail - 1) + t - 1) * (m - 1)
-            if b > a:
-                out += range(base + a + 1, base + b + 1)
-            else:
-                out += range(-base - a, -base - b)
-        return index
+        if not t:
+            return a, tables[i][a], (), ()
+        h = index // (tail * m)  # the coordinates before i
+        base = offsets[i] + (h * (tail - 1) + t - 1) * (m - 1)
+        return a, tables[i][a], range(base + 1, base + m + 1), range(-base, -base - m, -1)
 
-    return step
+    return line
 
 
 def cotree_walker(g: FibreGraph) -> Walker:
-    """The letter walk of the tree basis, from any state: one `_cotree_step` per letter."""
-    step = _cotree_step(g)
+    """The letter walk of the tree basis, from any state: one line read per letter."""
+    line = _cotree_lines(g)
+    tails = place_values([G.order for G in g.groups])
 
     def walk(letters: Sequence[tuple[int, int]], index: int, out: list) -> int:
         for i, e in letters:
-            index = step(i, e, index, out)
+            a, row, up, down = line(i, index)
+            b = row[e]
+            index += (b - a) * tails[i]
+            out += up[a:b] if b > a else down[a:b:-1]
         return index
 
     return walk
@@ -215,41 +219,56 @@ def cotree_walks(g: FibreGraph) -> Callable[[int], tuple[tuple, ...]]:
     letters of v's nonzero coordinates ascending and E the edge letter.  Walks
     concatenate and inverse letters retrace, so its walk is Phi(x) + E +
     Phi(x + T_i)^-1, Phi(v) the walk of up(v) and E walked from where Phi(x)
-    ends.  In staircase order, v = (h m_k + d) T_k is its parent h m_k T_k and (k, d).
+    ends.  In staircase order, v = (h m_k + d) T_k is its parent h m_k T_k and
+    (k, d): each parent's line at coordinate k is read once, and each Phi(v)
+    and Phi(v)^-1 extend their parent's by one crossing.  The edges of one
+    (i, h, t) block share a line, which E moves from row[p] to row[p + 1].
     """
-    step = _cotree_step(g)
+    line = _cotree_lines(g)
     orders = [G.order for G in g.groups]
     tails = place_values(orders)
-    edges = [[G.table[G.inverses[p]][p + 1] for p in range(G.order - 1)] for G in g.groups]
 
     def walks(start: int) -> tuple[tuple, ...]:
         phi: list = [()] * prod(orders)
+        back = phi[:]  # Phi(v)^-1
         ends = [start] * len(phi)  # the state each Phi(v) ends at
         for k, (m, tail) in enumerate(zip(orders, tails)):
             for parent in range(0, len(phi), m * tail):
+                end = ends[parent]
+                a, row, up, down = line(k, end)
+                up, down, rest = tuple(up), tuple(down), end - a * tail
+                run, inverse = phi[parent], back[parent]
                 for d in range(1, m):
-                    out: list = []
-                    v = parent + d * tail
-                    ends[v] = step(k, d, ends[parent], out)
-                    phi[v] = phi[parent] + tuple(out)
-        back = [invert_signed(run) for run in phi]
+                    b, v = row[d], parent + d * tail
+                    ends[v] = rest + b * tail
+                    if b > a:
+                        phi[v], back[v] = run + up[a:b], down[b:a:-1] + inverse
+                    else:
+                        phi[v], back[v] = run + down[a:b:-1], up[b:a] + inverse
         runs = []
-        for x, i in grid_edges(orders, cotree_only=True):
-            edge: list = []
-            step(i, edges[i][(x // tails[i]) % orders[i]], ends[x], edge)
-            runs.append(phi[x] + tuple(edge) + back[x + tails[i]])
+        for i, (m, tail) in enumerate(zip(orders, tails)):
+            for parent in range(0, len(phi), m * tail):
+                for x in range(parent + 1, parent + tail):  # the block's edge at p = 0
+                    _, row, up, down = line(i, ends[x])
+                    up, down = tuple(up), tuple(down)
+                    for p in range(m - 1):
+                        a, b = row[p], row[p + 1]
+                        runs.append(phi[x] + (up[a:b] if b > a else down[a:b:-1]) + back[x + tail])
+                        x += tail
         return tuple(runs)
 
     return walks
 
 
 def to_dot(g: FibreGraph) -> str:
-    """DOT rendering: tree edges solid, cotree edges dashed."""
+    """DOT rendering: tree edges solid, cotree edges dashed; each label is a
+    quoted string, its names' backslashes and quotes escaped."""
     orders = [G.order for G in g.groups]
     tails = place_values(orders)
     # the id and label of each vertex, in index order
     ids = [",".join(p) for p in itertools.product(*([str(k) for k in range(m)] for m in orders))]
-    labels = [",".join(p) for p in itertools.product(*(G.names for G in g.groups))]
+    names = [[n.replace("\\", "\\\\").replace('"', '\\"') for n in G.names] for G in g.groups]
+    labels = [",".join(p) for p in itertools.product(*names)]
     lines = ["graph fibre {"]
     lines += [f'  "{v}" [label="{label}"];' for v, label in zip(ids, labels)]
     for x, i in grid_edges(orders):

@@ -21,6 +21,8 @@ import sys
 from dataclasses import dataclass, field
 
 DEFAULT_CELL_CAP = 10**6
+# the word token s<i>:<name>, an element named in a table; read by `words.parse_word`
+_NAME_TOKEN = re.compile(r"s([0-9]+):(.+)$")
 
 
 class GroupValidationError(ValueError):
@@ -267,7 +269,14 @@ def load_cayley_table(path: str) -> FiniteGroup:
         order = data["order"]
         if order > 0:  # refused over the cap before the table is checked; < 1 by FiniteGroup
             check_size(order * order, f"order {clip_int(order)}: its table of order^2 entries")
-        return FiniteGroup(order, tuple(map(tuple, data["table"])), tuple(data["names"]))
+        G = FiniteGroup(order, tuple(map(tuple, data["table"])), tuple(data["names"]))
+        for e, name in enumerate(G.names):
+            # the token s<i>:<name> as `words.parse_word` reads it
+            m = _NAME_TOKEN.match(f"s1:{name}".split("*")[0].strip())
+            if m is None or m.group(2) != name or G.index_of(name) != e:
+                raise GroupValidationError(
+                    f"name {clip(name)!r} of element {e} does not read back in a word")
+        return G
     except ValueError as exc:
         raise GroupValidationError(f"cayley table file {path}: {exc}") from None
 

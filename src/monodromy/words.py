@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import neg
 from typing import Callable, Iterable, Sequence
 
-from .groups import FiniteGroup, clip, clip_int, token_int
+from .groups import _NAME_TOKEN, FiniteGroup, clip, clip_int, token_int
 
 
 @dataclass(frozen=True)
@@ -196,8 +196,7 @@ def random_kernel_word(rng: random.Random, groups: Sequence[FiniteGroup],
 
 
 _X_TOKEN = re.compile(r"x([0-9]+)(?:\^(-?[0-9]+))?$")
-_NAME_TOKEN = re.compile(r"s([0-9]+):(.+)$")
-_CYCLIC_NAME = re.compile(r"x(\^-?[0-9]+)?")
+_CYCLIC_NAME = re.compile(r"x(?:\^(-?[0-9]+))?")
 
 
 def parse_word(text: str, groups: Sequence[FiniteGroup]) -> Word:
@@ -237,9 +236,41 @@ def format_word(w: Word) -> str:
 
 
 def letter_tokens(groups: Sequence[FiniteGroup]) -> list[list[str]]:
-    """The token table: letter (f, e) prints as tokens[f][e], x<i>^<k> or s<i>:<name>."""
-    return [[name.replace("x", f"x{i + 1}") if _CYCLIC_NAME.fullmatch(name)
-             else f"s{i + 1}:{name}" for name in G.names] for i, G in enumerate(groups)]
+    """The token table: letter (f, e) prints as tokens[f][e], x<i>^<k> or s<i>:<name>.
+
+    A name x or x^k prints as x<i>^<k> only where `parse_word` reads that back
+    as e, `G.power(1, k)`; any other name prints as s<i>:<name>.
+    """
+    tokens = []
+    for i, G in enumerate(groups):
+        powers = _powers_of_one(G)
+        tokens.append([name.replace("x", f"x{i + 1}") if _power_of_one(name, powers) == e
+                       else f"s{i + 1}:{name}" for e, name in enumerate(G.names)])
+    return tokens
+
+
+def _powers_of_one(G: FiniteGroup) -> list[int]:
+    """The powers 1, g, g^2, ... of g = element 1, up to its order; [] if G is trivial."""
+    if G.order < 2:
+        return []
+    powers, x = [0], 1
+    while x:
+        powers.append(x)
+        x = G.table[x][1]
+    return powers
+
+
+def _power_of_one(name: str, powers: list[int]) -> int | None:
+    """The element x<i>^<k>, spelt from a name x or x^k, reads as; None for other names
+    and for an exponent with more digits than `parse_word` reads."""
+    m = _CYCLIC_NAME.fullmatch(name)
+    if m is None or not powers:
+        return None
+    try:
+        k = 1 if m.group(1) is None else int(m.group(1))
+    except ValueError:  # the digit limit `token_int` refuses too
+        return None
+    return powers[k % len(powers)]
 
 
 def format_words(words: Iterable[Word]) -> list[str]:

@@ -42,10 +42,14 @@ def commands() -> list[tuple[list[str], str | None]]:
     for groups in ("C2,C3", "C1,C2,C3", "S3,D4", "C2,C2,C2,C2"):
         ok += _forms("graph", "--groups", groups)
     ok += [["graph", "--groups", "C2,C2", "--emit", "dot"],
-           ["graph", "--groups", "C1,C3,C2", "--emit", "dot"]]
+           ["graph", "--groups", "C1,C3,C2", "--emit", "dot"],
+           # names with a quote and a backslash, escaped in the DOT labels
+           ["graph", "--groups", "table:fixtures/quoted_names.json,C2", "--emit", "dot"]]
     for groups, basis in (("C2,C3", "algebraic"), ("C2,C3", "tree"), ("S3,C2", "auto"),
                           ("S3,C2", "tree"), ("D4,C2", "algebraic"), ("C1,C3,C2", "tree"),
-                          ("C2,C2,C2,C2", "auto"), ("table:fixtures/c2_table.json,C3", "tree")):
+                          ("C2,C2,C2,C2", "auto"), ("table:fixtures/c2_table.json,C3", "tree"),
+                          # C3 named 1, x^2, x: names that read back only as s1:<name>
+                          ("table:fixtures/c3_x_names.json,C2", "tree")):
         ok += _forms("basis", "--groups", groups, "--basis", basis)
     for groups, element, basis in (
             ("C2,C3", "x1", "algebraic"), ("C2,C3", "x2", "tree"), ("C2,C3", "e", "auto"),
@@ -53,7 +57,8 @@ def commands() -> list[tuple[list[str], str | None]]:
             ("D4,C3", "s1:rs*x2", "tree"), ("D4,C3", "s1:r^3*x2*s1:s", "algebraic"),
             ("C1,C3,C2", "x2*x3", "tree"), ("C2,C2,C2,C2", "x1*x4*x2", "tree"),
             ("C8,C3", "x1^99999999999999", "auto"),
-            ("table:fixtures/c2_table.json,C3", "s1:a*x2", "tree")):
+            ("table:fixtures/c2_table.json,C3", "s1:a*x2", "tree"),
+            ("table:fixtures/c3_x_names.json,C2", "s1:x*x2*s1:x^2", "tree")):
         ok += _forms("act", "--groups", groups, "--element", element, "--basis", basis)
     for groups, element, basis in (
             ("C2,C3", "x1", "auto"), ("C2,C3", "x2", "tree"), ("C3,C3", "x1*x2", "algebraic"),
@@ -83,6 +88,10 @@ def commands() -> list[tuple[list[str], str | None]]:
         ["rank", "--groups", "table:fixtures/not_a_group.json"],
         ["rank", "--groups", "table:fixtures/not_json.json"],
         ["rank", "--groups", "table:fixtures/missing_field.json"],
+        # names a word cannot read back: a duplicate, one with '*', one with spaces
+        ["rank", "--groups", "table:fixtures/duplicate_names.json"],
+        ["rank", "--groups", "table:fixtures/star_name.json"],
+        ["rank", "--groups", "table:fixtures/spaced_name.json"],
         ["act", "--groups", "C2,C3", "--element", "x9"],
         ["act", "--groups", "C2,C3", "--element", "x1-2"],
         ["act", "--groups", "C3,C4", "--element", "x1^"],

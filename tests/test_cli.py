@@ -18,7 +18,8 @@ from monodromy.commutators import MAX_LEMMA_TRIALS
 from monodromy.fibre import build_fibre_graph
 from monodromy.groups import parse_group_spec
 from monodromy.intmatrix import IntMatrix, abelianize, determinant
-from monodromy.words import empty_word, format_word, project, random_kernel_word, random_word
+from monodromy.words import (empty_word, format_word, parse_word, project, random_kernel_word,
+                             random_word)
 from oracles import pretty
 
 
@@ -447,6 +448,7 @@ def test_every_refusal_line_is_bounded(capsys, monkeypatch):
         (None, "rank", "--groups", "C" + nines), (None, "rank", "--groups", "S" + nines),
         (None, "rank", "--groups", "D" + nines),
         (None, "rank", "--groups", "table:fixtures/order_over_cap.json"),
+        (None, "rank", "--groups", "table:fixtures/star_name.json"),
         (None, "act", "--groups", "C2,C3", "--element", "s1:" + qs),
         ("9" * 5000, "rank", "--groups", "C2"), (nines, "rank", "--groups", "C" + nines),
         (None, "act", "--groups", "C2,C3", "--element", "x" + nines),
@@ -476,6 +478,20 @@ def test_every_refusal_line_is_bounded(capsys, monkeypatch):
         assert err.startswith("error: ") and err.count("\n") == 1, (argv[:2], err[:100])
         assert len(err[:-1].encode()) <= 200 and "Traceback" not in err, (argv[:2], err[:100])
         assert "Exceeds the limit" not in err, (argv[:2], err[:100])
+
+
+def test_printed_witnesses_read_back_as_elements(capsys, monkeypatch):
+    # `basis` prints each witness in the word syntax `--element` reads: over a C3
+    # named 1, x^2, x, the token x1^2 would name x^2 = element 2, so it is s1:x^2
+    monkeypatch.chdir(Path(__file__).parent)
+    spec = "table:fixtures/c3_x_names.json,C2"
+    code, out, err = run(capsys, "basis", "--groups", spec, "--basis", "tree", "--format", "json")
+    assert (code, err) == (0, "")
+    groups = parse_group_spec(spec)
+    witnesses = tree_basis(build_fibre_graph(groups)).witnesses
+    texts = json.loads(out)["witnesses"]
+    assert texts[0] == "x2*s1:x^2*x2*s1:x"
+    assert [parse_word(t, groups) for t in texts] == list(witnesses)
 
 
 def test_integer_flags_echo_a_bad_value_cut(capsys):
@@ -750,6 +766,25 @@ def test_large_matrix_bytes_are_pinned(capsys):
                              "--element", "x1*x2*x3", "--format", fmt)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+def test_tree_act_and_matrix_bytes_are_pinned_from_a_nonzero_state(capsys):
+    # rank 199: the sha256 of stdout, text and JSON, recorded when the witness
+    # walks took one letter step per vertex and per witness; the element walks
+    # from the basepoint to the state (2, 4, 2), no coordinate of it 0
+    element = "s1:(123)*s2:rs*x3*s1:(12)*s2:r*x3"
+    pins = {"act": ("5b07fb3c85204e791eb1da82f8c71d9f73c7f095190f7d751a6e64230f5cfe39",
+                    "32c19be035eaf78a3ef3f8f2f4d4739df9ecd7f133e8b386f812794607dba935"),
+            "matrix": ("3deabdf169826de477ee41e703108441951010b0cc5df3acc1e5efeb47714013",
+                       "489a1be98f0e441c42167af9cb626e5e8121881629e390e4ea23cf8ddbba7328")}
+    began = time.perf_counter()
+    for command, digests in pins.items():
+        for fmt, digest in zip(("text", "json"), digests):
+            code, out, err = run(capsys, command, "--groups", "S3,D4,C3", "--basis", "tree",
+                                 "--element", element, "--format", fmt)
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, fmt)
+    assert time.perf_counter() - began < 0.3
 
 
 def test_tree_basis_and_act_bytes_are_pinned(capsys):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from collections import deque
 from dataclasses import dataclass
 from math import prod
@@ -207,6 +208,24 @@ def test_dot_output():
     assert dot.startswith("graph fibre {")
     assert dot.count("--") == 4
     assert "style=dashed" in dot and "style=solid" in dot
+
+
+def test_dot_labels_are_well_formed_quoted_strings(tmp_path):
+    # each vertex line is one DOT quoted string per id and label, with only \" and
+    # \\ escaped inside; unescaped, the label is the vertex's names joined by ','
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps({"order": 3, "names": ["1", 'a"b', "c\\"],
+                                "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}))
+    vertex_line = re.compile(r'  "([0-9,]+)" \[label="((?:[^"\\]|\\["\\])*)"\];')
+    for spec in (f"table:{path},C2", f"S3,table:{path}", "D4,C1"):
+        groups = parse_group_spec(spec)
+        lines = [ln for ln in to_dot(build_fibre_graph(groups)).splitlines() if "label=" in ln]
+        labels = [",".join(p) for p in itertools.product(*(G.names for G in groups))]
+        assert len(lines) == len(labels), spec
+        for line, label in zip(lines, labels):
+            m = vertex_line.fullmatch(line)
+            assert m is not None, (spec, line)
+            assert re.sub(r"\\(.)", r"\1", m.group(2)) == label, (spec, line)
 
 
 @dataclass(frozen=True)

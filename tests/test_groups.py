@@ -7,6 +7,7 @@ from monodromy.groups import (FiniteGroup, GroupSpecParseError,
                               GroupValidationError, S3_CLASSIC_ORDER,
                               SizeLimitError, load_cayley_table, make_cyclic,
                               make_dihedral, make_symmetric, parse_group_spec)
+from monodromy.words import parse_word
 
 
 def test_trivial_group():
@@ -162,6 +163,36 @@ MALFORMED_TABLE_FILES = {
     '{"order": true, "names": ["1"], "table": [[0]]}': "field 'order'",
     '{"order": 1, "names": ["1"]}': "missing field 'table'",
 }
+
+
+def test_cayley_table_names_must_read_back_in_a_word(tmp_path):
+    # each name is refused, after every axiom check, unless the token s<i>:<name>
+    # reads back as its element: no duplicate, no '*', no trailing whitespace,
+    # nothing the token's pattern does not match
+    c2, c3 = [[0, 1], [1, 0]], [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    path = tmp_path / "names.json"
+    refused = {("1", "1"): ("1", 1), ("1", "a*b"): ("a*b", 1), ("1", " a "): (" a ", 1),
+               ("1", "a\t"): ("a\t", 1), ("1", ""): ("", 1), ("1", "a\nb"): ("a\nb", 1),
+               ("1", "a", "a"): ("a", 2), ("*", "a", "b"): ("*", 0),
+               ("1", "Q" * 30 + "*"): ("Q" * 20 + "...", 1)}
+    for names, (shown, element) in refused.items():
+        path.write_text(json.dumps({"order": len(names), "names": list(names),
+                                    "table": c2 if len(names) == 2 else c3}))
+        with pytest.raises(GroupValidationError) as info:
+            load_cayley_table(str(path))
+        assert str(info.value) == (f"cayley table file {path}: name {shown!r} of element "
+                                   f"{element} does not read back in a word"), names
+    # an axiom is checked first
+    path.write_text(json.dumps({"order": 2, "names": ["1", "1"], "table": [[0, 1], [1, 1]]}))
+    with pytest.raises(GroupValidationError, match="inverse"):
+        load_cayley_table(str(path))
+    # a leading space, a quote, a backslash and a name like a power read back
+    for names in ((" a", 'a"b\\c'), ("x^2", "x")):
+        path.write_text(json.dumps({"order": 3, "names": ["1", *names], "table": c3}))
+        G = load_cayley_table(str(path))
+        groups = (G, make_cyclic(2))
+        for e, name in enumerate(names, 1):
+            assert parse_word(f"s1:{name}*x2", groups).letters == ((0, e), (1, 1)), name
 
 
 def test_malformed_cayley_table_file_names_path_and_field(tmp_path):

@@ -170,14 +170,17 @@ def test_letters_are_int_pairs():
 
 
 def format_word_per_letter(w):
-    """The printed form of a word, one regex test per letter."""
+    """The printed form of a word, one letter at a time: a name x or x^k as
+    x<i>^<k> where `parse_word` reads that token back as the letter."""
     if not w.letters:
         return "e"
     parts = []
     for f, e in w.letters:
         name = w.groups[f].names[e]
-        if re.fullmatch(r"x(\^-?[0-9]+)?", name):
-            parts.append(name.replace("x", f"x{f + 1}"))
+        token = name.replace("x", f"x{f + 1}")
+        if (re.fullmatch(r"x(\^-?[0-9]+)?", name)
+                and parse_word(token, w.groups).letters == ((f, e),)):
+            parts.append(token)
         else:
             parts.append(f"s{f + 1}:{name}")
     return "*".join(parts)
@@ -202,8 +205,38 @@ def test_format_words_matches_per_letter_form(tmp_path):
         assert format_words(words) == expected
         assert [format_word(w) for w in words] == [str(w) for w in words] == expected
     assert format_words([empty_word(table_groups)]) == ["e"]
+    # in C2 x C2, x^2 is the identity: element 2, named x^2, prints by its name
     assert format_words([single(table_groups, 0, k) for k in range(1, 4)]) == [
-        "x1", "x1^2", "s1:xy"]
+        "x1", "s1:x^2", "s1:xy"]
+
+
+def test_printed_words_read_back(tmp_path):
+    # table groups named like powers of element 1, rightly or not: C3 named
+    # 1, x^2, x (x1^2 would read back as x^2 = element 2, not element 1), C4
+    # named with exponents out of range and negative, Klein named 1, x, x^2, xy,
+    # and C2 with an exponent of more digits than parse_word reads
+    tables = {"c3": (["1", "x^2", "x"], [[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
+              "c4": (["1", "x^5", "x^-2", "x^-1"],
+                     [[(a + b) % 4 for b in range(4)] for a in range(4)]),
+              "klein": (["1", "x", "x^2", "xy"],
+                        [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]),
+              "c2": (["1", "x^" + "3" * 5000], [[0, 1], [1, 0]])}
+    specs = []
+    for name, (names, table) in tables.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"order": len(names), "names": names, "table": table}))
+        specs.append(f"table:{path}")
+    c3 = parse_group_spec(f"{specs[0]},C2")
+    assert format_words([single(c3, 0, 1), single(c3, 0, 2)]) == ["s1:x^2", "s1:x"]
+    c4 = parse_group_spec(f"{specs[1]},C3")
+    assert format_words([single(c4, 0, k) for k in (1, 2, 3)]) == ["x1^5", "x1^-2", "x1^-1"]
+    c2 = parse_group_spec(f"{specs[3]},C3")
+    assert format_words([single(c2, 0, 1)]) == ["s1:x^" + "3" * 5000]
+    rng = random.Random(22)
+    for groups in (c3, c4, parse_group_spec(",".join(specs) + ",S3,C1")):
+        for _ in range(200):
+            w = random_word(rng, groups, 10)
+            assert parse_word(format_word(w), groups) == w, format_word(w)
 
 
 def test_signed_ints_match_the_pair_encoding():
