@@ -15,16 +15,23 @@ c = p |H| + q in the commutator basis (`commutator_walker`).  Each letter
 emits the signed symbols s with  c . letter = s . c', so walks concatenate;
 a kernel word walks from 0 back to 0 and spells its decomposition, and
 conjugation by g sends a witness w to P . walk(w from pi(g)) . P^-1, where
-P is the walk of g; `Basis.walks` caches the witness walks of one state.
-Each basis passes its witness walks, `Basis.closed_walks`: the tree basis
-reads them off the grid (`fibre.cotree_walks`), the commutator basis walks
-each commutator's raw letters.  No walk builds a witness; `Basis.witnesses`
-builds and kernel-checks them on first read (`recompose`, verify, and `basis`
-in the commutator basis; the tree basis prints `fibre.witness_texts`).
-So act(g) is x -> P x P^-1 after the automorphism that sends witness j to
-its walk W_j from pi(g), `outer_representative`: one outer class, one H1
-matrix, read off the state alone.  `act_word` keeps P, and `image_texts`,
-which `act` prints, spells each image from the cuts of P and P^-1 around it.
+P is the walk of g.  Each basis passes its per-vertex pass, `Basis.conjugates`:
+from a state, the walk of each witness is Phi(x) E Phi(x')^-1, Phi(v) the
+walk of a tree path, and the pass spells Q(v), the reduction of P . Phi(v),
+and its inverse once per vertex and joins each image as Q(x) E Q(x')^-1;
+`_Joiner` holds P and takes the few vertices and images where P cancels.
+The tree basis's pass reads the grid by coordinate blocks
+(`fibre.cotree_pass`), the commutator basis's lists the vertices g_p and
+its joins (`_commutator_paths`).  `act_word` joins signed symbols and
+`image_texts`, which `act` prints, slices of one text of every token.  The
+witness walks, `Basis.closed_walks` and its one-state cache `Basis.walks`,
+are the tree basis's images under the empty P; the commutator basis walks
+each commutator's raw letters.  No walk builds a witness; `Basis.witnesses` builds and
+kernel-checks them on first read (`recompose`, verify, and `basis` in the
+commutator basis; the tree basis prints `fibre.witness_texts`).  So act(g)
+is x -> P x P^-1 after the automorphism that sends witness j to its walk
+W_j from pi(g), `outer_representative`: one outer class, one H1 matrix,
+read off the state alone.
 """
 
 from __future__ import annotations
@@ -35,10 +42,10 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .fibre import (FibreGraph, Walker, betti_one, cotree_walker, cotree_walks,
+from .fibre import (FibreGraph, Walker, betti_one, cotree_pass, cotree_walker,
                     cycle_witnesses)
 from .groups import FiniteGroup
-from .words import Word, free_reduce, invert, invert_signed, projection, reduce_word
+from .words import Word, invert, invert_signed, projection, reduce_word
 
 # A signed symbol word (see `words`): symbol k is k + 1, its inverse -(k + 1)
 SymbolWord = tuple[int, ...]
@@ -54,6 +61,8 @@ class Basis:
     walk: Walker = field(compare=False, repr=False)  # the letter walk, from any state
     # the witness walks by start, which build no witness
     closed_walks: Callable[[int], tuple] = field(compare=False, repr=False)
+    # the per-vertex pass: every witness's walk from a state, joined by a `_Joiner`
+    conjugates: Callable[[int, "_Joiner"], list] = field(compare=False, repr=False)
 
     @functools.cached_property
     def witnesses(self) -> tuple[Word, ...]:
@@ -85,18 +94,18 @@ class Basis:
         """Symbol x prints as tokens[x]: a negative x wraps round to the reversed inverses."""
         return ["", *self.symbols, *(s + "^-1" for s in reversed(self.symbols))]
 
+    @functools.cached_property
+    def text_table(self) -> tuple[str, list[int]]:
+        """The text table of a `_Joiner`: '*' + tokens[x] for x = 1, ..., r, -r, ..., -1
+        in one text, and where the first k of them end, for each k."""
+        pieces = ["*" + s for s in self.symbols]
+        return _text_and_ends(pieces + [p + "^-1" for p in reversed(pieces)])
+
     def format_image(self, image: SymbolWord) -> str:
         """The image's tokens joined by '*', or 'e'."""
         if len(image) > 1:
             return "*".join(itemgetter(*image)(self.tokens))
         return self.tokens[image[0]] if image else "e"
-
-
-def _walk_each(walk: Walker, letters: Sequence[tuple], start: int) -> tuple[SymbolWord, ...]:
-    runs: list[list] = [[] for _ in letters]
-    for word, raw in zip(letters, runs):
-        walk(word, start, raw)
-    return tuple(map(tuple, runs))
 
 
 def algebraic_basis(groups: Sequence[FiniteGroup]) -> Basis:
@@ -113,9 +122,53 @@ def algebraic_basis(groups: Sequence[FiniteGroup]) -> Basis:
     pairs = list(itertools.product(range(1, G.order), range(1, H.order)))
     letters = [((0, i), (1, j), (0, G.inverses[i]), (1, H.inverses[j])) for i, j in pairs]
     walk = commutator_walker(G, H)
+    paths = functools.lru_cache(maxsize=1)(_commutator_paths(G, H, pairs))
+
+    def conjugates(start: int, joiner: _Joiner) -> list:
+        return joiner.over(*paths(start))
+
     return Basis("algebraic-n2", groups, tuple(f"w[{i},{j}]" for i, j in pairs),
                  lambda: (Word(groups, w) for w in letters), walk,
-                 functools.partial(_walk_each, walk, letters))
+                 functools.partial(_walk_each, walk, letters), conjugates)
+
+
+def _walk_each(walk: Walker, letters: Sequence[tuple], start: int) -> tuple[SymbolWord, ...]:
+    runs: list[list] = [[] for _ in letters]
+    for word, raw in zip(letters, runs):
+        walk(word, start, raw)
+    return tuple(map(tuple, runs))
+
+
+def _commutator_paths(G: FiniteGroup, H: FiniteGroup,
+                      pairs: Sequence[tuple[int, int]]) -> Callable[[int], tuple[list, list]]:
+    """`paths(start)`: the steps and joins of the commutator basis's pass
+    (`_Joiner.over`) from the state `start` = p |H| + q.
+
+    By `commutator_walker`'s rule, with r = p g_i and s = q h_j, the walk of
+    [g_i, h_j] is [g_p, h_q] [g_r, h_q]^-1 [g_r, h_s] [g_p, h_s]^-1, each
+    symbol dropped where an index is 0.  So the vertices are 0, 1 (Phi is
+    [g_p, h_q]), i + 1 (1 and [g_r, h_q]^-1, the walk of g_i) and |G| + j
+    ([g_p, h_s]), and the witness joins i + 1 to |G| + j across [g_r, h_s]:
+    every run is one symbol or none.
+    """
+    n = H.order
+
+    @functools.cache  # built on the first pass: `report` reads only the raw-letter walks
+    def cells() -> list[list[tuple[int, int]]]:
+        # the run of w[r,c], symbol (r - 1)(|H| - 1) + c, is cells[r][c]; empty if r or c is 0
+        return [[(0, 0)] * n] + [[(0, 0)] + [(x - 1, x) for x in range((r - 1) * (n - 1) + 1,
+                                                                        r * (n - 1) + 1)]
+                                 for r in range(1, G.order)]
+
+    def paths(start: int) -> tuple[list, list]:
+        (p, q), cell = divmod(start, n), cells()
+        rows, cols = G.table[p], H.table[q]
+        steps = [None, (0, *cell[p][q])]
+        steps += [(1, ~j, ~i) for i, j in [cell[r][q] for r in rows[1:]]]
+        steps += [(0, *cell[p][c]) for c in cols[1:]]
+        return steps, [(i + 1, *cell[rows[i]][cols[j]], G.order + j) for i, j in pairs]
+
+    return paths
 
 
 def commutator_walker(G: FiniteGroup, H: FiniteGroup) -> Walker:
@@ -149,9 +202,11 @@ def commutator_walker(G: FiniteGroup, H: FiniteGroup) -> Walker:
 
 def tree_basis(graph: FibreGraph) -> Basis:
     """The fundamental cycles of the staircase tree; their walks are read off the grid."""
-    symbols = tuple(f"c{k + 1}" for k in range(betti_one(graph)))
+    symbols = tuple([f"c{k}" for k in range(1, betti_one(graph) + 1)])
+    conjugates = cotree_pass(graph)
     return Basis("tree", graph.groups, symbols, lambda: cycle_witnesses(graph),
-                 cotree_walker(graph), cotree_walks(graph))
+                 cotree_walker(graph), functools.partial(_closed_walks, conjugates, len(symbols)),
+                 conjugates)
 
 
 @dataclass(frozen=True)
@@ -192,62 +247,143 @@ def recompose(basis: Basis, image: SymbolWord) -> Word:
 
 
 def act_word(w: Word, basis: Basis) -> Automorphism:
-    """The action of w by conjugation, as a deck translation (see `_seams`).
+    """The action of w by conjugation, as a deck translation (see `_Joiner`).
 
     A free basis gives each image one reduced word, so this equals the
     per-letter fold act(uv) = act(u) o act(v).
     """
-    prefix, suffix, seams = _seams(w, basis)
-    return Automorphism(basis, tuple([prefix[:h] + middle + suffix[t:]
-                                      for h, middle, t in seams]))
+    raw: list[int] = []
+    start = basis.state(w, raw)
+    joiner = _Joiner(tuple(raw), *_symbol_table(basis.rank), False)
+    return Automorphism(basis, tuple(basis.conjugates(start, joiner)))
 
 
 def image_texts(w: Word, basis: Basis) -> list[str]:
-    """The images of `act_word(w, basis)` as `Basis.format_image` prints them.
-
-    Only the middle run of each image is formatted: each cut of P and P^-1
-    it is joined to is spelt once, on its first use, with its '*' on the
-    side the middle lies.
-    """
-    prefix, suffix, seams = _seams(w, basis)
-    tokens, fmt, out = basis.tokens, basis.format_image, []
-    heads, tails = [None] * (len(prefix) + 1), [None] * (len(prefix) + 1)
-    for h, middle, t in seams:
-        if heads[h] is None:
-            heads[h] = "".join([tokens[x] + "*" for x in prefix[:h]])
-        if tails[t] is None:
-            tails[t] = "".join(["*" + tokens[x] for x in suffix[t:]])
-        out.append(heads[h] + fmt(middle) + tails[t])
-    return out
-
-
-def _seams(w: Word, basis: Basis) -> tuple[SymbolWord, SymbolWord, list[tuple]]:
-    """P, P^-1 and each image P[:head] + middle + (P^-1)[tail:], as (head, middle, tail).
-
-    w is walked once to the prefix P; each witness's walk W from the image
-    of w (`Basis.walks`) is then joined to P and P^-1.  The walk of a reduced
-    word is reduced (see `decompose`), so symbols cancel only at the two
-    seams, and the middle is what is left of W.  If W cancels away, P meets
-    P^-1: only then is the join reduced in full, into a middle with empty cuts.
-    """
+    """The images of `act_word(w, basis)` as `Basis.format_image` prints them."""
     raw: list[int] = []
     start = basis.state(w, raw)
-    prefix = tuple(raw)
-    suffix = invert_signed(prefix)
-    n, seams = len(prefix), []
-    for run in basis.walks(start):
-        # W[k] cancels P[-1-k] when it equals (P^-1)[k]; W[-1-j] cancels
-        # (P^-1)[j] when it equals P[-1-j]
-        b, k, j = len(run), 0, 0
-        while k < b and k < n and run[k] == suffix[k]:
-            k += 1
-        while k < b - j and j < n and run[b - 1 - j] == prefix[n - 1 - j]:
-            j += 1
-        if k < b - j:
-            seams.append((n - k, run[k:b - j], j))
+    return basis.conjugates(start, _Joiner(tuple(raw), *basis.text_table, True))
+
+
+def _closed_walks(conjugates: Callable[[int, _Joiner], list], rank: int,
+                  start: int) -> tuple[SymbolWord, ...]:
+    """The witness walks from `start`: their images under the empty prefix."""
+    return tuple(conjugates(start, _Joiner((), *_symbol_table(rank), False)))
+
+
+@functools.lru_cache(maxsize=4)
+def _symbol_table(rank: int) -> tuple[SymbolWord, tuple[int, ...]]:
+    """The symbol table of a `_Joiner`: symbol x is table[ends[x - 1]:ends[x]]."""
+    return tuple(range(1, rank + 1)) + tuple(range(-rank, 0)), tuple(range(2 * rank + 1))
+
+
+class _Joiner:
+    """Joins the walk P of an acting word to the tree paths and witnesses of a state.
+
+    A basis's pass (`Basis.conjugates`) lists vertices v with tree-path walks
+    Phi(v), each its parent's and one run, and joins each witness's walk as
+    Phi(x) E Phi(x')^-1 (`fibre.cotree_pass`, `_commutator_paths`).  A run
+    (i, j) is the symbols i + 1, ..., j, all of one sign, and is spelt
+    table[ends[i]:ends[j]], signed symbols or text; its inverse is (~j, ~i).
+    The pass keeps, for each vertex, Q(v) = P . Phi(v) reduced and Q(v)^-1 in
+    the lists of `begin`: its parent's extended by the run.  Walks of reduced
+    words are reduced (see `decompose`), so the run cancels against P only
+    while Phi(parent) has cancelled away, Q(parent) = P[:cut[parent]]: `step`
+    takes those.  The image Q(x) E Q(x')^-1 cancels at neither join unless
+    Phi(x) or Phi(x') has cancelled away: `join` takes those, and E cancels
+    into P from either side there.  Text pieces carry a '*' before each
+    token, but a Q text drops its first one; in text the state's own vertex
+    counts as cancelled even for an empty P, so every Q text goes through
+    `step`.
+    """
+
+    def __init__(self, prefix: SymbolWord, table, ends: Sequence[int], text: bool):
+        self.prefix, self.table, self.ends, self.text = prefix, table, ends, text
+        self.strip, suffix, n = int(text), invert_signed(prefix), len(prefix)
+        if text:
+            self.head, self.head_at = _text_and_ends([table[ends[x - 1]:ends[x]] for x in prefix])
+            self.tail, self.tail_at = _text_and_ends([table[ends[x - 1]:ends[x]] for x in suffix])
         else:
-            seams.append((0, free_reduce(prefix[:n - k] + suffix[j:]), n))
-    return prefix, suffix, seams
+            self.head, self.tail, self.head_at = prefix, suffix, range(n + 1)
+            self.tail_at = self.head_at
+
+    def begin(self, count: int, phi: Callable[[int], SymbolWord]) -> tuple:
+        """Q, Q^-1 and the cuts of `count` vertices, vertex 0 the state itself, and the
+        table; phi(v) spells Phi(v) again, for the images joined symbol by symbol."""
+        empty, n = self.table[:0], len(self.prefix)
+        self.q, self.qi, self.cut = [empty] * count, [empty] * count, [-1] * count
+        self.phi = phi
+        self.cut[0] = n if n or self.text else -1
+        return self.q, self.qi, self.cut, self.table, self.ends
+
+    def step(self, v: int, parent: int, i: int, j: int):
+        """Q(v) for Phi(v) = Phi(parent) and the run (i, j), where Phi(parent) cancelled away."""
+        prefix, h = self.prefix, self.cut[parent]
+        while h and i < j and prefix[h - 1] == -(i + 1):
+            i, h = i + 1, h - 1
+        if i == j:
+            self.cut[v] = h
+            return
+        table, ends = self.table, self.ends
+        self.q[v] = (self.head[:self.head_at[h]] + table[ends[i]:ends[j]])[self.strip:]
+        self.qi[v] = table[ends[~j]:ends[~i]] + self.tail[self.tail_at[len(prefix) - h]:]
+
+    def join(self, x: int, i: int, j: int, y: int):
+        """The image Q(x) E Q(y)^-1, E the run (i, j), where Phi(x) or Phi(y) cancelled away."""
+        prefix, h, g, a, b = self.prefix, self.cut[x], self.cut[y], i, j
+        while h > 0 and a < b and prefix[h - 1] == -(a + 1):  # E cancels into P[:h]
+            a, h = a + 1, h - 1
+        while g > 0 and a < b and prefix[g - 1] == b:  # and into P[:g]^-1
+            b, g = b - 1, g - 1
+        table, ends = self.table, self.ends
+        if a < b:
+            image = ((self.q[x] if h < 0 else self.head[:self.head_at[h]]) + table[ends[a]:ends[b]]
+                     + (self.qi[y] if g < 0 else self.tail[self.tail_at[len(prefix) - g]:]))
+            return image if h < 0 else image[self.strip:]
+        image = _joined(_joined(self.symbols(x), tuple(range(i + 1, j + 1))),
+                        invert_signed(self.symbols(y)))
+        return "".join([table[ends[s - 1]:ends[s]] for s in image])[1:] if self.text else image
+
+    def symbols(self, v: int) -> SymbolWord:
+        """Q(v) as signed symbols."""
+        h = self.cut[v]
+        return self.prefix[:h] if h >= 0 else _joined(self.prefix, self.phi(v))
+
+    def over(self, steps: list, joins: list) -> list:
+        """The images of a pass that lists its steps (parent, i, j) by vertex, from 1,
+        and its joins (x, i, j, x')."""
+        def phi(v: int) -> SymbolWord:
+            runs = []
+            while v:
+                v, i, j = steps[v]
+                runs.append(range(i + 1, j + 1))
+            return tuple(itertools.chain(*reversed(runs)))
+
+        q, qi, cut, table, ends = self.begin(len(steps), phi)
+        for v in range(1, len(steps)):
+            parent, i, j = steps[v]
+            if cut[parent] < 0:
+                q[v] = q[parent] + table[ends[i]:ends[j]]
+                qi[v] = table[ends[~j]:ends[~i]] + qi[parent]
+            elif i == j:
+                cut[v] = cut[parent]
+            else:
+                self.step(v, parent, i, j)
+        return [q[x] + table[ends[i]:ends[j]] + qi[y] if cut[x] < 0 and cut[y] < 0
+                else self.join(x, i, j, y) for x, i, j, y in joins]
+
+
+def _text_and_ends(pieces: list[str]) -> tuple[str, list[int]]:
+    """The pieces joined, and where the first k of them end, for each k."""
+    return "".join(pieces), list(itertools.accumulate(map(len, pieces), initial=0))
+
+
+def _joined(a: SymbolWord, b: SymbolWord) -> SymbolWord:
+    """The reduced a . b of reduced a and b."""
+    k, top = 0, min(len(a), len(b))
+    while k < top and a[-1 - k] == -b[k]:
+        k += 1
+    return a[:len(a) - k] + b[k:]
 
 
 def outer_representative(w: Word, basis: Basis) -> Automorphism:

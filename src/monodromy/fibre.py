@@ -23,9 +23,12 @@ basis, and the staircase gives both halves of the calculus in closed form:
   letter (`cotree_walker`).  From the basepoint the walk of a kernel word
   is its decomposition; from any other vertex it is a translate, which is
   how `action.act_word` reads a conjugate g w g^-1 as the cycle w
-  translated by the image of g.  `cotree_walks` translates every witness
+  translated by the image of g.  `cotree_pass` translates every witness
   at once, by coordinate blocks: one line read per tree-path parent and
   per block of cotree edges, and one crossing per vertex and per witness.
+  A line's symbols are consecutive, so each crossing is spelt as one slice
+  of the joiner's table, and the joiner (`action._Joiner`) prefixes the
+  walk P of the acting word once per vertex, not once per witness.
 
 tests/test_fibre.py keeps the oracles: a breadth-first search for the graph, an
 edge-path walker, and `cycle_witness`, the per-edge witness removed from this API.
@@ -36,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
-from typing import Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .groups import FiniteGroup, check_size, clip_int
 from .words import Word, letter_tokens
@@ -165,15 +168,15 @@ def place_values(orders: Sequence[int]) -> list[int]:
 
 
 def _cotree_lines(g: FibreGraph) -> Callable[[int, int], tuple]:
-    """`line(i, index) -> (a, row, up, down)`: the line of coordinate i through
-    the vertex `index`, which holds the tree basis's cotree-index arithmetic.
+    """`line(i, index) -> (a, row, base)`: the line of coordinate i through the
+    vertex `index`, which holds the tree basis's cotree-index arithmetic.
 
     a is the vertex's position at coordinate i and row its row of the table,
     so a letter e moves it to b = row[e].  The line's edge p has cotree
-    index base + p, so its symbol is up[p] = base + p + 1 and its inverse
-    down[p + 1]: moving from a to b crosses up[a:b] going up and down[a:b:-1]
-    going down.  If the vertex's coordinates after i are all 0
-    the line is on the tree and both are empty.
+    index base + p, so its symbol is base + p + 1: moving from a to b crosses
+    base + a + 1, ..., base + b going up and -(base + a), ..., -(base + b + 1)
+    going down.  If the vertex's coordinates after i are all 0 the line is on
+    the tree and base is None.
     """
     # a Word's letters are valid elements, so the walks read the tables unchecked
     tables = [G.table for G in g.groups]
@@ -188,10 +191,9 @@ def _cotree_lines(g: FibreGraph) -> Callable[[int, int], tuple]:
         a = (index // tail) % m
         t = index % tail  # the coordinates after i; 0 on a tree edge
         if not t:
-            return a, tables[i][a], (), ()
+            return a, tables[i][a], None
         h = index // (tail * m)  # the coordinates before i
-        base = offsets[i] + (h * (tail - 1) + t - 1) * (m - 1)
-        return a, tables[i][a], range(base + 1, base + m + 1), range(-base, -base - m, -1)
+        return a, tables[i][a], offsets[i] + (h * (tail - 1) + t - 1) * (m - 1)
 
     return line
 
@@ -203,61 +205,100 @@ def cotree_walker(g: FibreGraph) -> Walker:
 
     def walk(letters: Sequence[tuple[int, int]], index: int, out: list) -> int:
         for i, e in letters:
-            a, row, up, down = line(i, index)
+            a, row, base = line(i, index)
             b = row[e]
             index += (b - a) * tails[i]
-            out += up[a:b] if b > a else down[a:b:-1]
+            if base is not None:
+                out += range(base + a + 1, base + b + 1) if b > a else range(-base - a, -base - b)
         return index
 
     return walk
 
 
-def cotree_walks(g: FibreGraph) -> Callable[[int], tuple[tuple, ...]]:
-    """`walks(start)`: the walk of every witness from `start`, in basis order.
+def cotree_pass(g: FibreGraph) -> Callable[[int, Any], list]:
+    """`images(start, joiner)`: the walk of every witness from `start`, joined by
+    `joiner` to the walk P of the acting word, in basis order.
 
     The witness of cotree edge (x, i) is up(x) . E . up(x + T_i)^-1, up(v) the
     letters of v's nonzero coordinates ascending and E the edge letter.  Walks
     concatenate and inverse letters retrace, so its walk is Phi(x) + E +
     Phi(x + T_i)^-1, Phi(v) the walk of up(v) and E walked from where Phi(x)
     ends.  In staircase order, v = (h m_k + d) T_k is its parent h m_k T_k and
-    (k, d): each parent's line at coordinate k is read once, and each Phi(v)
-    and Phi(v)^-1 extend their parent's by one crossing.  The edges of one
-    (i, h, t) block share a line, which E moves from row[p] to row[p + 1].
+    (k, d): each parent's line at coordinate k is read once, and Phi(v) is
+    Phi(parent) and the run that crosses it.  The edges of one (i, h, t)
+    block share a line, which E moves from row[p] to row[p + 1].
+
+    The joiner (`action._Joiner`) holds Q(v), the reduction of P . Phi(v), and
+    its inverse for each vertex, spelt from its table: the line's symbols are
+    consecutive, so each run is one slice between the ends `ups` (going up) or
+    `downs` (going down) of the line.  Q(v) is its parent's and the run,
+    unless Phi(parent) has cancelled into P (cut[parent] >= 0), which
+    `joiner.step` takes; the image is Q(x) E Q(x + T_i)^-1, unless an end has
+    cancelled, which `joiner.join` takes.
     """
-    line = _cotree_lines(g)
+    line, walk = _cotree_lines(g), cotree_walker(g)
     orders = [G.order for G in g.groups]
     tails = place_values(orders)
 
-    def walks(start: int) -> tuple[tuple, ...]:
-        phi: list = [()] * prod(orders)
-        back = phi[:]  # Phi(v)^-1
-        ends = [start] * len(phi)  # the state each Phi(v) ends at
+    def images(start: int, joiner) -> list:
+        def phi(v: int) -> tuple:
+            # the walk of up(v) from `start`, for the joiner's symbol-by-symbol joins
+            out: list[int] = []
+            walk([(k, v // t % m) for k, (m, t) in enumerate(zip(orders, tails)) if v // t % m],
+                 start, out)
+            return tuple(out)
+
+        count = prod(orders)
+        q, qi, cut, table, ends = joiner.begin(count, phi)
+        zeros = [[0] * m for m in orders]
+
+        def cross(k: int, index: int) -> tuple:
+            # the line's position, row, base and its ends going up and going down
+            a, row, base = line(k, index)
+            if base is None:
+                return a, row, base, zeros[k], zeros[k]
+            top = len(ends) - base
+            return a, row, base, ends[base:base + orders[k]], ends[top - orders[k]:top][::-1]
+
+        def run(base, a: int, b: int) -> tuple[int, int]:
+            # the run from a to b as the joiner's (i, j): symbols i + 1, ..., j
+            if base is None:
+                return 0, 0
+            return (base + a, base + b) if b > a else (~(base + a), ~(base + b))
+
+        states = [start] * count  # the state each Phi(v) ends at
         for k, (m, tail) in enumerate(zip(orders, tails)):
-            for parent in range(0, len(phi), m * tail):
-                end = ends[parent]
-                a, row, up, down = line(k, end)
-                up, down, rest = tuple(up), tuple(down), end - a * tail
-                run, inverse = phi[parent], back[parent]
+            for parent in range(0, count, m * tail):
+                end = states[parent]
+                a, row, base, ups, downs = cross(k, end)
+                rest, head, back = end - a * tail, q[parent], qi[parent]
+                cancelled = cut[parent] >= 0  # Phi(parent) has cancelled into P
                 for d in range(1, m):
                     b, v = row[d], parent + d * tail
-                    ends[v] = rest + b * tail
-                    if b > a:
-                        phi[v], back[v] = run + up[a:b], down[b:a:-1] + inverse
+                    states[v] = rest + b * tail
+                    if cancelled:
+                        joiner.step(v, parent, *run(base, a, b))
+                    elif b > a:
+                        q[v], qi[v] = head + table[ups[a]:ups[b]], table[downs[b]:downs[a]] + back
                     else:
-                        phi[v], back[v] = run + down[a:b:-1], up[b:a] + inverse
-        runs = []
-        for i, (m, tail) in enumerate(zip(orders, tails)):
-            for parent in range(0, len(phi), m * tail):
+                        q[v], qi[v] = head + table[downs[a]:downs[b]], table[ups[b]:ups[a]] + back
+        out = []
+        for c, (m, tail) in enumerate(zip(orders, tails)):
+            for parent in range(0, count, m * tail):
                 for x in range(parent + 1, parent + tail):  # the block's edge at p = 0
-                    _, row, up, down = line(i, ends[x])
-                    up, down = tuple(up), tuple(down)
+                    _, row, base, ups, downs = cross(c, states[x])
                     for p in range(m - 1):
-                        a, b = row[p], row[p + 1]
-                        runs.append(phi[x] + (up[a:b] if b > a else down[a:b:-1]) + back[x + tail])
-                        x += tail
-        return tuple(runs)
+                        a, b, y = row[p], row[p + 1], x + tail
+                        if cut[x] >= 0 or cut[y] >= 0:
+                            out.append(joiner.join(x, *run(base, a, b), y))
+                        elif b > a:
+                            out.append(q[x] + table[ups[a]:ups[b]] + qi[y])
+                        else:
+                            out.append(q[x] + table[downs[a]:downs[b]] + qi[y])
+                        x = y
+        return out
 
-    return walks
+    return images
 
 
 def to_dot(g: FibreGraph) -> str:

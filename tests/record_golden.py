@@ -58,7 +58,10 @@ def commands() -> list[tuple[list[str], str | None]]:
             ("C1,C3,C2", "x2*x3", "tree"), ("C2,C2,C2,C2", "x1*x4*x2", "tree"),
             ("C8,C3", "x1^99999999999999", "auto"),
             ("table:fixtures/c2_table.json,C3", "s1:a*x2", "tree"),
-            ("table:fixtures/c3_x_names.json,C2", "s1:x*x2*s1:x^2", "tree")):
+            ("table:fixtures/c3_x_names.json,C2", "s1:x*x2*s1:x^2", "tree"),
+            # ending in coordinate 1, a kernel element, and rank 0 (a blank line)
+            ("C4,C3,C2", "x2*x3*x1", "tree"), ("C3,C3", "x1*x2*x1^-1*x2^-1", "tree"),
+            ("D4,C3,C2", "s1:rs*x3*s1:r", "tree"), ("C1,C2", "x2", "tree")):
         ok += _forms("act", "--groups", groups, "--element", element, "--basis", basis)
     for groups, element, basis in (
             ("C2,C3", "x1", "auto"), ("C2,C3", "x2", "tree"), ("C3,C3", "x1*x2", "algebraic"),

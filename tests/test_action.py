@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from math import prod
 from pathlib import Path
@@ -598,15 +599,57 @@ def reduce_tagged(parts):
     return out
 
 
+def count_join_branches(monkeypatch):
+    """Count the branches `action._Joiner` takes, by name, in a Counter the caller reads.
+
+    A pass extends Q(v) and joins Q(x) E Q(x')^-1 itself while nothing
+    cancels; `step` takes a vertex whose parent's tree path cancelled into P,
+    where the run cancels away or survives, and `join` an image with a
+    cancelled end, where E survives its cuts or cancels away and the image is
+    joined symbol by symbol (`_joined`)."""
+    seen = Counter()
+    step, join, joined = action._Joiner.step, action._Joiner.join, action._joined
+
+    def counted_step(self, v, parent, i, j):
+        step(self, v, parent, i, j)
+        seen["run cancels away" if self.cut[v] >= 0 else "run survives"] += 1
+
+    def counted_join(self, x, i, j, y):
+        before = seen["joined"]
+        image = join(self, x, i, j, y)
+        seen["E cancels away" if seen["joined"] > before else "E survives"] += 1
+        return image
+
+    def counted_joined(a, b):
+        seen["joined"] += 1
+        return joined(a, b)
+
+    monkeypatch.setattr(action._Joiner, "step", counted_step)
+    monkeypatch.setattr(action._Joiner, "join", counted_join)
+    monkeypatch.setattr(action, "_joined", counted_joined)
+    return seen
+
+
+JOIN_BRANCHES = ("run cancels away", "run survives", "E cancels away", "E survives")
+
+
+def ending_in_each_coordinate(rng, groups, count):
+    """Random words whose last letter moves coordinate k, `count` for each k with a letter."""
+    words = []
+    for k, G in enumerate(groups):
+        for _ in range(count if G.order > 1 else 0):
+            last = ((k, rng.randrange(1, G.order)),)
+            words.append(reduce_word(random_word(rng, groups, 10).letters + last, groups))
+    return words
+
+
 def test_seam_act_word_matches_full_reduction(monkeypatch):
     # each image is P . W . P^-1 reduced in full, with P the reduced walk of
     # g from 0 and W the reduced walk of the witness from pi(g).  act_word
-    # takes both walks as they come, cancels at the two seams only, and calls
-    # free_reduce exactly when no letter of W survives; random words hit
-    # both cases in each basis
-    calls = []
-    monkeypatch.setattr("monodromy.action.free_reduce",
-                        lambda seq: calls.append(None) or free_reduce(seq))
+    # joins P to each tree path once and cancels only where a tree path or
+    # an edge run cancels into P: random words reach every branch of the
+    # joiner, and images whose W cancels away, in each basis
+    seen = count_join_branches(monkeypatch)
     rng = random.Random(29)
     bases = [tree_basis(build_fibre_graph(groups)) for groups in
              [(make_cyclic(3),) * 3,
@@ -615,41 +658,41 @@ def test_seam_act_word_matches_full_reduction(monkeypatch):
     bases += [algebraic_basis(groups) for groups in
               [(make_cyclic(2), make_cyclic(3)), (make_cyclic(4), make_cyclic(4)),
                (make_dihedral(4), make_symmetric(3))]]
-    seen = {"tree": [0, 0], "algebraic-n2": [0, 0]}  # [sliced, cancelled away]
+    reached = {"tree": Counter(), "algebraic-n2": Counter()}
     for basis in bases:
         walk = basis.walk
-        for _ in range(40):
-            g = random_word(rng, basis.groups, 12)
+        words = [random_word(rng, basis.groups, 12) for _ in range(40)]
+        for g in words + ending_in_each_coordinate(rng, basis.groups, 5):
             raw = []
             start = walk(g.letters, 0, raw)
             prefix = free_reduce(raw)
-            expected, cancelled = [], 0
+            expected = []
             for wit in basis.witnesses:
                 raw = []
                 walk(wit.letters, start, raw)
                 tagged = reduce_tagged([prefix, free_reduce(raw), invert_signed(prefix)])
                 expected.append(tuple(s for _, s in tagged))
-                cancelled += all(tag != 1 for tag, _ in tagged)
-            calls.clear()
+                reached[basis.kind]["W cancels away"] += all(tag != 1 for tag, _ in tagged)
+            seen.clear()
             assert act_word(g, basis).images == tuple(expected), g
-            assert len(calls) == cancelled, g
-            seen[basis.kind][0] += basis.rank - cancelled
-            seen[basis.kind][1] += cancelled
-    assert all(sliced and cancelled for sliced, cancelled in seen.values()), seen
+            reached[basis.kind].update(seen)
+    for kind, counts in reached.items():
+        assert all(counts[b] for b in JOIN_BRANCHES + ("W cancels away",)), (kind, counts)
 
 
 def test_image_texts_match_the_formatted_images(monkeypatch):
-    # `act`'s writer spells each cut of P and P^-1 once and formats only the
-    # middle runs: its texts against `format_image` of each `act_word` image,
-    # in both bases, for the identity, kernel words, random words and a word
-    # whose images reach the full-cancel branch
-    calls = []
-    monkeypatch.setattr("monodromy.action.free_reduce",
-                        lambda seq: calls.append(None) or free_reduce(seq))
+    # `act`'s writer spells each Q(v) once and joins the images from its
+    # pieces: its texts against `format_image` of each `act_word` image, in
+    # both bases, for the identity, kernel words (the state 0 and P != ()),
+    # random words and words ending in a letter of each coordinate, whose P^-1
+    # retraces the tree paths of a whole subtree; every branch of the joiner
+    # is reached in each basis
+    seen = count_join_branches(monkeypatch)
     rng = random.Random(41)
     table = f"table:{Path(__file__).parent / 'fixtures' / 'c2_table.json'}"
     specs = ["C2,C3", "C1,C3", "C3,C1,C2", "S3,C4,C3", "D4,C3,C2", "C3,C3,C3", f"{table},C3",
-             "S3,C4", "D4,C3", "C4,C4"]
+             "S3,C4", "D4,C3", "C4,C4", "C5,C4,C3", "S3,D4,C2", "C1,C3,C2", f"{table},C2,C3"]
+    reached = {"tree": Counter(), "algebraic-n2": Counter()}
     for spec in specs:
         groups = parse_group_spec(spec)
         bases = [tree_basis(build_fibre_graph(groups))]
@@ -657,21 +700,22 @@ def test_image_texts_match_the_formatted_images(monkeypatch):
             bases.append(algebraic_basis(groups))
         words = [empty_word(groups)] + [random_kernel_word(rng, groups, 8) for _ in range(4)]
         words += [random_word(rng, groups, 12) for _ in range(12)]
+        words += ending_in_each_coordinate(rng, groups, 3)
         for basis in bases:
             for w in words:
-                calls.clear()
                 expected = [basis.format_image(img) for img in act_word(w, basis).images]
-                cancelled = len(calls)
-                calls.clear()
+                seen.clear()
                 assert action.image_texts(w, basis) == expected, (spec, basis.kind, w)
-                assert len(calls) == cancelled, (spec, basis.kind, w)
+                reached[basis.kind].update(seen)
+    for kind, counts in reached.items():
+        assert all(counts[branch] for branch in JOIN_BRANCHES), (kind, counts)
     # x2*x1 walks a witness, in each basis of C2xC3, to a run that cancels away
     groups = parse_group_spec("C2,C3")
     w = parse_word("x2*x1", groups)
     for basis in (tree_basis(build_fibre_graph(groups)), algebraic_basis(groups)):
-        calls.clear()
+        seen.clear()
         texts = action.image_texts(w, basis)
-        assert calls, basis.kind
+        assert seen["E cancels away"], basis.kind
         assert texts == [basis.format_image(img) for img in act_word(w, basis).images]
 
 
@@ -696,8 +740,8 @@ def test_walks_match_walking_each_witness():
 def test_walks_cache_one_state():
     groups = parse_group_spec("S3,C4,C3")
     for basis in (tree_basis(build_fibre_graph(groups)), algebraic_basis(groups[:2])):
-        act_word(single(basis.groups, 0, 1), basis)
-        act_word(single(basis.groups, 1, 1), basis)
+        outer_representative(single(basis.groups, 0, 1), basis)
+        outer_representative(single(basis.groups, 1, 1), basis)
         info = basis.walks.cache_info()
         assert (info.misses, info.currsize) == (2, 1)
 
@@ -707,12 +751,13 @@ def test_kernel_words_reuse_the_walks_from_zero():
     groups = parse_group_spec("D4,C3")
     for basis in (tree_basis(build_fibre_graph(groups)), algebraic_basis(groups)):
         first, second = (random_kernel_word(rng, groups, 12) for _ in range(2))
-        act_word(first, basis)
-        phi = act_word(second, basis)
+        outer_representative(first, basis)
+        rep = outer_representative(second, basis)
         info = basis.walks.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-        assert phi.images == tuple(decompose(basis, conjugate(second, wit))
-                                   for wit in basis.witnesses)
+        assert rep.images == tuple(decompose(basis, wit) for wit in basis.witnesses)
+        assert act_word(second, basis).images == tuple(decompose(basis, conjugate(second, wit))
+                                                       for wit in basis.witnesses)
 
 
 def test_act_word_is_the_outer_representative_conjugated_by_its_walk():

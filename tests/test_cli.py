@@ -804,3 +804,16 @@ def test_tree_basis_and_act_bytes_are_pinned(capsys):
             assert (code, err) == (0, "")
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (argv, fmt)
     assert time.perf_counter() - began < 0.3
+
+
+def test_tree_act_bytes_are_pinned_for_an_element_ending_in_coordinate_one(capsys):
+    # rank 841: the sha256 of stdout, text and JSON, recorded when each image
+    # was P . W . P^-1 cut at its seams; the element's last letter moves
+    # coordinate 1, so P^-1 retraces whole tree paths of the images it ends
+    pins = ("8857da0c3c391646b36988b45381e825d5c2d8eef015816b9705240c1b79c722",
+            "b5f26422778eadbf70825ffd618a308363ee1bcdedb27035536c6d059ec249a7")
+    for fmt, digest in zip(("text", "json"), pins):
+        code, out, err = run(capsys, "act", "--groups", "C30,C30", "--basis", "tree",
+                             "--element", "x2^4*x1^7*x2^-3*x1", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
