@@ -239,6 +239,7 @@ def cotree_pass(g: FibreGraph) -> Callable[[int, Any], list]:
     line, walk = _cotree_lines(g), cotree_walker(g)
     orders = [G.order for G in g.groups]
     tails = place_values(orders)
+    zeros = [(0,) * m for m in orders]  # the ends of a line on the tree: every run is empty
 
     def images(start: int, joiner) -> list:
         def phi(v: int) -> tuple:
@@ -250,7 +251,6 @@ def cotree_pass(g: FibreGraph) -> Callable[[int, Any], list]:
 
         count = prod(orders)
         q, qi, cut, table, ends = joiner.begin(count, phi)
-        zeros = [[0] * m for m in orders]
 
         def cross(k: int, index: int) -> tuple:
             # the line's position, row, base and its ends going up and going down
