@@ -15,20 +15,22 @@ c = p |H| + q in the commutator basis (`commutator_walker`).  Each letter
 emits the signed symbols s with  c . letter = s . c', so walks concatenate;
 a kernel word walks from 0 back to 0 and spells its decomposition, and
 conjugation by g sends a witness w to P . walk(w from pi(g)) . P^-1, where
-P is the walk of g.  Each basis passes its per-vertex pass, `Basis.conjugates`:
-from a state, the walk of each witness is Phi(x) E Phi(x')^-1, Phi(v) the
-walk of a tree path, and the pass spells Q(v), the reduction of P . Phi(v),
-and its inverse once per vertex and joins each image as Q(x) E Q(x')^-1;
-`_Joiner` holds P and takes the few vertices and images where P cancels.
-The tree basis's pass reads the grid by coordinate blocks
-(`fibre.cotree_pass`), the commutator basis's lists the vertices g_p and
-its joins (`_commutator_paths`).  `act_word` joins signed symbols and
-`image_texts`, which `act` prints, slices of one text of every token.  The
-witness walks, `Basis.closed_walks` and its one-state cache `Basis.walks`,
-are the tree basis's images under the empty P; the commutator basis walks
-each commutator's raw letters.  No walk builds a witness; `Basis.witnesses` builds and
-kernel-checks them on first read (`recompose`, verify, and `basis` in the
-commutator basis; the tree basis prints `fibre.witness_texts`).  So act(g)
+P is the walk of g.  `act_word` is that definition: each cached witness walk
+W_j (`Basis.walks`, over `Basis.closed_walks`) joined to P and P^-1.  Each
+basis also lists, from a state, the tree paths and joins of its witnesses,
+`Basis.paths`: the walk of each witness is Phi(x) E Phi(x')^-1, Phi(v) the
+walk of a tree path, each its parent's and one run.  The tree basis reads
+them off the grid by coordinate blocks (`fibre.cotree_pass`), the
+commutator basis lists the vertices g_p (`_commutator_paths`).  One loop,
+`_Joiner.over`, spells Q(v), the reduction of P . Phi(v), and its inverse
+once per vertex and joins each image as Q(x) E Q(x')^-1, taking the few
+vertices and images where P cancels.  `image_texts`, which `act` prints,
+runs it over slices of one text of every token; the tree basis's
+`closed_walks` runs it over signed symbols under the empty P, and the
+commutator basis walks each commutator's raw letters.  No walk builds a
+witness; `Basis.witnesses` builds and kernel-checks them on first read
+(`recompose`, verify, and `basis` in the commutator basis; the tree basis
+prints `fibre.witness_texts`).  So act(g)
 is x -> P x P^-1 after the automorphism that sends witness j to its walk
 W_j from pi(g), `outer_representative`: one outer class, one H1 matrix,
 read off the state alone.
@@ -61,8 +63,8 @@ class Basis:
     walk: Walker = field(compare=False, repr=False)  # the letter walk, from any state
     # the witness walks by start, which build no witness
     closed_walks: Callable[[int], tuple] = field(compare=False, repr=False)
-    # the per-vertex pass: every witness's walk from a state, joined by a `_Joiner`
-    conjugates: Callable[[int, "_Joiner"], list] = field(compare=False, repr=False)
+    # the steps and joins of every witness's walk from a state, for `_Joiner.over`
+    paths: Callable[[int], tuple[list, Iterable]] = field(compare=False, repr=False)
 
     @functools.cached_property
     def witnesses(self) -> tuple[Word, ...]:
@@ -122,14 +124,10 @@ def algebraic_basis(groups: Sequence[FiniteGroup]) -> Basis:
     pairs = list(itertools.product(range(1, G.order), range(1, H.order)))
     letters = [((0, i), (1, j), (0, G.inverses[i]), (1, H.inverses[j])) for i, j in pairs]
     walk = commutator_walker(G, H)
-    paths = functools.lru_cache(maxsize=1)(_commutator_paths(G, H, pairs))
-
-    def conjugates(start: int, joiner: _Joiner) -> list:
-        return joiner.over(*paths(start))
-
     return Basis("algebraic-n2", groups, tuple(f"w[{i},{j}]" for i, j in pairs),
                  lambda: (Word(groups, w) for w in letters), walk,
-                 functools.partial(_walk_each, walk, letters), conjugates)
+                 functools.partial(_walk_each, walk, letters),
+                 functools.lru_cache(maxsize=1)(_commutator_paths(G, H, pairs)))
 
 
 def _walk_each(walk: Walker, letters: Sequence[tuple], start: int) -> tuple[SymbolWord, ...]:
@@ -141,8 +139,8 @@ def _walk_each(walk: Walker, letters: Sequence[tuple], start: int) -> tuple[Symb
 
 def _commutator_paths(G: FiniteGroup, H: FiniteGroup,
                       pairs: Sequence[tuple[int, int]]) -> Callable[[int], tuple[list, list]]:
-    """`paths(start)`: the steps and joins of the commutator basis's pass
-    (`_Joiner.over`) from the state `start` = p |H| + q.
+    """`paths(start) -> (steps, joins)`: the tree paths and witnesses of the
+    state `start` = p |H| + q, for `_Joiner.over`.
 
     By `commutator_walker`'s rule, with r = p g_i and s = q h_j, the walk of
     [g_i, h_j] is [g_p, h_q] [g_r, h_q]^-1 [g_r, h_s] [g_p, h_s]^-1, each
@@ -203,10 +201,10 @@ def commutator_walker(G: FiniteGroup, H: FiniteGroup) -> Walker:
 def tree_basis(graph: FibreGraph) -> Basis:
     """The fundamental cycles of the staircase tree; their walks are read off the grid."""
     symbols = tuple([f"c{k}" for k in range(1, betti_one(graph) + 1)])
-    conjugates = cotree_pass(graph)
+    paths = cotree_pass(graph)
     return Basis("tree", graph.groups, symbols, lambda: cycle_witnesses(graph),
-                 cotree_walker(graph), functools.partial(_closed_walks, conjugates, len(symbols)),
-                 conjugates)
+                 cotree_walker(graph), functools.partial(_closed_walks, paths, len(symbols)),
+                 paths)
 
 
 @dataclass(frozen=True)
@@ -247,28 +245,32 @@ def recompose(basis: Basis, image: SymbolWord) -> Word:
 
 
 def act_word(w: Word, basis: Basis) -> Automorphism:
-    """The action of w by conjugation, as a deck translation (see `_Joiner`).
+    """The action of w by conjugation, as a deck translation: witness j to
+    P . W_j . P^-1 reduced, P the walk of w and W_j the witness's walk from pi(w).
 
     A free basis gives each image one reduced word, so this equals the
-    per-letter fold act(uv) = act(u) o act(v).
+    per-letter fold act(uv) = act(u) o act(v).  It builds no `_Joiner`, so as
+    the oracle of `image_texts` it shares none of the joiner's cancellation.
     """
     raw: list[int] = []
     start = basis.state(w, raw)
-    joiner = _Joiner(tuple(raw), *_symbol_table(basis.rank), False)
-    return Automorphism(basis, tuple(basis.conjugates(start, joiner)))
+    prefix = tuple(raw)
+    suffix = invert_signed(prefix)
+    return Automorphism(basis, tuple(_joined(_joined(prefix, walk), suffix)
+                                     for walk in basis.walks(start)))
 
 
 def image_texts(w: Word, basis: Basis) -> list[str]:
     """The images of `act_word(w, basis)` as `Basis.format_image` prints them."""
     raw: list[int] = []
     start = basis.state(w, raw)
-    return basis.conjugates(start, _Joiner(tuple(raw), *basis.text_table, True))
+    return _Joiner(tuple(raw), *basis.text_table, True).over(*basis.paths(start))
 
 
-def _closed_walks(conjugates: Callable[[int, _Joiner], list], rank: int,
+def _closed_walks(paths: Callable[[int], tuple[list, Iterable]], rank: int,
                   start: int) -> tuple[SymbolWord, ...]:
     """The witness walks from `start`: their images under the empty prefix."""
-    return tuple(conjugates(start, _Joiner((), *_symbol_table(rank), False)))
+    return tuple(_Joiner((), *_symbol_table(rank), False).over(*paths(start)))
 
 
 @functools.lru_cache(maxsize=4)
@@ -280,41 +282,28 @@ def _symbol_table(rank: int) -> tuple[SymbolWord, tuple[int, ...]]:
 class _Joiner:
     """Joins the walk P of an acting word to the tree paths and witnesses of a state.
 
-    A basis's pass (`Basis.conjugates`) lists vertices v with tree-path walks
-    Phi(v), each its parent's and one run, and joins each witness's walk as
-    Phi(x) E Phi(x')^-1 (`fibre.cotree_pass`, `_commutator_paths`).  A run
-    (i, j) is the symbols i + 1, ..., j, all of one sign, and is spelt
-    table[ends[i]:ends[j]], signed symbols or text; its inverse is (~j, ~i).
-    The pass keeps, for each vertex, Q(v) = P . Phi(v) reduced and Q(v)^-1 in
-    the lists of `begin`: its parent's extended by the run.  Walks of reduced
-    words are reduced (see `decompose`), so the run cancels against P only
-    while Phi(parent) has cancelled away, Q(parent) = P[:cut[parent]]: `step`
-    takes those.  The image Q(x) E Q(x')^-1 cancels at neither join unless
-    Phi(x) or Phi(x') has cancelled away: `join` takes those, and E cancels
-    into P from either side there.  Text pieces carry a '*' before each
-    token, but a Q text drops its first one; in text the state's own vertex
-    counts as cancelled even for an empty P, so every Q text goes through
-    `step`.
+    A basis's `paths` (`fibre.cotree_pass`, `_commutator_paths`) lists
+    vertices v with tree-path walks Phi(v), each its parent's and one run,
+    and joins each witness's walk as Phi(x) E Phi(x')^-1.  A run (i, j) is
+    the symbols i + 1, ..., j, all of one sign, and is spelt
+    table[ends[i]:ends[j]]; its inverse is (~j, ~i).  `over` keeps, for each
+    vertex, Q(v) = P . Phi(v) reduced and Q(v)^-1: its parent's extended by
+    the run.  Walks of reduced words are reduced (see `decompose`), so the
+    run cancels against P only while Phi(parent) has cancelled away,
+    Q(parent) = P[:cut[parent]]: `step` takes those.  The image
+    Q(x) E Q(x')^-1 cancels at neither join unless Phi(x) or Phi(x') has
+    cancelled away: `join` takes those, and E cancels into P from either side
+    there.  A table is text, whose pieces carry a '*' before each token, for
+    any P, or signed symbols for the empty P alone, where nothing cancels.  A
+    Q text drops its first '*'; the state's own vertex counts as cancelled
+    even for an empty P, so every Q text goes through `step`.
     """
 
     def __init__(self, prefix: SymbolWord, table, ends: Sequence[int], text: bool):
         self.prefix, self.table, self.ends, self.text = prefix, table, ends, text
-        self.strip, suffix, n = int(text), invert_signed(prefix), len(prefix)
-        if text:
-            self.head, self.head_at = _text_and_ends([table[ends[x - 1]:ends[x]] for x in prefix])
-            self.tail, self.tail_at = _text_and_ends([table[ends[x - 1]:ends[x]] for x in suffix])
-        else:
-            self.head, self.tail, self.head_at = prefix, suffix, range(n + 1)
-            self.tail_at = self.head_at
-
-    def begin(self, count: int, phi: Callable[[int], SymbolWord]) -> tuple:
-        """Q, Q^-1 and the cuts of `count` vertices, vertex 0 the state itself, and the
-        table; phi(v) spells Phi(v) again, for the images joined symbol by symbol."""
-        empty, n = self.table[:0], len(self.prefix)
-        self.q, self.qi, self.cut = [empty] * count, [empty] * count, [-1] * count
-        self.phi = phi
-        self.cut[0] = n if n or self.text else -1
-        return self.q, self.qi, self.cut, self.table, self.ends
+        self.head, self.head_at = _text_and_ends([table[ends[x - 1]:ends[x]] for x in prefix])
+        self.tail, self.tail_at = _text_and_ends([table[ends[x - 1]:ends[x]]
+                                                  for x in invert_signed(prefix)])
 
     def step(self, v: int, parent: int, i: int, j: int):
         """Q(v) for Phi(v) = Phi(parent) and the run (i, j), where Phi(parent) cancelled away."""
@@ -325,10 +314,10 @@ class _Joiner:
             self.cut[v] = h
             return
         table, ends = self.table, self.ends
-        self.q[v] = (self.head[:self.head_at[h]] + table[ends[i]:ends[j]])[self.strip:]
+        self.q[v] = (self.head[:self.head_at[h]] + table[ends[i]:ends[j]])[1:]
         self.qi[v] = table[ends[~j]:ends[~i]] + self.tail[self.tail_at[len(prefix) - h]:]
 
-    def join(self, x: int, i: int, j: int, y: int):
+    def join(self, x: int, i: int, j: int, y: int) -> str:
         """The image Q(x) E Q(y)^-1, E the run (i, j), where Phi(x) or Phi(y) cancelled away."""
         prefix, h, g, a, b = self.prefix, self.cut[x], self.cut[y], i, j
         while h > 0 and a < b and prefix[h - 1] == -(a + 1):  # E cancels into P[:h]
@@ -339,28 +328,30 @@ class _Joiner:
         if a < b:
             image = ((self.q[x] if h < 0 else self.head[:self.head_at[h]]) + table[ends[a]:ends[b]]
                      + (self.qi[y] if g < 0 else self.tail[self.tail_at[len(prefix) - g]:]))
-            return image if h < 0 else image[self.strip:]
+            return image if h < 0 else image[1:]
         image = _joined(_joined(self.symbols(x), tuple(range(i + 1, j + 1))),
                         invert_signed(self.symbols(y)))
-        return "".join([table[ends[s - 1]:ends[s]] for s in image])[1:] if self.text else image
+        return "".join([table[ends[s - 1]:ends[s]] for s in image])[1:]
 
     def symbols(self, v: int) -> SymbolWord:
         """Q(v) as signed symbols."""
         h = self.cut[v]
-        return self.prefix[:h] if h >= 0 else _joined(self.prefix, self.phi(v))
+        if h >= 0:
+            return self.prefix[:h]
+        runs = []
+        while v:
+            v, i, j = self.steps[v]
+            runs.append(range(i + 1, j + 1))
+        return _joined(self.prefix, tuple(itertools.chain(*reversed(runs))))
 
-    def over(self, steps: list, joins: list) -> list:
+    def over(self, steps: list, joins: Iterable) -> list:
         """The images of a pass that lists its steps (parent, i, j) by vertex, from 1,
-        and its joins (x, i, j, x')."""
-        def phi(v: int) -> SymbolWord:
-            runs = []
-            while v:
-                v, i, j = steps[v]
-                runs.append(range(i + 1, j + 1))
-            return tuple(itertools.chain(*reversed(runs)))
-
-        q, qi, cut, table, ends = self.begin(len(steps), phi)
-        for v in range(1, len(steps)):
+        and its joins (x, i, j, x'); vertex 0 is the state itself."""
+        table, ends, empty, count = self.table, self.ends, self.table[:0], len(steps)
+        q, qi, cut = self.q, self.qi, self.cut = [empty] * count, [empty] * count, [-1] * count
+        self.steps = steps
+        cut[0] = len(self.prefix) if self.text else -1
+        for v in range(1, count):
             parent, i, j = steps[v]
             if cut[parent] < 0:
                 q[v] = q[parent] + table[ends[i]:ends[j]]

@@ -23,12 +23,11 @@ basis, and the staircase gives both halves of the calculus in closed form:
   letter (`cotree_walker`).  From the basepoint the walk of a kernel word
   is its decomposition; from any other vertex it is a translate, which is
   how `action.act_word` reads a conjugate g w g^-1 as the cycle w
-  translated by the image of g.  `cotree_pass` translates every witness
-  at once, by coordinate blocks: one line read per tree-path parent and
-  per block of cotree edges, and one crossing per vertex and per witness.
-  A line's symbols are consecutive, so each crossing is spelt as one slice
-  of the joiner's table, and the joiner (`action._Joiner`) prefixes the
-  walk P of the acting word once per vertex, not once per witness.
+  translated by the image of g.  `cotree_pass` lists every witness's walk
+  from a state at once, by coordinate blocks: one line read per tree-path
+  parent and per block of cotree edges, and one run of consecutive symbols
+  per vertex and per witness, which the joiner (`action._Joiner`) spells
+  and prefixes with the walk P of the acting word once per vertex.
 
 tests/test_fibre.py keeps the oracles: a breadth-first search for the graph, an
 edge-path walker, and `cycle_witness`, the per-edge witness removed from this API.
@@ -39,7 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
-from typing import Any, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .groups import FiniteGroup, check_size, clip_int
 from .words import Word, letter_tokens
@@ -215,90 +214,65 @@ def cotree_walker(g: FibreGraph) -> Walker:
     return walk
 
 
-def cotree_pass(g: FibreGraph) -> Callable[[int, Any], list]:
-    """`images(start, joiner)`: the walk of every witness from `start`, joined by
-    `joiner` to the walk P of the acting word, in basis order.
+def cotree_pass(g: FibreGraph) -> Callable[[int], tuple[list, Iterator]]:
+    """`paths(start) -> (steps, joins)`: the tree paths and witnesses of the
+    state `start`, in the format `action._Joiner.over` joins to the walk P
+    of the acting word.
 
     The witness of cotree edge (x, i) is up(x) . E . up(x + T_i)^-1, up(v) the
     letters of v's nonzero coordinates ascending and E the edge letter.  Walks
     concatenate and inverse letters retrace, so its walk is Phi(x) + E +
     Phi(x + T_i)^-1, Phi(v) the walk of up(v) and E walked from where Phi(x)
     ends.  In staircase order, v = (h m_k + d) T_k is its parent h m_k T_k and
-    (k, d): each parent's line at coordinate k is read once, and Phi(v) is
-    Phi(parent) and the run that crosses it.  The edges of one (i, h, t)
-    block share a line, which E moves from row[p] to row[p + 1].
-
-    The joiner (`action._Joiner`) holds Q(v), the reduction of P . Phi(v), and
-    its inverse for each vertex, spelt from its table: the line's symbols are
-    consecutive, so each run is one slice between the ends `ups` (going up) or
-    `downs` (going down) of the line.  Q(v) is its parent's and the run,
-    unless Phi(parent) has cancelled into P (cut[parent] >= 0), which
-    `joiner.step` takes; the image is Q(x) E Q(x + T_i)^-1, unless an end has
-    cancelled, which `joiner.join` takes.
+    (k, d): each parent's line at coordinate k is read once, and
+    steps[v] = (parent, i, j) says Phi(v) is Phi(parent) and the run (i, j)
+    that crosses the line: the consecutive symbols i + 1, ..., j going up,
+    the inverse (~j', ~i') of a run (i', j') going down, and (0, 0) on the
+    tree.  Every parent index is below its vertex.  The edges of one
+    (i, h, t) block share a line, which E moves from row[p] to row[p + 1];
+    the joins (x, i, j, x + T_i) come lazily, in basis order, so a large
+    graph never holds them all.
     """
-    line, walk = _cotree_lines(g), cotree_walker(g)
+    line = _cotree_lines(g)
     orders = [G.order for G in g.groups]
     tails = place_values(orders)
-    zeros = [(0,) * m for m in orders]  # the ends of a line on the tree: every run is empty
+    count = prod(orders)
 
-    def images(start: int, joiner) -> list:
-        def phi(v: int) -> tuple:
-            # the walk of up(v) from `start`, for the joiner's symbol-by-symbol joins
-            out: list[int] = []
-            walk([(k, v // t % m) for k, (m, t) in enumerate(zip(orders, tails)) if v // t % m],
-                 start, out)
-            return tuple(out)
+    def joins(states: list[int]) -> Iterator[tuple[int, int, int, int]]:
+        for c, (m, tail) in enumerate(zip(orders, tails)):
+            for parent in range(0, count, m * tail):
+                for x in range(parent + 1, parent + tail):  # the block's edge at p = 0
+                    _, row, base = line(c, states[x])
+                    for p in range(m - 1):
+                        a, b, y = row[p], row[p + 1], x + tail
+                        if base is None:
+                            yield x, 0, 0, y
+                        elif b > a:
+                            yield x, base + a, base + b, y
+                        else:
+                            yield x, ~(base + a), ~(base + b), y
+                        x = y
 
-        count = prod(orders)
-        q, qi, cut, table, ends = joiner.begin(count, phi)
-
-        def cross(k: int, index: int) -> tuple:
-            # the line's position, row, base and its ends going up and going down
-            a, row, base = line(k, index)
-            if base is None:
-                return a, row, base, zeros[k], zeros[k]
-            top = len(ends) - base
-            return a, row, base, ends[base:base + orders[k]], ends[top - orders[k]:top][::-1]
-
-        def run(base, a: int, b: int) -> tuple[int, int]:
-            # the run from a to b as the joiner's (i, j): symbols i + 1, ..., j
-            if base is None:
-                return 0, 0
-            return (base + a, base + b) if b > a else (~(base + a), ~(base + b))
-
+    def paths(start: int) -> tuple[list, Iterator]:
+        steps: list = [None] * count
         states = [start] * count  # the state each Phi(v) ends at
         for k, (m, tail) in enumerate(zip(orders, tails)):
             for parent in range(0, count, m * tail):
                 end = states[parent]
-                a, row, base, ups, downs = cross(k, end)
-                rest, head, back = end - a * tail, q[parent], qi[parent]
-                cancelled = cut[parent] >= 0  # Phi(parent) has cancelled into P
+                a, row, base = line(k, end)
+                rest, on_tree = end - a * tail, (parent, 0, 0)  # one tuple per tree line
                 for d in range(1, m):
                     b, v = row[d], parent + d * tail
                     states[v] = rest + b * tail
-                    if cancelled:
-                        joiner.step(v, parent, *run(base, a, b))
+                    if base is None:
+                        steps[v] = on_tree
                     elif b > a:
-                        q[v], qi[v] = head + table[ups[a]:ups[b]], table[downs[b]:downs[a]] + back
+                        steps[v] = (parent, base + a, base + b)
                     else:
-                        q[v], qi[v] = head + table[downs[a]:downs[b]], table[ups[b]:ups[a]] + back
-        out = []
-        for c, (m, tail) in enumerate(zip(orders, tails)):
-            for parent in range(0, count, m * tail):
-                for x in range(parent + 1, parent + tail):  # the block's edge at p = 0
-                    _, row, base, ups, downs = cross(c, states[x])
-                    for p in range(m - 1):
-                        a, b, y = row[p], row[p + 1], x + tail
-                        if cut[x] >= 0 or cut[y] >= 0:
-                            out.append(joiner.join(x, *run(base, a, b), y))
-                        elif b > a:
-                            out.append(q[x] + table[ups[a]:ups[b]] + qi[y])
-                        else:
-                            out.append(q[x] + table[downs[a]:downs[b]] + qi[y])
-                        x = y
-        return out
+                        steps[v] = (parent, ~(base + a), ~(base + b))
+        return steps, joins(states)
 
-    return images
+    return paths
 
 
 def to_dot(g: FibreGraph) -> str:

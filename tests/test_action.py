@@ -643,13 +643,10 @@ def ending_in_each_coordinate(rng, groups, count):
     return words
 
 
-def test_seam_act_word_matches_full_reduction(monkeypatch):
+def test_act_word_matches_full_reduction():
     # each image is P . W . P^-1 reduced in full, with P the reduced walk of
-    # g from 0 and W the reduced walk of the witness from pi(g).  act_word
-    # joins P to each tree path once and cancels only where a tree path or
-    # an edge run cancels into P: random words reach every branch of the
-    # joiner, and images whose W cancels away, in each basis
-    seen = count_join_branches(monkeypatch)
+    # g from 0 and W the reduced walk of the witness from pi(g), in each
+    # basis; random words reach images whose W cancels away
     rng = random.Random(29)
     bases = [tree_basis(build_fibre_graph(groups)) for groups in
              [(make_cyclic(3),) * 3,
@@ -658,7 +655,7 @@ def test_seam_act_word_matches_full_reduction(monkeypatch):
     bases += [algebraic_basis(groups) for groups in
               [(make_cyclic(2), make_cyclic(3)), (make_cyclic(4), make_cyclic(4)),
                (make_dihedral(4), make_symmetric(3))]]
-    reached = {"tree": Counter(), "algebraic-n2": Counter()}
+    reached = Counter()
     for basis in bases:
         walk = basis.walk
         words = [random_word(rng, basis.groups, 12) for _ in range(40)]
@@ -672,12 +669,37 @@ def test_seam_act_word_matches_full_reduction(monkeypatch):
                 walk(wit.letters, start, raw)
                 tagged = reduce_tagged([prefix, free_reduce(raw), invert_signed(prefix)])
                 expected.append(tuple(s for _, s in tagged))
-                reached[basis.kind]["W cancels away"] += all(tag != 1 for tag, _ in tagged)
-            seen.clear()
+                reached[basis.kind] += all(tag != 1 for tag, _ in tagged)
             assert act_word(g, basis).images == tuple(expected), g
-            reached[basis.kind].update(seen)
-    for kind, counts in reached.items():
-        assert all(counts[b] for b in JOIN_BRANCHES + ("W cancels away",)), (kind, counts)
+    assert reached["tree"] and reached["algebraic-n2"], reached
+
+
+def test_act_word_builds_no_joiner(monkeypatch):
+    # act_word, the oracle of `act`'s writer, joins P to the basis's witness
+    # walks with no `_Joiner`: with the walks walked letter by letter, it
+    # still gives P . W . P^-1 reduced when a joiner cannot be built
+    def refuse(*args):
+        raise AssertionError("act_word built a _Joiner")
+
+    rng = random.Random(53)
+    for spec in ("S3,C4,C3", "C3,C3,C3", "D4,C3", "C1,C3,C2", "S3,C4", "C4,C4"):
+        groups = parse_group_spec(spec)
+        bases = [tree_basis(build_fibre_graph(groups))]
+        if len(groups) == 2:
+            bases.append(algebraic_basis(groups))
+        words = [empty_word(groups)] + [random_kernel_word(rng, groups, 10) for _ in range(4)]
+        words += [random_word(rng, groups, 12) for _ in range(8)]
+        for basis in bases:
+            basis = replace(basis, closed_walks=lambda start, b=basis: walk_each(b, start))
+            with monkeypatch.context() as m:
+                m.setattr(action, "_Joiner", refuse)
+                for w in words:
+                    raw = []
+                    start = basis.walk(w.letters, 0, raw)
+                    prefix = tuple(raw)
+                    assert act_word(w, basis).images == tuple(
+                        free_reduce(prefix + run + invert_signed(prefix))
+                        for run in walk_each(basis, start)), (spec, basis.kind, w)
 
 
 def test_image_texts_match_the_formatted_images(monkeypatch):

@@ -595,8 +595,8 @@ def oracle_tree_basis(graph):
     words = tree_words(g, parents)
     witnesses = tuple(cycle_word(g, words, edge) for edge in g.cotree)
     basis = Basis("tree", g.groups, tuple(f"c{k + 1}" for k in range(len(witnesses))),
-                  lambda: witnesses, cotree_walker(graph), lambda start: walk_each(basis, start),
-                  cotree_pass(graph))
+                  lambda: witnesses, cotree_walker(graph),
+                  closed_walks=lambda start: walk_each(basis, start), paths=cotree_pass(graph))
     return basis
 
 
