@@ -16,21 +16,19 @@ emits the signed symbols s with  c . letter = s . c', so walks concatenate;
 a kernel word walks from 0 back to 0 and spells its decomposition, and
 conjugation by g sends a witness w to P . walk(w from pi(g)) . P^-1, where
 P is the walk of g.  `act_word` is that definition: each cached witness walk
-W_j (`Basis.walks`, over `Basis.closed_walks`) joined to P and P^-1.  Each
-basis also lists, from a state, the tree paths and joins of its witnesses,
-`Basis.paths`: the walk of each witness is Phi(x) E Phi(x')^-1, Phi(v) the
-walk of a tree path, each its parent's and one run.  The tree basis reads
-them off the grid by coordinate blocks (`fibre.cotree_pass`), the
-commutator basis lists the vertices g_p (`_commutator_paths`).  One loop,
-`_Joiner.over`, spells Q(v), the reduction of P . Phi(v), and its inverse
-once per vertex and joins each image as Q(x) E Q(x')^-1, taking the few
-vertices and images where P cancels.  `image_texts`, which `act` prints,
-runs it over slices of one text of every token; the tree basis's
-`closed_walks` runs it over signed symbols under the empty P, and the
-commutator basis walks each commutator's raw letters.  No walk builds a
-witness; `Basis.witnesses` builds and kernel-checks them on first read
-(`recompose`, verify, and `basis` in the commutator basis; the tree basis
-prints `fibre.witness_texts`).  So act(g)
+W_j (`Basis.walks`) joined to P and P^-1.  Each basis lists, from a state,
+the tree paths and joins of its witnesses, `Basis.paths`: the walk of each
+witness is Phi(x) E Phi(x')^-1, Phi(v) the walk of a tree path, each its
+parent's and one run.  The tree basis reads them off the grid by coordinate
+blocks (`fibre.cotree_pass`), the commutator basis lists the vertices g_p
+(`_commutator_paths`).  `Basis.walks` spells those walks as they are, since
+nothing cancels in them (see `decompose`); `_Joiner.over`, behind
+`image_texts`, which `act` prints, spells Q(v), the reduction of P . Phi(v),
+and its inverse once per vertex over slices of one text of every token, and
+joins each image as Q(x) E Q(x')^-1, taking the few vertices and images
+where P cancels.  No walk builds a witness; `Basis.witnesses` builds and
+kernel-checks them on first read (`recompose`, verify, and `basis` in the
+commutator basis; the tree basis prints `fibre.witness_texts`).  So act(g)
 is x -> P x P^-1 after the automorphism that sends witness j to its walk
 W_j from pi(g), `outer_representative`: one outer class, one H1 matrix,
 read off the state alone.
@@ -61,9 +59,8 @@ class Basis:
     # builds the witnesses, one per symbol, on the first read of `witnesses`
     make_witnesses: Callable[[], Iterable[Word]] = field(compare=False, repr=False)
     walk: Walker = field(compare=False, repr=False)  # the letter walk, from any state
-    # the witness walks by start, which build no witness
-    closed_walks: Callable[[int], tuple] = field(compare=False, repr=False)
-    # the steps and joins of every witness's walk from a state, for `_Joiner.over`
+    # the steps and joins of every witness's walk from a state, which build no witness:
+    # `walks` spells them, `_Joiner.over` joins P to them
     paths: Callable[[int], tuple[list, Iterable]] = field(compare=False, repr=False)
 
     @functools.cached_property
@@ -78,8 +75,9 @@ class Basis:
 
     @functools.cached_property
     def walks(self) -> Callable[[int], tuple[SymbolWord, ...]]:
-        """The witness walks from a state, cached for the last state."""
-        return functools.lru_cache(maxsize=1)(self.closed_walks)
+        """The witness walks from a state, spelt off `paths`, cached for the last state."""
+        table = (*range(1, self.rank + 1), *range(-self.rank, 1))
+        return functools.lru_cache(maxsize=1)(lambda start: _walks(table, *self.paths(start)))
 
     @property
     def rank(self) -> int:
@@ -112,7 +110,8 @@ class Basis:
 
 def algebraic_basis(groups: Sequence[FiniteGroup]) -> Basis:
     """The basis w[i,j] = [g_i, h_j], i-major, for two nontrivial factors; each witness
-    is spelt once as its reduced letters g_i h_j g_i^-1 h_j^-1, walked as they are."""
+    is spelt as its reduced letters g_i h_j g_i^-1 h_j^-1, and its walks are listed by
+    `_commutator_paths`."""
     groups = tuple(groups)
     if len(groups) != 2:
         raise ValueError("the commutator basis needs exactly two factors")
@@ -123,48 +122,39 @@ def algebraic_basis(groups: Sequence[FiniteGroup]) -> Basis:
     G, H = groups
     pairs = list(itertools.product(range(1, G.order), range(1, H.order)))
     letters = [((0, i), (1, j), (0, G.inverses[i]), (1, H.inverses[j])) for i, j in pairs]
-    walk = commutator_walker(G, H)
     return Basis("algebraic-n2", groups, tuple(f"w[{i},{j}]" for i, j in pairs),
-                 lambda: (Word(groups, w) for w in letters), walk,
-                 functools.partial(_walk_each, walk, letters),
-                 functools.lru_cache(maxsize=1)(_commutator_paths(G, H, pairs)))
-
-
-def _walk_each(walk: Walker, letters: Sequence[tuple], start: int) -> tuple[SymbolWord, ...]:
-    runs: list[list] = [[] for _ in letters]
-    for word, raw in zip(letters, runs):
-        walk(word, start, raw)
-    return tuple(map(tuple, runs))
+                 lambda: (Word(groups, w) for w in letters), commutator_walker(G, H),
+                 _commutator_paths(G, H, pairs))
 
 
 def _commutator_paths(G: FiniteGroup, H: FiniteGroup,
                       pairs: Sequence[tuple[int, int]]) -> Callable[[int], tuple[list, list]]:
     """`paths(start) -> (steps, joins)`: the tree paths and witnesses of the
-    state `start` = p |H| + q, for `_Joiner.over`.
+    state `start` = p |H| + q, in `fibre.cotree_pass`'s format.
 
     By `commutator_walker`'s rule, with r = p g_i and s = q h_j, the walk of
     [g_i, h_j] is [g_p, h_q] [g_r, h_q]^-1 [g_r, h_s] [g_p, h_s]^-1, each
     symbol dropped where an index is 0.  So the vertices are 0, 1 (Phi is
     [g_p, h_q]), i + 1 (1 and [g_r, h_q]^-1, the walk of g_i) and |G| + j
     ([g_p, h_s]), and the witness joins i + 1 to |G| + j across [g_r, h_s]:
-    every run is one symbol or none.
+    every run is one symbol or none.  The symbol of w[r,c] is
+    (r - 1)(|H| - 1) + c = k + 1 for k = base[r] + c, base[r] = (r - 1)(|H| - 1) - 1,
+    so its run is (k, k + 1), and none where r or c is 0.
     """
-    n = H.order
-
-    @functools.cache  # built on the first pass: `report` reads only the raw-letter walks
-    def cells() -> list[list[tuple[int, int]]]:
-        # the run of w[r,c], symbol (r - 1)(|H| - 1) + c, is cells[r][c]; empty if r or c is 0
-        return [[(0, 0)] * n] + [[(0, 0)] + [(x - 1, x) for x in range((r - 1) * (n - 1) + 1,
-                                                                        r * (n - 1) + 1)]
-                                 for r in range(1, G.order)]
+    m, n = G.order, H.order
+    base = [None, *range(-1, (m - 1) * (n - 1) - 1, n - 1)]
 
     def paths(start: int) -> tuple[list, list]:
-        (p, q), cell = divmod(start, n), cells()
+        p, q = divmod(start, n)
         rows, cols = G.table[p], H.table[q]
-        steps = [None, (0, *cell[p][q])]
-        steps += [(1, ~j, ~i) for i, j in [cell[r][q] for r in rows[1:]]]
-        steps += [(0, *cell[p][c]) for c in cols[1:]]
-        return steps, [(i + 1, *cell[rows[i]][cols[j]], G.order + j) for i, j in pairs]
+        at = itemgetter(*rows)(base)  # k of w[rows[i],c] is at[i] + c
+        steps = [None, (0, at[0] + q, at[0] + q + 1) if p and q else (0, 0, 0)]
+        steps += [(1, ~(k + q + 1), ~(k + q)) if k is not None and q else (1, -1, -1)
+                  for k in at[1:]]
+        steps += [(0, at[0] + c, at[0] + c + 1) if p and c else (0, 0, 0) for c in cols[1:]]
+        return steps, [(i + 1, at[i] + cols[j], at[i] + cols[j] + 1, m + j)
+                       if at[i] is not None and cols[j] else (i + 1, 0, 0, m + j)
+                       for i, j in pairs]
 
     return paths
 
@@ -201,10 +191,8 @@ def commutator_walker(G: FiniteGroup, H: FiniteGroup) -> Walker:
 def tree_basis(graph: FibreGraph) -> Basis:
     """The fundamental cycles of the staircase tree; their walks are read off the grid."""
     symbols = tuple([f"c{k}" for k in range(1, betti_one(graph) + 1)])
-    paths = cotree_pass(graph)
     return Basis("tree", graph.groups, symbols, lambda: cycle_witnesses(graph),
-                 cotree_walker(graph), functools.partial(_closed_walks, paths, len(symbols)),
-                 paths)
+                 cotree_walker(graph), cotree_pass(graph))
 
 
 @dataclass(frozen=True)
@@ -264,19 +252,22 @@ def image_texts(w: Word, basis: Basis) -> list[str]:
     """The images of `act_word(w, basis)` as `Basis.format_image` prints them."""
     raw: list[int] = []
     start = basis.state(w, raw)
-    return _Joiner(tuple(raw), *basis.text_table, True).over(*basis.paths(start))
+    return _Joiner(tuple(raw), *basis.text_table).over(*basis.paths(start))
 
 
-def _closed_walks(paths: Callable[[int], tuple[list, Iterable]], rank: int,
-                  start: int) -> tuple[SymbolWord, ...]:
-    """The witness walks from `start`: their images under the empty prefix."""
-    return tuple(_Joiner((), *_symbol_table(rank), False).over(*paths(start)))
-
-
-@functools.lru_cache(maxsize=4)
-def _symbol_table(rank: int) -> tuple[SymbolWord, tuple[int, ...]]:
-    """The symbol table of a `_Joiner`: symbol x is table[ends[x - 1]:ends[x]]."""
-    return tuple(range(1, rank + 1)) + tuple(range(-rank, 0)), tuple(range(2 * rank + 1))
+def _walks(table: SymbolWord, steps: list, joins: Iterable) -> tuple[SymbolWord, ...]:
+    """The walk Phi(x) E Phi(x')^-1 of each join (x, i, j, x') of a pass (`Basis.paths`),
+    spelt as it is: walks of reduced words are reduced, so nothing cancels (see
+    `decompose`), and Phi(v) and Phi(v)^-1 are spelt once per vertex, from their
+    parent's.  A run (i, j) is table[i:j], for table = (1, ..., r, -r, ..., -1, 0):
+    the symbols i + 1, ..., j for i, j >= 0, and its inverse (~j, ~i) -j, ..., -(i + 1)."""
+    count = len(steps)
+    phi, phi_inv = [()] * count, [()] * count
+    for v in range(1, count):
+        parent, i, j = steps[v]
+        phi[v] = phi[parent] + table[i:j]
+        phi_inv[v] = table[~j:~i] + phi_inv[parent]
+    return tuple([phi[x] + table[i:j] + phi_inv[y] for x, i, j, y in joins])
 
 
 class _Joiner:
@@ -293,14 +284,13 @@ class _Joiner:
     Q(parent) = P[:cut[parent]]: `step` takes those.  The image
     Q(x) E Q(x')^-1 cancels at neither join unless Phi(x) or Phi(x') has
     cancelled away: `join` takes those, and E cancels into P from either side
-    there.  A table is text, whose pieces carry a '*' before each token, for
-    any P, or signed symbols for the empty P alone, where nothing cancels.  A
+    there.  The table is text, whose pieces carry a '*' before each token.  A
     Q text drops its first '*'; the state's own vertex counts as cancelled
     even for an empty P, so every Q text goes through `step`.
     """
 
-    def __init__(self, prefix: SymbolWord, table, ends: Sequence[int], text: bool):
-        self.prefix, self.table, self.ends, self.text = prefix, table, ends, text
+    def __init__(self, prefix: SymbolWord, table: str, ends: Sequence[int]):
+        self.prefix, self.table, self.ends = prefix, table, ends
         self.head, self.head_at = _text_and_ends([table[ends[x - 1]:ends[x]] for x in prefix])
         self.tail, self.tail_at = _text_and_ends([table[ends[x - 1]:ends[x]]
                                                   for x in invert_signed(prefix)])
@@ -347,10 +337,10 @@ class _Joiner:
     def over(self, steps: list, joins: Iterable) -> list:
         """The images of a pass that lists its steps (parent, i, j) by vertex, from 1,
         and its joins (x, i, j, x'); vertex 0 is the state itself."""
-        table, ends, empty, count = self.table, self.ends, self.table[:0], len(steps)
-        q, qi, cut = self.q, self.qi, self.cut = [empty] * count, [empty] * count, [-1] * count
+        table, ends, count = self.table, self.ends, len(steps)
+        q, qi, cut = self.q, self.qi, self.cut = [""] * count, [""] * count, [-1] * count
         self.steps = steps
-        cut[0] = len(self.prefix) if self.text else -1
+        cut[0] = len(self.prefix)
         for v in range(1, count):
             parent, i, j = steps[v]
             if cut[parent] < 0:

@@ -26,8 +26,9 @@ basis, and the staircase gives both halves of the calculus in closed form:
   translated by the image of g.  `cotree_pass` lists every witness's walk
   from a state at once, by coordinate blocks: one line read per tree-path
   parent and per block of cotree edges, and one run of consecutive symbols
-  per vertex and per witness, which the joiner (`action._Joiner`) spells
-  and prefixes with the walk P of the acting word once per vertex.
+  per vertex and per witness, which `action.Basis.walks` spells as they
+  are and the joiner (`action._Joiner`) prefixes with the walk P of the
+  acting word once per vertex.
 
 tests/test_fibre.py keeps the oracles: a breadth-first search for the graph, an
 edge-path walker, and `cycle_witness`, the per-edge witness removed from this API.
@@ -216,8 +217,8 @@ def cotree_walker(g: FibreGraph) -> Walker:
 
 def cotree_pass(g: FibreGraph) -> Callable[[int], tuple[list, Iterator]]:
     """`paths(start) -> (steps, joins)`: the tree paths and witnesses of the
-    state `start`, in the format `action._Joiner.over` joins to the walk P
-    of the acting word.
+    state `start`, which `action.Basis.walks` spells and `action._Joiner.over`
+    joins to the walk P of the acting word.
 
     The witness of cotree edge (x, i) is up(x) . E . up(x + T_i)^-1, up(v) the
     letters of v's nonzero coordinates ascending and E the edge letter.  Walks

@@ -676,8 +676,8 @@ def test_act_word_matches_full_reduction():
 
 def test_act_word_builds_no_joiner(monkeypatch):
     # act_word, the oracle of `act`'s writer, joins P to the basis's witness
-    # walks with no `_Joiner`: with the walks walked letter by letter, it
-    # still gives P . W . P^-1 reduced when a joiner cannot be built
+    # walks with no `_Joiner`, and `Basis.walks` spells them with none: both
+    # still give P . W . P^-1 reduced when a joiner cannot be built
     def refuse(*args):
         raise AssertionError("act_word built a _Joiner")
 
@@ -690,7 +690,6 @@ def test_act_word_builds_no_joiner(monkeypatch):
         words = [empty_word(groups)] + [random_kernel_word(rng, groups, 10) for _ in range(4)]
         words += [random_word(rng, groups, 12) for _ in range(8)]
         for basis in bases:
-            basis = replace(basis, closed_walks=lambda start, b=basis: walk_each(b, start))
             with monkeypatch.context() as m:
                 m.setattr(action, "_Joiner", refuse)
                 for w in words:
@@ -746,9 +745,8 @@ def test_image_texts_match_the_formatted_images(monkeypatch):
 
 
 def test_walks_match_walking_each_witness():
-    # the tree basis reads Phi(x) + E + Phi(x')^-1 off its table of tree-path
-    # walks; the commutator basis walks the raw letters of each commutator;
-    # both from every state
+    # both bases spell Phi(x) + E + Phi(x')^-1 off the tree paths and joins
+    # of their `paths`, from every state
     table = Path(__file__).parent / "fixtures" / "c2_table.json"
     bases = [tree_basis(build_fibre_graph(parse_group_spec(spec)))
              for spec in ("S3,C4,C3", "D4,C3,C2", "S4,C1,C2", "C5", "C1,C4",
@@ -757,6 +755,33 @@ def test_walks_match_walking_each_witness():
     for basis in bases:
         for start in range(prod(G.order for G in basis.groups)):
             assert basis.walks(start) == walk_each(basis, start), (basis.groups, start)
+
+
+def test_commutator_walks_never_call_the_letter_walker(monkeypatch):
+    # the commutator basis reads its witness walks off `_commutator_paths`
+    # alone: built with a letter walker that counts its calls, its walks from
+    # every state are an unpatched basis's witnesses walked letter by letter,
+    # with no call
+    real, calls = action.commutator_walker, Counter()
+
+    def counting_walker(G, H):
+        walk = real(G, H)
+
+        def counted(letters, index, out):
+            calls["letter walk"] += 1
+            return walk(letters, index, out)
+
+        return counted
+
+    for spec in ("S3,C4", "D4,C3", "C5,C2"):
+        groups = parse_group_spec(spec)
+        oracle = algebraic_basis(groups)
+        with monkeypatch.context() as m:
+            m.setattr(action, "commutator_walker", counting_walker)
+            basis = algebraic_basis(groups)
+        for start in range(prod(G.order for G in groups)):
+            assert basis.walks(start) == walk_each(oracle, start), (spec, start)
+        assert not calls, spec
 
 
 def test_walks_cache_one_state():

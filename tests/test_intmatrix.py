@@ -631,11 +631,15 @@ def corrupt_walks_at(monkeypatch, state):
     def corrupt(groups):
         basis = real(groups)
 
-        def walks(start):
-            runs = basis.walks(start)
-            return ((*runs[0], 1),) + runs[1:] if start == state else runs
+        def paths(start):
+            steps, joins = basis.paths(start)
+            if start != state:
+                return steps, joins
+            # the first witness leaves from a new vertex: its tree path x's and the symbol 1
+            (x, i, j, y), *rest = joins
+            return steps + [(x, 0, 1)], [(len(steps), i, j, y), *rest]
 
-        return replace(basis, closed_walks=walks)
+        return replace(basis, paths=paths)
 
     monkeypatch.setattr(intmatrix, "algebraic_basis", corrupt)
 
