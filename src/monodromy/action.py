@@ -10,8 +10,8 @@ Both act by deck translation through a letter walk, `Basis.walk`;
 `Basis.state` runs it from the basepoint 0 for every caller.  Its state
 is the image of the prefix read so far, a mixed-radix index c
 (coordinate 0 most significant) standing for a fixed word: the staircase
-tree path in the tree basis (`fibre.cotree_walker`), g_p h_q for
-c = p |H| + q in the commutator basis (`commutator_walker`).  Each letter
+tree path in the tree basis (`fibre.cotree_rule`), g_p h_q for
+c = p |H| + q in the commutator basis (`algebraic_basis`).  Each letter
 emits the signed symbols s with  c . letter = s . c', so walks concatenate;
 a kernel word walks from 0 back to 0 and spells its decomposition, and
 conjugation by g sends a witness w to P . walk(w from pi(g)) . P^-1, where
@@ -19,10 +19,11 @@ P is the walk of g.  `act_word` is that definition: each cached witness walk
 W_j (`Basis.walks`) joined to P and P^-1.  Each basis lists, from a state,
 the tree paths and joins of its witnesses, `Basis.paths`: the walk of each
 witness is Phi(x) E Phi(x')^-1, Phi(v) the walk of a tree path, each its
-parent's and one run.  The tree basis reads them off the grid by coordinate
-blocks (`fibre.cotree_pass`), the commutator basis lists the vertices g_p
-(`_commutator_paths`).  `Basis.walks` spells those walks as they are, since
-nothing cancels in them (see `decompose`); `_Joiner.over`, behind
+parent's and one run.  Each basis builds its walk and its pass in one
+place, over one symbol index: the tree basis reads them off the grid by
+coordinate blocks (`fibre.cotree_rule`), the commutator basis lists the
+vertices g_p (`algebraic_basis`).  `Basis.walks` spells those walks as
+they are, since nothing cancels in them (see `decompose`); `_Joiner.over`, behind
 `image_texts`, which `act` prints, spells Q(v), the reduction of P . Phi(v),
 and its inverse once per vertex over slices of one text of every token, and
 joins each image as Q(x) E Q(x')^-1, taking the few vertices and images
@@ -42,8 +43,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .fibre import (FibreGraph, Walker, betti_one, cotree_pass, cotree_walker,
-                    cycle_witnesses)
+from .fibre import FibreGraph, Walker, betti_one, cotree_rule, cycle_witnesses
 from .groups import FiniteGroup
 from .words import Word, invert, invert_signed, projection, reduce_word
 
@@ -110,8 +110,22 @@ class Basis:
 
 def algebraic_basis(groups: Sequence[FiniteGroup]) -> Basis:
     """The basis w[i,j] = [g_i, h_j], i-major, for two nontrivial factors; each witness
-    is spelt as its reduced letters g_i h_j g_i^-1 h_j^-1, and its walks are listed by
-    `_commutator_paths`."""
+    is spelt as its reduced letters g_i h_j g_i^-1 h_j^-1.
+
+    The state p |H| + q stands for g_p h_q, and both the letter walk and the
+    pass follow the identity  g_p h_q a = [g_p, h_q] [g_r, h_q]^-1 g_r h_q,
+    r = p a, each commutator dropped where an index is 0.  The symbol of
+    [g_r, h_c] is first[r] + c, first[r] = (r - 1)(|H| - 1).
+
+    `walk`: a letter of H moves q and emits nothing; a letter a of G emits
+    the two commutators and moves p to r.  `paths(start) -> (steps, joins)`:
+    the tree paths and witnesses of `start`, in `fibre.cotree_rule`'s format.
+    With r = p g_i and s = q h_j, the walk of [g_i, h_j] is
+    [g_p, h_q] [g_r, h_q]^-1 [g_r, h_s] [g_p, h_s]^-1, so the vertices are 0,
+    1 (Phi is [g_p, h_q]), i + 1 (1 and [g_r, h_q]^-1, the walk of g_i) and
+    |G| + j ([g_p, h_s]), and the witness joins i + 1 to |G| + j across
+    [g_r, h_s]: every run is one symbol k, (k - 1, k), or none.
+    """
     groups = tuple(groups)
     if len(groups) != 2:
         raise ValueError("the commutator basis needs exactly two factors")
@@ -122,53 +136,9 @@ def algebraic_basis(groups: Sequence[FiniteGroup]) -> Basis:
     G, H = groups
     pairs = list(itertools.product(range(1, G.order), range(1, H.order)))
     letters = [((0, i), (1, j), (0, G.inverses[i]), (1, H.inverses[j])) for i, j in pairs]
-    return Basis("algebraic-n2", groups, tuple(f"w[{i},{j}]" for i, j in pairs),
-                 lambda: (Word(groups, w) for w in letters), commutator_walker(G, H),
-                 _commutator_paths(G, H, pairs))
-
-
-def _commutator_paths(G: FiniteGroup, H: FiniteGroup,
-                      pairs: Sequence[tuple[int, int]]) -> Callable[[int], tuple[list, list]]:
-    """`paths(start) -> (steps, joins)`: the tree paths and witnesses of the
-    state `start` = p |H| + q, in `fibre.cotree_pass`'s format.
-
-    By `commutator_walker`'s rule, with r = p g_i and s = q h_j, the walk of
-    [g_i, h_j] is [g_p, h_q] [g_r, h_q]^-1 [g_r, h_s] [g_p, h_s]^-1, each
-    symbol dropped where an index is 0.  So the vertices are 0, 1 (Phi is
-    [g_p, h_q]), i + 1 (1 and [g_r, h_q]^-1, the walk of g_i) and |G| + j
-    ([g_p, h_s]), and the witness joins i + 1 to |G| + j across [g_r, h_s]:
-    every run is one symbol or none.  The symbol of w[r,c] is
-    (r - 1)(|H| - 1) + c = k + 1 for k = base[r] + c, base[r] = (r - 1)(|H| - 1) - 1,
-    so its run is (k, k + 1), and none where r or c is 0.
-    """
-    m, n = G.order, H.order
-    base = [None, *range(-1, (m - 1) * (n - 1) - 1, n - 1)]
-
-    def paths(start: int) -> tuple[list, list]:
-        p, q = divmod(start, n)
-        rows, cols = G.table[p], H.table[q]
-        at = itemgetter(*rows)(base)  # k of w[rows[i],c] is at[i] + c
-        steps = [None, (0, at[0] + q, at[0] + q + 1) if p and q else (0, 0, 0)]
-        steps += [(1, ~(k + q + 1), ~(k + q)) if k is not None and q else (1, -1, -1)
-                  for k in at[1:]]
-        steps += [(0, at[0] + c, at[0] + c + 1) if p and c else (0, 0, 0) for c in cols[1:]]
-        return steps, [(i + 1, at[i] + cols[j], at[i] + cols[j] + 1, m + j)
-                       if at[i] is not None and cols[j] else (i + 1, 0, 0, m + j)
-                       for i, j in pairs]
-
-    return paths
-
-
-def commutator_walker(G: FiniteGroup, H: FiniteGroup) -> Walker:
-    """The letter walk of the commutator basis, from any state.
-
-    The state p |H| + q stands for g_p h_q.  A letter of H moves q and emits
-    nothing.  A letter a of G moves p to p' = p a and, if q != 0, emits
-    [g_p, h_q] unless p = 0, then [g_p', h_q]^-1 unless p' = 0; the symbol
-    w[i,j] is (i - 1)(|H| - 1) + j.
-    """
     # a Word's letters are valid elements, so the walk reads the tables unchecked
-    n, g_table, h_table = H.order, G.table, H.table
+    m, n, g_table, h_table = G.order, H.order, G.table, H.table
+    first = [None, *range(0, (m - 1) * (n - 1), n - 1)]
 
     def walk(letters: Sequence[tuple[int, int]], index: int, out: list) -> int:
         p, q = divmod(index, n)
@@ -179,20 +149,33 @@ def commutator_walker(G: FiniteGroup, H: FiniteGroup) -> Walker:
             r = g_table[p][e]
             if q:
                 if p:
-                    out.append((p - 1) * (n - 1) + q)
+                    out.append(first[p] + q)
                 if r:
-                    out.append(-((r - 1) * (n - 1) + q))
+                    out.append(-(first[r] + q))
             p = r
         return p * n + q
 
-    return walk
+    def paths(start: int) -> tuple[list, list]:
+        p, q = divmod(start, n)
+        rows, cols = g_table[p], h_table[q]
+        at = itemgetter(*rows)(first)  # the symbol of w[rows[i],c] is at[i] + c
+        steps = [None, (0, at[0] + q - 1, at[0] + q) if p and q else (0, 0, 0)]
+        steps += [(1, ~(f + q), ~(f + q - 1)) if f is not None and q else (1, -1, -1)
+                  for f in at[1:]]
+        steps += [(0, at[0] + c - 1, at[0] + c) if p and c else (0, 0, 0) for c in cols[1:]]
+        return steps, [(i + 1, at[i] + cols[j] - 1, at[i] + cols[j], m + j)
+                       if at[i] is not None and cols[j] else (i + 1, 0, 0, m + j)
+                       for i, j in pairs]
+
+    return Basis("algebraic-n2", groups, tuple(f"w[{i},{j}]" for i, j in pairs),
+                 lambda: (Word(groups, w) for w in letters), walk, paths)
 
 
 def tree_basis(graph: FibreGraph) -> Basis:
     """The fundamental cycles of the staircase tree; their walks are read off the grid."""
     symbols = tuple([f"c{k}" for k in range(1, betti_one(graph) + 1)])
     return Basis("tree", graph.groups, symbols, lambda: cycle_witnesses(graph),
-                 cotree_walker(graph), cotree_pass(graph))
+                 *cotree_rule(graph))
 
 
 @dataclass(frozen=True)
@@ -273,7 +256,7 @@ def _walks(table: SymbolWord, steps: list, joins: Iterable) -> tuple[SymbolWord,
 class _Joiner:
     """Joins the walk P of an acting word to the tree paths and witnesses of a state.
 
-    A basis's `paths` (`fibre.cotree_pass`, `_commutator_paths`) lists
+    A basis's `paths` (`fibre.cotree_rule`, `algebraic_basis`) lists
     vertices v with tree-path walks Phi(v), each its parent's and one run,
     and joins each witness's walk as Phi(x) E Phi(x')^-1.  A run (i, j) is
     the symbols i + 1, ..., j, all of one sign, and is spelt

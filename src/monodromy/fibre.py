@@ -19,16 +19,16 @@ basis, and the staircase gives both halves of the calculus in closed form:
 - A letter of coordinate i moves the state along one line of the grid: it
   crosses tree edges only when the state's coordinates after i are all 0,
   and otherwise one run of consecutive cotree indices (see `grid_edges`).
-  `_cotree_lines` holds that arithmetic once; a word is walked letter by
-  letter (`cotree_walker`).  From the basepoint the walk of a kernel word
-  is its decomposition; from any other vertex it is a translate, which is
-  how `action.act_word` reads a conjugate g w g^-1 as the cycle w
-  translated by the image of g.  `cotree_pass` lists every witness's walk
-  from a state at once, by coordinate blocks: one line read per tree-path
-  parent and per block of cotree edges, and one run of consecutive symbols
-  per vertex and per witness, which `action.Basis.walks` spells as they
-  are and the joiner (`action._Joiner`) prefixes with the walk P of the
-  acting word once per vertex.
+  `cotree_rule` holds that arithmetic once, for the letter walk and the
+  pass of the tree basis.  The walk reads a word letter by letter: from the
+  basepoint the walk of a kernel word is its decomposition; from any other
+  vertex it is a translate, which is how `action.act_word` reads a
+  conjugate g w g^-1 as the cycle w translated by the image of g.  The pass
+  lists every witness's walk from a state at once, by coordinate blocks:
+  one line read per tree-path parent and per block of cotree edges, and
+  one run of consecutive symbols per vertex and per witness, which
+  `action.Basis.walks` spells as they are and the joiner (`action._Joiner`)
+  prefixes with the walk P of the acting word once per vertex.
 
 tests/test_fibre.py keeps the oracles: a breadth-first search for the graph, an
 edge-path walker, and `cycle_witness`, the per-edge witness removed from this API.
@@ -94,8 +94,8 @@ def grid_edges(orders: Sequence[int], cotree_only: bool = False) -> Iterator[Edg
     """The edges (x, i) of the grid, by coordinate i, then the coordinates
     before i (mixed-radix index h), then those after i (t), then the position
     p: x = (h m_i + p) T_i + t.  The tree edges are those with t = 0; with
-    `cotree_only` they are skipped, and the k-th edge is the walker's cotree
-    index k = off_i + (h (T_i - 1) + t - 1)(m_i - 1) + p."""
+    `cotree_only` they are skipped, and the k-th edge has the cotree index
+    of `cotree_rule`'s lines, k = off_i + (h (T_i - 1) + t - 1)(m_i - 1) + p."""
     for i, (m, tail) in enumerate(zip(orders, place_values(orders))):
         for h in range(prod(orders[:i])):
             for t in range(1 if cotree_only else 0, tail):
@@ -167,16 +167,35 @@ def place_values(orders: Sequence[int]) -> list[int]:
     return [prod(orders[i + 1:]) for i in range(len(orders))]
 
 
-def _cotree_lines(g: FibreGraph) -> Callable[[int, int], tuple]:
-    """`line(i, index) -> (a, row, base)`: the line of coordinate i through the
-    vertex `index`, which holds the tree basis's cotree-index arithmetic.
+def cotree_rule(g: FibreGraph) -> tuple[Walker, Callable[[int], tuple[list, Iterator]]]:
+    """`(walk, paths)`: the letter walk of the tree basis, from any state, and
+    its pass, over one cotree-index arithmetic.
 
-    a is the vertex's position at coordinate i and row its row of the table,
-    so a letter e moves it to b = row[e].  The line's edge p has cotree
-    index base + p, so its symbol is base + p + 1: moving from a to b crosses
-    base + a + 1, ..., base + b going up and -(base + a), ..., -(base + b + 1)
-    going down.  If the vertex's coordinates after i are all 0 the line is on
-    the tree and base is None.
+    `line(i, index) -> (a, row, base)` is the line of coordinate i through
+    the vertex `index`: a is the vertex's position at coordinate i and row
+    its row of the table, so a letter e moves it to b = row[e].  The line's
+    edge p has cotree index base + p, so its symbol is base + p + 1: moving
+    from a to b crosses base + a + 1, ..., base + b going up and
+    -(base + a), ..., -(base + b + 1) going down.  If the vertex's
+    coordinates after i are all 0 the line is on the tree and base is None.
+    `walk` reads one line per letter.
+
+    `paths(start) -> (steps, joins)`: the tree paths and witnesses of the
+    state `start`, which `action.Basis.walks` spells and `action._Joiner.over`
+    joins to the walk P of the acting word.  The witness of cotree edge
+    (x, i) is up(x) . E . up(x + T_i)^-1, up(v) the letters of v's nonzero
+    coordinates ascending and E the edge letter.  Walks concatenate and
+    inverse letters retrace, so its walk is Phi(x) + E + Phi(x + T_i)^-1,
+    Phi(v) the walk of up(v) and E walked from where Phi(x) ends.  In
+    staircase order, v = (h m_k + d) T_k is its parent h m_k T_k and (k, d):
+    each parent's line at coordinate k is read once, and
+    steps[v] = (parent, i, j) says Phi(v) is Phi(parent) and the run (i, j)
+    that crosses the line: the consecutive symbols i + 1, ..., j going up,
+    the inverse (~j', ~i') of a run (i', j') going down, and (0, 0) on the
+    tree.  Every parent index is below its vertex.  The edges of one
+    (i, h, t) block share a line, which E moves from row[p] to row[p + 1];
+    the joins (x, i, j, x + T_i) come lazily, in basis order, so a large
+    graph never holds them all.
     """
     # a Word's letters are valid elements, so the walks read the tables unchecked
     tables = [G.table for G in g.groups]
@@ -185,6 +204,7 @@ def _cotree_lines(g: FibreGraph) -> Callable[[int, int], tuple]:
     tails = place_values(orders)
     offsets = list(itertools.accumulate(
         (prod(orders[:k]) * (tails[k] - 1) * (m - 1) for k, m in enumerate(orders)), initial=0))
+    count = prod(orders)
 
     def line(i: int, index: int) -> tuple:
         tail, m = tails[i], orders[i]
@@ -195,14 +215,6 @@ def _cotree_lines(g: FibreGraph) -> Callable[[int, int], tuple]:
         h = index // (tail * m)  # the coordinates before i
         return a, tables[i][a], offsets[i] + (h * (tail - 1) + t - 1) * (m - 1)
 
-    return line
-
-
-def cotree_walker(g: FibreGraph) -> Walker:
-    """The letter walk of the tree basis, from any state: one line read per letter."""
-    line = _cotree_lines(g)
-    tails = place_values([G.order for G in g.groups])
-
     def walk(letters: Sequence[tuple[int, int]], index: int, out: list) -> int:
         for i, e in letters:
             a, row, base = line(i, index)
@@ -211,33 +223,6 @@ def cotree_walker(g: FibreGraph) -> Walker:
             if base is not None:
                 out += range(base + a + 1, base + b + 1) if b > a else range(-base - a, -base - b)
         return index
-
-    return walk
-
-
-def cotree_pass(g: FibreGraph) -> Callable[[int], tuple[list, Iterator]]:
-    """`paths(start) -> (steps, joins)`: the tree paths and witnesses of the
-    state `start`, which `action.Basis.walks` spells and `action._Joiner.over`
-    joins to the walk P of the acting word.
-
-    The witness of cotree edge (x, i) is up(x) . E . up(x + T_i)^-1, up(v) the
-    letters of v's nonzero coordinates ascending and E the edge letter.  Walks
-    concatenate and inverse letters retrace, so its walk is Phi(x) + E +
-    Phi(x + T_i)^-1, Phi(v) the walk of up(v) and E walked from where Phi(x)
-    ends.  In staircase order, v = (h m_k + d) T_k is its parent h m_k T_k and
-    (k, d): each parent's line at coordinate k is read once, and
-    steps[v] = (parent, i, j) says Phi(v) is Phi(parent) and the run (i, j)
-    that crosses the line: the consecutive symbols i + 1, ..., j going up,
-    the inverse (~j', ~i') of a run (i', j') going down, and (0, 0) on the
-    tree.  Every parent index is below its vertex.  The edges of one
-    (i, h, t) block share a line, which E moves from row[p] to row[p + 1];
-    the joins (x, i, j, x + T_i) come lazily, in basis order, so a large
-    graph never holds them all.
-    """
-    line = _cotree_lines(g)
-    orders = [G.order for G in g.groups]
-    tails = place_values(orders)
-    count = prod(orders)
 
     def joins(states: list[int]) -> Iterator[tuple[int, int, int, int]]:
         for c, (m, tail) in enumerate(zip(orders, tails)):
@@ -273,7 +258,7 @@ def cotree_pass(g: FibreGraph) -> Callable[[int], tuple[list, Iterator]]:
                         steps[v] = (parent, ~(base + a), ~(base + b))
         return steps, joins(states)
 
-    return paths
+    return walk, paths
 
 
 def to_dot(g: FibreGraph) -> str:

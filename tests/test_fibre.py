@@ -12,7 +12,7 @@ import pytest
 
 from monodromy.action import Basis, decompose, tree_basis
 from monodromy.cli import main
-from monodromy.fibre import (betti_one, build_fibre_graph, cotree_pass, cotree_walker,
+from monodromy.fibre import (betti_one, build_fibre_graph, cotree_rule,
                              cycle_witnesses, grid_edges, place_values,
                              rank_formula, to_dot, witness_texts)
 from monodromy.groups import (SizeLimitError, make_cyclic, make_dihedral,
@@ -595,7 +595,7 @@ def oracle_tree_basis(graph):
     words = tree_words(g, parents)
     witnesses = tuple(cycle_word(g, words, edge) for edge in g.cotree)
     basis = Basis("tree", g.groups, tuple(f"c{k + 1}" for k in range(len(witnesses))),
-                  lambda: witnesses, cotree_walker(graph), paths=cotree_pass(graph))
+                  lambda: witnesses, *cotree_rule(graph))
     return basis
 
 
