@@ -76,8 +76,9 @@ class Basis:
     @functools.cached_property
     def walks(self) -> Callable[[int], tuple[SymbolWord, ...]]:
         """The witness walks from a state, spelt off `paths`, cached for the last state."""
-        table = (*range(1, self.rank + 1), *range(-self.rank, 1))
-        return functools.lru_cache(maxsize=1)(lambda start: _walks(table, *self.paths(start)))
+        # closing over `paths`, not `self`, keeps a basis out of a reference cycle
+        table, paths = (*range(1, self.rank + 1), *range(-self.rank, 1)), self.paths
+        return functools.lru_cache(maxsize=1)(lambda start: _walks(table, *paths(start)))
 
     @property
     def rank(self) -> int:

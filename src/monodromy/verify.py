@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import prod
 
 from .action import (act_word, algebraic_basis, decompose, outer_representative, recompose,
                      tree_basis)
 from .commutators import lemma_suite
 from .complexes import build_complex, full_simplex, h1, parse_complex_spec, zero_complex
-from .fibre import build_fibre_graph, grid_edges, place_values, rank_formula
+from .fibre import build_fibre_graph, place_values, rank_formula
 from .groups import S3_CLASSIC_ORDER, make_cyclic, make_symmetric
-from .intmatrix import IntMatrix, abelianize, columns, cyclic_closed_form
+from .intmatrix import IntMatrix, abelianize, columns, cyclic_closed_form, product_is_identity
 from .words import conjugate, random_kernel_word, single
 
 S3_MATRICES = {
@@ -61,16 +62,22 @@ def criterion_1_rank_formula(seed: int = 0):
     lists = [orders for n in range(1, 5) for orders in itertools.product(range(1, 6), repeat=n)]
     for orders in lists:
         # each vertex but the basepoint must top exactly one tree edge; tree
-        # edges rise in index, so the tree spans and E - V + 1 is the Betti number
-        tails = place_values(orders)
-        parents, nedges = [0] * (orders[0] * tails[0]), 0  # V = m_0 T_0
-        for x, i in grid_edges(orders):
-            nedges += 1
-            if x % tails[i] == 0:  # a tree edge: the coordinates after i are 0
-                parents[x + tails[i]] += 1
-        if parents[0] or parents.count(1) != len(parents) - 1:
+        # edges rise in index, so the tree spans and E - V + 1 is the Betti number.
+        # Coordinate i has V/m_i lines of m_i - 1 edges; its tree edges (the
+        # coordinates after i are 0) at position p - 1 top p T_i + h m_i T_i,
+        # one slice per p.  If V - 1 tops land on V - 1 vertices, not the
+        # basepoint, each other vertex is topped exactly once.
+        nverts = prod(orders)
+        topped, ntops = bytearray(nverts), 0
+        for m, tail in zip(orders, place_values(orders)):
+            for p in range(1, m):
+                count = len(range(p * tail, nverts, m * tail))
+                topped[p * tail::m * tail] = b"\1" * count
+                ntops += count
+        if topped[0] or ntops != nverts - 1 or topped.count(1) != nverts - 1:
             return _fail(f"staircase tree does not span at orders {orders}")
-        if nedges - len(parents) + 1 != rank_formula(orders):
+        nedges = sum(nverts // m * (m - 1) for m in orders)
+        if nedges - nverts + 1 != rank_formula(orders):
             return _fail(f"betti mismatch at orders {orders}")
     return True, f"rank formula matches graph Betti number on {len(lists)} group lists"
 
@@ -135,7 +142,7 @@ def criterion_4_cyclic_pairs(seed: int = 0):
                 failures.append(f"matrices do not commute for ({r},{m})")
             for i in range(r):
                 for j in range(m):
-                    if (pow1[i] * pow2[j]).is_identity() != (i == 0 and j == 0):
+                    if product_is_identity(pow1[i], pow2[j]) != (i == 0 and j == 0):
                         failures.append(f"faithfulness fails at ({r},{m}) i={i} j={j}")
             d1 = m1.det()
             if d1 != (-1) ** ((r - 1) * (m - 1)):

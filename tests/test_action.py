@@ -1,5 +1,7 @@
+import gc
 import random
 import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 from math import prod
@@ -799,6 +801,23 @@ def test_walks_cache_one_state():
         outer_representative(single(basis.groups, 1, 1), basis)
         info = basis.walks.cache_info()
         assert (info.misses, info.currsize) == (2, 1)
+
+
+def test_a_walked_basis_is_freed_without_the_cycle_collector():
+    # the cached walks close over the basis's paths, not the basis, so a
+    # dropped basis that has walked is freed by reference counting alone
+    groups = parse_group_spec("S3,C4,C3")
+    gc.disable()
+    try:
+        for make in (lambda: tree_basis(build_fibre_graph(groups)),
+                     lambda: algebraic_basis(groups[:2])):
+            basis = make()
+            basis.walks(0)
+            ref = weakref.ref(basis)
+            del basis
+            assert ref() is None, make
+    finally:
+        gc.enable()
 
 
 def test_kernel_words_reuse_the_walks_from_zero():

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from monodromy import verify
 from monodromy.action import Basis, decompose, tree_basis
 from monodromy.cli import main
 from monodromy.fibre import (betti_one, build_fibre_graph, cotree_rule,
@@ -456,6 +457,25 @@ def test_closed_form_graph_matches_bfs_oracle(capsys):
             (*grid_edge(tails, e), e in o.tree) for e in o.edges], orders
         assert g.cotree == tuple(grid_edge(tails, e) for e in o.cotree), orders
         assert to_dot(g) == oracle_dot(o), orders
+
+
+def test_rank_formula_criterion_fails_naming_the_list(monkeypatch):
+    # criterion 1 checks the staircase tree by coordinate slices, with no edge
+    # list: a wrong rank formula or wrong place values must still fail it,
+    # naming the first group list at fault
+    assert verify.criterion_1_rank_formula() == (
+        True, "rank formula matches graph Betti number on 780 group lists")
+    with monkeypatch.context() as m:
+        m.setattr(verify, "rank_formula",
+                  lambda orders: rank_formula(orders) + (tuple(orders) == (2, 3, 4)))
+        assert verify.criterion_1_rank_formula() == (
+            False, "betti mismatch at orders (2, 3, 4)")
+    for tails in (lambda orders: [1] * len(orders),
+                  lambda orders: place_values(orders)[1:] + [1]):
+        with monkeypatch.context() as m:
+            m.setattr(verify, "place_values", tails)
+            assert verify.criterion_1_rank_formula() == (
+                False, "staircase tree does not span at orders (2, 2)")
 
 
 def test_closed_form_witnesses_match_walking_oracle():

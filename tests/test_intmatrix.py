@@ -14,6 +14,7 @@ from monodromy.fibre import build_fibre_graph, rank_formula
 from monodromy.groups import SizeLimitError, make_cyclic, make_symmetric, parse_group_spec
 from monodromy.intmatrix import (IntMatrix, abelianize, columns, cyclic_closed_form,
                                  determinant, representation_report)
+from monodromy.verify import _powers
 from monodromy.words import free_reduce, multiply, project, random_kernel_word, reduce_word, single
 from oracles import (_eliminate_units, dense_counts, elimination_det, leibniz_det, pretty,
                      rational_elimination, rational_rank, smith_normal_form,
@@ -50,6 +51,37 @@ def test_is_identity_checks_every_entry():
     for entries in ([[1, 0], [0, 2]], [[1, 0], [3, 1]], [[1, 0, 0], [0, 1, -1], [0, 0, 1]],
                     [[-1]], [[1, 0]], [[1], [0]]):
         assert not IntMatrix(entries).is_identity(), entries
+    # product_is_identity(a, b) stops at the first wrong row of a * b; it must agree with
+    # the full product on every pair, each entry above among the right factors
+    rng = random.Random(36)
+    pairs = [(IntMatrix.identity(len(e)), IntMatrix(e)) for e in (
+        [[1, 0], [0, 2]], [[1, 0], [3, 1]], [[1, 0, 0], [0, 1, -1], [0, 0, 1]], [[-1]])]
+    pairs += [(rand_matrix(rng, n, k, bound=1), rand_matrix(rng, k, n, bound=1))
+              for n, k in itertools.product(range(1, 4), repeat=2) for _ in range(20)]
+    # non-square factors whose product is I2 or falls short of it in its last row
+    pairs += [(IntMatrix([[1, 0, 0], [0, 1, 0]]), IntMatrix([[1, 0], [0, 1], [5, 7]])),
+              (IntMatrix([[1, 0, 0], [0, 1, 1]]), IntMatrix([[1, 0], [0, 1], [0, 1]])),
+              (IntMatrix([[1, 0], [0, 1]]), IntMatrix([[1, 0, 0], [0, 1, 0]]))]
+    for _ in range(60):  # signed permutations, with their inverses and with a stray sign
+        n = rng.randrange(1, 7)
+        perm = rng.sample(range(n), n)
+        p = IntMatrix([[rng.choice((1, -1)) if j == perm[i] else 0 for j in range(n)]
+                       for i in range(n)])
+        q = p.transpose()
+        pairs += [(p, q), (q, p), (p, -q)]
+        if n > 1:
+            last = q.entries[-1]
+            pairs.append((p, IntMatrix(q.entries[:-1] + [[-v for v in last]])))
+    for a, b in pairs:
+        assert intmatrix.product_is_identity(a, b) == (a * b).is_identity(), (a, b)
+    # the True branch runs: each permutation with its inverse twice, and the first I2
+    assert sum(intmatrix.product_is_identity(a, b) for a, b in pairs) >= 121
+    for a, b in [(IntMatrix([[1, 0]]), IntMatrix([[1, 0]])),
+                 (IntMatrix.identity(2), IntMatrix.identity(3)),
+                 (IntMatrix([[1], [0]]), IntMatrix([[1], [0]]))]:
+        for form in (lambda: a * b, lambda: intmatrix.product_is_identity(a, b)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                form()
 
 
 def test_derived_matrices_equal_constructed_ones():
@@ -481,6 +513,11 @@ def test_cyclic_closed_form_orders_and_det():
         assert m1.det() in (1, -1) and m2.det() in (1, -1)
     with pytest.raises(ValueError):
         cyclic_closed_form(1, 3)
+    # criterion 4's faithfulness tests read product_is_identity on every pair of powers
+    for r, m in itertools.product(range(2, 5), repeat=2):
+        m1, m2 = cyclic_closed_form(r, m)
+        for a, b in itertools.product(_powers(m1, r), _powers(m2, m)):
+            assert intmatrix.product_is_identity(a, b) == (a * b).is_identity(), (r, m)
 
 
 def test_matrix_of_letter_agrees_with_closed_form():
