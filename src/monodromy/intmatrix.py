@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .action import Automorphism, algebraic_basis, outer_representative
 from .groups import FiniteGroup, SizeLimitError, make_cyclic
@@ -56,7 +56,18 @@ class IntMatrix:
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        return IntMatrix._of_rows(list(_product_rows(self, other)))
+        # the factors are mostly zero: visit only the nonzero entries of each
+        # left row, and of the right factor's row that each one selects
+        right = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
+        out = []
+        for row in self.entries:
+            acc = [0] * other.cols
+            for a, nonzeros in zip(row, right):
+                if a:
+                    for j, b in nonzeros:
+                        acc[j] += a * b
+            out.append(acc)
+        return IntMatrix._of_rows(out)
 
     def __neg__(self):
         return IntMatrix._of_rows([[-v for v in row] for row in self.entries])
@@ -78,7 +89,9 @@ class IntMatrix:
         return IntMatrix._of_rows(list(map(list, zip(*self.entries))))
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and _unit_rows(self.entries)
+        return self.rows == self.cols and all(
+            row[i] == 1 and not any(row[:i]) and not any(row[i + 1:])
+            for i, row in enumerate(self.entries))
 
     def det(self) -> int:
         """Exact determinant: O(n^3), for small matrices."""
@@ -93,34 +106,6 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({self.entries!r})"
-
-
-def _product_rows(a: IntMatrix, b: IntMatrix) -> Iterator[list[int]]:
-    """The rows of a * b, each formed when it is read; the caller checks the shapes."""
-    # the factors are mostly zero: visit only the nonzero entries of each
-    # left row, and of the right factor's row that each one selects
-    right = [[(j, v) for j, v in enumerate(row) if v] for row in b.entries]
-    for row in a.entries:
-        acc = [0] * b.cols
-        for u, nonzeros in zip(row, right):
-            if u:
-                for j, v in nonzeros:
-                    acc[j] += u * v
-        yield acc
-
-
-def _unit_rows(rows: Iterable[list[int]]) -> bool:
-    """Whether row i is e_i for every i, read up to the first row that is not."""
-    return all(row[i] == 1 and not any(row[:i]) and not any(row[i + 1:])
-               for i, row in enumerate(rows))
-
-
-def product_is_identity(a: IntMatrix, b: IntMatrix) -> bool:
-    """Whether a * b is the identity, formed row by row only up to its first row that is
-    not e_i.  Raises the ValueError of a * b on a shape mismatch."""
-    if a.cols != b.rows:
-        raise ValueError("dimension mismatch")
-    return a.rows == b.cols and _unit_rows(_product_rows(a, b))
 
 
 def _eliminate(entries: list[list[int]]) -> tuple[int, int]:

@@ -17,7 +17,7 @@ from .commutators import lemma_suite
 from .complexes import build_complex, full_simplex, h1, parse_complex_spec, zero_complex
 from .fibre import build_fibre_graph, place_values, rank_formula
 from .groups import S3_CLASSIC_ORDER, make_cyclic, make_symmetric
-from .intmatrix import IntMatrix, abelianize, columns, cyclic_closed_form, product_is_identity
+from .intmatrix import IntMatrix, abelianize, columns, cyclic_closed_form
 from .words import conjugate, random_kernel_word, single
 
 S3_MATRICES = {
@@ -142,7 +142,8 @@ def criterion_4_cyclic_pairs(seed: int = 0):
                 failures.append(f"matrices do not commute for ({r},{m})")
             for i in range(r):
                 for j in range(m):
-                    if product_is_identity(pow1[i], pow2[j]) != (i == 0 and j == 0):
+                    # M1^i M2^j = I iff M1^i = M2^(m-j), exact once M2^m = I is checked above
+                    if (pow1[i] == pow2[-j % m]) != (i == 0 and j == 0):
                         failures.append(f"faithfulness fails at ({r},{m}) i={i} j={j}")
             d1 = m1.det()
             if d1 != (-1) ** ((r - 1) * (m - 1)):

@@ -5,7 +5,7 @@ from math import prod
 
 import pytest
 
-from monodromy import intmatrix
+from monodromy import intmatrix, verify
 from monodromy.cli import main
 
 from monodromy.action import (Automorphism, act_word, algebraic_basis, invert_signed,
@@ -51,37 +51,11 @@ def test_is_identity_checks_every_entry():
     for entries in ([[1, 0], [0, 2]], [[1, 0], [3, 1]], [[1, 0, 0], [0, 1, -1], [0, 0, 1]],
                     [[-1]], [[1, 0]], [[1], [0]]):
         assert not IntMatrix(entries).is_identity(), entries
-    # product_is_identity(a, b) stops at the first wrong row of a * b; it must agree with
-    # the full product on every pair, each entry above among the right factors
-    rng = random.Random(36)
-    pairs = [(IntMatrix.identity(len(e)), IntMatrix(e)) for e in (
-        [[1, 0], [0, 2]], [[1, 0], [3, 1]], [[1, 0, 0], [0, 1, -1], [0, 0, 1]], [[-1]])]
-    pairs += [(rand_matrix(rng, n, k, bound=1), rand_matrix(rng, k, n, bound=1))
-              for n, k in itertools.product(range(1, 4), repeat=2) for _ in range(20)]
-    # non-square factors whose product is I2 or falls short of it in its last row
-    pairs += [(IntMatrix([[1, 0, 0], [0, 1, 0]]), IntMatrix([[1, 0], [0, 1], [5, 7]])),
-              (IntMatrix([[1, 0, 0], [0, 1, 1]]), IntMatrix([[1, 0], [0, 1], [0, 1]])),
-              (IntMatrix([[1, 0], [0, 1]]), IntMatrix([[1, 0, 0], [0, 1, 0]]))]
-    for _ in range(60):  # signed permutations, with their inverses and with a stray sign
-        n = rng.randrange(1, 7)
-        perm = rng.sample(range(n), n)
-        p = IntMatrix([[rng.choice((1, -1)) if j == perm[i] else 0 for j in range(n)]
-                       for i in range(n)])
-        q = p.transpose()
-        pairs += [(p, q), (q, p), (p, -q)]
-        if n > 1:
-            last = q.entries[-1]
-            pairs.append((p, IntMatrix(q.entries[:-1] + [[-v for v in last]])))
-    for a, b in pairs:
-        assert intmatrix.product_is_identity(a, b) == (a * b).is_identity(), (a, b)
-    # the True branch runs: each permutation with its inverse twice, and the first I2
-    assert sum(intmatrix.product_is_identity(a, b) for a, b in pairs) >= 121
     for a, b in [(IntMatrix([[1, 0]]), IntMatrix([[1, 0]])),
                  (IntMatrix.identity(2), IntMatrix.identity(3)),
                  (IntMatrix([[1], [0]]), IntMatrix([[1], [0]]))]:
-        for form in (lambda: a * b, lambda: intmatrix.product_is_identity(a, b)):
-            with pytest.raises(ValueError, match="dimension mismatch"):
-                form()
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            a * b
 
 
 def test_derived_matrices_equal_constructed_ones():
@@ -513,11 +487,30 @@ def test_cyclic_closed_form_orders_and_det():
         assert m1.det() in (1, -1) and m2.det() in (1, -1)
     with pytest.raises(ValueError):
         cyclic_closed_form(1, 3)
-    # criterion 4's faithfulness tests read product_is_identity on every pair of powers
-    for r, m in itertools.product(range(2, 5), repeat=2):
+    # criterion 4 tests faithfulness by comparing powers; on its whole range the
+    # comparison must agree with the product it stands for
+    for r, m in itertools.product(range(2, 7), repeat=2):
         m1, m2 = cyclic_closed_form(r, m)
-        for a, b in itertools.product(_powers(m1, r), _powers(m2, m)):
-            assert intmatrix.product_is_identity(a, b) == (a * b).is_identity(), (r, m)
+        pow1, pow2 = _powers(m1, r), _powers(m2, m)
+        for i, j in itertools.product(range(r), range(m)):
+            assert (pow1[i] == pow2[-j % m]) == (pow1[i] * pow2[j]).is_identity(), (r, m, i, j)
+
+
+def test_cyclic_pairs_criterion_names_each_failure(monkeypatch):
+    real = cyclic_closed_form
+
+    def swapped_at(pair, swap):
+        return lambda r, m: swap(*real(r, m)) if (r, m) == pair else real(r, m)
+
+    # M2 = M1 at (3,3): M1^i M1^(3-i) = I for i = 1, 2, besides the degenerate (2,2)
+    monkeypatch.setattr(verify, "cyclic_closed_form", swapped_at((3, 3), lambda m1, m2: (m1, m1)))
+    assert verify.criterion_4_cyclic_pairs() == (False, (
+        "faithfulness fails at (2,2) i=1 j=1; faithfulness fails at (3,3) i=1 j=2; "
+        "faithfulness fails at (3,3) i=2 j=1"))
+    # -M2 at (2,3) has order 6, not 3
+    monkeypatch.setattr(verify, "cyclic_closed_form", swapped_at((2, 3), lambda m1, m2: (m1, -m2)))
+    assert verify.criterion_4_cyclic_pairs() == (False, (
+        "faithfulness fails at (2,2) i=1 j=1; generator matrix order wrong for (2,3)"))
 
 
 def test_matrix_of_letter_agrees_with_closed_form():
