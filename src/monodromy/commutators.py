@@ -14,7 +14,7 @@ import random
 from typing import Sequence
 
 from .groups import FiniteGroup
-from .words import (Word, commutator as group_commutator, conjugate, free_reduce,
+from .words import (Word, _below, commutator as group_commutator, conjugate, free_reduce,
                     invert_signed, multiply, random_word)
 
 # A free-letter word: (+-ord(name), ...), freely reduced.
@@ -68,7 +68,12 @@ def lemma_suite(groups: Sequence[FiniteGroup], rng: random.Random,
     The delta identity on `trials` pairs of random words over `groups`, the
     product expansion on `trials` triples of random free-letter words, and
     the Magnus weights of the depth-k iterated commutator and of its bracket
-    with a fresh letter, for k = 1..depth (at most 5).
+    with a fresh letter, for k = 1..depth (at most 5, one letter of "abcde"
+    each).  The two series are truncated at degrees k and k + 1, which is
+    exact: each letter multiplies by 1 + X or 1 - X + X^2 - ..., which never
+    lowers a degree, so truncating at degree d leaves every coefficient of
+    degree <= d as it is.  A weight w <= d reads w at d as at any higher
+    degree, and one above d reads None, which is not k.
     """
     delta = 0
     for _ in range(trials):
@@ -76,17 +81,19 @@ def lemma_suite(groups: Sequence[FiniteGroup], rng: random.Random,
         f = random_word(rng, groups)
         delta += delta_identity_check(g, f)
     alphabet = "abcde"
+    bits = rng.getrandbits  # drawn as rng.choice and rng.randrange draw
     expansion = 0
     for _ in range(trials):
-        ws = [free_reduce(ord(rng.choice(alphabet)) * rng.choice((1, -1))
-                          for _ in range(rng.randrange(1, 5)))
+        ws = [free_reduce(ord(alphabet[_below(bits, 5)]) * (1, -1)[_below(bits, 2)]
+                          for _ in range(1 + _below(bits, 4)))
               for _ in range(3)]
         expansion += product_expansion_check(*ws)
     magnus = 0
-    for k in range(1, depth + 1):
+    # a k past 5 would bracket the same five letters, of weight 5, and never pass
+    for k in range(1, min(depth, len(alphabet)) + 1):
         f = iterated_commutator(letters(*alphabet[:k]))
-        magnus += (magnus_weight(f, 6) == k
-                   and magnus_weight(fl_commutator(letters("z")[0], f), 7) == k + 1)
+        magnus += (magnus_weight(f, k) == k
+                   and magnus_weight(fl_commutator(letters("z")[0], f), k + 1) == k + 1)
     return delta, expansion, magnus
 
 

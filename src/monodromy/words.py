@@ -12,6 +12,9 @@ values; all operations are pure.
 The module also holds the seeded random words the checks draw from, and
 the free reduction of signed symbol words, which every free-group layer
 shares: a word of nonzero ints, symbol k with sign s being s (k + 1).
+Seeded words are drawn from `rng.getrandbits` as `rng.randrange` draws
+them, so a seed gives the same words, and leaves `rng` in the same state,
+as the `randrange` spelling.
 """
 
 from __future__ import annotations
@@ -165,22 +168,49 @@ def is_in_kernel(w: Word) -> bool:
     return not any(project(w))
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A draw from range(n), as `randrange(n)` makes it: n.bit_length() bits,
+    drawn again while they read n or more."""
+    if n <= 0:  # getrandbits(0) is 0, so the loop would never end
+        raise ValueError(f"empty range for a draw below {n}")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _random_letters(rng: random.Random, groups: Sequence[FiniteGroup],
                     count: int) -> list[tuple[int, int]]:
-    # each draw picks a factor, then a non-identity element of it; a trivial
-    # factor has none, so its draws add no letter
+    # each draw picks a factor, then a non-identity element of it, both drawn
+    # as `_below` draws, inlined here; a trivial factor has none, so its draws
+    # add no letter, and C2's one element still spends a bit, as randrange(1, 2) does
+    if count <= 0:
+        return []
+    n = len(groups)
+    if not n:
+        raise ValueError("no factor to draw a letter from")
+    bits, k = rng.getrandbits, n.bit_length()
+    spans = [(G.order - 1, (G.order - 1).bit_length()) for G in groups]
     raw = []
     for _ in range(count):
-        f = rng.randrange(len(groups))
-        if groups[f].order > 1:
-            raw.append((f, rng.randrange(1, groups[f].order)))
+        f = bits(k)
+        while f >= n:
+            f = bits(k)
+        m, j = spans[f]
+        if m:
+            e = bits(j)
+            while e >= m:
+                e = bits(j)
+            raw.append((f, e + 1))
     return raw
 
 
 def random_word(rng: random.Random, groups: Sequence[FiniteGroup],
                 max_letters: int = 8) -> Word:
     """Reduced product of 1 to max_letters - 1 random letter draws."""
-    return reduce_word(_random_letters(rng, groups, rng.randrange(1, max_letters)), groups)
+    count = 1 + _below(rng.getrandbits, max_letters - 1)
+    return reduce_word(_random_letters(rng, groups, count), groups)
 
 
 def random_kernel_word(rng: random.Random, groups: Sequence[FiniteGroup],
@@ -190,7 +220,7 @@ def random_kernel_word(rng: random.Random, groups: Sequence[FiniteGroup],
     One letter per coordinate is appended to cancel the projection, which is a
     homomorphism: the raw draws project as their reduced word does.
     """
-    raw = _random_letters(rng, groups, rng.randrange(max_letters))
+    raw = _random_letters(rng, groups, _below(rng.getrandbits, max_letters))
     fix = [(i, groups[i].inverses[p]) for i, p in enumerate(projection(groups)(raw)) if p]
     return reduce_word(raw + fix, groups)
 

@@ -18,7 +18,16 @@ not assumed away.
 
 `two_reduce_kernel_word` is `words.random_kernel_word` as first written:
 the same draws, reduced once to project them and once more after the
-letters that cancel the projection are appended.
+letters that cancel the projection are appended.  `two_reduce_random_word`
+is `words.random_word` beside it.  Both draw with `rng.randrange`, as
+`randrange_letters` does; `words` draws from `rng.getrandbits` and must
+give the same words and leave `rng` in the same state.
+
+`randrange_lemma_draws` draws the pairs and triples that
+`commutators.lemma_suite` checks, with `rng.randrange` and `rng.choice`,
+and `degree_6_7_lemma_suite` is `lemma_suite` as it was before each Magnus
+series stopped at the degree that decides its check: on those draws, with
+every series truncated at degrees 6 and 7.
 
 `walk_each` walks each witness of a basis letter by letter with
 `Basis.walk`: the oracle of `Basis.walks`, which builds no witness.
@@ -42,10 +51,12 @@ from itertools import combinations, compress, permutations
 from math import prod
 from typing import Sequence
 
+from monodromy.commutators import (delta_identity_check, fl_commutator, iterated_commutator,
+                                   letters, magnus_weight, product_expansion_check)
 from monodromy.complexes import CubicalComplex, SimplicialComplex
 from monodromy.fibre import place_values
 from monodromy.intmatrix import IntMatrix
-from monodromy.words import project, reduce_word
+from monodromy.words import free_reduce, project, reduce_word
 
 
 def signed(k: int, sign: int) -> int:
@@ -325,12 +336,50 @@ def edges(K: SimplicialComplex) -> set[frozenset[int]]:
     return {frozenset(p) for f in K.facets for p in combinations(f, 2)}
 
 
-def two_reduce_kernel_word(rng, groups, max_letters: int = 10):
-    """A random kernel word: the raw draws reduced and projected, closed up and reduced again."""
+def randrange_letters(rng, groups, count: int) -> list[tuple[int, int]]:
+    """`count` letter draws, each a factor and then a non-identity element of it, by randrange."""
     raw = []
-    for _ in range(rng.randrange(max_letters)):
+    for _ in range(count):
         f = rng.randrange(len(groups))
         if groups[f].order > 1:
             raw.append((f, rng.randrange(1, groups[f].order)))
+    return raw
+
+
+def two_reduce_kernel_word(rng, groups, max_letters: int = 10):
+    """A random kernel word: the raw draws reduced and projected, closed up and reduced again."""
+    raw = randrange_letters(rng, groups, rng.randrange(max_letters))
     fix = [(i, groups[i].inverse(p)) for i, p in enumerate(project(reduce_word(raw, groups))) if p]
     return reduce_word(raw + fix, groups)
+
+
+def two_reduce_random_word(rng, groups, max_letters: int = 8):
+    """A random word: 1 to max_letters - 1 raw draws, reduced."""
+    return reduce_word(randrange_letters(rng, groups, rng.randrange(1, max_letters)), groups)
+
+
+def randrange_lemma_draws(groups, rng, trials: int) -> tuple[list, list]:
+    """The word pairs of the delta identity and the free-letter triples of the
+    product expansion, in the order `commutators.lemma_suite` draws them."""
+    pairs = []
+    for _ in range(trials):
+        g = two_reduce_random_word(rng, groups)
+        pairs.append((g, two_reduce_random_word(rng, groups)))
+    triples = [tuple(free_reduce(ord(rng.choice("abcde")) * rng.choice((1, -1))
+                                 for _ in range(rng.randrange(1, 5)))
+                     for _ in range(3))
+               for _ in range(trials)]
+    return pairs, triples
+
+
+def degree_6_7_lemma_suite(groups, rng, trials: int, depth: int) -> tuple[int, int, int]:
+    """The pass counts of `commutators.lemma_suite`, every Magnus series truncated at 6 and 7."""
+    pairs, triples = randrange_lemma_draws(groups, rng, trials)
+    delta = sum(delta_identity_check(g, f) for g, f in pairs)
+    expansion = sum(product_expansion_check(*ws) for ws in triples)
+    magnus = 0
+    for k in range(1, depth + 1):
+        f = iterated_commutator(letters(*"abcde"[:k]))
+        magnus += (magnus_weight(f, 6) == k
+                   and magnus_weight(fl_commutator(letters("z")[0], f), 7) == k + 1)
+    return delta, expansion, magnus

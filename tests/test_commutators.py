@@ -3,12 +3,15 @@ import random
 
 import pytest
 
+from monodromy import commutators
 from monodromy.commutators import (MAX_MAGNUS_DEGREE, delta_identity_check,
                                    fl_commutator, fl_mul,
-                                   iterated_commutator, letters, magnus_series,
+                                   iterated_commutator, lemma_suite, letters, magnus_series,
                                    magnus_weight, product_expansion_check)
-from monodromy.groups import make_cyclic, make_symmetric
+from monodromy.groups import make_cyclic, make_symmetric, parse_group_spec
 from monodromy.words import free_reduce, invert_signed, reduce_word
+
+from oracles import degree_6_7_lemma_suite, randrange_lemma_draws
 
 
 def mono(names):
@@ -117,6 +120,65 @@ def test_magnus_weight_fresh_letter_bracket():
 def test_magnus_degree_cap():
     with pytest.raises(ValueError):
         magnus_weight(mono("a"), MAX_MAGNUS_DEGREE + 1)
+
+
+def test_magnus_verdict_at_the_deciding_degree_is_the_verdict_at_6_and_7():
+    # truncating at degree d keeps every coefficient of degree <= d, so for k <= 5
+    # a weight reads k at degree k exactly when it reads k at degree 6, and k + 1
+    # at degree k + 1 exactly when it does at 7; lemma_suite stops at k and k + 1
+    z, y = letters("z", "y")
+    chains = [iterated_commutator(letters(*"abcde"[:n])) for n in range(1, 6)]
+    rng = random.Random(47)
+    words = chains + [fl_commutator(z, f) for f in chains]
+    words += [rand_free_word(rng, "abcdez", 10) for _ in range(200)]
+    for k in range(1, 6):
+        f = chains[k - 1]
+        fz = fl_commutator(z, f)
+        assert magnus_weight(f, k) == k and magnus_weight(fz, k + 1) == k + 1
+        # one bracket dropped or added: weight k - 1 or k + 1, and k or k + 2 bracketed
+        dropped = chains[k - 2] if k > 1 else ()
+        mutants = [dropped, fz, fl_commutator(z, dropped), fl_commutator(z, fl_commutator(y, f))]
+        for w in mutants[:2]:
+            assert magnus_weight(w, k) != k and magnus_weight(w, 6) != k
+        for w in mutants[2:]:
+            assert magnus_weight(w, k + 1) != k + 1 and magnus_weight(w, 7) != k + 1
+        for w in words + mutants:
+            assert (magnus_weight(w, k) == k) == (magnus_weight(w, 6) == k), (w, k)
+            assert (magnus_weight(w, k + 1) == k + 1) == (magnus_weight(w, 7) == k + 1), (w, k)
+
+
+def test_lemma_suite_matches_its_degree_6_7_randrange_oracle():
+    # the same triple at every depth, past the five letters too, and the same rng state after
+    for spec in ("C3,C4,C2", "S3,C2"):
+        groups = parse_group_spec(spec)
+        for depth in range(10):
+            rng, oracle = random.Random(depth), random.Random(depth)
+            assert (lemma_suite(groups, rng, 40, depth)
+                    == degree_6_7_lemma_suite(groups, oracle, 40, depth)), (spec, depth)
+            assert rng.random() == oracle.random()
+
+
+def test_lemma_suite_checks_the_randrange_draws(monkeypatch):
+    # the pairs and triples the checks receive are those that randrange and choice draw
+    seen = {"pairs": [], "triples": []}
+
+    def record(key, check):
+        def recorded(*args):
+            seen[key].append(args)
+            return check(*args)
+        return recorded
+
+    monkeypatch.setattr(commutators, "delta_identity_check", record("pairs", delta_identity_check))
+    monkeypatch.setattr(commutators, "product_expansion_check",
+                        record("triples", product_expansion_check))
+    for spec in ("C3,C4,C2", "S3,C2", "C7,C1,C5"):
+        groups = parse_group_spec(spec)
+        for seed in range(5):
+            seen["pairs"].clear()
+            seen["triples"].clear()
+            assert lemma_suite(groups, random.Random(seed), 60, 5) == (60, 60, 5)
+            pairs, triples = randrange_lemma_draws(groups, random.Random(seed), 60)
+            assert seen["pairs"] == pairs and seen["triples"] == triples, (spec, seed)
 
 
 def test_magnus_lowest_term_of_commutator_is_lie_bracket():

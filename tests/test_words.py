@@ -13,7 +13,8 @@ from monodromy.words import (Word, commutator, empty_word,
                              project, random_kernel_word, random_word,
                              reduce_word, single)
 
-from oracles import encode, free_reduce_pairs, invert_pairs, two_reduce_kernel_word
+from oracles import (encode, free_reduce_pairs, invert_pairs, two_reduce_kernel_word,
+                     two_reduce_random_word)
 
 C2C3 = (make_cyclic(2), make_cyclic(3))
 
@@ -296,6 +297,42 @@ def test_random_kernel_word_matches_the_two_reduce_oracle():
                 assert w == two_reduce_kernel_word(oracle, groups, max_letters), (spec, seed)
                 assert is_in_kernel(w)
             assert rng.random() == oracle.random()
+
+
+def test_random_draws_match_their_randrange_spelling():
+    # words draws from getrandbits as randrange does: the same words from the
+    # same seed, and the same rng state after them; C1 spends no bits, C5 alone
+    # spends bits on a range of one, C4 draws a range that is a power of two
+    for spec in ("C3,C4", "S3,C2", "C7,C1,C5", "C5", "C4,C4,C4,C4", "C1000,C2"):
+        groups = parse_group_spec(spec)
+        for seed in range(20):
+            rng, oracle = random.Random(seed), random.Random(seed)
+            for max_letters in (2, 3, 8, 17):
+                w = random_word(rng, groups, max_letters)
+                assert w == two_reduce_random_word(oracle, groups, max_letters), (spec, seed)
+                k = random_kernel_word(rng, groups, max_letters)
+                assert k == two_reduce_kernel_word(oracle, groups, max_letters), (spec, seed)
+            assert rng.random() == oracle.random(), (spec, seed)
+
+
+def test_random_draws_refuse_empty_ranges():
+    # randrange refused these; getrandbits(0) is 0, so an unguarded draw would never end
+    groups = parse_group_spec("C3,C4")
+    for max_letters in (1, 0, -3):
+        with pytest.raises(ValueError):
+            random_word(random.Random(0), groups, max_letters)
+    for max_letters in (0, -1):
+        with pytest.raises(ValueError):
+            random_kernel_word(random.Random(0), groups, max_letters)
+    with pytest.raises(ValueError):
+        random_word(random.Random(0), (), 8)
+    for seed in range(10):  # no factor to draw from: refused once a letter is to be drawn
+        if random.Random(seed).randrange(10):
+            with pytest.raises(ValueError):
+                random_kernel_word(random.Random(seed), (), 10)
+        else:
+            assert random_kernel_word(random.Random(seed), (), 10).is_identity
+    assert random_kernel_word(random.Random(0), (), 1).is_identity
 
 
 def test_parse_word_refuses_a_number_longer_than_int_reads():
