@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .groups import FiniteGroup
 from .words import (Word, _below, commutator as group_commutator, conjugate, free_reduce,
-                    invert_signed, multiply, random_word)
+                    invert_signed, multiply, random_words)
 
 # A free-letter word: (+-ord(name), ...), freely reduced.
 FreeLetterWord = tuple[int, ...]
@@ -76,10 +76,10 @@ def lemma_suite(groups: Sequence[FiniteGroup], rng: random.Random,
     degree, and one above d reads None, which is not k.
     """
     delta = 0
+    words = random_words(rng, groups)
     for _ in range(trials):
-        g = random_word(rng, groups)
-        f = random_word(rng, groups)
-        delta += delta_identity_check(g, f)
+        g = next(words)
+        delta += delta_identity_check(g, next(words))
     alphabet = "abcde"
     bits = rng.getrandbits  # drawn as rng.choice and rng.randrange draw
     expansion = 0

@@ -7,9 +7,10 @@ off its state, from `action.outer_representative`: `act_word` conjugates its
 images by the walk P of the element, and P cancels in H1.  Criterion 7 and
 the tests' dense report keep counting `act_word`, as the oracle of that.
 The letters are counted once, into sparse columns (`columns`): the report
-compares those directly, and the CLI's `matrix` prints them as sparse rows,
-with no dense copy.  `abelianize` writes them into a dense `IntMatrix` for
-verify's matrix criteria and `cyclic_closed_form`.
+compares those directly, the CLI's `matrix` prints them as sparse rows,
+with no dense copy, and verify's criterion 4 composes them
+(`compose_columns`).  `dense` writes them into a dense `IntMatrix`, for
+`abelianize`, for `cyclic_closed_form` and for criterion 4's determinants.
 An element's determinant is read off its projection (`determinant`);
 `IntMatrix.det` and `IntMatrix.rank` share one fraction-free elimination.
 """
@@ -22,7 +23,7 @@ from typing import Sequence
 
 from .action import Automorphism, algebraic_basis, outer_representative
 from .groups import FiniteGroup, SizeLimitError, make_cyclic
-from .words import random_kernel_word, single
+from .words import random_kernel_words, single
 
 MAX_REPORT_PAIR = 10**4  # the largest |G| |H| representation_report accepts
 
@@ -113,7 +114,9 @@ def _eliminate(entries: list[list[int]]) -> tuple[int, int]:
 
     A column with no pivot left is skipped.  The k-th pivot is the minor on
     the first k pivot rows and columns, so the last pivot, signed by the row
-    swaps, is the determinant of a square matrix of full rank.
+    swaps, is the determinant of a square matrix of full rank.  A row below
+    the pivot is left as it is where the update would not change it: a 0 in
+    the pivot column, under a pivot equal to the one before.
     """
     a = [row[:] for row in entries]
     rows, cols = len(a), len(a[0])
@@ -124,11 +127,16 @@ def _eliminate(entries: list[list[int]]) -> tuple[int, int]:
             continue
         if pivot != rank:
             a[rank], a[pivot], sign = a[pivot], a[rank], -sign
+        top = a[rank]
+        p = top[col]
         for i in range(rank + 1, rows):
-            for j in range(col + 1, cols):
-                a[i][j] = (a[i][j] * a[rank][col] - a[i][col] * a[rank][j]) // prev
-            a[i][col] = 0
-        prev = a[rank][col]
+            row = a[i]
+            c = row[col]
+            if c or p != prev:
+                for j in range(col + 1, cols):
+                    row[j] = (row[j] * p - c * top[j]) // prev
+                row[col] = 0
+        prev = p
         rank += 1
         if rank == rows:
             break
@@ -150,23 +158,49 @@ def columns(f: Automorphism) -> list[dict[int, int]]:
     return out
 
 
-def abelianize(f: Automorphism) -> IntMatrix:
-    """The dense matrix of `columns`: column j holds the counts of image j."""
-    n = f.basis.rank
-    rows = [[0] * n for _ in range(n)]
-    for j, col in enumerate(columns(f)):
+def compose_columns(a: list[dict[int, int]], b: list[dict[int, int]]) -> list[dict[int, int]]:
+    """The sparse columns of the product A B, from those of A and of B.
+
+    Column j of A B sums column k of A times entry (k, j) of B; a sum that
+    cancels is dropped, as `columns` drops it, so equal products are equal lists.
+    """
+    out = []
+    for col in b:
+        acc: dict[int, int] = {}
+        for k, v in col.items():
+            for i, u in a[k].items():
+                acc[i] = acc.get(i, 0) + u * v
+        out.append({i: x for i, x in acc.items() if x} if 0 in acc.values() else acc)
+    return out
+
+
+def dense(cols: list[dict[int, int]]) -> IntMatrix:
+    """The square `IntMatrix` of sparse columns: column j holds cols[j]."""
+    rows = [[0] * len(cols) for _ in cols]
+    for j, col in enumerate(cols):
         for i, v in col.items():
             rows[i][j] = v
     return IntMatrix._of_rows(rows)
+
+
+def abelianize(f: Automorphism) -> IntMatrix:
+    """The dense matrix of `columns`: column j holds the counts of image j."""
+    return dense(columns(f))
+
+
+def cyclic_columns(G: FiniteGroup, H: FiniteGroup) -> tuple[list[dict[int, int]], ...]:
+    """The sparse columns of the abelianized actions of the generators, element 1
+    of G and of H, on the kernel of G * H in the commutator basis."""
+    groups = (G, H)
+    basis = algebraic_basis(groups)
+    return tuple(columns(outer_representative(single(groups, f, 1), basis)) for f in (0, 1))
 
 
 def cyclic_closed_form(r: int, m: int) -> tuple[IntMatrix, IntMatrix]:
     """Abelianized generator actions for C_r * C_m in the commutator basis."""
     if r < 2 or m < 2:
         raise ValueError("both cyclic orders must be at least 2")
-    groups = (make_cyclic(r), make_cyclic(m))
-    basis = algebraic_basis(groups)
-    return tuple(abelianize(outer_representative(single(groups, f, 1), basis)) for f in (0, 1))
+    return tuple(map(dense, cyclic_columns(make_cyclic(r), make_cyclic(m))))
 
 
 def determinant(groups: Sequence[FiniteGroup], g: Sequence[int]) -> int:
@@ -262,11 +296,12 @@ def representation_report(G: FiniteGroup, H: FiniteGroup,
     all_sl = all(d == 1 for d in dets_g + dets_h)
     non_ia = 1 not in scalars_g[1:] + scalars_h[1:]
 
-    rng = random.Random(seed)
+    words = random_kernel_words(random.Random(seed), groups, max_letters=10)
     identity = [{k: 1} for k in range(basis.rank)]
+    # range first: zip stops on it before it asks the stream for a word past the last
     kernel_identity = all(
-        basis.state(random_kernel_word(rng, groups, max_letters=10)) == 0
-        for _ in range(kernel_trials)) and columns(Automorphism(basis, basis.walks(0))) == identity
+        basis.state(w) == 0 for _, w in zip(range(kernel_trials), words)
+    ) and columns(Automorphism(basis, basis.walks(0))) == identity
 
     return {
         "orders": [G.order, H.order],

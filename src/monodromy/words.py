@@ -12,9 +12,13 @@ values; all operations are pure.
 The module also holds the seeded random words the checks draw from, and
 the free reduction of signed symbol words, which every free-group layer
 shares: a word of nonzero ints, symbol k with sign s being s (k + 1).
-Seeded words are drawn from `rng.getrandbits` as `rng.randrange` draws
-them, so a seed gives the same words, and leaves `rng` in the same state,
-as the `randrange` spelling.
+Seeded words come as streams (`random_words`, `random_kernel_words`): a
+stream reads its group list once, and draws each word only when it is
+asked for, each letter merged through the Cayley table as it is drawn, so
+no word is reduced in a second pass.  `random_word` and `random_kernel_word`
+are the first word of a fresh stream.  The draws come from `rng.getrandbits`
+as `rng.randrange` makes them, so a seed gives the same words, and leaves
+`rng` in the same state, as the `randrange` spelling.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import random
 import re
 from dataclasses import dataclass
 from operator import neg
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .groups import _NAME_TOKEN, FiniteGroup, clip, clip_int, token_int
 
@@ -180,49 +184,84 @@ def _below(getrandbits: Callable[[int], int], n: int) -> int:
     return r
 
 
-def _random_letters(rng: random.Random, groups: Sequence[FiniteGroup],
-                    count: int) -> list[tuple[int, int]]:
-    # each draw picks a factor, then a non-identity element of it, both drawn
-    # as `_below` draws, inlined here; a trivial factor has none, so its draws
-    # add no letter, and C2's one element still spends a bit, as randrange(1, 2) does
-    if count <= 0:
-        return []
-    n = len(groups)
-    if not n:
-        raise ValueError("no factor to draw a letter from")
-    bits, k = rng.getrandbits, n.bit_length()
-    spans = [(G.order - 1, (G.order - 1).bit_length()) for G in groups]
-    raw = []
-    for _ in range(count):
-        f = bits(k)
-        while f >= n:
-            f = bits(k)
-        m, j = spans[f]
-        if m:
-            e = bits(j)
-            while e >= m:
+def _word_stream(rng: random.Random, groups: Sequence[FiniteGroup], least: int, below: int,
+                 close: bool) -> Iterator[Word]:
+    # each word is least + _below(below) letter draws, each a factor and then a
+    # non-identity element of it, drawn as `_below` draws, inlined here; a trivial
+    # factor has none, so its draws add no letter, and C2's one element still spends
+    # a bit, as randrange(1, 2) does.  Each letter is merged onto the reduced stack
+    # as `reduce_word` merges it, as it is drawn, and its projection builds up; with
+    # `close`, one letter per coordinate, after the draws, cancels that projection.
+    # The tables, inverse rows and (order - 1, bit length) pairs are read once per stream
+    groups = tuple(groups)
+    bits, n = rng.getrandbits, len(groups)
+    k = n.bit_length()
+    factors = [(G.order - 1, (G.order - 1).bit_length(), G.table) for G in groups]
+    inverses = [G.inverses for G in groups]
+    while True:
+        count = least + _below(bits, below)
+        if count and not n:
+            raise ValueError("no factor to draw a letter from")
+        stack: list[tuple[int, int]] = []
+        top = -1  # the factor of the top letter; the stack alternates
+        image = [0] * n
+        for i in range(count + n if close else count):
+            if i < count:
+                f = bits(k)
+                while f >= n:
+                    f = bits(k)
+                m, j, table = factors[f]
+                if not m:
+                    continue
                 e = bits(j)
-            raw.append((f, e + 1))
-    return raw
+                while e >= m:
+                    e = bits(j)
+                e += 1
+                image[f] = table[image[f]][e]
+            else:
+                f = i - count
+                if not image[f]:
+                    continue
+                table, e = factors[f][2], inverses[f][image[f]]
+            if f != top:
+                stack.append((f, e))
+                top = f
+            elif merged := table[stack[-1][1]][e]:
+                stack[-1] = (f, merged)
+            else:
+                stack.pop()
+                top = stack[-1][0] if stack else -1
+        yield Word._of_letters(groups, tuple(stack))
+
+
+def random_words(rng: random.Random, groups: Sequence[FiniteGroup],
+                 max_letters: int = 8) -> Iterator[Word]:
+    """Endless reduced products of 1 to max_letters - 1 random letter draws,
+    each word drawn when it is asked for."""
+    return _word_stream(rng, groups, 1, max_letters - 1, False)
+
+
+def random_kernel_words(rng: random.Random, groups: Sequence[FiniteGroup],
+                        max_letters: int = 10) -> Iterator[Word]:
+    """Endless words of fewer than max_letters random letter draws, each closed up
+    into the kernel, and drawn when it is asked for.
+
+    One letter per coordinate is appended to cancel the projection, which is a
+    homomorphism: the raw draws project as their reduced word does.
+    """
+    return _word_stream(rng, groups, 0, max_letters, True)
 
 
 def random_word(rng: random.Random, groups: Sequence[FiniteGroup],
                 max_letters: int = 8) -> Word:
     """Reduced product of 1 to max_letters - 1 random letter draws."""
-    count = 1 + _below(rng.getrandbits, max_letters - 1)
-    return reduce_word(_random_letters(rng, groups, count), groups)
+    return next(random_words(rng, groups, max_letters))
 
 
 def random_kernel_word(rng: random.Random, groups: Sequence[FiniteGroup],
                        max_letters: int = 10) -> Word:
-    """Fewer than max_letters random letter draws, closed up into the kernel.
-
-    One letter per coordinate is appended to cancel the projection, which is a
-    homomorphism: the raw draws project as their reduced word does.
-    """
-    raw = _random_letters(rng, groups, _below(rng.getrandbits, max_letters))
-    fix = [(i, groups[i].inverses[p]) for i, p in enumerate(projection(groups)(raw)) if p]
-    return reduce_word(raw + fix, groups)
+    """Fewer than max_letters random letter draws, closed up into the kernel."""
+    return next(random_kernel_words(rng, groups, max_letters))
 
 
 _X_TOKEN = re.compile(r"x([0-9]+)(?:\^(-?[0-9]+))?$")

@@ -12,8 +12,9 @@ from monodromy.action import (Automorphism, act_word, algebraic_basis, invert_si
                               outer_representative, tree_basis)
 from monodromy.fibre import build_fibre_graph, rank_formula
 from monodromy.groups import SizeLimitError, make_cyclic, make_symmetric, parse_group_spec
-from monodromy.intmatrix import (IntMatrix, abelianize, columns, cyclic_closed_form,
-                                 determinant, representation_report)
+from monodromy.intmatrix import (IntMatrix, _eliminate, abelianize, columns, compose_columns,
+                                 cyclic_closed_form, cyclic_columns, dense, determinant,
+                                 representation_report)
 from monodromy.verify import _powers
 from monodromy.words import free_reduce, multiply, project, random_kernel_word, reduce_word, single
 from oracles import (_eliminate_units, dense_counts, elimination_det, leibniz_det, pretty,
@@ -380,6 +381,56 @@ def test_product_matches_naive_reference():
         IntMatrix([[1, 2]]) * IntMatrix([[1, 2]])
 
 
+def test_compose_columns_matches_the_dense_product():
+    # entries of +-1 make sums that cancel; a cancelled sum is dropped, never kept as 0
+    rng = random.Random(40)
+    cancelled = 0
+    for trial in range(300):
+        r, k, c = (rng.randrange(1, 7) for _ in range(3))
+        bound = rng.choice((1, 1, 3, 2 ** 70))
+        a = sparse_random(rng, r, k, rng.choice((0.0, 0.3, 0.6, 1.0)), bound)
+        b = sparse_random(rng, k, c, rng.choice((0.3, 0.6, 1.0)), bound)
+        product = compose_columns(as_columns(a), as_columns(b))
+        assert product == as_columns(a * b), (a, b)
+        assert all(v for col in product for v in col.values())
+        cancelled += any(not (a * b).entries[i][j]
+                         and any(a.entries[i][t] * b.entries[t][j] for t in range(k))
+                         for i in range(r) for j in range(c))
+        if r == k:
+            assert dense(as_columns(a)) == a
+    assert cancelled > 20
+    # the criterion-4 generators, squared both ways
+    for r, m in ((2, 3), (4, 5), (6, 6)):
+        for cols, mat in zip(cyclic_columns(make_cyclic(r), make_cyclic(m)),
+                             cyclic_closed_form(r, m)):
+            assert dense(compose_columns(cols, cols)) == mat * mat
+
+
+def test_eliminate_matches_the_oracles_on_skipped_rows():
+    # a row with a 0 in the pivot column is left as it is only under a pivot equal
+    # to the one before; under any other pivot it is scaled by pivot / previous,
+    # so a det of [[2, 1], [0, 3]] that skipped its second row would read 3, not 6
+    fixed = [
+        [[2, 1], [0, 3]],                       # pivot 2 after 1: the 0 row is scaled
+        [[1, 2, 3], [0, 1, 4], [5, 6, 0]],      # pivot 1 after 1: the 0 row is skipped
+        [[1, 0, 2], [0, 1, 0], [0, 0, 1]],      # every pivot equals the one before
+        [[0, 1], [0, 2]],                       # a column with no pivot
+        [[1, 2, 3], [2, 4, 7], [0, 0, 1]],      # a pivot-less column mid-way
+        [[0, 0, 0], [1, 2, 3], [4, 5, 7]],      # a zero row
+        [[3, 0, 0], [0, 3, 0], [0, 0, 5]],      # pivot 9 after 3, then 45 after 9
+        [[2, 0, 1], [0, 0, 0], [0, 0, 3], [1, 1, 0]],  # not square, a zero row
+    ]
+    rng = random.Random(46)
+    randoms = [sparse_random(rng, n, n + rng.randrange(-1, 2), 0.4, 1).entries
+               for n in (2, 3, 4, 5) for _ in range(60)]
+    for entries in fixed + randoms:
+        rank, pivot = _eliminate(entries)
+        assert rank == rational_elimination(entries)[0], entries
+        if len(entries) == len(entries[0]):
+            assert (pivot if rank == len(entries) else 0) == leibniz_det(entries), entries
+    assert IntMatrix([[2, 1], [0, 3]]).det() == 6
+
+
 def dense_rank_torsion(m):
     factors, _ = smith_normal_form(m)
     return m.rank(), [d for d in factors if d > 1]
@@ -487,28 +538,36 @@ def test_cyclic_closed_form_orders_and_det():
         assert m1.det() in (1, -1) and m2.det() in (1, -1)
     with pytest.raises(ValueError):
         cyclic_closed_form(1, 3)
-    # criterion 4 tests faithfulness by comparing powers; on its whole range the
-    # comparison must agree with the product it stands for
+    # criterion 4 tests orders and faithfulness by comparing sparse powers; on its
+    # whole range each comparison must agree with the dense product it stands for
     for r, m in itertools.product(range(2, 7), repeat=2):
+        c1, c2 = cyclic_columns(make_cyclic(r), make_cyclic(m))
         m1, m2 = cyclic_closed_form(r, m)
-        pow1, pow2 = _powers(m1, r), _powers(m2, m)
+        assert (dense(c1), dense(c2)) == (m1, m2)
+        sparse1, sparse2 = _powers(c1, r), _powers(c2, m)
+        pow1, pow2 = [m1 ** i for i in range(r + 1)], [m2 ** j for j in range(m + 1)]
+        assert [dense(p) for p in sparse1] == pow1 and [dense(p) for p in sparse2] == pow2
+        assert (sparse1[r] == sparse1[0]) == pow1[r].is_identity()
+        assert (sparse2[m] == sparse2[0]) == pow2[m].is_identity()
         for i, j in itertools.product(range(r), range(m)):
-            assert (pow1[i] == pow2[-j % m]) == (pow1[i] * pow2[j]).is_identity(), (r, m, i, j)
+            assert (sparse1[i] == sparse2[-j % m]) == (pow1[i] * pow2[j]).is_identity(), \
+                (r, m, i, j)
 
 
 def test_cyclic_pairs_criterion_names_each_failure(monkeypatch):
-    real = cyclic_closed_form
+    real = cyclic_columns
 
     def swapped_at(pair, swap):
-        return lambda r, m: swap(*real(r, m)) if (r, m) == pair else real(r, m)
+        return lambda G, H: swap(*real(G, H)) if (G.order, H.order) == pair else real(G, H)
 
     # M2 = M1 at (3,3): M1^i M1^(3-i) = I for i = 1, 2, besides the degenerate (2,2)
-    monkeypatch.setattr(verify, "cyclic_closed_form", swapped_at((3, 3), lambda m1, m2: (m1, m1)))
+    monkeypatch.setattr(verify, "cyclic_columns", swapped_at((3, 3), lambda c1, c2: (c1, c1)))
     assert verify.criterion_4_cyclic_pairs() == (False, (
         "faithfulness fails at (2,2) i=1 j=1; faithfulness fails at (3,3) i=1 j=2; "
         "faithfulness fails at (3,3) i=2 j=1"))
     # -M2 at (2,3) has order 6, not 3
-    monkeypatch.setattr(verify, "cyclic_closed_form", swapped_at((2, 3), lambda m1, m2: (m1, -m2)))
+    monkeypatch.setattr(verify, "cyclic_columns", swapped_at((2, 3), lambda c1, c2: (
+        c1, [{i: -v for i, v in col.items()} for col in c2])))
     assert verify.criterion_4_cyclic_pairs() == (False, (
         "faithfulness fails at (2,2) i=1 j=1; generator matrix order wrong for (2,3)"))
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -10,11 +11,11 @@ from monodromy.groups import make_cyclic, make_symmetric, parse_group_spec
 from monodromy.words import (Word, commutator, empty_word,
                              format_word, format_words, free_reduce, invert,
                              invert_signed, is_in_kernel, multiply, parse_word,
-                             project, random_kernel_word, random_word,
-                             reduce_word, single)
+                             project, random_kernel_word, random_kernel_words, random_word,
+                             random_words, reduce_word, single)
 
-from oracles import (encode, free_reduce_pairs, invert_pairs, two_reduce_kernel_word,
-                     two_reduce_random_word)
+from oracles import (encode, free_reduce_pairs, invert_pairs, randrange_letters,
+                     two_reduce_kernel_word, two_reduce_random_word)
 
 C2C3 = (make_cyclic(2), make_cyclic(3))
 
@@ -316,23 +317,75 @@ def test_random_draws_match_their_randrange_spelling():
 
 
 def test_random_draws_refuse_empty_ranges():
-    # randrange refused these; getrandbits(0) is 0, so an unguarded draw would never end
+    # randrange refused these; getrandbits(0) is 0, so an unguarded draw would never end.
+    # A stream is refused at its first next(), where its first word is drawn
     groups = parse_group_spec("C3,C4")
     for max_letters in (1, 0, -3):
         with pytest.raises(ValueError):
             random_word(random.Random(0), groups, max_letters)
+        words = random_words(random.Random(0), groups, max_letters)
+        with pytest.raises(ValueError):
+            next(words)
     for max_letters in (0, -1):
         with pytest.raises(ValueError):
             random_kernel_word(random.Random(0), groups, max_letters)
+        words = random_kernel_words(random.Random(0), groups, max_letters)
+        with pytest.raises(ValueError):
+            next(words)
     with pytest.raises(ValueError):
         random_word(random.Random(0), (), 8)
+    words = random_words(random.Random(0), (), 8)
+    with pytest.raises(ValueError):
+        next(words)
     for seed in range(10):  # no factor to draw from: refused once a letter is to be drawn
+        words = random_kernel_words(random.Random(seed), (), 10)
         if random.Random(seed).randrange(10):
             with pytest.raises(ValueError):
                 random_kernel_word(random.Random(seed), (), 10)
+            with pytest.raises(ValueError):
+                next(words)
         else:
             assert random_kernel_word(random.Random(seed), (), 10).is_identity
+            assert next(words).is_identity
     assert random_kernel_word(random.Random(0), (), 1).is_identity
+    assert all(w.is_identity for w in itertools.islice(random_kernel_words(
+        random.Random(0), (), 1), 5))
+
+
+def test_streams_draw_the_words_of_single_calls_and_of_the_oracles():
+    # a stream of N words draws what N single calls draw, and what the randrange
+    # oracles draw, and leaves rng where they leave it.  S3,C4 merges letters that
+    # cancel mid-word, every repeated factor of C2,C2,C2 pops its letter, C1 draws
+    # no letter and C1000 draws its element in ten bits
+    kinds = ((random_words, random_word, two_reduce_random_word),
+             (random_kernel_words, random_kernel_word, two_reduce_kernel_word))
+    for spec in ("S3,C4", "D4,C2", "C2,C2,C2", "C7,C1,C5", "C1000,C2"):
+        groups = parse_group_spec(spec)
+        for max_letters in (2, 3, 8, 17):
+            for stream, one, oracle_word in kinds:
+                for seed in range(3):
+                    rng, singles, oracle = (random.Random(seed) for _ in range(3))
+                    got = list(itertools.islice(stream(rng, groups, max_letters), 40))
+                    assert got == [one(singles, groups, max_letters) for _ in range(40)]
+                    assert got == [oracle_word(oracle, groups, max_letters) for _ in range(40)]
+                    assert rng.random() == singles.random() == oracle.random(), (spec, seed)
+        # the words above do merge: some draws reduce to fewer letters
+        rng = random.Random(5)
+        draws = [randrange_letters(rng, groups, 16) for _ in range(40)]
+        assert any(len(reduce_word(raw, groups)) < len(raw) for raw in draws), spec
+
+
+def test_zip_asks_the_stream_for_no_word_past_the_range():
+    # criteria 5 and 7 zip the range first: zip stops on it, and asks the stream
+    # for nothing more.  With the stream first, zip draws one word past the last,
+    # the same words but a different rng state after them
+    groups = parse_group_spec("C4,C3")
+    for seed in range(5):
+        first, last, singles = (random.Random(seed) for _ in range(3))
+        words = [w for _, w in zip(range(30), random_kernel_words(first, groups, 12))]
+        assert words == [w for w, _ in zip(random_kernel_words(last, groups, 12), range(30))]
+        assert words == [random_kernel_word(singles, groups, 12) for _ in range(30)]
+        assert first.getstate() == singles.getstate() != last.getstate()
 
 
 def test_parse_word_refuses_a_number_longer_than_int_reads():
